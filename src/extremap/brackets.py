@@ -247,108 +247,79 @@ def survivor_block_estimate(PA: float, M: float, k: int, t: int, ell: int,
 # ---------------------------------------------------------------------------
 
 
-def _best_t_for_k(cost_t, t_max: int, gamma: DecayModel, decreasing_scale: float):
-    """Smallest-t integer argmin of cost_t over [1, t_max].
+def _search_kt(k_max, root, value, lower) -> Tuple[float, int, int]:
+    """Smallest key (value(k, t), t, k) over t >= 1, 1 <= k <= k_max(t);
+    the callers' input checks guarantee k_max(1) >= 1.
 
-    cost_t(t) = a*t + b*gamma(t) with a, b >= 0 is convex for the
-    exponential model, so probing around the stationary point is exact;
-    tabulated models are scanned (gamma vanishes past the table).
+    For a fixed gap t both objectives have the form a*k + b/k + c with
+    a, b > 0, convex in k with real minimizer root(t) = sqrt(b/a); the
+    integer argmin is a floor/ceil neighbour of it or an end of
+    [1, k_max(t)].  lower(t) bounds the objective from below for every
+    gap >= t, so the sweep over t stops once it passes the best value
+    (the relative margin keeps rounding from stopping it early).
     """
-    if t_max < 1:
-        return None
-    cap = gamma.effective_t_cap
-    if cap is not None:
-        candidates = range(1, min(t_max, cap) + 1)
-    else:
-        if gamma.c0 == 0.0 or decreasing_scale <= 0:
-            candidates = (1,)
-        else:
-            # stationary point of a*t + b*c0*lam^t
-            ratio = decreasing_scale / (gamma.c0 * (-math.log(gamma.lam)))
-            if ratio <= 0:
-                t_star = 1.0
-            else:
-                t_star = math.log(ratio) / math.log(gamma.lam)
-            lo = max(1, int(math.floor(t_star)) - 2)
-            hi = min(t_max, int(math.ceil(t_star)) + 2)
-            cand = set(range(lo, hi + 1)) | {1, t_max}
-            candidates = sorted(c for c in cand if 1 <= c <= t_max)
-    best_t, best_v = None, math.inf
-    for t in candidates:
-        v = cost_t(t)
-        if v < best_v:
-            best_t, best_v = t, v
-    return best_t, best_v
+    best = None
+    t = 1
+    while (km := k_max(t)) >= 1:
+        if best is not None and lower(t) > best[0] * (1.0 + 1e-9):
+            break
+        s = int(min(root(t), km))
+        for k in {1, km, s - 1, s, s + 1, s + 2}:
+            if 1 <= k <= km:
+                key = (value(k, t), t, k)
+                if best is None or key < best:
+                    best = key
+        t += 1
+    return best
 
 
 def optimize_kt_evl(n: int, PA: float, gamma: DecayModel) -> BlockingParams:
     """Integer (k, t) with k*t < n minimizing
     k*t*PA + n*gamma(t)*(1 + n*PA/k) + (n*PA)**2 / k.
 
-    Ties break toward smaller t, then smaller k.
+    Ties break toward smaller t, then smaller k.  For fixed t this is
+    a*k + b/k + c with a = t*PA, b = n**2*PA*gamma(t) + (n*PA)**2, and
+    every gap >= t costs at least 2*n*PA*sqrt(t*PA).
     """
     if n < 4:
         raise InfeasibleError("n too small for blocking")
     if not (0 < PA < 1):
         raise InfeasibleError("PA must be in (0, 1)")
-    best = None
-    for k in range(1, n):
-        t_max = (n - 1) // k
-        if t_max < 1:
-            break
-        mix_coof = n * (1.0 + n * PA / k)
-
-        def cost_t(t, k=k, mix=mix_coof):
-            return k * t * PA + mix * gamma.gamma(t)
-
-        picked = _best_t_for_k(cost_t, t_max, gamma, decreasing_scale=k * PA / mix_coof)
-        if picked is None:
-            continue
-        t, partial = picked
-        value = partial + (n * PA) ** 2 / k
-        key = (value, t, k)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        raise InfeasibleError("no feasible (k, t)")
-    value, t, k = best
-    ell = n // k - t
-    return BlockingParams(k=k, t=t, ell=ell, objective=value)
+    g = gamma.gamma
+    value, t, k = _search_kt(
+        lambda t: (n - 1) // t,
+        lambda t: math.sqrt((n * n * PA * g(t) + (n * PA) ** 2) / (t * PA)),
+        lambda k, t: (k * t * PA + n * (1.0 + n * PA / k) * g(t)
+                      + (n * PA) ** 2 / k),
+        lambda t: 2.0 * n * PA * math.sqrt(t * PA))
+    return BlockingParams(k=k, t=t, ell=n // k - t, objective=value)
 
 
 def optimize_kt_hts(PB: float, gamma: DecayModel) -> BlockingParams:
     """Integer (k, t) with k*t < 1/PB minimizing
-    k*t*PB + gamma(t)/PB + 1/k."""
+    k*t*PB + gamma(t)/PB + 1/k.
+
+    Ties break toward smaller t, then smaller k.  For fixed t this is
+    a*k + b/k + c with a = t*PB, b = 1, and every gap >= t costs at
+    least 2*sqrt(t*PB).
+    """
     if not (0 < PB < 1):
         raise InfeasibleError("PB must be in (0, 1)")
     inv = 1.0 / PB
-    k_max = int(math.ceil(inv)) - 1
-    best = None
-    for k in range(1, max(k_max, 1) + 1):
-        t_max = int(math.ceil(inv / k)) - 1
-        if k * t_max >= inv:
-            t_max -= 1
-        if t_max < 1:
-            continue
 
-        def cost_t(t, k=k):
-            return k * t * PB + gamma.gamma(t) / PB
+    def k_max(t):
+        # largest k with k*t < inv: the rounded quotient can land on the
+        # integer just above it, and int-vs-float comparison is exact
+        k = math.floor(inv / t)
+        return k - 1 if k * t >= inv else k
 
-        picked = _best_t_for_k(cost_t, t_max, gamma,
-                               decreasing_scale=k * PB * PB)
-        if picked is None:
-            continue
-        t, partial = picked
-        value = partial + 1.0 / k
-        key = (value, t, k)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        raise InfeasibleError("no feasible (k, t)")
-    value, t, k = best
-    n = int(math.floor(inv))
-    ell = n // k - t
-    return BlockingParams(k=k, t=t, ell=ell, objective=value)
+    value, t, k = _search_kt(
+        k_max,
+        lambda t: math.sqrt(1.0 / (t * PB)),
+        lambda k, t: k * t * PB + gamma.gamma(t) / PB + 1.0 / k,
+        lambda t: 2.0 * math.sqrt(t * PB))
+    return BlockingParams(k=k, t=t, ell=math.floor(inv) // k - t,
+                          objective=value)
 
 
 # ---------------------------------------------------------------------------

@@ -30,14 +30,13 @@ from .maps import (
     FullBranchMap,
     Potential,
     bv_norm_indicator,
-    pressure_sequence,
     weighted_periodic_sum,
 )
 from .events import (
     Observable,
     annulus_set,
     dprime_sum,
-    first_return_time,
+    recurrence_start,
     survivor_set,
     theta_limit,
     theta_limit_exact,
@@ -311,9 +310,9 @@ def cmd_escape(args) -> int:
         A = annulus_set(map_, hole, q)
         PA = A.measure()
         params = optimize_kt_hts(float(PB), decay)
-        R = first_return_time(map_, A, horizon=256) or (params.ell or 1)
-        M = bv_norm_indicator(A)
         ell = max(params.ell, 1)
+        R = recurrence_start(map_, A, ell)
+        M = bv_norm_indicator(A)
         Y = upsilon(float(PA), M, ell, params.t, R, decay)
         L = max(1.0 - ell * float(PA), 1e-12)
         window = escape_rate_window(theta, params.k, Y, L, float(PB))
@@ -403,7 +402,7 @@ def cmd_bounds(args) -> int:
             A = annulus_set(map_, sched.exceedance, q)
             PU, PA = sched.exceedance.measure(), A.measure()
             params = optimize_kt_evl(n, float(PA), decay)
-            R = first_return_time(map_, A, horizon=256) or max(params.ell, 256)
+            R = recurrence_start(map_, A, params.ell)
             if kind == "sharp-evl":
                 budget = sharp_evl_bracket(float(tau), n, theta, float(PA),
                                            params.k, params.t, R, decay)
@@ -430,7 +429,7 @@ def cmd_bounds(args) -> int:
             PB, PA = B.measure(), A.measure()
             params = optimize_kt_hts(float(PB), decay)
             ell = max(params.ell, 1)
-            R = first_return_time(map_, A, horizon=256) or max(ell, 256)
+            R = recurrence_start(map_, A, ell)
             M = bv_norm_indicator(A)
             budget = sharp_hts_bracket(float(tau), float(PB), float(PA), theta,
                                        params.k, params.t, R, ell, M, decay)
@@ -509,10 +508,9 @@ def cmd_pressure(args) -> int:
     else:
         raise InfeasibleError(f"unknown potential {args.potential!r}")
     rows = []
-    values = pressure_sequence(map_, pot, args.n_max)
-    for n, p in enumerate(values, start=1):
-        z = weighted_periodic_sum(map_, pot, n)
-        rows.append({"scale": n, "Z_n": float(z), "pressure": p})
+    for n in range(1, args.n_max + 1):
+        z = float(weighted_periodic_sum(map_, pot, n))
+        rows.append({"scale": n, "Z_n": z, "pressure": math.log(z) / n})
     config = dict(_common_config(args, map_), potential=args.potential,
                   n_max=args.n_max)
     write_outputs(_out_dir(args), "pressure", ("scale", "Z_n", "pressure"),

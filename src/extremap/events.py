@@ -61,10 +61,6 @@ class Observable:
             return math.inf if dist == 0 else -math.log(dist)
         return self.cap - dist ** self.beta
 
-    def value_exact_compare(self, x, u_radius: Fraction) -> bool:
-        """Exact test of {value(x) > u} via the equivalent radius condition."""
-        return circle_distance(as_exact(x), self.center) < u_radius
-
     def radius_of_level(self, u: float) -> float:
         """Radius of the super-level ball {value > u}."""
         if u >= self.sup_value:
@@ -240,26 +236,18 @@ def detect_period(map_: FullBranchMap, zeta, cap: int = 64) -> Optional[int]:
 
 
 def theta_limit(map_: FullBranchMap, obs, cap: int = 64) -> Tuple[int, float]:
-    """(q, theta) in the limit of small events.
+    """(q, theta) in the limit of small events, theta as a float."""
+    q, theta = theta_limit_exact(map_, obs, cap=cap)
+    return q, float(theta)
+
+
+def theta_limit_exact(map_: FullBranchMap, obs, cap: int = 64):
+    """(q, theta) in the limit of small events, theta an exact Fraction.
 
     For a periodic center of prime period p the limit extremal index is
     1 - 1/|DF^p| (the reciprocal of the orbit multiplier); a
     non-periodic center gives q = 0 and theta = 1.
     """
-    zeta = obs.center if isinstance(obs, Observable) else as_exact(obs)
-    p = detect_period(map_, zeta, cap=cap)
-    if p is None:
-        return 0, 1.0
-    mult = Fraction(1)
-    z = zeta
-    for _ in range(p):
-        mult *= abs(map_.derivative_at(z, boundary="right"))
-        z = map_.apply(z, boundary="right")
-    return p, float(1 - Fraction(1) / mult)
-
-
-def theta_limit_exact(map_: FullBranchMap, obs, cap: int = 64):
-    """Same as theta_limit but returning theta as an exact Fraction."""
     zeta = obs.center if isinstance(obs, Observable) else as_exact(obs)
     p = detect_period(map_, zeta, cap=cap)
     if p is None:
@@ -287,6 +275,22 @@ def first_return_time(map_: FullBranchMap, A: IntervalUnion,
         if S.intersects(A):
             return j
     return None
+
+
+RETURN_HORIZON = 256
+
+
+def recurrence_start(map_: FullBranchMap, A: IntervalUnion, ell: int) -> int:
+    """First return time of A, or max(ell, RETURN_HORIZON) without a return.
+
+    The brackets sum the decay tail from this time to the block length
+    ell.  A set that does not return within RETURN_HORIZON steps is read
+    as having no recurrence term, which the fallback >= ell makes empty;
+    beyond a few hundred steps the decay tail of the default models is
+    numerically zero.
+    """
+    R = first_return_time(map_, A, horizon=RETURN_HORIZON)
+    return R if R is not None else max(ell, RETURN_HORIZON)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .maps import FullBranchMap, open_system_decay_rate, ulam_matrix
 from .events import (
     Observable,
     annulus_set,
-    first_return_time,
+    recurrence_start,
     theta_limit,
     threshold_for,
 )
@@ -580,12 +580,9 @@ def convergence_sweep(cfg: SweepConfig) -> SweepTable:
         A = annulus_set(cfg.map, sched.exceedance, q)
         PA = A.measure()
         params = optimize_kt_evl(pt.n, float(PA), decay)
-        # beyond a few hundred steps the decay tail is numerically zero,
-        # so an exhausted horizon is reported as an empty recurrence sum
-        R = first_return_time(cfg.map, A, horizon=256)
-        R_eff = R if R is not None else max(params.ell or 1, 256)
+        R = recurrence_start(cfg.map, A, params.ell)
         budget = sharp_evl_bracket(float(tau), pt.n, theta, float(PA),
-                               params.k, params.t, R_eff, decay)
+                               params.k, params.t, R, decay)
         deviation = abs(pt.estimate - limit)
         bracket = budget.total
         rows.append({
@@ -599,7 +596,7 @@ def convergence_sweep(cfg: SweepConfig) -> SweepTable:
             "seed": cfg.seed,
             "k": params.k,
             "t": params.t,
-            "R": R_eff,
+            "R": R,
             "q": q,
             "theta": theta,
             "PA": float(PA),

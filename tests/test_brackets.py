@@ -88,11 +88,19 @@ def test_upsilon_additivity():
 # -- optimizers ---------------------------------------------------------------
 
 
-def _scan_evl(n, PA, g):
+def _evl_objective(n, PA, g, k, t):
+    # the optimizer's float expression, term for term
+    return k * t * PA + n * (1.0 + n * PA / k) * g.gamma(t) + (n * PA) ** 2 / k
+
+
+def _scan_evl(n, PA, g, value=None):
     best = None
     for k in range(1, n):
         for t in range(1, (n - 1) // k + 1):
-            v = k * t * PA + n * g.gamma(t) * (1 + n * PA / k) + (n * PA) ** 2 / k
+            if value is not None:
+                v = value(n, PA, g, k, t)
+            else:
+                v = k * t * PA + n * g.gamma(t) * (1 + n * PA / k) + (n * PA) ** 2 / k
             key = (v, t, k)
             if best is None or key < best:
                 best = key
@@ -159,6 +167,58 @@ def test_optimizer_hts_matches_scan():
                   (0.3, DecayModel.exponential(2, 0.5))]:
         bp = optimize_kt_hts(PB, g)
         assert (bp.objective, bp.t, bp.k) == _scan_hts(PB, g)
+
+
+def _random_decay(rnd):
+    return rnd.choice([
+        DecayModel.zero(),
+        DecayModel.exponential(rnd.uniform(0.1, 8.0), rnd.uniform(0.05, 0.99)),
+        DecayModel.from_table(sorted(
+            (rnd.uniform(0.0, 2.0) for _ in range(rnd.randrange(0, 30))),
+            reverse=True)),
+    ])
+
+
+def test_optimizer_evl_matches_scan_wide_range():
+    # lam up to 0.99 pushes t* into the hundreds; n*PA up to 5
+    rnd = random.Random(31)
+    for _ in range(120):
+        n = rnd.randrange(4, 2000)
+        PA = math.exp(rnd.uniform(math.log(1e-5), math.log(min(0.99, 5.0 / n))))
+        g = _random_decay(rnd)
+        bp = optimize_kt_evl(n, PA, g)
+        assert (bp.objective, bp.t, bp.k) == _scan_evl(n, PA, g, _evl_objective)
+        assert bp.ell == n // bp.k - bp.t
+
+
+def test_optimizer_hts_matches_scan_wide_range():
+    rnd = random.Random(37)
+    cases = [(math.exp(rnd.uniform(math.log(7e-4), math.log(0.9))),
+              _random_decay(rnd)) for _ in range(110)]
+    # 1/PB an integer m (up to float rounding of 1.0 / PB) sits on the
+    # boundary of the strict k*t < 1/PB constraint; a table vanishing
+    # from t = m on makes the excluded gap the cheapest one
+    for m in (2, 3, 7, 49, 64, 100, 255, 256, 1000, 1023):
+        cases += [(1 / m, _random_decay(rnd)),
+                  (1 / m, DecayModel.from_table([1.0] * (m - 1)))]
+    for PB, g in cases:
+        bp = optimize_kt_hts(PB, g)
+        assert (bp.objective, bp.t, bp.k) == _scan_hts(PB, g)
+        assert bp.k * bp.t < 1.0 / PB
+        assert bp.ell == math.floor(1.0 / PB) // bp.k - bp.t
+
+
+def test_optimizer_large_n_is_fast():
+    import time
+    g = DecayModel.exponential(4, 0.5)
+    start = time.perf_counter()
+    bp = optimize_kt_evl(10 ** 6, 1e-6, g)
+    assert time.perf_counter() - start < 0.1
+    assert (bp.k, bp.t, bp.objective) == (172, 34, 0.011896137798558835)
+    start = time.perf_counter()
+    bp = optimize_kt_hts(1e-6, g)
+    assert time.perf_counter() - start < 0.1
+    assert (bp.k, bp.t, bp.objective) == (171, 34, 0.011894783860028138)
 
 
 def test_optimizer_hts_monotone_in_PB():

@@ -17,6 +17,7 @@ from extremap.events import (
     exceedance_set,
     first_return_time,
     pair_correlation_measure,
+    recurrence_start,
     survivor_set,
     theta_limit,
     theta_limit_exact,
@@ -190,6 +191,19 @@ def test_first_return_examples():
 def test_first_return_horizon_exhausted():
     A = annulus_set(DOUBLING, ball(F(1, 3), F(1, 10000)), 2)
     assert first_return_time(DOUBLING, A, horizon=2) is None
+
+
+def test_recurrence_start_fallback_without_return():
+    # on the slope-50/49 branch a tiny ball drifts away for hundreds of
+    # steps; its images do not meet it within the 256-step horizon
+    skewed = FullBranchMap.from_spec("widths:49/50,1/50")
+    A = ball(F(1, 2), F(1, 10 ** 15))
+    assert first_return_time(skewed, A, horizon=256) is None
+    assert recurrence_start(skewed, A, 10) == 256
+    assert recurrence_start(skewed, A, 300) == 300
+    returning = annulus_set(DOUBLING, ball(F(1, 3), F(1, 100)), 2)
+    R = first_return_time(DOUBLING, returning)
+    assert recurrence_start(DOUBLING, returning, 1000) == R < 256
 
 
 def test_pair_correlation_matches_preimage_path():
