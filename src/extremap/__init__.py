@@ -6,7 +6,8 @@ Subpackage map:
 * ``intervals``  exact set algebra on finite unions of circle arcs
 * ``maps``       full-branch maps, preimages, periodic points, pressure
 * ``events``     exceedance sets, annuli, extremal indices, exact oracles
-* ``brackets``   closed-form error brackets and blocking optimizers
+* ``brackets``   closed-form error brackets, blocking optimizers and the
+                 bracket inputs they share
 * ``montecarlo`` seeded, reproducible large-scale estimators
 * ``cli``        command-line entry points
 """
@@ -17,21 +18,17 @@ from .maps import (
     FullBranchMap,
     Potential,
     SmoothBranch,
-    SymbolicOrbit,
     bv_norm_indicator,
     periodic_points,
     pressure_sequence,
-    symbolic_sample,
     ulam_matrix,
     weighted_periodic_sum,
 )
 from .events import (
-    EventFamily,
     Observable,
     ThresholdSchedule,
     annulus_set,
     dprime_sum,
-    event_family,
     exact_evl_prob,
     exact_hts_prob,
     exceedance_set,
@@ -43,6 +40,7 @@ from .events import (
 )
 from .brackets import (
     BlockEstimate,
+    BracketInputs,
     BlockingParams,
     DecayModel,
     ErrorBudget,
@@ -50,7 +48,9 @@ from .brackets import (
     annuli_gap_bound,
     limit_evl_bracket,
     escape_rate_window,
+    evl_bracket_inputs,
     exp_approx_error,
+    hts_bracket_inputs,
     optimize_kt_evl,
     optimize_kt_hts,
     survivor_block_estimate,

@@ -9,7 +9,9 @@ as absolute domination.
 
 Blocking notation, used throughout: the time horizon splits into k
 blocks separated by gaps of length t; ell is the effective block length
-and L = 1 - ell * P(A) the one-block survival weight.
+and L = 1 - ell * P(A) the one-block survival weight.  The inputs every
+bracket of one event shares (annulus, blocking parameters, first return
+time, BV norm) come from ``evl_bracket_inputs`` / ``hts_bracket_inputs``.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .errors import ComponentBudgetError, InfeasibleError
+from .errors import InfeasibleError
 from .intervals import IntervalUnion
-from .maps import FullBranchMap
-from .events import annulus_set, survivor_set
+from .maps import FullBranchMap, bv_norm_indicator
+from .events import annulus_set, recurrence_start, survivor_set
 
 
 # ---------------------------------------------------------------------------
@@ -36,15 +39,12 @@ class DecayModel:
 
     ``exponential``: gamma(t) = c0 * lam**t with closed-form tail sums.
     ``table``: finitely many values gamma(1), gamma(2), ...; zero beyond.
-    ``delta`` records the summability exponent used by reference
-    blocking schedules (n**(1+delta) * gamma(n) -> 0).
     """
 
     kind: str = "exponential"
     c0: float = 4.0
     lam: float = 0.5
     table: Tuple[float, ...] = ()
-    delta: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("exponential", "table"):
@@ -64,8 +64,8 @@ class DecayModel:
         return cls(kind="exponential", c0=0.0, lam=0.5)
 
     @classmethod
-    def exponential(cls, c0: float, lam: float, delta: float = 1.0) -> "DecayModel":
-        return cls(kind="exponential", c0=c0, lam=lam, delta=delta)
+    def exponential(cls, c0: float, lam: float) -> "DecayModel":
+        return cls(kind="exponential", c0=c0, lam=lam)
 
     @classmethod
     def from_table(cls, values: Sequence[float]) -> "DecayModel":
@@ -100,11 +100,6 @@ class DecayModel:
             return self.c0 * self.lam ** lo / (1.0 - self.lam)
         return self.partial_sum(lo, len(self.table) + 1)
 
-    @property
-    def effective_t_cap(self) -> Optional[int]:
-        """Largest t worth scanning: gaps beyond this have gamma = 0."""
-        return None if self.kind == "exponential" else len(self.table) + 1
-
 
 # ---------------------------------------------------------------------------
 # blocking parameters and budgets
@@ -116,7 +111,6 @@ class BlockingParams:
     k: int
     t: int
     ell: Optional[int] = None
-    L: Optional[float] = None
     objective: float = math.nan
 
 
@@ -323,6 +317,57 @@ def optimize_kt_hts(PB: float, gamma: DecayModel) -> BlockingParams:
 
 
 # ---------------------------------------------------------------------------
+# bracket inputs
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BracketInputs:
+    """What the brackets of one event are evaluated from.
+
+    The exact measure PA of the event's q-annulus A, the optimizer's
+    blocking parameters (k, t, ell), the first return time R of A
+    (``recurrence_start``) and the BV norm M of its indicator.
+    """
+
+    PA: Fraction
+    k: int
+    t: int
+    ell: int
+    R: int
+    M: int
+
+
+def evl_bracket_inputs(map_: FullBranchMap, U: IntervalUnion, q: int, n: int,
+                       gamma: DecayModel) -> BracketInputs:
+    """Bracket inputs of P(M_n <= u_n) for the exceedance set U.
+
+    ell is the optimizer's n // k - t as it stands: the sharp bracket
+    itself rejects ell < 1.
+    """
+    A = annulus_set(map_, U, q)
+    PA = A.measure()
+    params = optimize_kt_evl(n, float(PA), gamma)
+    return _bracket_inputs(map_, A, PA, params, params.ell)
+
+
+def hts_bracket_inputs(map_: FullBranchMap, B: IntervalUnion, q: int,
+                       gamma: DecayModel) -> BracketInputs:
+    """Bracket inputs of the hitting-time law of the ball B, with the
+    block length ell raised to at least 1."""
+    A = annulus_set(map_, B, q)
+    params = optimize_kt_hts(float(B.measure()), gamma)
+    return _bracket_inputs(map_, A, A.measure(), params, max(params.ell, 1))
+
+
+def _bracket_inputs(map_, A, PA, params: BlockingParams,
+                    ell: int) -> BracketInputs:
+    return BracketInputs(PA=PA, k=params.k, t=params.t, ell=ell,
+                         R=recurrence_start(map_, A, ell),
+                         M=bv_norm_indicator(A))
+
+
+# ---------------------------------------------------------------------------
 # theorem brackets
 # ---------------------------------------------------------------------------
 
@@ -338,15 +383,8 @@ def general_evl_bracket(tau: float, n: int, q: int, k: int, t: int, PU: float,
     theta_n = PA / PU if PU > 0 else 1.0
     if not (0 <= theta_n <= 1):
         raise ValueError("PA/PU outside [0, 1]")
-    w = math.exp(-theta_n * tau)
-    terms = (
-        ("block_gap", k * t * tau / n),
-        ("mixing", n * gamma_mix),
-        ("recurrence", dprime),
-        ("poisson", w * (abs(tau - n * PU) + tau * tau / k)),
-        ("annulus", q * (PU - PA)),
-    )
-    return ErrorBudget(terms=terms, extras=(("theta_n", theta_n),))
+    return _blocked_evl_budget(tau, n, q, k, t, PU, PA, theta_n, None,
+                               gamma_mix, dprime)
 
 
 def limit_evl_bracket(tau: float, n: int, q: int, k: int, t: int, PU: float,
@@ -357,13 +395,24 @@ def limit_evl_bracket(tau: float, n: int, q: int, k: int, t: int, PU: float,
     if not (0 <= theta <= 1):
         raise ValueError("theta outside [0, 1]")
     theta_n = PA / PU if PU > 0 else 1.0
-    w = math.exp(-theta * tau)
+    return _blocked_evl_budget(tau, n, q, k, t, PU, PA, theta_n, theta,
+                               gamma_mix, dprime)
+
+
+def _blocked_evl_budget(tau, n, q, k, t, PU, PA, theta_n, theta, gamma_mix,
+                        dprime) -> ErrorBudget:
+    """The terms of the general (theta None) and limit brackets, weighted
+    by exp(-theta_n * tau) or exp(-theta * tau); the limit bracket adds
+    ei_gap before the annulus term."""
+    w = math.exp(-(theta_n if theta is None else theta) * tau)
+    ei_gap = () if theta is None else (
+        ("ei_gap", w * abs(theta_n - theta) * tau),)
     terms = (
         ("block_gap", k * t * tau / n),
         ("mixing", n * gamma_mix),
         ("recurrence", dprime),
         ("poisson", w * (abs(tau - n * PU) + tau * tau / k)),
-        ("ei_gap", w * abs(theta_n - theta) * tau),
+        *ei_gap,
         ("annulus", q * (PU - PA)),
     )
     return ErrorBudget(terms=terms, extras=(("theta_n", theta_n),))
@@ -510,9 +559,8 @@ def annuli_gap_bound(map_: FullBranchMap, B: IntervalUnion, A: IntervalUnion,
     P = diff
     levels = {}
     for i in range(1, n):
-        P = map_.preimage(P)
-        if len(P) > budget:
-            raise ComponentBudgetError("annuli gap bound exceeds budget")
+        P = map_._budgeted_preimage(P, budget,
+                                    "annuli gap bound exceeds budget")
         if n - i <= q:
             levels[n - i] = P
     for j in range(1, q + 1):

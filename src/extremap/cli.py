@@ -26,17 +26,11 @@ from .errors import (
     RadiusRangeError,
 )
 from .intervals import ball
-from .maps import (
-    FullBranchMap,
-    Potential,
-    bv_norm_indicator,
-    weighted_periodic_sum,
-)
+from .maps import FullBranchMap, Potential, weighted_periodic_sum
 from .events import (
     Observable,
     annulus_set,
     dprime_sum,
-    recurrence_start,
     survivor_set,
     theta_limit,
     theta_limit_exact,
@@ -46,10 +40,10 @@ from .events import (
 from .brackets import (
     DecayModel,
     annuli_gap_bound,
+    evl_bracket_inputs,
+    hts_bracket_inputs,
     limit_evl_bracket,
     escape_rate_window,
-    optimize_kt_evl,
-    optimize_kt_hts,
     general_evl_bracket,
     sharp_evl_bracket,
     sharp_hts_bracket,
@@ -307,15 +301,11 @@ def cmd_escape(args) -> int:
                                       args.workers, theta_hint=theta)
         bins = args.bins or mc.aligned_bins(map_, hole)
         spectral = mc.ulam_escape_oracle(map_, hole, bins)
-        A = annulus_set(map_, hole, q)
-        PA = A.measure()
-        params = optimize_kt_hts(float(PB), decay)
-        ell = max(params.ell, 1)
-        R = recurrence_start(map_, A, ell)
-        M = bv_norm_indicator(A)
-        Y = upsilon(float(PA), M, ell, params.t, R, decay)
-        L = max(1.0 - ell * float(PA), 1e-12)
-        window = escape_rate_window(theta, params.k, Y, L, float(PB))
+        inputs = hts_bracket_inputs(map_, hole, q, decay)
+        PA, ell = float(inputs.PA), inputs.ell
+        Y = upsilon(PA, inputs.M, ell, inputs.t, inputs.R, decay)
+        L = max(1.0 - ell * PA, 1e-12)
+        window = escape_rate_window(theta, inputs.k, Y, L, float(PB))
         rows.append({
             "scale": float(eps), "PB": float(PB), "rate": fit.slope,
             "rate_over_PB": fit.slope / float(PB),
@@ -324,7 +314,7 @@ def cmd_escape(args) -> int:
             "degenerate_window": window.degenerate,
             "fit_lo": fit.window[0], "fit_hi": fit.window[1],
             "residual": fit.residual_norm, "censored": fit.censored,
-            "k": params.k, "t": params.t, "seed": args.seed,
+            "k": inputs.k, "t": inputs.t, "seed": args.seed,
         })
     config = dict(_common_config(args, map_, decay), zeta=str(zeta),
                   eps=[str(e) for e in parse_grid(args.eps)],
@@ -398,42 +388,35 @@ def cmd_bounds(args) -> int:
     if kind in ("general", "limit", "sharp-evl"):
         for n_s in str(args.n).split(","):
             n = parse_count(n_s)
-            sched = threshold_for(obs, n, tau)
-            A = annulus_set(map_, sched.exceedance, q)
-            PU, PA = sched.exceedance.measure(), A.measure()
-            params = optimize_kt_evl(n, float(PA), decay)
-            R = recurrence_start(map_, A, params.ell)
+            U = threshold_for(obs, n, tau).exceedance
+            inputs = evl_bracket_inputs(map_, U, q, n, decay)
+            k, t, PA = inputs.k, inputs.t, float(inputs.PA)
             if kind == "sharp-evl":
-                budget = sharp_evl_bracket(float(tau), n, theta, float(PA),
-                                           params.k, params.t, R, decay)
+                budget = sharp_evl_bracket(float(tau), n, theta, PA, k, t,
+                                           inputs.R, decay)
             else:
-                M = bv_norm_indicator(A)
-                gamma_mix = M * decay.gamma(params.t)
-                dp = float(dprime_sum(map_, obs, n, q, params.k, tau=tau,
+                gamma_mix = inputs.M * decay.gamma(t)
+                dp = float(dprime_sum(map_, obs, n, q, k, tau=tau,
                                       budget=args.budget,
                                       variant="theorem" if kind == "general"
                                       else "corollary"))
+                PU = float(U.measure())
                 if kind == "general":
-                    budget = general_evl_bracket(float(tau), n, q, params.k,
-                                                 params.t, float(PU),
-                                                 float(PA), gamma_mix, dp)
+                    budget = general_evl_bracket(float(tau), n, q, k, t, PU,
+                                                 PA, gamma_mix, dp)
                 else:
-                    budget = limit_evl_bracket(float(tau), n, q, params.k,
-                                               params.t, float(PU), float(PA),
+                    budget = limit_evl_bracket(float(tau), n, q, k, t, PU, PA,
                                                theta, gamma_mix, dp)
-            rows.extend(_budget_rows(n, params.k, params.t, R, budget))
+            rows.extend(_budget_rows(n, k, t, inputs.R, budget))
     elif kind == "sharp-hts":
         for eps in parse_grid(args.eps):
             B = ball(zeta, eps)
-            A = annulus_set(map_, B, q)
-            PB, PA = B.measure(), A.measure()
-            params = optimize_kt_hts(float(PB), decay)
-            ell = max(params.ell, 1)
-            R = recurrence_start(map_, A, ell)
-            M = bv_norm_indicator(A)
-            budget = sharp_hts_bracket(float(tau), float(PB), float(PA), theta,
-                                       params.k, params.t, R, ell, M, decay)
-            rows.extend(_budget_rows(float(eps), params.k, params.t, R,
+            inputs = hts_bracket_inputs(map_, B, q, decay)
+            budget = sharp_hts_bracket(float(tau), float(B.measure()),
+                                       float(inputs.PA), theta, inputs.k,
+                                       inputs.t, inputs.R, inputs.ell,
+                                       inputs.M, decay)
+            rows.extend(_budget_rows(float(eps), inputs.k, inputs.t, inputs.R,
                                      budget))
     else:
         raise InfeasibleError(f"unknown bracket kind {kind!r}")

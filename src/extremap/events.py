@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from .errors import ComponentBudgetError, InfeasibleError, PeriodUndecidedError
 from .intervals import IntervalUnion, as_exact, ball, circle_distance
@@ -133,9 +133,8 @@ def annulus_set(map_: FullBranchMap, B: IntervalUnion, q: int,
     A = B
     P = B
     for _ in range(q):
-        P = map_.preimage(P)
-        if len(P) > budget:
-            raise ComponentBudgetError("annulus preimages exceed budget")
+        P = map_._budgeted_preimage(P, budget,
+                                    "annulus preimages exceed budget")
         A = A.difference(P)
     return A
 
@@ -154,10 +153,8 @@ def survivor_set(map_: FullBranchMap, B: IntervalUnion, s: int, ell: int,
             raise ComponentBudgetError(
                 "survivor set exceeds component budget; use Monte Carlo")
     for _ in range(s):
-        W = map_.preimage(W)
-        if len(W) > budget:
-            raise ComponentBudgetError(
-                "survivor set exceeds component budget; use Monte Carlo")
+        W = map_._budgeted_preimage(
+            W, budget, "survivor set exceeds component budget; use Monte Carlo")
     return W
 
 
@@ -167,27 +164,6 @@ def theta_n(map_: FullBranchMap, B: IntervalUnion, q: int):
     if mB <= 0:
         raise ValueError("event has zero measure")
     return annulus_set(map_, B, q).measure() / mB
-
-
-@dataclass(frozen=True)
-class EventFamily:
-    """One exceedance event with its annulus, index ratio and return time."""
-
-    U: IntervalUnion
-    q: int
-    annulus: IntervalUnion
-    theta: Union[Fraction, float]
-    first_return: Optional[int]
-
-
-def event_family(map_: FullBranchMap, B: IntervalUnion, q: int,
-                 horizon: int = 4096) -> EventFamily:
-    A = annulus_set(map_, B, q)
-    if A.intersect(B) != A:
-        raise ValueError("annulus escaped its ball")
-    theta = A.measure() / B.measure()
-    R = first_return_time(map_, A, horizon) if A.measure() > 0 else None
-    return EventFamily(U=B, q=q, annulus=A, theta=theta, first_return=R)
 
 
 def _uniform_period(map_: FullBranchMap, zeta: Fraction, cap: int):

@@ -5,12 +5,8 @@ tile [0, 1) and which each map their domain bijectively onto [0, 1).
 Affine branches carry exact rational data, which keeps preimages,
 periodic points and annulus constructions exactly computable; smooth
 branches (monotone callables) are supported for pointwise evaluation
-and Ulam discretization only.
-
-Orbit simulation is symbolic: i.i.d. branch digits with probabilities
-equal to the branch widths, reconstructed to a fixed digit depth.
-Floating-point forward iteration of an expanding map collapses onto the
-dyadic rationals after roughly 53 steps, so it is never used here.
+and Ulam discretization only.  Random orbits are sampled by
+``montecarlo`` from their branch digit streams.
 """
 
 from __future__ import annotations
@@ -19,9 +15,9 @@ import csv
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -303,12 +299,30 @@ class FullBranchMap:
                       budget: int = 10 ** 6) -> IntervalUnion:
         """f^(-j)(S) with a component-count budget."""
         for _ in range(j):
-            S = self.preimage(S)
-            if len(S) > budget:
-                raise ComponentBudgetError(
-                    f"preimage has more than {budget} components; use Monte Carlo"
-                )
+            S = self._budgeted_preimage(
+                S, budget,
+                f"preimage has more than {budget} components; use Monte Carlo")
         return S
+
+    def _budgeted_preimage(self, S: IntervalUnion, budget: int,
+                           message: str) -> IntervalUnion:
+        """f^(-1)(S), raising ComponentBudgetError(message) when it has
+        more than ``budget`` components.
+
+        Each branch pulls the c components of S back to c disjoint,
+        non-adjacent pieces, and pieces of neighbouring branches can merge
+        only at the d - 1 inner branch boundaries, so an exact preimage
+        has at least d*c - (d - 1) components: past the budget that
+        raises before the preimage is built.  (Floating-mode sets merge
+        near-touching pieces, so only their built size is checked.)
+        """
+        if self.d * len(S) - (self.d - 1) > budget and S.is_exact \
+                and self.is_affine:
+            raise ComponentBudgetError(message)
+        P = self.preimage(S)
+        if len(P) > budget:
+            raise ComponentBudgetError(message)
+        return P
 
 
 # ---------------------------------------------------------------------------
@@ -318,16 +332,14 @@ class FullBranchMap:
 
 @dataclass(frozen=True)
 class Potential:
-    """Observable weighting periodic-orbit sums.
-
-    ``geometric`` is -log|DF|, ``zero`` the constant 0; ``custom`` wraps
-    an arbitrary handle with an optional per-cylinder variation bound
-    sequence.
-    """
+    """Observable weighting periodic-orbit sums: ``geometric`` is
+    -log|DF|, ``zero`` the constant 0."""
 
     kind: str
-    fn: Optional[Callable] = None
-    variations: tuple = field(default=())
+
+    def __post_init__(self):
+        if self.kind not in ("geometric", "zero"):
+            raise ValueError(f"unknown potential {self.kind!r}")
 
     @classmethod
     def geometric(cls) -> "Potential":
@@ -336,22 +348,6 @@ class Potential:
     @classmethod
     def zero(cls) -> "Potential":
         return cls(kind="zero")
-
-    @classmethod
-    def from_function(cls, fn, variations=()) -> "Potential":
-        return cls(kind="custom", fn=fn, variations=tuple(variations))
-
-    def variation(self, n: int, map_: Optional[FullBranchMap] = None):
-        """Variation bound V_n; identically 0 for geometric on affine maps."""
-        if self.kind == "zero":
-            return Fraction(0)
-        if self.kind == "geometric":
-            if map_ is None or map_.is_affine:
-                return Fraction(0)
-            raise ValueError("no variation bound for geometric on smooth maps")
-        if n <= len(self.variations):
-            return self.variations[n - 1]
-        return self.variations[-1] if self.variations else None
 
 
 class PeriodicPoint(NamedTuple):
@@ -369,98 +365,44 @@ def _require_period(map_: FullBranchMap, n: int, cap: int, what: str):
         raise CapExceededError(f"period {n} exceeds cap {cap}")
 
 
-def _periodic_points_uniform(map_: FullBranchMap, n: int):
-    """Integer fast path for x -> d*x mod 1: the word (i_0 .. i_{n-1})
-    fixes x = (sum_j i_j d^(n-1-j)) / (d^n - 1), i.e. the word read as a
-    base-d integer over that denominator."""
-    import itertools
-
-    d = map_.d
-    den = d ** n - 1
-    mult = Fraction(d ** n)
-    zero = Fraction(0)
-    out = []
-    for s, word in enumerate(itertools.product(range(d), repeat=n)):
-        degenerate = s == den
-        point = zero if degenerate else Fraction(s, den)
-        out.append(PeriodicPoint(word, point, mult, degenerate))
-    return tuple(out)
-
-
-def periodic_points(map_: FullBranchMap, n: int, cap: int = 20,
-                    distinct: bool = False):
+def periodic_points(map_: FullBranchMap, n: int, cap: int = 20):
     """All period-n symbolic fixed points of an affine map.
 
     One point per n-cylinder (d^n in total), each solved in closed form
     from the composed affine branch; composition prefixes are shared via
     depth-first traversal.  The compositions whose fixed point lands on 1
-    are canonicalized to 0 and flagged boundary-degenerate;
-    ``distinct=True`` deduplicates canonical points instead.
+    are canonicalized to 0 and flagged boundary-degenerate.  This
+    enumeration is the oracle ``weighted_periodic_sum`` is tested against.
     """
     _require_period(map_, n, cap, "periodic_points")
-    if map_.is_uniform:
-        pts = _periodic_points_uniform(map_, n)
-    else:
-        d = map_.d
-        integral = all(br.slope.denominator == 1
-                       and br.intercept.denominator == 1
-                       for br in map_.branches)
-        if integral:
-            slopes = [int(br.slope) for br in map_.branches]
-            intercepts = [int(br.intercept) for br in map_.branches]
-            one, zero = 1, 0
-        else:
-            slopes = [br.slope for br in map_.branches]
-            intercepts = [br.intercept for br in map_.branches]
-            one, zero = Fraction(1), Fraction(0)
-        out = []
-        # DFS over words, stack of partial affine compositions (A, B)
-        word = [0] * n
-        stack = [(one, zero)]
-        while True:
-            while len(stack) <= n:
-                digit = word[len(stack) - 1]
-                A, B = stack[-1]
-                stack.append((slopes[digit] * A,
-                              slopes[digit] * B + intercepts[digit]))
+    d = map_.d
+    slopes = [br.slope for br in map_.branches]
+    intercepts = [br.intercept for br in map_.branches]
+    out = []
+    # DFS over words, stack of partial affine compositions (A, B)
+    word = [0] * n
+    stack = [(Fraction(1), Fraction(0))]
+    while True:
+        while len(stack) <= n:
+            digit = word[len(stack) - 1]
             A, B = stack[-1]
-            x = Fraction(B, 1 - A) if integral else B / (1 - A)
-            degenerate = x == 1
-            canonical = Fraction(0) if degenerate else x
-            out.append(PeriodicPoint(tuple(word), canonical,
-                                     Fraction(abs(A)), degenerate))
-            i = n - 1
-            while i >= 0 and word[i] == d - 1:
-                word[i] = 0
-                i -= 1
-            if i < 0:
-                break
-            word[i] += 1
-            del stack[i + 1:]
-        pts = tuple(out)
-    if distinct:
-        seen, dedup = set(), []
-        for p in pts:
-            if p.point not in seen:
-                seen.add(p.point)
-                dedup.append(p)
-        return dedup
-    return pts
-
-
-def birkhoff_sum(map_: FullBranchMap, potential: Potential, x, n: int):
-    """S_n(potential) along the orbit of x."""
-    if potential.kind == "zero":
-        return 0.0
-    if potential.kind == "geometric":
-        total = 0.0
-        for pt in map_.orbit(x, n):
-            total -= math.log(abs(float(map_.derivative_at(pt, boundary="right"))))
-        return total
-    total = 0.0
-    for pt in map_.orbit(x, n):
-        total += float(potential.fn(pt))
-    return total
+            stack.append((slopes[digit] * A,
+                          slopes[digit] * B + intercepts[digit]))
+        A, B = stack[-1]
+        x = B / (1 - A)
+        degenerate = x == 1
+        canonical = Fraction(0) if degenerate else x
+        out.append(PeriodicPoint(tuple(word), canonical,
+                                 Fraction(abs(A)), degenerate))
+        i = n - 1
+        while i >= 0 and word[i] == d - 1:
+            word[i] = 0
+            i -= 1
+        if i < 0:
+            break
+        word[i] += 1
+        del stack[i + 1:]
+    return tuple(out)
 
 
 def weighted_periodic_sum(map_: FullBranchMap, potential: Potential, n: int,
@@ -473,18 +415,12 @@ def weighted_periodic_sum(map_: FullBranchMap, potential: Potential, n: int,
     therefore factorizes as Z_n = (sum_i w_i^s)^n over the branch widths
     w_i, returned as an exact Fraction without enumeration: d^n for the
     zero potential (s = 0) and (sum_i w_i)^n = 1 for the geometric one
-    (s = 1).  Custom potentials enumerate ``periodic_points`` and give a
-    float.
+    (s = 1).
     """
     _require_period(map_, n, cap, "weighted_periodic_sum")
     if potential.kind == "zero":
         return Fraction(map_.d) ** n
-    if potential.kind == "geometric":
-        return sum(map_.widths) ** n
-    total = 0.0
-    for p in periodic_points(map_, n, cap=cap):
-        total += math.exp(birkhoff_sum(map_, potential, p.point, n))
-    return total
+    return sum(map_.widths) ** n
 
 
 def pressure_sequence(map_: FullBranchMap, potential: Potential, n_max: int,
@@ -516,70 +452,6 @@ def bv_norm_indicator(S: IntervalUnion) -> int:
     if S.topology == CIRCLE and comps[0][0] == 0 and comps[-1][1] == 1:
         c -= 1
     return 2 * c
-
-
-# ---------------------------------------------------------------------------
-# symbolic sampling
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SymbolicOrbit:
-    """Orbit represented by its branch digit stream.
-
-    ``windows[k]`` encodes digits k..k+depth-1 as an integer in base-d
-    (uniform maps), so the reconstructed point at time k is
-    windows[k]/denominator, accurate to 1/denominator.
-    """
-
-    digits: np.ndarray
-    points: np.ndarray
-    depth: int
-    windows: Optional[np.ndarray] = None
-    denominator: Optional[int] = None
-
-    def __len__(self):
-        return len(self.points)
-
-
-def symbolic_sample(map_: FullBranchMap, rng: np.random.Generator,
-                    horizon: int, depth: int = 64) -> SymbolicOrbit:
-    """Sample a statistically exact orbit of a Lebesgue-random point.
-
-    Digits are i.i.d. with probabilities equal to the branch widths; the
-    point at time k is reconstructed from digits k..k+depth-1 and lies
-    in the corresponding depth-k cylinder.
-    """
-    map_._require_affine("symbolic_sample")
-    d = map_.d
-    total = horizon + depth
-    if map_.is_uniform:
-        digits = rng.integers(0, d, size=total).astype(np.int64)
-        if d == 2:
-            eff = min(depth, 62)
-        else:
-            eff = min(depth, int(62 / math.log2(d)))
-        win = np.lib.stride_tricks.sliding_window_view(digits, eff)[:horizon]
-        powers = d ** np.arange(eff - 1, -1, -1, dtype=object)
-        powers = np.array([int(p) for p in powers], dtype=np.int64)
-        windows = win @ powers
-        denom = d ** eff
-        points = windows.astype(np.float64) / float(denom)
-        return SymbolicOrbit(digits[:horizon], points, eff, windows, denom)
-    cum = np.cumsum([float(w) for w in map_.widths])
-    u = rng.random(total)
-    digits = np.searchsorted(cum, u, side="right").astype(np.int64)
-    digits[digits >= d] = d - 1
-    los = np.array([float(b.lo) for b in map_.branches])
-    ws = np.array([float(b.width) for b in map_.branches])
-    pts = np.empty(horizon)
-    y = 0.5
-    # backward Horner: y_k = lo[d_k] + w[d_k] * y_{k+1}
-    for k in range(total - 1, -1, -1):
-        y = los[digits[k]] + ws[digits[k]] * y
-        if k < horizon:
-            pts[k] = y
-    return SymbolicOrbit(digits[:horizon], pts, depth)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ Initial conditions are Lebesgue-distributed via i.i.d. branch digit
 streams.  For uniform maps (x -> d*x mod 1) an orbit is a sliding
 base-d window held as an unsigned 64-bit integer, so orbits of
 unbounded length never lose digit accuracy; non-uniform affine maps use
-a blockwise backward-Horner reconstruction at fixed digit depth.
+a blockwise backward-Horner reconstruction at fixed digit depth.  These
+two samplers are the library's only orbit simulation: floating-point
+forward iteration of an expanding map collapses onto the dyadic
+rationals after roughly 53 steps, so it is never used.
 """
 
 from __future__ import annotations
@@ -25,18 +28,13 @@ import numpy as np
 from .errors import InfeasibleError
 from .intervals import IntervalUnion, as_exact, ball
 from .maps import FullBranchMap, open_system_decay_rate, ulam_matrix
-from .events import (
-    Observable,
-    annulus_set,
-    recurrence_start,
-    theta_limit,
-    threshold_for,
-)
-from .brackets import DecayModel, optimize_kt_evl, sharp_evl_bracket
+from .events import Observable, theta_limit, threshold_for
+from .brackets import DecayModel, evl_bracket_inputs, sharp_evl_bracket
 
 CHUNK = 32768
 STEP_BLOCK = 128
 HORNER_DEPTH = 48
+MAX_UNIFORM_D = 256  # the d >= 3 kernel draws its digit blocks as uint8
 
 
 def wilson_halfwidth(successes: int, trials: int, z: float = 1.959963984540054) -> float:
@@ -268,19 +266,16 @@ def _entry_chunk_horner(map_: FullBranchMap, zeta: Fraction, radius: Fraction,
     return np.bincount(entry, minlength=horizon + 1)[:horizon + 1]
 
 
-def _dispatch_evl(map_: FullBranchMap):
+def _dispatch(map_: FullBranchMap, uniform, horner):
+    """The kernel of the map's family: ``uniform`` or ``horner``."""
     if map_.is_uniform:
-        return _evl_chunk_uniform
+        if map_.d > MAX_UNIFORM_D:
+            raise InfeasibleError(
+                f"Monte Carlo on uniform:d supports d <= {MAX_UNIFORM_D} "
+                f"(got d = {map_.d})")
+        return uniform
     if map_.is_affine:
-        return _evl_chunk_horner
-    raise ValueError("Monte Carlo estimators require an affine map")
-
-
-def _dispatch_entry(map_: FullBranchMap):
-    if map_.is_uniform:
-        return _entry_chunk_uniform
-    if map_.is_affine:
-        return _entry_chunk_horner
+        return horner
     raise ValueError("Monte Carlo estimators require an affine map")
 
 
@@ -338,7 +333,7 @@ def estimate_evl_points(map_: FullBranchMap, obs: Observable,
     checkpoints = tuple((n, threshold_for(obs, n, tau).radius)
                         for _, n, tau in live)
     if checkpoints:
-        kernel = _dispatch_evl(map_)
+        kernel = _dispatch(map_, _evl_chunk_uniform, _evl_chunk_horner)
         args = [(map_, obs.center, checkpoints, i, c, seed)
                 for i, c in _chunks(trials)]
         per_chunk = _map_tasks(kernel, args, workers)
@@ -372,7 +367,7 @@ def estimate_evl(map_: FullBranchMap, obs: Observable, n: int, tau,
 
 def _entry_histogram(map_: FullBranchMap, zeta, radius, horizon: int,
                      trials: int, seed: int, workers: int):
-    kernel = _dispatch_entry(map_)
+    kernel = _dispatch(map_, _entry_chunk_uniform, _entry_chunk_horner)
     args = [(map_, as_exact(zeta), radius, horizon, i, c, seed)
             for i, c in _chunks(trials)]
     hists = _map_tasks(kernel, args, workers)
@@ -576,13 +571,10 @@ def convergence_sweep(cfg: SweepConfig) -> SweepTable:
                                cfg.seed, cfg.workers)
     rows = []
     for pt in points:
-        sched = threshold_for(obs, pt.n, tau)
-        A = annulus_set(cfg.map, sched.exceedance, q)
-        PA = A.measure()
-        params = optimize_kt_evl(pt.n, float(PA), decay)
-        R = recurrence_start(cfg.map, A, params.ell)
-        budget = sharp_evl_bracket(float(tau), pt.n, theta, float(PA),
-                               params.k, params.t, R, decay)
+        U = threshold_for(obs, pt.n, tau).exceedance
+        inputs = evl_bracket_inputs(cfg.map, U, q, pt.n, decay)
+        budget = sharp_evl_bracket(float(tau), pt.n, theta, float(inputs.PA),
+                                   inputs.k, inputs.t, inputs.R, decay)
         deviation = abs(pt.estimate - limit)
         bracket = budget.total
         rows.append({
@@ -594,11 +586,11 @@ def convergence_sweep(cfg: SweepConfig) -> SweepTable:
             "bracket": bracket,
             "ratio": deviation / bracket if bracket > 0 else math.inf,
             "seed": cfg.seed,
-            "k": params.k,
-            "t": params.t,
-            "R": R,
+            "k": inputs.k,
+            "t": inputs.t,
+            "R": inputs.R,
             "q": q,
             "theta": theta,
-            "PA": float(PA),
+            "PA": float(inputs.PA),
         })
     return SweepTable(rows=tuple(rows), config=cfg.resolved())

@@ -143,16 +143,12 @@ def test_ac5_escape_rates():
             ratio_at_001 = fit.slope / PB
         # window lower bound never exceeds the true (spectral) rate
         from extremap.brackets import (DecayModel, escape_rate_window,
-                                       optimize_kt_hts, upsilon)
-        from extremap.events import first_return_time
-        from extremap.maps import bv_norm_indicator
-        A = annulus_set(DOUBLING, hole, 1)
+                                       hts_bracket_inputs, upsilon)
         dm = DecayModel.for_map(DOUBLING)
-        bp = optimize_kt_hts(PB, dm)
-        ell = max(bp.ell, 1)
-        R = first_return_time(DOUBLING, A, horizon=256) or ell
-        Y = upsilon(float(A.measure()), bv_norm_indicator(A), ell, bp.t, R, dm)
-        window = escape_rate_window(0.5, bp.k, Y, max(1.0 - ell * float(A.measure()), 1e-12), PB)
+        inp = hts_bracket_inputs(DOUBLING, hole, 1, dm)
+        PA = float(inp.PA)
+        Y = upsilon(PA, inp.M, inp.ell, inp.t, inp.R, dm)
+        window = escape_rate_window(0.5, inp.k, Y, max(1.0 - inp.ell * PA, 1e-12), PB)
         ok = ok and window.lower <= spectral
         details.append(f"eps={float(eps)}: fit={fit.slope:.5f} "
                        f"spectral={spectral:.5f} rel={rel:.2%} "

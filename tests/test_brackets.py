@@ -20,7 +20,9 @@ from extremap.brackets import (
     annuli_gap_bound,
     limit_evl_bracket,
     escape_rate_window,
+    evl_bracket_inputs,
     exp_approx_error,
+    hts_bracket_inputs,
     optimize_kt_evl,
     optimize_kt_hts,
     general_evl_bracket,
@@ -151,7 +153,7 @@ def test_optimizer_evl_spec_instance():
 def test_optimizer_beats_reference_schedule():
     delta = 1.0
     n, PA = 4096, 2e-4
-    g = DecayModel.exponential(4.0, 0.5, delta=delta)
+    g = DecayModel.exponential(4.0, 0.5)
     bp = optimize_kt_evl(n, PA, g)
     t_ref = max(1, int(n ** (1 / (1 + delta))))
     k_ref = max(1, int(n ** (delta / (2 + 2 * delta))))
@@ -453,12 +455,25 @@ def test_survivor_block_estimate_fractional():
     assert abs(exact - tiny.center) <= tiny.bound + 1e-12
 
 
-def test_event_family_builder():
-    from extremap.events import event_family
-    fam = event_family(DOUBLING, ball(F(1, 3), F(1, 100)), 2)
-    assert fam.theta == F(3, 4)
-    assert fam.first_return >= 3
-    assert fam.annulus.intersect(fam.U) == fam.annulus
+def test_bracket_inputs_builder():
+    # both entry points: the annulus lies inside its event, P(A)/P(B) is
+    # theta_n, R is the first return of A, and (k, t, ell) come from the
+    # optimizer (ell raised to >= 1 for hitting times only)
+    gamma = DecayModel.for_map(DOUBLING)
+    B = ball(F(1, 3), F(1, 100))
+    U = threshold_for(Observable(center=F(1, 3)), 512, 1).exceedance
+    hts = hts_bracket_inputs(DOUBLING, B, 2, gamma)
+    evl = evl_bracket_inputs(DOUBLING, U, 2, 512, gamma)
+    bp_hts = optimize_kt_hts(float(B.measure()), gamma)
+    bp_evl = optimize_kt_evl(512, float(evl.PA), gamma)
+    assert (hts.k, hts.t, hts.ell) == (bp_hts.k, bp_hts.t, max(bp_hts.ell, 1))
+    assert (evl.k, evl.t, evl.ell) == (bp_evl.k, bp_evl.t, bp_evl.ell)
+    for event, inputs in ((B, hts), (U, evl)):
+        A = annulus_set(DOUBLING, event, 2)
+        assert A.intersect(event) == A
+        assert inputs.PA == A.measure() == F(3, 4) * event.measure()
+        assert inputs.R == first_return_time(DOUBLING, A, 256) >= 3
+        assert inputs.M == bv_norm_indicator(A)
 
 
 def test_dprime_feeds_general_bracket():

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -198,3 +199,53 @@ def test_budget_exceeded_exit_code(tmp_path):
                "--bracket", "general", "--n", "4096", "--budget", "20000",
                "--out", str(tmp_path)])
     assert rc == 3
+
+
+def test_sweep_and_bounds_share_bracket_inputs(tmp_path):
+    # the same (map, zeta, tau, n) gives the evl sweep and the sharp-evl
+    # bounds the same k, t, R and bracket total; per eps, escape and the
+    # sharp-hts bounds the same k and t
+    common = ["--map", "tripling", "--zeta", "1/4", "--tau", "1/2"]
+    assert main(["evl", *common, "--n", "100,1000", "--trials", "2000",
+                 "--seed", "1", "--out", str(tmp_path / "evl")]) == 0
+    assert main(["bounds", *common, "--bracket", "sharp-evl",
+                 "--n", "100,1000", "--out", str(tmp_path / "evl")]) == 0
+    sweep = json.loads((tmp_path / "evl" / "evl.json").read_text())["rows"]
+    bounds = json.loads((tmp_path / "evl" / "bounds.json").read_text())["rows"]
+    totals = {r["scale"]: r for r in bounds if r["term"] == "total"}
+    assert [r["scale"] for r in sweep] == sorted(totals) == [100, 1000]
+    for r in sweep:
+        b = totals[r["scale"]]
+        assert (r["k"], r["t"], r["R"], r["bracket"]) == \
+            (b["k"], b["t"], b["R"], b["value"])
+    common = ["--zeta", "0", "--eps", "1/25,1/50"]
+    assert main(["escape", *common, "--trials", "1e5", "--seed", "7",
+                 "--out", str(tmp_path / "hts")]) == 0
+    assert main(["bounds", *common, "--bracket", "sharp-hts",
+                 "--out", str(tmp_path / "hts")]) == 0
+    escape = json.loads((tmp_path / "hts" / "escape.json").read_text())["rows"]
+    bounds = json.loads((tmp_path / "hts" / "bounds.json").read_text())["rows"]
+    kt = {(r["scale"], r["k"], r["t"]) for r in bounds}
+    assert len(kt) == 2
+    assert {(r["scale"], r["k"], r["t"]) for r in escape} == kt
+
+
+def test_oversized_annulus_fails_fast(tmp_path):
+    # q = 3 on uniform:256: the third annulus preimage would have 16.7M
+    # components, and its size bound exceeds the budget before it is built
+    start = time.perf_counter()
+    rc = main(["evl", "--map", "uniform:256", "--zeta", "1/7", "--n", "100",
+               "--trials", "1000", "--seed", "1", "--out", str(tmp_path)])
+    assert rc == 3
+    assert time.perf_counter() - start < 10
+
+
+def test_monte_carlo_digit_limit_of_uniform_maps(tmp_path, capsys):
+    for cmd in (["evl", "--n", "100"], ["hts", "--eps", "1/40", "--tau", "1"]):
+        rc = main([cmd[0], "--map", "uniform:257", "--zeta", "1/3", *cmd[1:],
+                   "--trials", "100", "--seed", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "d <= 256" in capsys.readouterr().err
+        rc = main([cmd[0], "--map", "uniform:256", "--zeta", "1/3", *cmd[1:],
+                   "--trials", "100", "--seed", "1", "--out", str(tmp_path)])
+        assert rc == 0

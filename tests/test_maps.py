@@ -5,7 +5,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from extremap.errors import BoundaryPointError, CapExceededError
+from extremap.errors import (
+    BoundaryPointError,
+    CapExceededError,
+    ComponentBudgetError,
+)
 from extremap.intervals import IntervalUnion, ball
 from extremap.maps import (
     AffineBranch,
@@ -15,7 +19,6 @@ from extremap.maps import (
     bv_norm_indicator,
     periodic_points,
     pressure_sequence,
-    symbolic_sample,
     ulam_matrix,
     weighted_periodic_sum,
 )
@@ -59,6 +62,34 @@ def test_preimage_lebesgue_invariance_random():
             assert m.preimage(s).measure() == s.measure()
 
 
+def test_preimage_component_lower_bound():
+    # the early budget check rests on |f^-1(S)| >= d*|S| - (d - 1): the
+    # d pulled-back copies of S merge only at the inner branch boundaries
+    folded = FullBranchMap([AffineBranch(0, F(1, 2), 2, 0),
+                            AffineBranch(F(1, 2), 1, -2, 2)])
+    rnd = random.Random(11)
+    sets = [IntervalUnion.full(), ball(F(0), F(1, 7)), ball(F(1, 2), F(1, 5))]
+    sets += [random_union(rnd, 5) for _ in range(200)]
+    for m in (DOUBLING, TRIPLING, WIDTHS, folded):
+        for s in sets:
+            assert len(m.preimage(s)) >= m.d * len(s) - (m.d - 1)
+
+
+def test_budget_trips_before_the_preimage_is_built(monkeypatch):
+    # the bound is attained when the pieces merge at the inner branch
+    # boundary, so a preimage of exactly the budget still passes
+    for s in (IntervalUnion.full(), ball(F(0), F(1, 7))):
+        assert len(DOUBLING.preimage_iter(s, 1, budget=2 * len(s) - 1)) \
+            == 2 * len(s) - 1
+    s = IntervalUnion([(F(1, 10), F(2, 10)), (F(3, 10), F(4, 10)),
+                       (F(5, 10), F(6, 10))])
+    assert len(DOUBLING.preimage_iter(s, 1, budget=6)) == 6
+    monkeypatch.setattr(FullBranchMap, "preimage",
+                        lambda self, S: pytest.fail("preimage was built"))
+    with pytest.raises(ComponentBudgetError):
+        DOUBLING.preimage_iter(s, 1, budget=4)
+
+
 def test_image_examples():
     assert DOUBLING.image(IntervalUnion([(F(1, 10), F(3, 20))])).components == (
         (F(1, 5), F(3, 10)),)
@@ -76,7 +107,6 @@ def test_periodic_points_doubling_period1():
     assert len(pts) == 2
     assert pts[0].point == 0 and pts[0].multiplier == 2
     assert pts[1].point == 0 and pts[1].boundary_degenerate
-    assert len(periodic_points(DOUBLING, 1, distinct=True)) == 1
 
 
 def test_periodic_points_doubling_period2():
@@ -111,6 +141,8 @@ def test_weighted_sum_geometric_is_one(m):
 def test_weighted_sum_zero_potential_counts_points():
     assert weighted_periodic_sum(DOUBLING, Potential.zero(), 3) == 8.0
     assert weighted_periodic_sum(WIDTHS, Potential.zero(), 1) == 3.0
+    with pytest.raises(ValueError):
+        Potential("custom")
 
 
 @pytest.mark.parametrize("spec", ["doubling", "tripling",
@@ -146,41 +178,6 @@ def test_pressure_sequences():
         assert v == pytest.approx(math.log(2), abs=1e-12)
     for v in pressure_sequence(WIDTHS, Potential.zero(), 5):
         assert v == pytest.approx(math.log(3), abs=1e-12)
-
-
-def test_symbolic_sample_fair_coin_digits():
-    rng = np.random.default_rng(2)
-    orbit = symbolic_sample(DOUBLING, rng, horizon=200000)
-    assert abs((orbit.digits == 0).mean() - 0.5) < 0.005
-
-
-def test_symbolic_sample_coding_consistency():
-    rng = np.random.default_rng(11)
-    orbit = symbolic_sample(DOUBLING, rng, horizon=500)
-    for k in range(499):
-        x = F(int(orbit.windows[k]), orbit.denominator)
-        assert DOUBLING.branch_index(float(x), boundary="right") == orbit.digits[k]
-        stepped = DOUBLING.apply(x, boundary="right")
-        nxt = F(int(orbit.windows[k + 1]), orbit.denominator)
-        assert abs(stepped - nxt) <= F(1, orbit.denominator)
-
-
-def test_symbolic_sample_occupation_frequency():
-    rng = np.random.default_rng(5)
-    orbit = symbolic_sample(DOUBLING, rng, horizon=1_000_000)
-    inside = ((orbit.points >= 0.2) & (orbit.points < 0.3)).mean()
-    assert abs(inside - 0.1) < 0.001
-
-
-def test_symbolic_sample_nonuniform():
-    rng = np.random.default_rng(9)
-    orbit = symbolic_sample(WIDTHS, rng, horizon=2000)
-    for k in range(0, 1999, 97):
-        assert WIDTHS.branch_index(orbit.points[k], boundary="right") == orbit.digits[k]
-        assert abs(WIDTHS.apply(orbit.points[k], boundary="right")
-                   - orbit.points[k + 1]) < 1e-9
-    freq = (orbit.digits == 0).mean()
-    assert abs(freq - 0.5) < 0.05
 
 
 def test_ulam_doubling_two_bins():

@@ -20,6 +20,73 @@ TRIPLING = FullBranchMap.tripling()
 WIDTHS = FullBranchMap.from_widths([F(1, 2), F(1, 4), F(1, 4)])
 
 
+# -- the orbit samplers the estimators run ----------------------------------
+
+
+def _uniform_states(d, steps, count, seed):
+    """Windows of one _UniformOrbits chunk at times 0..steps, (steps+1, count)."""
+    _, m = mc._uniform_window(FullBranchMap.uniform(d))
+    orb = mc._UniformOrbits(d, m, 0, count, np.random.default_rng(seed))
+    states = [orb.state.copy()]
+    for _ in range(steps):
+        orb.step()
+        states.append(orb.state.copy())
+    return m, np.array(states)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_uniform_orbits_coding(d):
+    # x_k = window_k / m steps by the map up to the digit shifted in
+    # (an exact multiple of 1/m below d/m), and that digit is the branch
+    # of the orbit W - 1 steps later, once it leads the W-digit window
+    f = FullBranchMap.uniform(d)
+    m, states = _uniform_states(d, 120, 6, seed=11)
+    W = round(math.log(m, d))
+    for lane in range(states.shape[1]):
+        xs = [F(int(s), m) for s in states[:, lane]]
+        for k in range(len(xs) - 1):
+            digit = (xs[k + 1] - f.apply(xs[k], boundary="right")) * m
+            assert digit.denominator == 1 and 0 <= digit < d
+            if k + W < len(xs):
+                assert f.branch_index(xs[k + W], boundary="right") == digit
+
+
+def test_uniform_orbits_fair_digits():
+    for d in (2, 3):
+        m, states = _uniform_states(d, 100, 2000, seed=2)
+        digits = states // np.uint64(m // d)
+        for i in range(d):
+            assert abs((digits == i).mean() - 1 / d) < 0.005
+
+
+def test_uniform_orbits_occupation_frequency():
+    for d in (2, 3):
+        m, states = _uniform_states(d, 500, 2000, seed=5)
+        x = states.astype(np.float64) / float(m)
+        assert abs(((x >= 0.2) & (x < 0.3)).mean() - 0.1) < 0.001
+
+
+def test_position_blocks_coding_across_step_block():
+    # widths 1/2, 1/4, 1/4: the reconstructed points step by the map,
+    # also from the last row of one block to the first of the next, and
+    # visit the branches with frequencies equal to their widths
+    horizon = 2 * mc.STEP_BLOCK + 7
+    rows = list(mc._position_blocks(WIDTHS, horizon, 2000,
+                                    np.random.default_rng(9)))
+    assert [k0 for k0, _ in rows] == [0, mc.STEP_BLOCK, 2 * mc.STEP_BLOCK]
+    pos = np.concatenate([p for _, p in rows])
+    assert pos.shape == (horizon, 2000)
+    for lane in range(20):
+        for k in range(horizon - 1):
+            gap = abs(WIDTHS.apply(pos[k, lane], boundary="right")
+                      - pos[k + 1, lane])
+            assert min(gap, 1 - gap) < 1e-9
+    digits = np.searchsorted([0.5, 0.75], pos, side="right")
+    for i, w in enumerate((0.5, 0.25, 0.25)):
+        assert abs((digits == i).mean() - w) < 0.005
+    assert abs(((pos >= 0.2) & (pos < 0.3)).mean() - 0.1) < 0.002
+
+
 def test_wilson_halfwidth_bounds():
     for n in (100, 10000, 100000):
         for s in (0, 1, n // 3, n // 2, n - 1, n):
@@ -196,22 +263,18 @@ def test_escape_rate_sandwich():
     # spectral rate between the guaranteed lower bound and the nominal
     # zero-hole value, with 10% slack, at a periodic center and small hole
     from extremap.brackets import (DecayModel, escape_rate_window,
-                                   optimize_kt_hts, upsilon)
-    from extremap.events import annulus_set, first_return_time
-    from extremap.maps import bv_norm_indicator
+                                   hts_bracket_inputs, upsilon)
     eps = F(1, 100)
     hole = ball(F(0), eps)
     PB = float(hole.measure())
     spectral = mc.ulam_escape_oracle(DOUBLING, hole,
                                      mc.aligned_bins(DOUBLING, hole))
-    A = annulus_set(DOUBLING, hole, 1)
     dm = DecayModel.for_map(DOUBLING)
-    bp = optimize_kt_hts(PB, dm)
-    ell = max(bp.ell, 1)
-    R = first_return_time(DOUBLING, A, horizon=128) or ell
-    Y = upsilon(float(A.measure()), bv_norm_indicator(A), ell, bp.t, R, dm)
-    window = escape_rate_window(0.5, bp.k, Y,
-                                max(1.0 - ell * float(A.measure()), 1e-12), PB)
+    inp = hts_bracket_inputs(DOUBLING, hole, 1, dm)
+    PA = float(inp.PA)
+    Y = upsilon(PA, inp.M, inp.ell, inp.t, inp.R, dm)
+    window = escape_rate_window(0.5, inp.k, Y,
+                                max(1.0 - inp.ell * PA, 1e-12), PB)
     slack = 0.1 * window.nominal
     assert window.lower - slack <= spectral <= window.nominal + slack
 
