@@ -48,6 +48,7 @@ from .brackets import (
     annuli_gap_bound,
     limit_evl_bracket,
     escape_rate_window,
+    escape_window,
     evl_bracket_inputs,
     exp_approx_error,
     hts_bracket_inputs,

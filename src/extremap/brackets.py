@@ -506,6 +506,19 @@ def escape_rate_window(theta: float, k: int, Y: float, L: float,
                         degenerate=shift >= theta)
 
 
+def escape_window(inputs: BracketInputs, theta: float, PB: float,
+                  gamma: DecayModel) -> EscapeWindow:
+    """Escape-rate window of a hole with measure PB from its bracket inputs.
+
+    Y is the per-block error rate ``upsilon`` of the inputs and
+    L = max(1 - ell*PA, 1e-12) the block survival floor.
+    """
+    PA = float(inputs.PA)
+    Y = upsilon(PA, inputs.M, inputs.ell, inputs.t, inputs.R, gamma)
+    L = max(1.0 - inputs.ell * PA, 1e-12)
+    return escape_rate_window(theta, inputs.k, Y, L, PB)
+
+
 def exp_approx_error(x: float, n: int) -> Tuple[float, float]:
     """Second-order expansion of (1 + x/n)**n and its defect.
 

@@ -43,11 +43,10 @@ from .brackets import (
     evl_bracket_inputs,
     hts_bracket_inputs,
     limit_evl_bracket,
-    escape_rate_window,
+    escape_window,
     general_evl_bracket,
     sharp_evl_bracket,
     sharp_hts_bracket,
-    upsilon,
 )
 from . import montecarlo as mc
 
@@ -302,10 +301,7 @@ def cmd_escape(args) -> int:
         bins = args.bins or mc.aligned_bins(map_, hole)
         spectral = mc.ulam_escape_oracle(map_, hole, bins)
         inputs = hts_bracket_inputs(map_, hole, q, decay)
-        PA, ell = float(inputs.PA), inputs.ell
-        Y = upsilon(PA, inputs.M, ell, inputs.t, inputs.R, decay)
-        L = max(1.0 - ell * PA, 1e-12)
-        window = escape_rate_window(theta, inputs.k, Y, L, float(PB))
+        window = escape_window(inputs, theta, float(PB), decay)
         rows.append({
             "scale": float(eps), "PB": float(PB), "rate": fit.slope,
             "rate_over_PB": fit.slope / float(PB),

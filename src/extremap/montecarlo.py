@@ -13,6 +13,16 @@ a blockwise backward-Horner reconstruction at fixed digit depth.  These
 two samplers are the library's only orbit simulation: floating-point
 forward iteration of an expanding map collapses onto the dyadic
 rationals after roughly 53 steps, so it is never used.
+
+The kernels avoid per-lane division by a variable: the d >= 3 window
+steps as state*d + digit - lead*m, with the leading digit ``lead`` from
+a floor division by the constant m/d (which numpy turns into a multiply
+and shift), and its circle distance folds [0, 2m) into [0, m) with
+wrapping unsigned minima instead of a modulo.  Digit blocks are drawn
+STEP_BLOCK rows at a time but never longer than the steps the chunk has
+left; a shorter draw is a prefix of the longer one's stream, so every
+estimate is the same as with full blocks.  Horner digits are counted
+against the inner branch breakpoints.
 """
 
 from __future__ import annotations
@@ -88,35 +98,37 @@ class _UniformOrbits:
 
     ``state`` holds the current base-d windows; ``dist()`` returns the
     circle distance to the target in window units (int64 view trick for
-    the d = 2 full-width case).
+    the d = 2 full-width case).  ``steps`` is the number of steps the
+    chunk will take: the d >= 3 digit blocks are drawn no longer than
+    that.
     """
 
     def __init__(self, d: int, m: int, zeta_int: int, count: int,
-                 rng: np.random.Generator):
-        self.d, self.m, self.count, self.rng = d, m, count, rng
+                 rng: np.random.Generator, steps: int):
+        self.d, self.count, self.rng = d, count, rng
         self.native = d == 2
+        self._t1 = np.empty(count, dtype=np.uint64)
         if self.native:
             self.Z = np.uint64(zeta_int % (1 << 64))
             self.state = rng.integers(0, 2 ** 64, size=count, dtype=np.uint64)
             self._buf = rng.integers(0, 2 ** 64, size=count, dtype=np.uint64)
             self._bits_left = 64
             self._one, self._s63 = np.uint64(1), np.uint64(63)
-            self._t1 = np.empty(count, dtype=np.uint64)
         else:
-            self.Z = np.uint64(zeta_int % m)
             # subtraction of Z is done as addition of m - Z to stay inside [0, 2m)
             self.Zneg = np.uint64(m - zeta_int % m) if zeta_int % m else np.uint64(0)
             self.mc = np.uint64(m)
             self.dc = np.uint64(d)
-            state = np.zeros(count, dtype=np.uint64)
+            self._lead = np.uint64(m // d)  # place value of the leading digit
+            # W digits give a window below d^W = m: no reduction needed
             W = round(math.log(m, d))
-            for _ in range(W):
-                dig = rng.integers(0, d, size=count, dtype=np.uint64)
-                state = (state * self.dc + dig) % self.mc
-            self.state = state
-            self._block = None
+            self.state = np.zeros(count, dtype=np.uint64)
+            for dig in rng.integers(0, d, size=(W, count), dtype=np.uint64):
+                np.multiply(self.state, self.dc, out=self.state)
+                np.add(self.state, dig, out=self.state)
+            self._block = np.empty((0, count), dtype=np.uint8)
             self._row = 0
-            self._t1 = np.empty(count, dtype=np.uint64)
+            self._steps_left = steps
 
     def step(self):
         if self.native:
@@ -130,23 +142,35 @@ class _UniformOrbits:
             np.left_shift(self.state, self._one, out=self.state)
             np.bitwise_or(self.state, self._t1, out=self.state)
         else:
-            if self._block is None or self._row >= len(self._block):
+            if self._row == len(self._block):
+                # a shorter draw is a prefix of the full block's stream
+                rows = min(STEP_BLOCK, self._steps_left)
                 self._block = self.rng.integers(0, self.d,
-                                                size=(STEP_BLOCK, self.count),
+                                                size=(rows, self.count),
                                                 dtype=np.uint8)
                 self._row = 0
-            dig = self._block[self._row].astype(np.uint64)
+            # (state * d + dig) mod m = state * d + dig - lead * m, where
+            # lead = state // (m / d) is the digit shifted out; all
+            # intermediates stay below d * m < 2^64
+            lead = np.floor_divide(self.state, self._lead, out=self._t1)
+            np.multiply(lead, self.mc, out=lead)
+            np.multiply(self.state, self.dc, out=self.state)
+            np.add(self.state, self._block[self._row], out=self.state)
+            np.subtract(self.state, lead, out=self.state)
             self._row += 1
-            self.state = (self.state * self.dc + dig) % self.mc
+            self._steps_left -= 1
 
     def dist(self, out=None):
         """Circle distance of the current points to the target, in 1/m units."""
         if self.native:
             diff = np.subtract(self.state, self.Z, out=out)
             return np.abs(diff.view(np.int64)).view(np.uint64)
+        # diff = state - Z + m lies in [0, 2m); below m, diff - m wraps
+        # past 2^64 - m, so the minimum of the two is diff mod m
         diff = np.add(self.state, self.Zneg, out=out)
-        np.mod(diff, self.mc, out=diff)
-        other = self.mc - diff
+        other = np.subtract(diff, self.mc, out=self._t1)
+        np.minimum(diff, other, out=diff)
+        np.subtract(self.mc, diff, out=other)
         return np.minimum(diff, other, out=diff)
 
 
@@ -155,7 +179,8 @@ def _evl_chunk_uniform(map_: FullBranchMap, zeta: Fraction,
                        index: int, count: int, seed: int):
     """Survivor counts at each (n, radius) checkpoint for one chunk."""
     _, m = _uniform_window(map_)
-    orb = _UniformOrbits(map_.d, m, _scaled(zeta, m), count, _rng(seed, index))
+    orb = _UniformOrbits(map_.d, m, _scaled(zeta, m), count, _rng(seed, index),
+                         steps=checkpoints[-1][0] - 1)
     radii = [np.uint64(_scaled(r, m)) for _, r in checkpoints]
     runmin = orb.dist().copy()
     scratch = np.empty(count, dtype=np.uint64)
@@ -174,7 +199,8 @@ def _entry_chunk_uniform(map_: FullBranchMap, zeta: Fraction, radius: Fraction,
                          horizon: int, index: int, count: int, seed: int):
     """Histogram of first entry times (index 0 = never entered)."""
     _, m = _uniform_window(map_)
-    orb = _UniformOrbits(map_.d, m, _scaled(zeta, m), count, _rng(seed, index))
+    orb = _UniformOrbits(map_.d, m, _scaled(zeta, m), count, _rng(seed, index),
+                         steps=horizon)
     rint = np.uint64(_scaled(radius, m))
     entry = np.zeros(count, dtype=np.int64)
     scratch = np.empty(count, dtype=np.uint64)
@@ -199,13 +225,18 @@ def _position_blocks(map_: FullBranchMap, horizon: int, count: int,
     D = HORNER_DEPTH
     los = np.array([float(b.lo) for b in map_.branches])
     ws = np.array([float(b.width) for b in map_.branches])
-    cum = np.cumsum([float(w) for w in map_.widths])
-    d = map_.d
+    # the digit of u is the number of inner breakpoints at or below it;
+    # the last cumulative width (which may round below 1) is never
+    # compared, so digits stay below d
+    inner = np.cumsum([float(w) for w in map_.widths])[:-1]
+    digit_type = np.min_scalar_type(map_.d - 1)
 
     def draw(rows):
         u = rng.random((rows, count))
-        dig = np.searchsorted(cum, u.ravel(), side="right").reshape(rows, count)
-        return np.minimum(dig, d - 1)
+        dig = np.zeros((rows, count), dtype=digit_type)
+        for c in inner:
+            np.add(dig, u >= c, out=dig)
+        return dig
 
     carry = draw(D)
     k0 = 0
@@ -215,13 +246,21 @@ def _position_blocks(map_: FullBranchMap, horizon: int, count: int,
         pos = np.empty((B, count))
         y = np.full(count, 0.5)
         for r in range(B + D - 1, -1, -1):
-            row = digits[r]
-            y = los[row] + ws[row] * y
-            if r < B:
-                pos[r] = y
+            row = digits[r].astype(np.intp)  # intp indexes fastest
+            out = pos[r] if r < B else y
+            np.multiply(ws[row], y, out=out)
+            np.add(los[row], out, out=out)
+            y = out
         yield k0, pos
         carry = digits[B:]
         k0 += B
+
+
+def _circle_distance(pos: np.ndarray, zf: float) -> np.ndarray:
+    """min(|pos - zf|, 1 - |pos - zf|), computed in place over ``pos``."""
+    np.subtract(pos, zf, out=pos)
+    np.abs(pos, out=pos)
+    return np.minimum(pos, 1.0 - pos, out=pos)
 
 
 def _evl_chunk_horner(map_: FullBranchMap, zeta: Fraction,
@@ -230,18 +269,21 @@ def _evl_chunk_horner(map_: FullBranchMap, zeta: Fraction,
     zf = float(zeta)
     n_max = checkpoints[-1][0]
     runmin = np.full(count, np.inf)
-    counts = [0] * len(checkpoints)
-    pending = list(enumerate(checkpoints))
+    counts = []
     for k0, pos in _position_blocks(map_, n_max, count, rng):
-        d0 = np.abs(pos - zf)
-        np.minimum(d0, 1.0 - d0, out=d0)
-        cum = np.minimum.accumulate(d0, axis=0)
-        for i, (n, radius) in list(pending):
-            if k0 < n <= k0 + pos.shape[0]:
-                snapshot = np.minimum(runmin, cum[n - 1 - k0])
-                counts[i] = int((snapshot >= float(radius)).sum())
-                pending.remove((i, (n, radius)))
-        np.minimum(runmin, cum[-1], out=runmin)
+        d0 = _circle_distance(pos, zf)
+        # fold the block into the running minimum up to each checkpoint
+        # it holds (checkpoints are sorted by n), then up to its end
+        done = 0
+        for n, radius in checkpoints[len(counts):]:
+            if n > k0 + len(d0):
+                break
+            if n - k0 > done:
+                np.minimum(runmin, d0[done:n - k0].min(axis=0), out=runmin)
+                done = n - k0
+            counts.append(int((runmin >= float(radius)).sum()))
+        if done < len(d0):
+            np.minimum(runmin, d0[done:].min(axis=0), out=runmin)
     return counts
 
 
@@ -252,15 +294,11 @@ def _entry_chunk_horner(map_: FullBranchMap, zeta: Fraction, radius: Fraction,
     entry = np.zeros(count, dtype=np.int64)
     # positions include x_0 which hitting times skip, hence horizon+1 rows
     for k0, pos in _position_blocks(map_, horizon + 1, count, rng):
-        d0 = np.abs(pos - zf)
-        np.minimum(d0, 1.0 - d0, out=d0)
-        hits = d0 < rf
-        for r in range(pos.shape[0]):
-            j = k0 + r
-            if j == 0:
-                continue
-            mask = hits[r] & (entry == 0)
-            entry[mask] = j
+        hits = _circle_distance(pos, zf) < rf
+        if k0 == 0:
+            hits[0] = False
+        new = (entry == 0) & hits.any(axis=0)
+        entry[new] = k0 + hits.argmax(axis=0)[new]  # the first hit row
         if not (entry == 0).any():
             break
     return np.bincount(entry, minlength=horizon + 1)[:horizon + 1]

@@ -142,13 +142,11 @@ def test_ac5_escape_rates():
         if eps == F(1, 100):
             ratio_at_001 = fit.slope / PB
         # window lower bound never exceeds the true (spectral) rate
-        from extremap.brackets import (DecayModel, escape_rate_window,
-                                       hts_bracket_inputs, upsilon)
+        from extremap.brackets import (DecayModel, escape_window,
+                                       hts_bracket_inputs)
         dm = DecayModel.for_map(DOUBLING)
-        inp = hts_bracket_inputs(DOUBLING, hole, 1, dm)
-        PA = float(inp.PA)
-        Y = upsilon(PA, inp.M, inp.ell, inp.t, inp.R, dm)
-        window = escape_rate_window(0.5, inp.k, Y, max(1.0 - inp.ell * PA, 1e-12), PB)
+        window = escape_window(hts_bracket_inputs(DOUBLING, hole, 1, dm),
+                               0.5, PB, dm)
         ok = ok and window.lower <= spectral
         details.append(f"eps={float(eps)}: fit={fit.slope:.5f} "
                        f"spectral={spectral:.5f} rel={rel:.2%} "

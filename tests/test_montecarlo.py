@@ -26,7 +26,7 @@ WIDTHS = FullBranchMap.from_widths([F(1, 2), F(1, 4), F(1, 4)])
 def _uniform_states(d, steps, count, seed):
     """Windows of one _UniformOrbits chunk at times 0..steps, (steps+1, count)."""
     _, m = mc._uniform_window(FullBranchMap.uniform(d))
-    orb = mc._UniformOrbits(d, m, 0, count, np.random.default_rng(seed))
+    orb = mc._UniformOrbits(d, m, 0, count, np.random.default_rng(seed), steps)
     states = [orb.state.copy()]
     for _ in range(steps):
         orb.step()
@@ -85,6 +85,136 @@ def test_position_blocks_coding_across_step_block():
     for i, w in enumerate((0.5, 0.25, 0.25)):
         assert abs((digits == i).mean() - w) < 0.005
     assert abs(((pos >= 0.2) & (pos < 0.3)).mean() - 0.1) < 0.002
+
+
+# -- the kernels against references with the plain arithmetic -------------
+
+
+def _reference_uniform_orbits(d, m, zeta_int, count, rng, steps):
+    """Windows and circle distances at times 0..steps, stepped with ``%``
+    and digit blocks drawn STEP_BLOCK rows at a time."""
+    mc_, dc = np.uint64(m), np.uint64(d)
+    state = np.zeros(count, dtype=np.uint64)
+    for _ in range(round(math.log(m, d))):
+        dig = rng.integers(0, d, size=count, dtype=np.uint64)
+        state = (state * dc + dig) % mc_
+    zneg = np.uint64((m - zeta_int % m) % m)
+
+    def dist(s):
+        diff = (s + zneg) % mc_
+        return np.minimum(diff, mc_ - diff)
+
+    states, dists = [state], [dist(state)]
+    for k in range(steps):
+        if k % mc.STEP_BLOCK == 0:
+            block = rng.integers(0, d, size=(mc.STEP_BLOCK, count),
+                                 dtype=np.uint8)
+        state = (state * dc + block[k % mc.STEP_BLOCK].astype(np.uint64)) % mc_
+        states.append(state)
+        dists.append(dist(state))
+    return states, dists
+
+
+@pytest.mark.parametrize("d", [3, 5, 256])
+@pytest.mark.parametrize("steps", [7, 128, 300])
+def test_uniform_orbits_match_modular_reference(d, steps):
+    # shorter than, equal to and across STEP_BLOCK, with a target whose
+    # window offset folds half the lanes past m; numpy fills uint8 draws
+    # from 4-byte words, so an odd lane count makes a draw that ends off
+    # a block boundary shift the rest of the stream
+    lanes = 61
+    _, m = mc._uniform_window(FullBranchMap.uniform(d))
+    zeta_int = mc._scaled(F(1, 3), m)
+    ref_states, ref_dists = _reference_uniform_orbits(
+        d, m, zeta_int, lanes, np.random.default_rng(17), steps)
+    orb = mc._UniformOrbits(d, m, zeta_int, lanes, np.random.default_rng(17),
+                            steps)
+    for k in range(steps + 1):
+        if k:
+            orb.step()
+        assert np.array_equal(orb.state, ref_states[k]), k
+        assert np.array_equal(orb.dist(out=np.empty(lanes, np.uint64)),
+                              ref_dists[k]), k
+
+
+def _reference_position_blocks(map_, horizon, count, rng):
+    """_position_blocks with searchsorted digits and a fresh y per row."""
+    D, d = mc.HORNER_DEPTH, map_.d
+    los = np.array([float(b.lo) for b in map_.branches])
+    ws = np.array([float(b.width) for b in map_.branches])
+    cum = np.cumsum([float(w) for w in map_.widths])
+
+    def draw(rows):
+        u = rng.random((rows, count))
+        dig = np.searchsorted(cum, u.ravel(), side="right").reshape(rows, count)
+        return np.minimum(dig, d - 1)
+
+    carry, k0 = draw(D), 0
+    while k0 < horizon:
+        B = min(mc.STEP_BLOCK, horizon - k0)
+        digits = np.concatenate([carry, draw(B)], axis=0)
+        pos, y = np.empty((B, count)), np.full(count, 0.5)
+        for r in range(B + D - 1, -1, -1):
+            y = los[digits[r]] + ws[digits[r]] * y
+            if r < B:
+                pos[r] = y
+        yield k0, pos
+        carry, k0 = digits[B:], k0 + B
+
+
+@pytest.mark.parametrize("spec", ["widths:1/2,1/4,1/4", "widths:49/50,1/50",
+                                  "widths:" + ",".join(["1/10"] * 10)])
+def test_position_blocks_match_searchsorted_reference(spec):
+    # the ten widths of 1/10 sum to 0.9999999999999999 in float
+    f = FullBranchMap.from_spec(spec)
+    horizon = mc.STEP_BLOCK + 9
+    got = list(mc._position_blocks(f, horizon, 500, np.random.default_rng(4)))
+    ref = list(_reference_position_blocks(f, horizon, 500,
+                                          np.random.default_rng(4)))
+    assert [k0 for k0, _ in got] == [k0 for k0, _ in ref] == [0, mc.STEP_BLOCK]
+    for (_, p), (_, q) in zip(got, ref):
+        assert np.array_equal(p, q)
+
+
+def _reference_entry_histogram(map_, zeta, radius, horizon, index, count, seed):
+    zf, rf = float(zeta), float(radius)
+    entry = np.zeros(count, dtype=np.int64)
+    for k0, pos in _reference_position_blocks(map_, horizon + 1, count,
+                                              mc._rng(seed, index)):
+        d0 = np.abs(pos - zf)
+        d0 = np.minimum(d0, 1.0 - d0)
+        for r in range(pos.shape[0]):
+            if k0 + r > 0:
+                entry[(d0[r] < rf) & (entry == 0)] = k0 + r
+        if not (entry == 0).any():
+            break
+    return np.bincount(entry, minlength=horizon + 1)
+
+
+@pytest.mark.parametrize("radius, horizon", [
+    (F(1, 64), 150),  # some lanes never enter
+    (F(1, 5), 400),   # every lane enters in the first block: early exit
+])
+def test_entry_chunk_horner_matches_row_loop(radius, horizon):
+    hist = mc._entry_chunk_horner(WIDTHS, F(1, 3), radius, horizon, 2, 3000, 8)
+    ref = _reference_entry_histogram(WIDTHS, F(1, 3), radius, horizon, 2,
+                                     3000, 8)
+    assert np.array_equal(hist, ref)
+    assert (hist[0] > 0) == (radius == F(1, 64))
+
+
+def test_evl_chunk_horner_matches_accumulated_minimum():
+    # checkpoints inside a block, repeated, on a block edge and past it
+    cps = ((1, F(1, 4)), (7, F(1, 50)), (7, F(1, 20)),
+           (mc.STEP_BLOCK, F(1, 500)), (mc.STEP_BLOCK + 1, F(1, 500)),
+           (300, F(1, 2000)))
+    counts = mc._evl_chunk_horner(WIDTHS, F(1, 3), cps, 1, 2000, 6)
+    rng, zf = mc._rng(6, 1), 1 / 3
+    pos = np.concatenate([p for _, p in
+                          _reference_position_blocks(WIDTHS, 300, 2000, rng)])
+    d0 = np.abs(pos - zf)
+    runmin = np.minimum.accumulate(np.minimum(d0, 1.0 - d0), axis=0)
+    assert counts == [int((runmin[n - 1] >= float(r)).sum()) for n, r in cps]
 
 
 def test_wilson_halfwidth_bounds():
@@ -262,19 +392,15 @@ def test_evl_hts_duality_consistency():
 def test_escape_rate_sandwich():
     # spectral rate between the guaranteed lower bound and the nominal
     # zero-hole value, with 10% slack, at a periodic center and small hole
-    from extremap.brackets import (DecayModel, escape_rate_window,
-                                   hts_bracket_inputs, upsilon)
+    from extremap.brackets import DecayModel, escape_window, hts_bracket_inputs
     eps = F(1, 100)
     hole = ball(F(0), eps)
     PB = float(hole.measure())
     spectral = mc.ulam_escape_oracle(DOUBLING, hole,
                                      mc.aligned_bins(DOUBLING, hole))
     dm = DecayModel.for_map(DOUBLING)
-    inp = hts_bracket_inputs(DOUBLING, hole, 1, dm)
-    PA = float(inp.PA)
-    Y = upsilon(PA, inp.M, inp.ell, inp.t, inp.R, dm)
-    window = escape_rate_window(0.5, inp.k, Y,
-                                max(1.0 - inp.ell * PA, 1e-12), PB)
+    window = escape_window(hts_bracket_inputs(DOUBLING, hole, 1, dm),
+                           0.5, PB, dm)
     slack = 0.1 * window.nominal
     assert window.lower - slack <= spectral <= window.nominal + slack
 
