@@ -3,7 +3,8 @@ full-branch expanding interval maps.
 
 Subpackage map:
 
-* ``intervals``  exact set algebra on finite unions of circle arcs
+* ``intervals``  exact set algebra on finite unions of arcs of the
+                 circle [0, 1), with Fraction endpoints
 * ``maps``       full-branch maps, preimages, periodic points, pressure
 * ``events``     exceedance sets, annuli, extremal indices, exact oracles
 * ``brackets``   closed-form error brackets, blocking optimizers and the
@@ -12,7 +13,7 @@ Subpackage map:
 * ``cli``        command-line entry points
 """
 
-from .intervals import CIRCLE, LINE, Interval, IntervalUnion, ball, circle_distance
+from .intervals import IntervalUnion, ball, circle_distance
 from .maps import (
     AffineBranch,
     FullBranchMap,

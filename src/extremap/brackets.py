@@ -556,7 +556,7 @@ def annuli_gap_bound(map_: FullBranchMap, B: IntervalUnion, A: IntervalUnion,
     """Exact right-hand side of the ball/annulus replacement bound.
 
     RHS = sum over j = 1..q of measure(W intersect f^-(n-j)(B - A)) with
-    W the window-[0, n) survivor set of A.  Requires A to be exactly the
+    W the length-n survivor set of A.  Requires A to be exactly the
     q-annulus of B.
     """
     if q < 0 or n <= q:
@@ -566,7 +566,7 @@ def annuli_gap_bound(map_: FullBranchMap, B: IntervalUnion, A: IntervalUnion,
         raise ValueError("A is not the q-step annulus of B")
     if q == 0:
         return A.measure() - A.measure()
-    W = survivor_set(map_, A, 0, n, budget=budget)
+    W = survivor_set(map_, A, n, budget=budget)
     diff = B.difference(A)
     total = None
     P = diff

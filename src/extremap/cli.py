@@ -134,23 +134,27 @@ def write_outputs(out_dir, name: str, columns, rows, config) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, stochastic: bool):
+def _add_common(p, stochastic=False, budget=False, decay=False):
+    """--map, --config and --out, plus the flag groups the command reads:
+    ``stochastic`` adds --workers, --trials and --seed."""
     p.add_argument("--map", default=None,
                    help="doubling | tripling | uniform:<d> | widths:w1,w2,... | JSON branches")
     p.add_argument("--config", help="key=value config file; flags override it")
     p.add_argument("--out", default=None,
                    help="output directory (default $EXTREMAP_OUT or '.')")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--budget", type=parse_count, default=None,
-                   help="component budget for exact set computations")
-    p.add_argument("--decay-c0", type=float, default=None,
-                   help="decay prefactor (default 4)")
-    p.add_argument("--decay-lam", type=float, default=None,
-                   help="decay base (default: max branch width)")
     if stochastic:
+        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--trials", type=parse_count, default=None,
                        help="trial count (default 1e5)")
         p.add_argument("--seed", type=parse_count, default=None)
+    if budget:
+        p.add_argument("--budget", type=parse_count, default=None,
+                       help="component budget for exact set computations")
+    if decay:
+        p.add_argument("--decay-c0", type=float, default=None,
+                       help="decay prefactor (default 4)")
+        p.add_argument("--decay-lam", type=float, default=None,
+                       help="decay base (default: max branch width)")
 
 
 _CONFIG_CONVERTERS = {
@@ -211,21 +215,17 @@ def _common_config(args, map_, decay=None) -> dict:
         "map": str(args.map),
         "map_name": map_.name,
         "out": str(_out_dir(args)),
-        "workers": args.workers,
     }
     if decay is not None:
         cfg["decay"] = {"kind": decay.kind, "c0": decay.c0, "lam": decay.lam}
     if hasattr(args, "trials"):
-        cfg["trials"] = args.trials
-        cfg["seed"] = args.seed
+        cfg.update(workers=args.workers, trials=args.trials, seed=args.seed)
     return cfg
 
 
 def _require_seed(args):
     if args.seed is None:
         raise InfeasibleError("--seed is required for stochastic commands")
-    if args.trials is None:
-        args.trials = 100000
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +234,8 @@ def _require_seed(args):
 
 
 def cmd_evl(args) -> int:
-    _defaults(args, map="doubling", tau="1", workers=1, profile="neg-log",
-              beta=1.0, cap=1.0)
+    _defaults(args, map="doubling", tau="1", workers=1, trials=100000,
+              profile="neg-log", beta=1.0, cap=1.0)
     map_ = FullBranchMap.from_spec(args.map)
     _require(args, "zeta", "n")
     _require_seed(args)
@@ -256,7 +256,7 @@ def cmd_evl(args) -> int:
 
 
 def cmd_hts(args) -> int:
-    _defaults(args, map="doubling", tau="0.5,1,2", workers=1)
+    _defaults(args, map="doubling", tau="0.5,1,2", workers=1, trials=100000)
     map_ = FullBranchMap.from_spec(args.map)
     _require(args, "zeta", "eps")
     _require_seed(args)
@@ -285,7 +285,7 @@ def cmd_hts(args) -> int:
 
 
 def cmd_escape(args) -> int:
-    _defaults(args, map="doubling", workers=1)
+    _defaults(args, map="doubling", workers=1, trials=100000)
     map_ = FullBranchMap.from_spec(args.map)
     _require(args, "zeta", "eps")
     _require_seed(args)
@@ -329,7 +329,7 @@ def cmd_escape(args) -> int:
 
 
 def cmd_ei(args) -> int:
-    _defaults(args, map="doubling", workers=1)
+    _defaults(args, map="doubling")
     map_ = FullBranchMap.from_spec(args.map)
     _require(args, "zeta", "eps")
     zeta = parse_point(args.zeta)
@@ -369,7 +369,7 @@ def _budget_rows(scale, k, t, R, budget):
 
 def cmd_bounds(args) -> int:
     _defaults(args, map="doubling", tau="1", bracket="sharp-evl", n="1024",
-              eps="1/100", workers=1, budget=10 ** 6)
+              eps="1/100", budget=10 ** 6)
     map_ = FullBranchMap.from_spec(args.map)
     _require(args, "zeta")
     zeta = parse_point(args.zeta)
@@ -426,8 +426,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_check(args) -> int:
     _defaults(args, map="doubling", zeta="1/3", tau="1", prop_configs=10,
-              n="256,512,1024,2048,4096,8192,16384", workers=1,
-              budget=10 ** 6)
+              n="256,512,1024,2048,4096,8192,16384", budget=10 ** 6)
     map_ = FullBranchMap.from_spec(args.map)
     _require_seed(args)
     zeta = parse_point(args.zeta)
@@ -457,8 +456,8 @@ def cmd_check(args) -> int:
         n_i = rng.randrange(q_i + 2, 13)
         B = ball(zeta_i, eps)
         A = annulus_set(map_, B, q_i)
-        lhs = abs(survivor_set(map_, B, 0, n_i).measure()
-                  - survivor_set(map_, A, 0, n_i).measure())
+        lhs = abs(survivor_set(map_, B, n_i).measure()
+                  - survivor_set(map_, A, n_i).measure())
         rhs = annuli_gap_bound(map_, B, A, q_i, n_i)
         ok = lhs <= rhs
         violated = violated or not ok
@@ -478,7 +477,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_pressure(args) -> int:
-    _defaults(args, map="doubling", potential="geometric", n_max=10, workers=1)
+    _defaults(args, map="doubling", potential="geometric", n_max=10)
     map_ = FullBranchMap.from_spec(args.map)
     if args.potential == "geometric":
         pot = Potential.geometric()
@@ -509,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("evl", help="extreme value law convergence sweep")
-    _add_common(p, stochastic=True)
+    _add_common(p, stochastic=True, decay=True)
     p.add_argument("--zeta", default=None)
     p.add_argument("--tau", default=None)
     p.add_argument("--profile", default=None, choices=("neg-log", "power"))
@@ -528,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hts)
 
     p = sub.add_parser("escape", help="escape rates through a small hole")
-    _add_common(p, stochastic=True)
+    _add_common(p, stochastic=True, decay=True)
     p.add_argument("--zeta", default=None)
     p.add_argument("--eps", default=None)
     p.add_argument("--bins", type=int, default=None,
@@ -538,14 +537,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_escape)
 
     p = sub.add_parser("ei", help="extremal index, exact")
-    _add_common(p, stochastic=False)
+    _add_common(p)
     p.add_argument("--zeta", default=None)
     p.add_argument("--eps", default=None)
     p.add_argument("--q", type=int, default=None)
     p.set_defaults(func=cmd_ei)
 
     p = sub.add_parser("bounds", help="error bracket breakdowns")
-    _add_common(p, stochastic=False)
+    _add_common(p, budget=True, decay=True)
     p.add_argument("--zeta", default=None)
     p.add_argument("--tau", default=None)
     p.add_argument("--bracket", default=None,
@@ -556,7 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("check", help="exact condition checks (exit 1 on violation)")
-    _add_common(p, stochastic=True)
+    _add_common(p, budget=True)
+    p.add_argument("--seed", type=parse_count, default=None)
     p.add_argument("--zeta", default=None)
     p.add_argument("--tau", default="1")
     p.add_argument("--n", default=None)
@@ -565,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("pressure", help="periodic-orbit sums and pressure")
-    _add_common(p, stochastic=False)
+    _add_common(p)
     p.add_argument("--potential", default=None,
                    choices=("geometric", "zero"))
     p.add_argument("--n-max", type=int, default=None)

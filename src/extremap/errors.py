@@ -11,10 +11,6 @@ class ExtremapError(Exception):
     """Base class for package errors."""
 
 
-class TopologyMismatchError(ExtremapError):
-    """Set operation between a circle set and a line set."""
-
-
 class RadiusRangeError(ExtremapError):
     """Ball radius outside (0, 1/2)."""
 

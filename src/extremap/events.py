@@ -1,14 +1,14 @@
 """Extreme-event sets, thresholds, extremal indices and exact probabilities.
 
-Everything here works on ``IntervalUnion`` values, so in rational mode
-the exceedance set U(u), the annulus A(q) obtained by removing the first
-q dynamical preimages, the survivor sets of finite windows, and the
+Everything here works on exact ``IntervalUnion`` values, so the
+exceedance set U(u), the annulus A(q) obtained by removing the first q
+dynamical preimages, the survivor sets of finite windows, and the
 short-range recurrence sums are all computed with zero tolerance.
 
 The time conventions follow the max/hitting duality: the survivor set
-over the window [s, s + ell) is the set of points whose orbit avoids B
-at times s, ..., s + ell - 1, so the window [0, n) survivor set of U(u)
-is exactly {max of the first n observations <= u}, and its preimage is
+of length ell is the set of points whose orbit avoids B at times
+0, ..., ell - 1, so the length-n survivor set of U(u) is exactly
+{max of the first n observations <= u}, and its preimage is
 {first hitting time > n}.
 """
 
@@ -80,7 +80,8 @@ class Observable:
 def exceedance_set(obs: Observable, u: float) -> IntervalUnion:
     """The exceedance set U(u) = {value > u}, a ball around the center.
 
-    The radius comes from inverting the profile at u (floating); use
+    The radius comes from inverting the profile at u in floating point,
+    and the set is the exact ball of that float radius; use
     ``threshold_for`` when an exactly normalized set is needed.
     """
     return ball(obs.center, obs.radius_of_level(u))
@@ -139,22 +140,19 @@ def annulus_set(map_: FullBranchMap, B: IntervalUnion, q: int,
     return A
 
 
-def survivor_set(map_: FullBranchMap, B: IntervalUnion, s: int, ell: int,
+def survivor_set(map_: FullBranchMap, B: IntervalUnion, ell: int,
                  budget: int = DEFAULT_BUDGET) -> IntervalUnion:
-    """Points avoiding B at times s, ..., s + ell - 1 (full space if ell = 0)."""
-    s, ell = int(math.floor(s)), int(math.floor(ell))
-    if s < 0 or ell < 0:
-        raise ValueError("window parameters must be nonnegative")
-    W = IntervalUnion.full(B.topology, exact=B.is_exact)
+    """Points avoiding B at times 0, ..., ell - 1 (full space if ell = 0)."""
+    ell = int(math.floor(ell))
+    if ell < 0:
+        raise ValueError("ell must be nonnegative")
+    W = IntervalUnion.full()
     Bc = B.complement()
     for _ in range(ell):
         W = Bc.intersect(map_.preimage(W))
         if len(W) > budget:
             raise ComponentBudgetError(
                 "survivor set exceeds component budget; use Monte Carlo")
-    for _ in range(s):
-        W = map_._budgeted_preimage(
-            W, budget, "survivor set exceeds component budget; use Monte Carlo")
     return W
 
 
@@ -301,9 +299,9 @@ def pair_correlation_measure(map_: FullBranchMap, A: IntervalUnion, j: int,
         D = map_.d ** j
         total = Fraction(0)
         for lo, hi in A.components:
-            wlo, whi = Fraction(lo) * D, Fraction(hi) * D
+            wlo, whi = lo * D, hi * D
             for c, e in A.components:
-                total += _window_overlap(wlo, whi, Fraction(c), Fraction(e))
+                total += _window_overlap(wlo, whi, c, e)
         return total / D
     P = map_.preimage_iter(A, j, budget=budget)
     return A.intersect(P).measure()
@@ -345,14 +343,15 @@ def dprime_sum(map_: FullBranchMap, obs, n: int, q: int, k: int,
 def exact_evl_prob(map_: FullBranchMap, U: IntervalUnion, n: int,
                    budget: int = DEFAULT_BUDGET):
     """P(max of the first n observations <= u) for U = {X_0 > u}, exact."""
-    return survivor_set(map_, U, 0, n, budget=budget).measure()
+    return survivor_set(map_, U, n, budget=budget).measure()
 
 
 def exact_hts_prob(map_: FullBranchMap, B: IntervalUnion, t: int,
                    budget: int = DEFAULT_BUDGET):
-    """P(first hitting time of B > t), exact: the preimage of the
-    window-[0, t) survivor set."""
-    if t == 0:
-        return IntervalUnion.full(B.topology, exact=B.is_exact).measure()
-    W = survivor_set(map_, B, 0, t, budget=budget)
-    return map_.preimage(W).measure()
+    """P(first hitting time of B > t), exact.
+
+    The event is the preimage of the length-t survivor set W, and a
+    full-branch affine map preserves Lebesgue measure (each branch has
+    width * |slope| = 1), so its probability is m(W): 1 at t = 0.
+    """
+    return survivor_set(map_, B, t, budget=budget).measure()

@@ -1,44 +1,27 @@
-"""Exact set algebra on finite unions of subintervals of [0, 1).
+"""Exact set algebra on finite unions of arcs of the circle [0, 1).
 
-``IntervalUnion`` is the universal representation for exceedance sets,
-annuli, holes and survivor sets.  Two arithmetic modes coexist:
-
-* exact mode, with ``fractions.Fraction`` endpoints, used by every
-  oracle and zero-tolerance identity check;
-* floating mode, used inside Monte Carlo adjacent code paths.
+``IntervalUnion`` is the one representation for exceedance sets,
+annuli, holes and survivor sets.  Every endpoint is a
+``fractions.Fraction``, so every operation is exact and identities hold
+with zero tolerance.  Endpoints given from outside are coerced with
+``as_exact``; a float becomes its exact binary value.
 
 Sets are treated up to measure-zero equivalence: open/closed endpoint
-distinctions are deliberately ignored, and in floating mode components
-closer than ``MERGE_EPS`` are merged to stop rounding from inflating the
-component count.  On the circle a set wrapping 0 is stored as two
-components, one ending at 1 and one starting at 0.
+distinctions are deliberately ignored and touching components merge.
+The circle is [0, 1) with 1 identified with 0, so an arc wrapping 0 is
+stored as two components, one ending at 1 and one starting at 0.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Sequence
 
-from .errors import RadiusRangeError, TopologyMismatchError
+from .errors import RadiusRangeError
 
-CIRCLE = "circle"
-LINE = "line"
-
-MERGE_EPS = 1e-14
-
-Num = Union[Fraction, float]
-
-
-class Interval(NamedTuple):
-    """One subinterval of [0, 1), endpoints rational (exact mode) or float."""
-
-    lo: Num
-    hi: Num
-
-    @property
-    def length(self) -> Num:
-        return self.hi - self.lo
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def as_exact(x) -> Fraction:
@@ -58,22 +41,11 @@ def as_exact(x) -> Fraction:
     raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
 
 
-def _is_exact(v) -> bool:
-    return isinstance(v, (Fraction, int))
-
-
-def _canonicalize(pairs, exact: bool):
+def _canonicalize(pairs):
     """Sort, drop empty components and merge overlapping/adjacent ones."""
-    eps = 0 if exact else MERGE_EPS
-    cleaned = []
-    for lo, hi in pairs:
-        if hi <= lo:
-            continue
-        cleaned.append((lo, hi))
-    cleaned.sort(key=lambda p: (p[0], p[1]))
     merged = []
-    for lo, hi in cleaned:
-        if merged and lo <= merged[-1][1] + eps:
+    for lo, hi in sorted(p for p in pairs if p[0] < p[1]):
+        if merged and lo <= merged[-1][1]:
             if hi > merged[-1][1]:
                 merged[-1] = (merged[-1][0], hi)
         else:
@@ -82,33 +54,22 @@ def _canonicalize(pairs, exact: bool):
 
 
 class IntervalUnion:
-    """Immutable finite union of disjoint subintervals of [0, 1).
+    """Immutable finite union of disjoint arcs of the circle [0, 1).
 
-    ``components`` is a tuple of (lo, hi) pairs, sorted, strictly
-    disjoint after canonicalization.  All operations are pure.
+    ``components`` is a tuple of (lo, hi) Fraction pairs, sorted and
+    strictly disjoint after canonicalization.  All operations are pure.
     """
 
-    __slots__ = ("_comps", "topology")
+    __slots__ = ("_comps",)
 
-    def __init__(self, pairs: Iterable[Sequence[Num]] = (), topology: str = CIRCLE):
-        if topology not in (CIRCLE, LINE):
-            raise ValueError(f"unknown topology {topology!r}")
+    def __init__(self, pairs: Iterable[Sequence] = ()):
         raw = []
-        exact = True
-        for p in pairs:
-            lo, hi = p
-            if _is_exact(lo) and _is_exact(hi):
-                lo, hi = Fraction(lo), Fraction(hi)
-            else:
-                lo, hi = float(lo), float(hi)
-                exact = False
+        for lo, hi in pairs:
+            lo, hi = as_exact(lo), as_exact(hi)
             if lo < 0 or hi > 1:
                 raise ValueError(f"component ({lo}, {hi}) outside [0, 1]")
             raw.append((lo, hi))
-        if raw and not exact:
-            raw = [(float(lo), float(hi)) for lo, hi in raw]
-        object.__setattr__(self, "_comps", _canonicalize(raw, exact))
-        object.__setattr__(self, "topology", topology)
+        object.__setattr__(self, "_comps", _canonicalize(raw))
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError("IntervalUnion is immutable")
@@ -116,20 +77,18 @@ class IntervalUnion:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def empty(cls, topology: str = CIRCLE) -> "IntervalUnion":
-        return cls((), topology)
+    def empty(cls) -> "IntervalUnion":
+        return cls()
 
     @classmethod
-    def full(cls, topology: str = CIRCLE, exact: bool = True) -> "IntervalUnion":
-        one = Fraction(1) if exact else 1.0
-        zero = Fraction(0) if exact else 0.0
-        return cls(((zero, one),), topology)
+    def full(cls) -> "IntervalUnion":
+        return cls._wrap(((_ZERO, _ONE),))
 
     @classmethod
-    def _wrap(cls, comps, topology) -> "IntervalUnion":
-        out = cls((), topology)
-        exact = all(_is_exact(lo) and _is_exact(hi) for lo, hi in comps)
-        object.__setattr__(out, "_comps", _canonicalize(list(comps), exact))
+    def _wrap(cls, comps) -> "IntervalUnion":
+        """Build from Fraction pairs inside [0, 1] without re-coercing."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_comps", _canonicalize(comps))
         return out
 
     # -- basic queries -----------------------------------------------------
@@ -139,24 +98,11 @@ class IntervalUnion:
         return self._comps
 
     @property
-    def intervals(self):
-        return tuple(Interval(lo, hi) for lo, hi in self._comps)
-
-    @property
     def is_empty(self) -> bool:
         return not self._comps
 
-    @property
-    def is_exact(self) -> bool:
-        return all(_is_exact(lo) and _is_exact(hi) for lo, hi in self._comps)
-
-    def measure(self) -> Num:
-        if not self._comps:
-            return Fraction(0) if self.is_exact else 0.0
-        total = self._comps[0][1] - self._comps[0][0]
-        for lo, hi in self._comps[1:]:
-            total += hi - lo
-        return total
+    def measure(self) -> Fraction:
+        return sum((hi - lo for lo, hi in self._comps), _ZERO)
 
     def contains(self, x) -> bool:
         """Point membership, half-open [lo, hi) convention."""
@@ -168,33 +114,21 @@ class IntervalUnion:
         return len(self._comps)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IntervalUnion)
-            and self.topology == other.topology
-            and self._comps == other._comps
-        )
+        return isinstance(other, IntervalUnion) and self._comps == other._comps
 
     def __hash__(self):
-        return hash((self.topology, self._comps))
+        return hash(self._comps)
 
     def __repr__(self):
         body = ", ".join(f"[{lo}, {hi})" for lo, hi in self._comps)
-        return f"IntervalUnion({body or 'empty'}; {self.topology})"
-
-    def _check(self, other: "IntervalUnion"):
-        if self.topology != other.topology:
-            raise TopologyMismatchError(
-                f"{self.topology} vs {other.topology}"
-            )
+        return f"IntervalUnion({body or 'empty'})"
 
     # -- set algebra -------------------------------------------------------
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        self._check(other)
-        return IntervalUnion._wrap(self._comps + other._comps, self.topology)
+        return IntervalUnion._wrap(self._comps + other._comps)
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        self._check(other)
         out = []
         a, b = self._comps, other._comps
         i = j = 0
@@ -207,27 +141,23 @@ class IntervalUnion:
                 i += 1
             else:
                 j += 1
-        return IntervalUnion._wrap(out, self.topology)
+        return IntervalUnion._wrap(out)
 
     def complement(self) -> "IntervalUnion":
-        exact = self.is_exact
-        zero = Fraction(0) if exact else 0.0
-        one = Fraction(1) if exact else 1.0
         out = []
-        cursor = zero
+        cursor = _ZERO
         for lo, hi in self._comps:
             if lo > cursor:
                 out.append((cursor, lo))
             cursor = hi
-        if cursor < one:
-            out.append((cursor, one))
-        return IntervalUnion._wrap(out, self.topology)
+        if cursor < 1:
+            out.append((cursor, _ONE))
+        return IntervalUnion._wrap(out)
 
     def difference(self, other: "IntervalUnion") -> "IntervalUnion":
         return self.intersect(other.complement())
 
     def intersects(self, other: "IntervalUnion") -> bool:
-        self._check(other)
         a, b = self._comps, other._comps
         i = j = 0
         while i < len(a) and j < len(b):
@@ -239,81 +169,30 @@ class IntervalUnion:
                 j += 1
         return False
 
-    def __or__(self, other):
-        return self.union(other)
 
-    def __and__(self, other):
-        return self.intersect(other)
+def ball(center, radius) -> IntervalUnion:
+    """Arc of the given radius around ``center`` on the circle [0, 1).
 
-    def __sub__(self, other):
-        return self.difference(other)
-
-    def __invert__(self):
-        return self.complement()
-
-    # -- conversions -------------------------------------------------------
-
-    def to_float(self) -> "IntervalUnion":
-        return IntervalUnion._wrap(
-            [(float(lo), float(hi)) for lo, hi in self._comps], self.topology
-        )
-
-    def to_pairs(self):
-        """JSON-ready list of [lo, hi] pairs.
-
-        Exact endpoints serialize as fraction strings ("1/3") so that a
-        round trip loses nothing; floating endpoints stay numbers.
-        """
-        if self.is_exact:
-            return [[str(Fraction(lo)), str(Fraction(hi))] for lo, hi in self._comps]
-        return [[float(lo), float(hi)] for lo, hi in self._comps]
-
-    @classmethod
-    def from_pairs(cls, pairs, topology: str = CIRCLE) -> "IntervalUnion":
-        conv = []
-        for lo, hi in pairs:
-            if isinstance(lo, str) or isinstance(hi, str):
-                conv.append((Fraction(lo), Fraction(hi)))
-            else:
-                conv.append((lo, hi))
-        return cls(conv, topology)
-
-
-def ball(center, radius, topology: str = CIRCLE) -> IntervalUnion:
-    """Ball of given radius around ``center`` in [0, 1).
-
-    Circle topology wraps across 0 (stored as two components); line
-    topology clips to [0, 1].  Arithmetic mode follows the input types:
-    pass Fractions (or ints) for an exact set.
+    Both inputs are coerced with ``as_exact``.  An arc that crosses 0 is
+    stored as two components.
     """
-    exact = _is_exact(center) and _is_exact(radius)
-    if exact:
-        center, radius = Fraction(center), Fraction(radius)
-        zero, one = Fraction(0), Fraction(1)
-    else:
-        center, radius = float(center), float(radius)
-        zero, one = 0.0, 1.0
-    if not (0 < radius) or not (radius < one / 2):
+    c, r = as_exact(center), as_exact(radius)
+    if not 0 < r < _ONE / 2:
         raise RadiusRangeError(f"radius {radius} outside (0, 1/2)")
-    if not (0 <= center < 1):
+    if not 0 <= c < 1:
         raise ValueError(f"center {center} outside [0, 1)")
-    lo, hi = center - radius, center + radius
-    if topology == LINE:
-        return IntervalUnion(((max(lo, zero), min(hi, one)),), LINE)
-    comps = []
+    lo, hi = c - r, c + r
     if lo < 0:
-        comps.append((lo + 1, one))
-        comps.append((zero, hi))
+        comps = ((lo + 1, _ONE), (_ZERO, hi))
     elif hi > 1:
-        comps.append((lo, one))
-        comps.append((zero, hi - 1))
+        comps = ((lo, _ONE), (_ZERO, hi - 1))
     else:
-        comps.append((lo, hi))
-    return IntervalUnion(comps, CIRCLE)
+        comps = ((lo, hi),)
+    return IntervalUnion._wrap(comps)
 
 
 def circle_distance(x, y):
-    """Distance on the circle of circumference 1."""
+    """Distance on the circle of circumference 1; exact for Fraction
+    points, a float for float points."""
     d = abs(x - y)
-    one = Fraction(1) if _is_exact(d) else 1.0
-    return min(d, one - d)
+    return min(d, 1 - d)

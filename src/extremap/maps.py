@@ -27,7 +27,7 @@ from .errors import (
     ComponentBudgetError,
     ConvergenceError,
 )
-from .intervals import CIRCLE, IntervalUnion, as_exact
+from .intervals import IntervalUnion, as_exact
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +261,7 @@ class FullBranchMap:
             raise ValueError(f"{what} requires an affine map")
 
     def preimage(self, S: IntervalUnion) -> IntervalUnion:
-        """Full preimage f^(-1)(S), exact for exact inputs."""
+        """Full preimage f^(-1)(S), exact."""
         self._require_affine("preimage")
         out = []
         for br in self.branches:
@@ -273,10 +273,10 @@ class FullBranchMap:
                 b = min(b, br.hi)
                 if a < b:
                     out.append((a, b))
-        return IntervalUnion._wrap(out, S.topology)
+        return IntervalUnion._wrap(out)
 
     def image(self, S: IntervalUnion) -> IntervalUnion:
-        """Forward image f(S), exact for exact inputs."""
+        """Forward image f(S), exact."""
         self._require_affine("image")
         out = []
         for br in self.branches:
@@ -288,12 +288,8 @@ class FullBranchMap:
                 u, v = br.value(a), br.value(b)
                 if u > v:
                     u, v = v, u
-                zero = u - u
-                u = max(u, zero)
-                v = min(v, zero + 1)
-                if u < v:
-                    out.append((u, v))
-        return IntervalUnion._wrap(out, S.topology)
+                out.append((u, v))
+        return IntervalUnion._wrap(out)
 
     def preimage_iter(self, S: IntervalUnion, j: int,
                       budget: int = 10 ** 6) -> IntervalUnion:
@@ -313,11 +309,9 @@ class FullBranchMap:
         non-adjacent pieces, and pieces of neighbouring branches can merge
         only at the d - 1 inner branch boundaries, so an exact preimage
         has at least d*c - (d - 1) components: past the budget that
-        raises before the preimage is built.  (Floating-mode sets merge
-        near-touching pieces, so only their built size is checked.)
+        raises before the preimage is built.
         """
-        if self.d * len(S) - (self.d - 1) > budget and S.is_exact \
-                and self.is_affine:
+        if self.is_affine and self.d * len(S) - (self.d - 1) > budget:
             raise ComponentBudgetError(message)
         P = self.preimage(S)
         if len(P) > budget:
@@ -449,7 +443,7 @@ def bv_norm_indicator(S: IntervalUnion) -> int:
     c = len(comps)
     if c == 0:
         return 0
-    if S.topology == CIRCLE and comps[0][0] == 0 and comps[-1][1] == 1:
+    if comps[0][0] == 0 and comps[-1][1] == 1:
         c -= 1
     return 2 * c
 

@@ -492,7 +492,7 @@ def aligned_bins(map_: FullBranchMap, hole: IntervalUnion,
     """Smallest uniform bin count aligning the hole and branch endpoints."""
     den = 1
     for lo, hi in hole.components:
-        den = math.lcm(den, as_exact(lo).denominator, as_exact(hi).denominator)
+        den = math.lcm(den, lo.denominator, hi.denominator)
     for br in map_.branches:
         den = math.lcm(den, br.lo.denominator, br.hi.denominator)
     bins = den
@@ -517,16 +517,13 @@ def ulam_escape_oracle(map_: FullBranchMap, hole: IntervalUnion,
         raise ValueError("bins must be >= 64")
     for lo, hi in hole.components:
         for endpoint in (lo, hi):
-            v = as_exact(endpoint) * bins
-            if v.denominator != 1:
+            if (endpoint * bins).denominator != 1:
                 raise ValueError(
                     f"hole endpoint {endpoint} not aligned to 1/{bins} grid")
     M = ulam_matrix(map_, bins)
     in_hole = np.zeros(bins, dtype=bool)
     for lo, hi in hole.components:
-        i0 = int(as_exact(lo) * bins)
-        i1 = int(as_exact(hi) * bins)
-        in_hole[i0:i1] = True
+        in_hole[int(lo * bins):int(hi * bins)] = True
     keep = np.nonzero(~in_hole)[0]
     return open_system_decay_rate(M, keep)
 

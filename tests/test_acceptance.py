@@ -184,8 +184,8 @@ def test_ac7_exact_inequalities():
         n = rnd.randrange(q + 2, 13)
         B = ball(zeta, eps)
         A = annulus_set(DOUBLING, B, q)
-        lhs = abs(survivor_set(DOUBLING, B, 0, n).measure()
-                  - survivor_set(DOUBLING, A, 0, n).measure())
+        lhs = abs(survivor_set(DOUBLING, B, n).measure()
+                  - survivor_set(DOUBLING, A, n).measure())
         rhs = annuli_gap_bound(DOUBLING, B, A, q, n)
         assert lhs <= rhs, (i, zeta, eps, q, n)
     obs = Observable(center=F(1, 3))

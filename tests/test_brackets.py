@@ -401,8 +401,8 @@ def test_annuli_gap_bound_trivial_cases():
 def test_annuli_gap_bound_dominates_exactly():
     B = ball(F(1, 3), F(1, 50))
     A = annulus_set(DOUBLING, B, 2)
-    lhs = abs(survivor_set(DOUBLING, B, 0, 10).measure()
-              - survivor_set(DOUBLING, A, 0, 10).measure())
+    lhs = abs(survivor_set(DOUBLING, B, 10).measure()
+              - survivor_set(DOUBLING, A, 10).measure())
     rhs = annuli_gap_bound(DOUBLING, B, A, 2, 10)
     assert rhs > 0
     assert lhs <= rhs
@@ -429,7 +429,7 @@ def test_survivor_block_estimate_dominates_exact_error():
         R = first_return_time(DOUBLING, A, horizon=64) or ell
         est = survivor_block_estimate(PA, 4, k, t, ell, R, gamma)
         n = k * (ell + t)
-        exact = float(survivor_set(DOUBLING, A, 0, n).measure())
+        exact = float(survivor_set(DOUBLING, A, n).measure())
         assert abs(exact - est.center) <= est.bound + 1e-12
         if est.tight_bound is not None:
             assert abs(exact - est.center) <= est.tight_bound + 1e-12
@@ -446,12 +446,12 @@ def test_survivor_block_estimate_fractional():
     n = k * (ell + t)
     for tau in (0.5, 0.75, 1.0):
         est = survivor_block_estimate(PA, 4, k, t, ell, R, gamma, tau=tau)
-        exact = float(survivor_set(DOUBLING, A, 0, int(tau * n)).measure())
+        exact = float(survivor_set(DOUBLING, A, int(tau * n)).measure())
         assert est.variant == "fractional"
         assert abs(exact - est.center) <= est.bound + 1e-12
     tiny = survivor_block_estimate(PA, 4, k, t, ell, R, gamma, tau=0.1)
     assert tiny.variant == "sub-block"
-    exact = float(survivor_set(DOUBLING, A, 0, int(0.1 * n)).measure())
+    exact = float(survivor_set(DOUBLING, A, int(0.1 * n)).measure())
     assert abs(exact - tiny.center) <= tiny.bound + 1e-12
 
 

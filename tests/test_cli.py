@@ -41,6 +41,30 @@ def test_ei_command_exact_values(tmp_path):
     assert payload["config"]["command"] == "ei"
 
 
+# each command takes only the flags it reads; these belong to other commands
+REMOVED_FLAGS = [
+    ("ei", ("--workers", "2")), ("ei", ("--budget", "100")),
+    ("ei", ("--decay-c0", "1")), ("ei", ("--decay-lam", "0.5")),
+    ("bounds", ("--workers", "2")),
+    ("check", ("--workers", "2")), ("check", ("--decay-c0", "1")),
+    ("check", ("--decay-lam", "0.5")), ("check", ("--trials", "100")),
+    ("pressure", ("--workers", "2")), ("pressure", ("--budget", "100")),
+    ("pressure", ("--decay-c0", "1")), ("pressure", ("--decay-lam", "0.5")),
+    ("evl", ("--budget", "100")), ("escape", ("--budget", "100")),
+    ("hts", ("--budget", "100")), ("hts", ("--decay-c0", "1")),
+    ("hts", ("--decay-lam", "0.5")),
+]
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS,
+                         ids=[f"{c}{f[0]}" for c, f in REMOVED_FLAGS])
+def test_unread_flag_is_rejected(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
 def test_missing_seed_is_usage_error(tmp_path):
     rc = main(["evl", "--zeta", "1/3", "--n", "100", "--out", str(tmp_path)])
     assert rc == 2

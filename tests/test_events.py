@@ -127,15 +127,15 @@ def test_theta_limit_widths_map():
 
 def test_survivor_window_identities():
     B = ball(F(1, 3), F(1, 20))
-    assert survivor_set(DOUBLING, B, 5, 0) == IntervalUnion.full()
-    assert survivor_set(DOUBLING, B, 0, 1).measure() == 1 - B.measure()
+    assert survivor_set(DOUBLING, B, 0) == IntervalUnion.full()
+    assert survivor_set(DOUBLING, B, 1).measure() == 1 - B.measure()
 
 
 def test_survivor_membership_matches_orbit_max():
     rnd = random.Random(17)
     n = 8
     sched = threshold_for(Observable(center=F(1, 3)), n, 1)
-    W = survivor_set(DOUBLING, sched.exceedance, 0, n)
+    W = survivor_set(DOUBLING, sched.exceedance, n)
     for _ in range(10000):
         x = F(rnd.randrange(1, 99991), 99991)
         exceeded = any(sched.exceedance.contains(y)
@@ -162,8 +162,27 @@ def test_exact_hts_cases():
     assert exact_hts_prob(DOUBLING, B, 0) == 1
     for t in (1, 3, 6):
         assert exact_hts_prob(DOUBLING, B, t) == survivor_set(
-            DOUBLING, B, 0, t).measure()
+            DOUBLING, B, t).measure()
     assert exact_hts_prob(DOUBLING, B, 6) >= 1 - 6 * B.measure()
+
+
+# a decreasing second branch: x -> 3x on [0, 1/3), x -> 3/2 - 3x/2 on [1/3, 1)
+FOLDED = FullBranchMap.from_spec(
+    '[{"lo": 0, "hi": "1/3", "slope": 3, "intercept": 0},'
+    ' {"lo": "1/3", "hi": 1, "slope": "-3/2", "intercept": "3/2"}]')
+
+
+@pytest.mark.parametrize("map_", [DOUBLING, WIDTHS, FOLDED],
+                         ids=["doubling", "widths", "folded"])
+def test_exact_hts_prob_is_preimage_measure(map_):
+    # {r_B > t} is the preimage of the length-t survivor set; the map
+    # preserves Lebesgue measure, so skipping that preimage changes nothing
+    for center, radius in ((F(1, 3), F(1, 20)), (F(0), F(1, 16)),
+                           (F(5, 7), F(1, 40))):
+        B = ball(center, radius)
+        for t in range(8):
+            W = survivor_set(map_, B, t)
+            assert exact_hts_prob(map_, B, t) == map_.preimage(W).measure()
 
 
 def test_stationarity_exact():

@@ -1,11 +1,10 @@
-import json
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extremap.errors import RadiusRangeError, TopologyMismatchError
-from extremap.intervals import CIRCLE, LINE, IntervalUnion, ball, circle_distance
+from extremap.errors import RadiusRangeError
+from extremap.intervals import IntervalUnion, as_exact, ball, circle_distance
 
 
 def rational(max_den=64):
@@ -70,27 +69,39 @@ def test_measure_examples():
     assert IntervalUnion.empty().measure() == 0
 
 
-def test_topology_mismatch():
-    with pytest.raises(TopologyMismatchError):
-        IntervalUnion([], CIRCLE).union(IntervalUnion([], LINE))
-
-
 def test_ball_examples():
     b = ball(F(1, 3), F(1, 100))
     assert b.measure() == F(1, 50)
     wrap = ball(F(0), F(1, 10))
     assert wrap.components == ((F(0), F(1, 10)), (F(9, 10), F(1)))
     assert wrap.measure() == F(1, 5)
-    line = ball(0.05, 0.1, topology=LINE)
-    assert line.components == ((0.0, 0.15000000000000002),) or \
-        abs(line.measure() - 0.15) < 1e-12
+    # float inputs become their exact binary values
+    dyadic = ball(0.25, 0.125)
+    assert dyadic.components == ((as_exact(0.125), as_exact(0.375)),)
+    assert all(type(e) is F for e in dyadic.components[0])
     with pytest.raises(RadiusRangeError):
         ball(F(1, 2), F(6, 10))
 
 
-def test_float_mode_merges_close_components():
-    s = IntervalUnion([(0.1, 0.2), (0.2 + 1e-15, 0.3)])
-    assert len(s) == 1
+@pytest.mark.parametrize("pairs, expected", [
+    ([(0.1, "1/2")], ((as_exact(0.1), F(1, 2)),)),
+    ([(0, 1)], ((F(0), F(1)),)),
+    ([("0.25", F(3, 4))], ((F(1, 4), F(3, 4)),)),
+])
+def test_endpoints_coerce_to_fractions(pairs, expected):
+    s = IntervalUnion(pairs)
+    assert s.components == expected
+    assert all(type(e) is F for comp in s.components for e in comp)
+
+
+@pytest.mark.parametrize("pairs, error", [
+    ([(None, F(1, 2))], TypeError),
+    ([(F(-1, 10), F(1, 2))], ValueError),
+    ([(0.5, 1.25)], ValueError),
+])
+def test_bad_endpoints_rejected(pairs, error):
+    with pytest.raises(error):
+        IntervalUnion(pairs)
 
 
 @settings(max_examples=500, deadline=None)
@@ -117,7 +128,7 @@ def test_measure_monotone(a, b):
 @settings(max_examples=100, deadline=None)
 @given(unions())
 def test_canonical_idempotent(a):
-    again = IntervalUnion(a.components, a.topology)
+    again = IntervalUnion(a.components)
     assert again == a
 
 
@@ -139,25 +150,6 @@ def test_double_complement_identity():
     assert s.complement().complement() == s
 
 
-def test_serialization_round_trip():
-    s = IntervalUnion([(F(1, 3), F(1, 2))])
-    pairs = s.to_pairs()
-    assert pairs == [["1/3", "1/2"]]
-    json.dumps(pairs)
-    assert IntervalUnion.from_pairs(pairs) == s
-    f = s.to_float()
-    assert not f.is_exact
-    assert f.to_pairs() == [[pytest.approx(1 / 3), 0.5]]
-
-
 def test_circle_distance():
     assert circle_distance(F(1, 10), F(9, 10)) == F(1, 5)
     assert circle_distance(0.25, 0.75) == 0.5
-
-
-def test_interval_view():
-    from extremap.intervals import Interval
-    s = IntervalUnion([(F(1, 3), F(1, 2))])
-    iv = s.intervals[0]
-    assert isinstance(iv, Interval)
-    assert iv.lo == F(1, 3) and iv.length == F(1, 6)
