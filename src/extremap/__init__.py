@@ -6,14 +6,14 @@ Subpackage map:
 * ``intervals``  exact set algebra on finite unions of arcs of the
                  circle [0, 1), with Fraction endpoints
 * ``maps``       full-branch maps, preimages, periodic points, pressure
-* ``events``     exceedance sets, annuli, extremal indices, exact oracles
+* ``events``     exceedance balls, annuli, extremal indices, exact oracles
 * ``brackets``   closed-form error brackets, blocking optimizers and the
                  bracket inputs they share
 * ``montecarlo`` seeded, reproducible large-scale estimators
 * ``cli``        command-line entry points
 """
 
-from .intervals import IntervalUnion, ball, circle_distance
+from .intervals import IntervalUnion, ball
 from .maps import (
     AffineBranch,
     FullBranchMap,
@@ -32,7 +32,6 @@ from .events import (
     dprime_sum,
     exact_evl_prob,
     exact_hts_prob,
-    exceedance_set,
     first_return_time,
     survivor_set,
     theta_limit,

@@ -159,14 +159,16 @@ def _add_common(p, stochastic=False, budget=False, decay=False):
 
 _CONFIG_CONVERTERS = {
     "trials": parse_count, "seed": parse_count, "workers": int, "bins": int,
-    "q": int, "prop_configs": int, "n_max": int,
+    "q": int, "prop_configs": int, "n_max": int, "budget": parse_count,
     "theta": float, "decay_c0": float, "decay_lam": float,
-    "beta": float, "cap": float,
 }
 
 
 def _read_config(path) -> dict:
-    """key=value lines; '#' starts a comment.  Precedence: flags > file > defaults."""
+    """key=value lines; '#' starts a comment.  Precedence: flags > file > defaults.
+
+    ``main`` rejects a key that names no flag of the command.
+    """
     path = Path(path)
     if not path.exists():
         raise InfeasibleError(f"config file {path} not found")
@@ -179,7 +181,10 @@ def _read_config(path) -> dict:
             raise InfeasibleError(f"bad config line: {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        out[key] = _CONFIG_CONVERTERS.get(key, str)(value)
+        try:
+            out[key] = _CONFIG_CONVERTERS.get(key, str)(value)
+        except argparse.ArgumentTypeError as exc:
+            raise InfeasibleError(f"config key {key!r}: {exc}") from exc
     return out
 
 
@@ -234,8 +239,7 @@ def _require_seed(args):
 
 
 def cmd_evl(args) -> int:
-    _defaults(args, map="doubling", tau="1", workers=1, trials=100000,
-              profile="neg-log", beta=1.0, cap=1.0)
+    _defaults(args, map="doubling", tau="1", workers=1, trials=100000)
     map_ = FullBranchMap.from_spec(args.map)
     _require(args, "zeta", "n")
     _require_seed(args)
@@ -247,8 +251,7 @@ def cmd_evl(args) -> int:
         map=map_, zeta=parse_point(args.zeta), tau=tau,
         n_grid=tuple(parse_count(n) for n in str(args.n).split(",")),
         trials=args.trials, seed=args.seed, q=args.q, theta=args.theta,
-        decay=decay, workers=args.workers, profile=args.profile,
-        beta=args.beta, cap=args.cap)
+        decay=decay, workers=args.workers)
     table = mc.convergence_sweep(cfg)
     config = dict(_common_config(args, map_, decay), **table.config)
     write_outputs(_out_dir(args), "evl", table.columns, table.rows, config)
@@ -297,7 +300,7 @@ def cmd_escape(args) -> int:
         hole = ball(zeta, eps)
         PB = hole.measure()
         fit = mc.estimate_escape_rate(map_, zeta, eps, args.trials, args.seed,
-                                      args.workers, theta_hint=theta)
+                                      args.workers)
         bins = args.bins or mc.aligned_bins(map_, hole)
         spectral = mc.ulam_escape_oracle(map_, hole, bins)
         inputs = hts_bracket_inputs(map_, hole, q, decay)
@@ -511,9 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, stochastic=True, decay=True)
     p.add_argument("--zeta", default=None)
     p.add_argument("--tau", default=None)
-    p.add_argument("--profile", default=None, choices=("neg-log", "power"))
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--cap", type=float, default=None)
     p.add_argument("--n", default=None, help="comma list of horizons")
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--theta", type=float, default=None)
@@ -558,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, budget=True)
     p.add_argument("--seed", type=parse_count, default=None)
     p.add_argument("--zeta", default=None)
-    p.add_argument("--tau", default="1")
+    p.add_argument("--tau", default=None)
     p.add_argument("--n", default=None)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--prop-configs", type=int, default=None)
@@ -581,7 +581,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             for key, value in _read_config(args.config).items():
-                if getattr(args, key, False) is None:
+                if key in ("command", "func") or not hasattr(args, key):
+                    raise InfeasibleError(
+                        f"config key {key!r}: {args.command} has no "
+                        f"--{key.replace('_', '-')} flag")
+                if getattr(args, key) is None:
                     setattr(args, key, value)
         return args.func(args)
     except ComponentBudgetError as exc:

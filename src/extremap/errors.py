@@ -15,10 +15,6 @@ class RadiusRangeError(ExtremapError):
     """Ball radius outside (0, 1/2)."""
 
 
-class BoundaryPointError(ExtremapError):
-    """Map applied at a branch boundary; the caller should resample."""
-
-
 class CapExceededError(ExtremapError):
     """Requested iteration depth exceeds the configured cap."""
 

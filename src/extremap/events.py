@@ -1,14 +1,15 @@
 """Extreme-event sets, thresholds, extremal indices and exact probabilities.
 
-Everything here works on exact ``IntervalUnion`` values, so the
-exceedance set U(u), the annulus A(q) obtained by removing the first q
-dynamical preimages, the survivor sets of finite windows, and the
-short-range recurrence sums are all computed with zero tolerance.
+An exceedance event is a ball: a center and a radius.  Everything here
+works on exact ``IntervalUnion`` values, so the exceedance ball U_n, the
+annulus A(q) obtained by removing the first q dynamical preimages, the
+survivor sets of finite windows, and the short-range recurrence sums
+are all computed with zero tolerance.
 
 The time conventions follow the max/hitting duality: the survivor set
 of length ell is the set of points whose orbit avoids B at times
-0, ..., ell - 1, so the length-n survivor set of U(u) is exactly
-{max of the first n observations <= u}, and its preimage is
+0, ..., ell - 1, so the length-n survivor set of U_n is exactly
+{max of the first n observations <= u_n}, and its preimage is
 {first hitting time > n}.
 """
 
@@ -20,76 +21,31 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import ComponentBudgetError, InfeasibleError, PeriodUndecidedError
-from .intervals import IntervalUnion, as_exact, ball, circle_distance
+from .intervals import IntervalUnion, as_exact, ball
 from .maps import FullBranchMap
 
 DEFAULT_BUDGET = 10 ** 6
 
-NEG_LOG = "neg-log"
-POWER = "power"
-
 
 @dataclass(frozen=True)
 class Observable:
-    """Observable maximized at ``center`` whose super-level sets are balls.
+    """Observable maximized at ``center`` whose exceedance sets are balls.
 
-    Profiles: ``neg-log`` is -log dist(x, center); ``power`` is
-    cap - dist(x, center)**beta.  The distance is the circle metric, so
-    {value > u} = ball(center, radius_of_level(u)) with a strictly
-    decreasing, continuous radius.
+    An observable g(dist(x, center)) with g strictly decreasing exceeds a
+    level exactly on a ball around the center.  Thresholds are fixed by
+    n * P(U_n) = tau, so every law and bracket here depends on g only
+    through that ball's radius, and the center is all an event needs.
     """
 
     center: Fraction
-    profile: str = NEG_LOG
-    beta: float = 1.0
-    cap: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_exact(self.center))
-        if self.profile not in (NEG_LOG, POWER):
-            raise ValueError(f"unknown profile {self.profile!r}")
-        if self.profile == POWER and self.beta <= 0:
-            raise ValueError("beta must be positive")
-
-    @property
-    def sup_value(self) -> float:
-        return math.inf if self.profile == NEG_LOG else self.cap
-
-    def value(self, x) -> float:
-        dist = float(circle_distance(float(x), float(self.center)))
-        if self.profile == NEG_LOG:
-            return math.inf if dist == 0 else -math.log(dist)
-        return self.cap - dist ** self.beta
-
-    def radius_of_level(self, u: float) -> float:
-        """Radius of the super-level ball {value > u}."""
-        if u >= self.sup_value:
-            raise ValueError(f"level {u} at or above the maximum {self.sup_value}")
-        if self.profile == NEG_LOG:
-            return math.exp(-u)
-        return (self.cap - u) ** (1.0 / self.beta)
-
-    def level_of_radius(self, rho: float) -> float:
-        if rho <= 0:
-            raise ValueError("radius must be positive")
-        if self.profile == NEG_LOG:
-            return -math.log(rho)
-        return self.cap - rho ** self.beta
-
-
-def exceedance_set(obs: Observable, u: float) -> IntervalUnion:
-    """The exceedance set U(u) = {value > u}, a ball around the center.
-
-    The radius comes from inverting the profile at u in floating point,
-    and the set is the exact ball of that float radius; use
-    ``threshold_for`` when an exactly normalized set is needed.
-    """
-    return ball(obs.center, obs.radius_of_level(u))
 
 
 @dataclass(frozen=True)
 class ThresholdSchedule:
-    """Level u_n chosen so that n * P(U(u_n)) equals tau exactly.
+    """Exceedance ball U_n with n * P(U_n) equal to tau exactly.
 
     The ball measure is exactly computable, so the usual asymptotic
     normalization is realized with zero defect: radius = tau / (2n).
@@ -98,12 +54,7 @@ class ThresholdSchedule:
     tau: Fraction
     n: int
     radius: Fraction
-    u: float
     exceedance: IntervalUnion
-
-    @property
-    def p(self) -> Fraction:
-        return self.tau / self.n
 
 
 def threshold_for(obs: Observable, n: int, tau) -> ThresholdSchedule:
@@ -113,9 +64,8 @@ def threshold_for(obs: Observable, n: int, tau) -> ThresholdSchedule:
     if tau / n >= 1:
         raise InfeasibleError(f"tau/n = {tau}/{n} >= 1: ball radius would reach 1/2")
     radius = tau / (2 * n)
-    U = ball(obs.center, radius)
-    u = obs.level_of_radius(float(radius))
-    return ThresholdSchedule(tau=tau, n=n, radius=radius, u=u, exceedance=U)
+    return ThresholdSchedule(tau=tau, n=n, radius=radius,
+                             exceedance=ball(obs.center, radius))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +150,7 @@ def detect_period(map_: FullBranchMap, zeta, cap: int = 64) -> Optional[int]:
     seen = {zeta: 0}
     z = zeta
     for j in range(1, cap + 1):
-        z = map_.apply(z, boundary="right")
+        z = map_.apply(z)
         if z == zeta:
             return j
         if z in seen:
@@ -209,28 +159,28 @@ def detect_period(map_: FullBranchMap, zeta, cap: int = 64) -> Optional[int]:
     raise PeriodUndecidedError(f"period of {zeta} undecided after {cap} steps")
 
 
-def theta_limit(map_: FullBranchMap, obs, cap: int = 64) -> Tuple[int, float]:
+def theta_limit(map_: FullBranchMap, zeta) -> Tuple[int, float]:
     """(q, theta) in the limit of small events, theta as a float."""
-    q, theta = theta_limit_exact(map_, obs, cap=cap)
+    q, theta = theta_limit_exact(map_, zeta)
     return q, float(theta)
 
 
-def theta_limit_exact(map_: FullBranchMap, obs, cap: int = 64):
+def theta_limit_exact(map_: FullBranchMap, zeta):
     """(q, theta) in the limit of small events, theta an exact Fraction.
 
     For a periodic center of prime period p the limit extremal index is
     1 - 1/|DF^p| (the reciprocal of the orbit multiplier); a
     non-periodic center gives q = 0 and theta = 1.
     """
-    zeta = obs.center if isinstance(obs, Observable) else as_exact(obs)
-    p = detect_period(map_, zeta, cap=cap)
+    zeta = as_exact(zeta)
+    p = detect_period(map_, zeta)
     if p is None:
         return 0, Fraction(1)
     mult = Fraction(1)
     z = zeta
     for _ in range(p):
-        mult *= abs(map_.derivative_at(z, boundary="right"))
-        z = map_.apply(z, boundary="right")
+        mult *= abs(map_.derivative_at(z))
+        z = map_.apply(z)
     return p, 1 - Fraction(1) / mult
 
 
@@ -307,7 +257,7 @@ def pair_correlation_measure(map_: FullBranchMap, A: IntervalUnion, j: int,
     return A.intersect(P).measure()
 
 
-def dprime_sum(map_: FullBranchMap, obs, n: int, q: int, k: int,
+def dprime_sum(map_: FullBranchMap, obs: Observable, n: int, q: int, k: int,
                tau=1, budget: int = DEFAULT_BUDGET,
                variant: str = "theorem") -> Fraction:
     """Short-range recurrence sum of the no-clustering condition.
@@ -318,7 +268,6 @@ def dprime_sum(map_: FullBranchMap, obs, n: int, q: int, k: int,
     j = 1 .. floor(n/k) (the two ranges stated alongside the two error
     brackets).  An empty range gives 0.
     """
-    obs = obs if isinstance(obs, Observable) else Observable(center=as_exact(obs))
     if variant == "theorem":
         j_lo, j_hi = q + 1, n // k - 1
     elif variant == "corollary":

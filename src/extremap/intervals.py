@@ -189,10 +189,3 @@ def ball(center, radius) -> IntervalUnion:
     else:
         comps = ((lo, hi),)
     return IntervalUnion._wrap(comps)
-
-
-def circle_distance(x, y):
-    """Distance on the circle of circumference 1; exact for Fraction
-    points, a float for float points."""
-    d = abs(x - y)
-    return min(d, 1 - d)

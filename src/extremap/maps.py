@@ -5,8 +5,10 @@ tile [0, 1) and which each map their domain bijectively onto [0, 1).
 Affine branches carry exact rational data, which keeps preimages,
 periodic points and annulus constructions exactly computable; smooth
 branches (monotone callables) are supported for pointwise evaluation
-and Ulam discretization only.  Random orbits are sampled by
-``montecarlo`` from their branch digit streams.
+and Ulam discretization only.  Pointwise evaluation uses the half-open
+domains [lo, hi), so a point on an inner branch boundary belongs to the
+branch on its right.  Random orbits are sampled by ``montecarlo`` from
+their branch digit streams.
 """
 
 from __future__ import annotations
@@ -21,13 +23,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    BoundaryPointError,
-    CapExceededError,
-    ComponentBudgetError,
-    ConvergenceError,
-)
+from .errors import CapExceededError, ComponentBudgetError, ConvergenceError
 from .intervals import IntervalUnion, as_exact
+
+PERIOD_CAP = 20  # longest period the periodic-orbit routines accept
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +89,8 @@ class SmoothBranch:
     def deriv(self, x):
         return self.dfn(x)
 
-    def inverse(self, y, tol: float = 1e-14):
-        """Invert by bisection on the (monotone) branch."""
+    def inverse(self, y):
+        """Invert by bisection on the (monotone) branch, to width 1e-14."""
         lo, hi = self.lo, self.hi
         for _ in range(200):
             mid = 0.5 * (lo + hi)
@@ -100,7 +99,7 @@ class SmoothBranch:
                 lo = mid
             else:
                 hi = mid
-            if hi - lo < tol:
+            if hi - lo < 1e-14:
                 break
         return 0.5 * (lo + hi)
 
@@ -218,23 +217,19 @@ class FullBranchMap:
 
     # -- pointwise dynamics --------------------------------------------------
 
-    def branch_index(self, x, boundary: str = "error") -> int:
-        """Index of the branch whose domain contains x.
+    def branch_index(self, x) -> int:
+        """Index of the branch whose half-open domain [lo, hi) contains x.
 
-        ``boundary="error"`` raises at interior branch boundaries (a
-        measure-zero set; callers should resample); ``boundary="right"``
-        uses the half-open [lo, hi) convention everywhere.
+        A point on an inner branch boundary belongs to the branch on its
+        right.
         """
         if not (0 <= x < 1):
             raise ValueError(f"point {x} outside [0, 1)")
-        i = bisect_right(self._los, x) - 1
-        if boundary == "error" and x != 0 and x == self.branches[i].lo:
-            raise BoundaryPointError(f"{x} is a branch boundary")
-        return i
+        return bisect_right(self._los, x) - 1
 
-    def apply(self, x, boundary: str = "error"):
+    def apply(self, x):
         """One step of the map; exact on Fraction inputs of affine maps."""
-        br = self.branches[self.branch_index(x, boundary)]
+        br = self.branches[self.branch_index(x)]
         y = br.value(x)
         zero = y - y
         if y >= 1:
@@ -243,14 +238,14 @@ class FullBranchMap:
             y = zero  # float rounding guard
         return y
 
-    def derivative_at(self, x, boundary: str = "error"):
-        return self.branches[self.branch_index(x, boundary)].deriv(x)
+    def derivative_at(self, x):
+        return self.branches[self.branch_index(x)].deriv(x)
 
-    def orbit(self, x, n: int, boundary: str = "right"):
+    def orbit(self, x, n: int):
         """[x, f(x), ..., f^(n-1)(x)]."""
         out = [x]
         for _ in range(n - 1):
-            x = self.apply(x, boundary)
+            x = self.apply(x)
             out.append(x)
         return out
 
@@ -351,15 +346,15 @@ class PeriodicPoint(NamedTuple):
     boundary_degenerate: bool
 
 
-def _require_period(map_: FullBranchMap, n: int, cap: int, what: str):
+def _require_period(map_: FullBranchMap, n: int, what: str):
     map_._require_affine(what)
     if n < 1:
         raise ValueError("period must be >= 1")
-    if n > cap:
-        raise CapExceededError(f"period {n} exceeds cap {cap}")
+    if n > PERIOD_CAP:
+        raise CapExceededError(f"period {n} exceeds cap {PERIOD_CAP}")
 
 
-def periodic_points(map_: FullBranchMap, n: int, cap: int = 20):
+def periodic_points(map_: FullBranchMap, n: int):
     """All period-n symbolic fixed points of an affine map.
 
     One point per n-cylinder (d^n in total), each solved in closed form
@@ -368,7 +363,7 @@ def periodic_points(map_: FullBranchMap, n: int, cap: int = 20):
     are canonicalized to 0 and flagged boundary-degenerate.  This
     enumeration is the oracle ``weighted_periodic_sum`` is tested against.
     """
-    _require_period(map_, n, cap, "periodic_points")
+    _require_period(map_, n, "periodic_points")
     d = map_.d
     slopes = [br.slope for br in map_.branches]
     intercepts = [br.intercept for br in map_.branches]
@@ -399,8 +394,7 @@ def periodic_points(map_: FullBranchMap, n: int, cap: int = 20):
     return tuple(out)
 
 
-def weighted_periodic_sum(map_: FullBranchMap, potential: Potential, n: int,
-                          cap: int = 20):
+def weighted_periodic_sum(map_: FullBranchMap, potential: Potential, n: int):
     """Z_n: sum of exp(Birkhoff sum) over period-n symbolic points.
 
     Each n-cylinder of an affine full-branch map holds exactly one
@@ -411,18 +405,17 @@ def weighted_periodic_sum(map_: FullBranchMap, potential: Potential, n: int,
     zero potential (s = 0) and (sum_i w_i)^n = 1 for the geometric one
     (s = 1).
     """
-    _require_period(map_, n, cap, "weighted_periodic_sum")
+    _require_period(map_, n, "weighted_periodic_sum")
     if potential.kind == "zero":
         return Fraction(map_.d) ** n
     return sum(map_.widths) ** n
 
 
-def pressure_sequence(map_: FullBranchMap, potential: Potential, n_max: int,
-                      cap: int = 20):
+def pressure_sequence(map_: FullBranchMap, potential: Potential, n_max: int):
     """Finite-n pressure approximants (1/n) log Z_n for n = 1..n_max."""
     out = []
     for n in range(1, n_max + 1):
-        z = float(weighted_periodic_sum(map_, potential, n, cap=cap))
+        z = float(weighted_periodic_sum(map_, potential, n))
         out.append(math.log(z) / n)
     return out
 
@@ -504,25 +497,26 @@ def save_matrix_csv(matrix: np.ndarray, path) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
-def open_system_decay_rate(matrix: np.ndarray, keep: np.ndarray,
-                           tol: float = 1e-12, max_iter: int = 100000) -> float:
+def open_system_decay_rate(matrix: np.ndarray, keep: np.ndarray) -> float:
     """-log(spectral radius) of the matrix restricted to ``keep`` indices.
 
     Power iteration on the left eigenvector (distributions evolve by
-    left multiplication for a row-stochastic matrix).
+    left multiplication for a row-stochastic matrix), stopped once three
+    successive iterations move the eigenvalue estimate by at most 1e-12
+    relative; 100000 iterations without that raise ConvergenceError.
     """
     if keep.size == 0:
         return math.inf
     Q = matrix[np.ix_(keep, keep)]
     v = np.full(len(keep), 1.0 / len(keep))
     lam, stable = -1.0, 0
-    for _ in range(max_iter):
+    for _ in range(100000):
         w = v @ Q
         new = w.sum()
         if new <= 0:
             return math.inf
         w /= new
-        stable = stable + 1 if abs(new - lam) <= tol * max(new, 1e-300) else 0
+        stable = stable + 1 if abs(new - lam) <= 1e-12 * max(new, 1e-300) else 0
         if stable >= 3:
             return -math.log(new)
         lam, v = new, w

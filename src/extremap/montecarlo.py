@@ -23,6 +23,12 @@ STEP_BLOCK rows at a time but never longer than the steps the chunk has
 left; a shorter draw is a prefix of the longer one's stream, so every
 estimate is the same as with full blocks.  Horner digits are counted
 against the inner branch breakpoints.
+
+An event enters the estimators as the center of its observable and the
+exact radius of its threshold ball.  The numerical settings are module
+constants: the chunk size, the digit block and Horner depth, the 95%
+Wilson quantile, the escape fit's survivor floor and the Ulam oracle's
+minimum bin count.
 """
 
 from __future__ import annotations
@@ -45,13 +51,17 @@ CHUNK = 32768
 STEP_BLOCK = 128
 HORNER_DEPTH = 48
 MAX_UNIFORM_D = 256  # the d >= 3 kernel draws its digit blocks as uint8
+Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
+MIN_SURVIVORS = 100  # the escape fit ends at the last t with this many left
+MIN_BINS = 64  # coarsest Ulam partition the escape oracle accepts
 
 
-def wilson_halfwidth(successes: int, trials: int, z: float = 1.959963984540054) -> float:
+def wilson_halfwidth(successes: int, trials: int) -> float:
     """95% Wilson score half-width for a binomial proportion."""
     if trials <= 0:
         return 1.0
     p = successes / trials
+    z = Z95
     denom = 1.0 + z * z / trials
     return z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
 
@@ -220,7 +230,7 @@ def _entry_chunk_uniform(map_: FullBranchMap, zeta: Fraction, radius: Fraction,
 
 
 def _position_blocks(map_: FullBranchMap, horizon: int, count: int,
-                     rng: np.random.Generator, block: int = STEP_BLOCK):
+                     rng: np.random.Generator):
     """Yield (k0, positions) blocks of the symbolic orbits of a chunk."""
     D = HORNER_DEPTH
     los = np.array([float(b.lo) for b in map_.branches])
@@ -241,7 +251,7 @@ def _position_blocks(map_: FullBranchMap, horizon: int, count: int,
     carry = draw(D)
     k0 = 0
     while k0 < horizon:
-        B = min(block, horizon - k0)
+        B = min(STEP_BLOCK, horizon - k0)
         digits = np.concatenate([carry, draw(B)], axis=0)
         pos = np.empty((B, count))
         y = np.full(count, 0.5)
@@ -353,7 +363,6 @@ class EscapeFit:
     trials: int
     seed: int
     censored: int
-    log_survival: Tuple[Tuple[int, float], ...] = ()
 
 
 def estimate_evl_points(map_: FullBranchMap, obs: Observable,
@@ -443,28 +452,25 @@ def estimate_hts(map_: FullBranchMap, zeta, eps, tau_grid: Sequence,
 
 
 def estimate_escape_rate(map_: FullBranchMap, zeta, eps, trials: int,
-                         seed: int, workers: int = 1,
-                         horizon: Optional[int] = None,
-                         theta_hint: Optional[float] = None,
-                         min_survivors: int = 100) -> EscapeFit:
+                         seed: int, workers: int = 1) -> EscapeFit:
     """Least-squares escape rate from the survival curve of the eps-hole.
 
-    Fits -log P(r_B > t) against t on the window from 5/(theta*P(B)),
-    which excludes the transient prefix, up to the last t with at least
-    ``min_survivors`` surviving trials.
+    Each trial runs to the horizon 50/P(B).  The fit of -log P(r_B > t)
+    against t runs from 5/(theta*P(B)), which excludes the transient
+    prefix, up to the last t with at least MIN_SURVIVORS surviving
+    trials.
     """
     eps = as_exact(eps)
     if eps == 0:
         return EscapeFit(0.0, 0.0, (0, 0), 0.0, trials, seed, trials)
     B = ball(as_exact(zeta), eps)
     PB = B.measure()
-    theta = theta_hint if theta_hint is not None else theta_limit(map_, zeta)[1]
-    if horizon is None:
-        horizon = int(50 / (float(PB)))
+    theta = theta_limit(map_, zeta)[1]
+    horizon = int(50 / float(PB))
     hist = _entry_histogram(map_, zeta, eps, horizon, trials, seed, workers)
     survivors = trials - np.cumsum(hist[1:])
     t_start = max(1, int(math.ceil(5.0 / (theta * float(PB)))))
-    alive = np.nonzero(survivors >= min_survivors)[0]
+    alive = np.nonzero(survivors >= MIN_SURVIVORS)[0]
     t_end = int(alive[-1]) + 1 if alive.size else 0
     if t_end - t_start < 8:
         raise InfeasibleError(
@@ -474,12 +480,9 @@ def estimate_escape_rate(map_: FullBranchMap, zeta, eps, trials: int,
     A = np.vstack([ts, np.ones_like(ts)]).T
     (slope, intercept), res, *_ = np.linalg.lstsq(A.astype(float), logs, rcond=None)
     residual = float(math.sqrt(res[0] / len(ts))) if res.size else 0.0
-    curve = tuple((int(t), float(v)) for t, v in
-                  zip(ts[:: max(1, len(ts) // 64)], logs[:: max(1, len(ts) // 64)]))
     return EscapeFit(slope=float(slope), intercept=float(intercept),
                      window=(t_start, t_end), residual_norm=residual,
-                     trials=trials, seed=seed, censored=int(hist[0]),
-                     log_survival=curve)
+                     trials=trials, seed=seed, censored=int(hist[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +490,16 @@ def estimate_escape_rate(map_: FullBranchMap, zeta, eps, trials: int,
 # ---------------------------------------------------------------------------
 
 
-def aligned_bins(map_: FullBranchMap, hole: IntervalUnion,
-                 min_bins: int = 64) -> int:
-    """Smallest uniform bin count aligning the hole and branch endpoints."""
+def aligned_bins(map_: FullBranchMap, hole: IntervalUnion) -> int:
+    """Smallest bin count of at least MIN_BINS aligning the hole and
+    branch endpoints."""
     den = 1
     for lo, hi in hole.components:
         den = math.lcm(den, lo.denominator, hi.denominator)
     for br in map_.branches:
         den = math.lcm(den, br.lo.denominator, br.hi.denominator)
     bins = den
-    while bins < min_bins:
+    while bins < MIN_BINS:
         bins += den
     return bins
 
@@ -513,8 +516,8 @@ def ulam_escape_oracle(map_: FullBranchMap, hole: IntervalUnion,
         return 0.0
     if hole.measure() >= 1:
         return math.inf
-    if bins < 64:
-        raise ValueError("bins must be >= 64")
+    if bins < MIN_BINS:
+        raise ValueError(f"bins must be >= {MIN_BINS}")
     for lo, hi in hole.components:
         for endpoint in (lo, hi):
             if (endpoint * bins).denominator != 1:
@@ -545,13 +548,6 @@ class SweepConfig:
     theta: Optional[float] = None
     decay: Optional[DecayModel] = None
     workers: int = 1
-    profile: str = "neg-log"
-    beta: float = 1.0
-    cap: float = 1.0
-
-    def observable(self) -> Observable:
-        return Observable(center=as_exact(self.zeta), profile=self.profile,
-                          beta=self.beta, cap=self.cap)
 
     def resolved(self) -> dict:
         decay = self.decay if self.decay is not None else DecayModel.for_map(self.map)
@@ -568,8 +564,6 @@ class SweepConfig:
                       "table": list(decay.table)},
             "workers": self.workers,
             "chunk": CHUNK,
-            "observable": {"profile": self.profile, "beta": self.beta,
-                           "cap": self.cap},
         }
 
 
@@ -592,10 +586,10 @@ def convergence_sweep(cfg: SweepConfig) -> SweepTable:
     deviation/bracket ratio column is the bounded-ratio check for the
     convergence theorems.
     """
-    obs = cfg.observable()
+    obs = Observable(cfg.zeta)
     decay = cfg.decay if cfg.decay is not None else DecayModel.for_map(cfg.map)
     if cfg.q is None or cfg.theta is None:
-        q_det, theta_det = theta_limit(cfg.map, obs)
+        q_det, theta_det = theta_limit(cfg.map, cfg.zeta)
         q = cfg.q if cfg.q is not None else q_det
         theta = cfg.theta if cfg.theta is not None else theta_det
     else:

@@ -135,7 +135,7 @@ def test_ac5_escape_rates():
         spectral = mc.ulam_escape_oracle(DOUBLING, hole,
                                          mc.aligned_bins(DOUBLING, hole))
         fit = mc.estimate_escape_rate(DOUBLING, F(0), eps, trials=1000000,
-                                      seed=SEED, theta_hint=0.5)
+                                      seed=SEED)
         rel = abs(fit.slope - spectral) / spectral
         ok = ok and rel <= 0.05
         PB = float(hole.measure())

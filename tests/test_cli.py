@@ -53,6 +53,8 @@ REMOVED_FLAGS = [
     ("evl", ("--budget", "100")), ("escape", ("--budget", "100")),
     ("hts", ("--budget", "100")), ("hts", ("--decay-c0", "1")),
     ("hts", ("--decay-lam", "0.5")),
+    ("evl", ("--profile", "power")), ("evl", ("--beta", "2")),
+    ("evl", ("--cap", "1")),
 ]
 
 
@@ -185,6 +187,30 @@ def test_config_file_with_flag_override(tmp_path):
     assert payload["config"]["zeta"] == "1/2"
     assert payload["config"]["trials"] == 10000
     assert payload["config"]["seed"] == 9
+
+
+@pytest.mark.parametrize("line, named", [
+    ("budgget = 5", "'budgget'"),  # no such flag
+    ("budget = 1.5", "'budget'"),  # not a count
+])
+def test_bad_config_line_is_usage_error(tmp_path, capsys, line, named):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 1\n{line}\n")
+    rc = main(["check", "--config", str(cfg), "--n", "64",
+               "--prop-configs", "0", "--out", str(tmp_path)])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "check.json").exists()
+
+
+def test_check_reads_tau_and_budget_from_config_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1\ntau = 2\nbudget = 1e6\n")
+    rc = main(["check", "--config", str(cfg), "--n", "64",
+               "--prop-configs", "0", "--out", str(tmp_path)])
+    assert rc == 0
+    payload = json.loads((tmp_path / "check.json").read_text())
+    assert payload["config"]["tau"] == "2"
 
 
 def test_env_var_out_dir(tmp_path, monkeypatch):

@@ -14,7 +14,6 @@ from extremap.events import (
     dprime_sum,
     exact_evl_prob,
     exact_hts_prob,
-    exceedance_set,
     first_return_time,
     pair_correlation_measure,
     recurrence_start,
@@ -36,8 +35,6 @@ WIDTHS = FullBranchMap.from_widths([F(1, 2), F(1, 4), F(1, 4)])
 def test_threshold_neglog_closed_form():
     obs = Observable(center=F(1, 3))
     sched = threshold_for(obs, 1000, 1)
-    assert sched.u == pytest.approx(math.log(2000))
-    assert sched.p == F(1, 1000)
     assert sched.radius == F(1, 2000)
     assert sched.exceedance.measure() * 1000 == 1
 
@@ -50,24 +47,6 @@ def test_threshold_preconditions():
         threshold_for(obs, 10, 12)
     sched = threshold_for(obs, 100, 2)
     assert sched.exceedance.measure() == F(1, 50)
-
-
-def test_exceedance_power_profile():
-    obs = Observable(center=F(1, 2), profile="power", beta=1.0, cap=1.0)
-    U = exceedance_set(obs, 0.9)
-    assert U.measure() == pytest.approx(0.2)
-    with pytest.raises(ValueError):
-        exceedance_set(obs, 1.5)
-
-
-def test_exceedance_level_monotone_shrinkage():
-    obs = Observable(center=F(1, 3))
-    prev = None
-    for u in (2.0, 3.0, 5.0, 8.0):
-        meas = float(exceedance_set(obs, u).measure())
-        if prev is not None:
-            assert meas < prev
-        prev = meas
 
 
 # -- annuli and the extremal index ------------------------------------------
@@ -139,7 +118,7 @@ def test_survivor_membership_matches_orbit_max():
     for _ in range(10000):
         x = F(rnd.randrange(1, 99991), 99991)
         exceeded = any(sched.exceedance.contains(y)
-                       for y in DOUBLING.orbit(x, n, boundary="right"))
+                       for y in DOUBLING.orbit(x, n))
         assert W.contains(x) == (not exceeded)
 
 
@@ -153,7 +132,7 @@ def test_exact_evl_small_cases():
     grid_hits = sum(
         1 for i in range(10 ** 5)
         if not U.contains(F(i, 10 ** 5))
-        and not U.contains(DOUBLING.apply(F(i, 10 ** 5), boundary="right")))
+        and not U.contains(DOUBLING.apply(F(i, 10 ** 5))))
     assert abs(float(exact_evl_prob(DOUBLING, U, 2)) - grid_hits / 10 ** 5) < 1e-4
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extremap.errors import RadiusRangeError
-from extremap.intervals import IntervalUnion, as_exact, ball, circle_distance
+from extremap.intervals import IntervalUnion, as_exact, ball
 
 
 def rational(max_den=64):
@@ -148,8 +148,3 @@ def test_ops_commute_with_membership(a, b):
 def test_double_complement_identity():
     s = IntervalUnion([(F(1, 7), F(2, 7)), (F(3, 7), F(5, 7))])
     assert s.complement().complement() == s
-
-
-def test_circle_distance():
-    assert circle_distance(F(1, 10), F(9, 10)) == F(1, 5)
-    assert circle_distance(0.25, 0.75) == 0.5

@@ -5,11 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from extremap.errors import (
-    BoundaryPointError,
-    CapExceededError,
-    ComponentBudgetError,
-)
+from extremap.errors import CapExceededError, ComponentBudgetError
 from extremap.intervals import IntervalUnion, ball
 from extremap.maps import (
     AffineBranch,
@@ -40,10 +36,20 @@ def test_apply_examples():
     assert WIDTHS.apply(F(3, 5)) == F(2, 5)
 
 
-def test_apply_boundary_error_and_resample_convention():
-    with pytest.raises(BoundaryPointError):
-        DOUBLING.apply(F(1, 2))
-    assert DOUBLING.apply(F(1, 2), boundary="right") == 0
+@pytest.mark.parametrize("spec", [
+    "doubling", "widths:1/2,1/4,1/4",
+    '[{"lo": 0, "hi": "1/2", "slope": 2, "intercept": 0},'
+    ' {"lo": "1/2", "hi": "3/4", "slope": -4, "intercept": 3},'
+    ' {"lo": "3/4", "hi": 1, "slope": 4, "intercept": -3}]',
+], ids=["doubling", "widths", "decreasing"])
+def test_inner_branch_boundary_belongs_to_the_right_branch(spec):
+    # half-open domains [lo, hi): the point lo of branch i is in branch i,
+    # and a decreasing branch's value 1 there is 0 on the circle
+    m = FullBranchMap.from_spec(spec)
+    for i, br in enumerate(m.branches[1:], start=1):
+        assert m.branch_index(br.lo) == i
+        assert m.apply(br.lo) == br.value(br.lo) % 1
+        assert m.derivative_at(br.lo) == br.slope
 
 
 def test_preimage_examples():
@@ -123,7 +129,7 @@ def test_periodic_point_count_and_fixedness(m, n):
     for p in pts[:: max(1, len(pts) // 20)]:
         x = p.point
         for _ in range(n):
-            x = m.apply(x, boundary="right")
+            x = m.apply(x)
         assert x == p.point
 
 

@@ -45,10 +45,10 @@ def test_uniform_orbits_coding(d):
     for lane in range(states.shape[1]):
         xs = [F(int(s), m) for s in states[:, lane]]
         for k in range(len(xs) - 1):
-            digit = (xs[k + 1] - f.apply(xs[k], boundary="right")) * m
+            digit = (xs[k + 1] - f.apply(xs[k])) * m
             assert digit.denominator == 1 and 0 <= digit < d
             if k + W < len(xs):
-                assert f.branch_index(xs[k + W], boundary="right") == digit
+                assert f.branch_index(xs[k + W]) == digit
 
 
 def test_uniform_orbits_fair_digits():
@@ -78,8 +78,7 @@ def test_position_blocks_coding_across_step_block():
     assert pos.shape == (horizon, 2000)
     for lane in range(20):
         for k in range(horizon - 1):
-            gap = abs(WIDTHS.apply(pos[k, lane], boundary="right")
-                      - pos[k + 1, lane])
+            gap = abs(WIDTHS.apply(pos[k, lane]) - pos[k + 1, lane])
             assert min(gap, 1 - gap) < 1e-9
     digits = np.searchsorted([0.5, 0.75], pos, side="right")
     for i, w in enumerate((0.5, 0.25, 0.25)):
@@ -334,8 +333,7 @@ def test_escape_rate_against_oracle():
     eps = F(1, 25)
     hole = ball(F(0), eps)
     rate = mc.ulam_escape_oracle(DOUBLING, hole, mc.aligned_bins(DOUBLING, hole))
-    fit = mc.estimate_escape_rate(DOUBLING, F(0), eps, trials=300000, seed=7,
-                                  theta_hint=0.5)
+    fit = mc.estimate_escape_rate(DOUBLING, F(0), eps, trials=300000, seed=7)
     assert abs(fit.slope - rate) / rate < 0.08
     assert fit.window[0] == math.ceil(5 / (0.5 * float(hole.measure())))
 
