@@ -77,6 +77,13 @@ def parse_point(s) -> Fraction:
         return Fraction(float(s))
 
 
+def _parse_switch(s) -> bool:
+    """A config-file switch: exactly "true" or "false"."""
+    if s in ("true", "false"):
+        return s == "true"
+    raise argparse.ArgumentTypeError(f"{s!r} is not true or false")
+
+
 def parse_grid(s, item=parse_point):
     return [item(part) for part in str(s).split(",") if part.strip()]
 
@@ -161,6 +168,7 @@ _CONFIG_CONVERTERS = {
     "trials": parse_count, "seed": parse_count, "workers": int, "bins": int,
     "q": int, "prop_configs": int, "n_max": int, "budget": parse_count,
     "theta": float, "decay_c0": float, "decay_lam": float,
+    "dump_ulam": _parse_switch,
 }
 
 
@@ -288,7 +296,7 @@ def cmd_hts(args) -> int:
 
 
 def cmd_escape(args) -> int:
-    _defaults(args, map="doubling", workers=1, trials=100000)
+    _defaults(args, map="doubling", workers=1, trials=100000, dump_ulam=False)
     map_ = FullBranchMap.from_spec(args.map)
     _require(args, "zeta", "eps")
     _require_seed(args)
@@ -458,10 +466,10 @@ def cmd_check(args) -> int:
         q_i = rng.randrange(0, 4)
         n_i = rng.randrange(q_i + 2, 13)
         B = ball(zeta_i, eps)
-        A = annulus_set(map_, B, q_i)
-        lhs = abs(survivor_set(map_, B, n_i).measure()
-                  - survivor_set(map_, A, n_i).measure())
-        rhs = annuli_gap_bound(map_, B, A, q_i, n_i)
+        A = annulus_set(map_, B, q_i, budget=args.budget)
+        lhs = abs(survivor_set(map_, B, n_i, budget=args.budget).measure()
+                  - survivor_set(map_, A, n_i, budget=args.budget).measure())
+        rhs = annuli_gap_bound(map_, B, A, q_i, n_i, budget=args.budget)
         ok = lhs <= rhs
         violated = violated or not ok
         rows.append({"kind": "proposition", "scale": n_i, "zeta": str(zeta_i),
@@ -532,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", default=None)
     p.add_argument("--bins", type=int, default=None,
                    help="Ulam bins (default: smallest aligned count)")
-    p.add_argument("--dump-ulam", action="store_true",
+    p.add_argument("--dump-ulam", action="store_true", default=None,
                    help="also write the Ulam matrix as ulam.csv")
     p.set_defaults(func=cmd_escape)
 

@@ -4,7 +4,8 @@ An exceedance event is a ball: a center and a radius.  Everything here
 works on exact ``IntervalUnion`` values, so the exceedance ball U_n, the
 annulus A(q) obtained by removing the first q dynamical preimages, the
 survivor sets of finite windows, and the short-range recurrence sums
-are all computed with zero tolerance.
+are all computed with zero tolerance.  On uniform maps the recurrence
+sums have a closed form in the integer endpoint numerators of the set.
 
 The time conventions follow the max/hitting duality: the survivor set
 of length ell is the set of points whose orbit avoids B at times
@@ -16,6 +17,7 @@ of length ell is the set of points whose orbit avoids B at times
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -222,37 +224,36 @@ def recurrence_start(map_: FullBranchMap, A: IntervalUnion, ell: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _window_overlap(lo: Fraction, hi: Fraction, c: Fraction, e: Fraction) -> Fraction:
-    """measure of ([c, e) + Z) intersect [lo, hi) for 0 <= c < e <= 1."""
-
-    def cum(y: Fraction) -> Fraction:
-        k = math.floor(y)
-        frac = y - k
-        return (e - c) * k + min(max(frac - c, Fraction(0)), e - c)
-
-    return cum(hi) - cum(lo)
-
-
 def pair_correlation_measure(map_: FullBranchMap, A: IntervalUnion, j: int,
                              budget: int = DEFAULT_BUDGET) -> Fraction:
     """Exact measure(A intersect f^(-j)(A)).
 
     For uniform maps (x -> d*x mod 1) the j-fold composition is globally
-    x -> d^j x mod 1, so the measure reduces to counting translates of A
-    inside a magnified window; this closed form has no component blowup
-    and stays exact for arbitrarily large j.  Other affine maps fall
-    back to budgeted iterated preimages.
+    x -> D*x mod 1 with D = d^j, so the measure is (1/D) times the
+    integral of the periodized indicator of A over the magnified set D*A.
+    On A's integer ends e over q that integral is a signed sum over the
+    ends of divmod(D*e, q): whole turns count A's full measure and the
+    remainder a prefix of A's components.  The closed form has no
+    component blowup and stays exact for arbitrarily large j.  Other
+    affine maps fall back to budgeted iterated preimages.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
     if map_.is_uniform:
         D = map_.d ** j
-        total = Fraction(0)
-        for lo, hi in A.components:
-            wlo, whi = lo * D, hi * D
-            for c, e in A.components:
-                total += _window_overlap(wlo, whi, c, e)
-        return total / D
+        e, q = A.ends, A.denominator
+        prefix = [0]  # prefix[m]: measure * q of the first m components
+        for k in range(0, len(e), 2):
+            prefix.append(prefix[-1] + e[k + 1] - e[k])
+        total = 0
+        for k, y in enumerate(e):
+            turns, r = divmod(D * y, q)
+            i = bisect_right(e, r)
+            cum = turns * prefix[-1] + prefix[i // 2]
+            if i % 2:
+                cum += r - e[i - 1]
+            total += cum if k % 2 else -cum
+        return Fraction(total, q * D)
     P = map_.preimage_iter(A, j, budget=budget)
     return A.intersect(P).measure()
 

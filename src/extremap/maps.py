@@ -3,7 +3,10 @@
 A ``FullBranchMap`` is a finite collection of branches whose domains
 tile [0, 1) and which each map their domain bijectively onto [0, 1).
 Affine branches carry exact rational data, which keeps preimages,
-periodic points and annulus constructions exactly computable; smooth
+periodic points and annulus constructions exactly computable.  An
+affine map puts its branch data over common denominators once, at
+construction, so ``preimage`` and ``image`` act on the integer
+numerators of an ``IntervalUnion`` with integer arithmetic; smooth
 branches (monotone callables) are supported for pointwise evaluation
 and Ulam discretization only.  Pointwise evaluation uses the half-open
 domains [lo, hi), so a point on an inner branch boundary belongs to the
@@ -123,6 +126,12 @@ class FullBranchMap:
         self.branches = branches
         self.name = name or f"{len(branches)}-branch"
         self._los = [b.lo for b in branches]
+        self._affine = all(isinstance(b, AffineBranch) for b in branches)
+        self._uniform = self._affine and all(
+            b.width == branches[0].width and b.slope > 0 for b in branches)
+        if self._affine:
+            self._pullback = _pullback_data(branches)
+            self._pushforward = _pushforward_data(branches)
 
     # -- structure ---------------------------------------------------------
 
@@ -132,15 +141,12 @@ class FullBranchMap:
 
     @property
     def is_affine(self) -> bool:
-        return all(isinstance(b, AffineBranch) for b in self.branches)
+        return self._affine
 
     @property
     def is_uniform(self) -> bool:
         """True for x -> d*x mod 1 (equal widths, increasing branches)."""
-        if not self.is_affine:
-            return False
-        w = self.branches[0].width
-        return all(b.width == w and b.slope > 0 for b in self.branches)
+        return self._uniform
 
     @property
     def widths(self):
@@ -256,35 +262,50 @@ class FullBranchMap:
             raise ValueError(f"{what} requires an affine map")
 
     def preimage(self, S: IntervalUnion) -> IntervalUnion:
-        """Full preimage f^(-1)(S), exact."""
+        """Full preimage f^(-1)(S), exact.
+
+        On branch b, y = e/q pulls back to (R_b*e + T_b*q) / (M*q) (see
+        ``_pullback_data``).  The pieces of each branch lie inside its
+        domain and the domains are in order, so the blocks concatenate
+        sorted and merge only where one block ends at the next one's start.
+        """
         self._require_affine("preimage")
+        e, q = S.ends, S.denominator
+        M, coeffs = self._pullback
         out = []
-        for br in self.branches:
-            for lo, hi in S.components:
-                a, b = br.inverse(lo), br.inverse(hi)
-                if a > b:
-                    a, b = b, a
-                a = max(a, br.lo)
-                b = min(b, br.hi)
-                if a < b:
-                    out.append((a, b))
-        return IntervalUnion._wrap(out)
+        for R, T in coeffs:
+            shift = T * q
+            block = [R * y + shift for y in e]
+            if R < 0:
+                block.reverse()
+            if out and block and out[-1] == block[0]:
+                del out[-1], block[0]
+            out += block
+        return IntervalUnion._from_ends(out, M * q)
 
     def image(self, S: IntervalUnion) -> IntervalUnion:
-        """Forward image f(S), exact."""
+        """Forward image f(S), exact.
+
+        The ends of S are put over q*K, so that every branch domain
+        [LO_b, HI_b) / K has integer ends there, and a piece x of branch b
+        maps to (A_b*x + C_b*q*K) / (Q*q*K) (see ``_pushforward_data``).
+        Images of different branches overlap, so they are merged.
+        """
         self._require_affine("image")
-        out = []
-        for br in self.branches:
-            for lo, hi in S.components:
-                a = max(lo, br.lo)
-                b = min(hi, br.hi)
-                if a >= b:
-                    continue
-                u, v = br.value(a), br.value(b)
-                if u > v:
-                    u, v = v, u
-                out.append((u, v))
-        return IntervalUnion._wrap(out)
+        e, q = S.ends, S.denominator
+        K, Q, coeffs = self._pushforward
+        if K != 1:
+            e = [y * K for y in e]
+        pairs = []
+        for LO, HI, A, C in coeffs:
+            lo, hi, shift = LO * q, HI * q, C * q * K
+            for k in range(0, len(e), 2):
+                a = e[k] if e[k] > lo else lo
+                b = e[k + 1] if e[k + 1] < hi else hi
+                if a < b:
+                    u, v = A * a + shift, A * b + shift
+                    pairs.append((u, v) if u < v else (v, u))
+        return IntervalUnion._from_pairs(pairs, Q * q * K)
 
     def preimage_iter(self, S: IntervalUnion, j: int,
                       budget: int = 10 ** 6) -> IntervalUnion:
@@ -312,6 +333,28 @@ class FullBranchMap:
         if len(P) > budget:
             raise ComponentBudgetError(message)
         return P
+
+
+def _pullback_data(branches):
+    """(M, ((R_b, T_b), ...)) with x = (R_b*y + T_b) / M the inverse of
+    branch b: M is the least common denominator of every 1/slope and
+    intercept/slope, so each R_b = M/slope_b and T_b = -M*intercept_b/slope_b
+    is an integer."""
+    inverses = [(1 / br.slope, -br.intercept / br.slope) for br in branches]
+    M = math.lcm(*(c.denominator for inv in inverses for c in inv))
+    return M, tuple((int(r * M), int(t * M)) for r, t in inverses)
+
+
+def _pushforward_data(branches):
+    """(K, Q, ((LO_b, HI_b, A_b, C_b), ...)) with the domain of branch b
+    equal to [LO_b, HI_b) / K and y = (A_b*x + C_b) / Q on it: K is the
+    least common denominator of the branch ends, Q that of the slopes
+    and intercepts."""
+    K = math.lcm(*(c.denominator for br in branches for c in (br.lo, br.hi)))
+    Q = math.lcm(*(c.denominator for br in branches
+                   for c in (br.slope, br.intercept)))
+    return K, Q, tuple((int(br.lo * K), int(br.hi * K), int(br.slope * Q),
+                        int(br.intercept * Q)) for br in branches)
 
 
 # ---------------------------------------------------------------------------

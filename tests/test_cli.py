@@ -229,6 +229,36 @@ def test_escape_dump_ulam(tmp_path):
     assert sum(float(v) for v in rows[0].split(",")) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("line, written", [
+    ("dump_ulam = true", True), ("dump_ulam = false", False)])
+def test_escape_reads_dump_ulam_from_config_file(tmp_path, line, written):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n")
+    rc = main(["escape", "--config", str(cfg), "--zeta", "0", "--eps", "1/25",
+               "--trials", "1e5", "--seed", "7", "--out", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / "ulam.csv").exists() == written
+
+
+def test_escape_dump_ulam_config_value_must_be_true_or_false(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dump_ulam = yes\n")
+    rc = main(["escape", "--config", str(cfg), "--zeta", "0", "--eps", "1/25",
+               "--trials", "1e5", "--seed", "7", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "'dump_ulam'" in capsys.readouterr().err
+    assert not (tmp_path / "escape.json").exists()
+
+
+def test_check_budget_bounds_the_proposition_rows(tmp_path):
+    # the recurrence sums of doubling have a closed form and pass a budget
+    # of 5; the survivor sets of the proposition rows do not
+    rc = main(["check", "--zeta", "1/3", "--q", "2", "--seed", "5", "--n", "16",
+               "--budget", "5", "--out", str(tmp_path)])
+    assert rc == 3
+    assert not (tmp_path / "check.json").exists()
+
+
 def test_check_violation_exits_one(tmp_path, monkeypatch):
     # fault injection: force the domination bound below the true gap
     import extremap.cli as cli_mod

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extremap.errors import InfeasibleError, PeriodUndecidedError
 from extremap.intervals import IntervalUnion, ball
@@ -164,6 +165,29 @@ def test_exact_hts_prob_is_preimage_measure(map_):
             assert exact_hts_prob(map_, B, t) == map_.preimage(W).measure()
 
 
+# computed with Fraction endpoints throughout, before sets were stored
+# over a common integer denominator
+GOLDEN = [
+    ("doubling", "1/3", F(351, 1024), F(1471, 2560)),
+    ("doubling", "0", F(63, 128), F(2841, 4096)),
+    ("doubling", "2/7", F(351, 1024), F(4321, 8192)),
+    ("tripling", "1/3", F(628, 2187), F(1352983, 2657205)),
+    ("tripling", "0", F(7195, 17496), F(2234563, 3542940)),
+    ("tripling", "2/7", F(36031, 122472), F(1820129, 3542940)),
+    ("widths:1/2,1/4,1/4", "1/3", F(1189, 4096), F(10676557, 20971520)),
+    ("widths:1/2,1/4,1/4", "0", F(114275, 262144), F(6767729, 10485760)),
+    ("widths:1/2,1/4,1/4", "2/7", F(4525, 16384), F(714289, 1310720)),
+]
+
+
+@pytest.mark.parametrize("spec, center, evl, hts", GOLDEN)
+def test_exact_probabilities_golden(spec, center, evl, hts):
+    m = FullBranchMap.from_spec(spec)
+    U = threshold_for(Observable(F(center)), 8, 1).exceedance
+    assert exact_evl_prob(m, U, 8) == evl
+    assert exact_hts_prob(m, ball(F(center), F(1, 40)), 12) == hts
+
+
 def test_stationarity_exact():
     S = IntervalUnion([(F(3, 7), F(4, 7))])
     P = S
@@ -213,6 +237,17 @@ def test_pair_correlation_matches_preimage_path():
     for j in (1, 3, 5, 8):
         slow = B.intersect(TRIPLING.preimage_iter(B, j)).measure()
         assert pair_correlation_measure(TRIPLING, B, j) == slow
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 4),
+       st.lists(st.integers(0, 90), min_size=2, max_size=8, unique=True))
+def test_pair_correlation_closed_form_on_random_sets(d, j, ends):
+    m = FullBranchMap.uniform(d)
+    ends = sorted(ends)[:len(ends) // 2 * 2]
+    A = IntervalUnion([(F(a, 90), F(b, 90)) for a, b in zip(ends[::2], ends[1::2])])
+    slow = A.intersect(m.preimage_iter(A, j)).measure()
+    assert pair_correlation_measure(m, A, j) == slow
 
 
 def test_dprime_sum_examples():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from extremap.errors import RadiusRangeError
 from extremap.intervals import IntervalUnion, as_exact, ball
+from extremap.maps import FullBranchMap
 
 
 def rational(max_den=64):
@@ -67,6 +68,33 @@ def test_complement_examples():
 def test_measure_examples():
     assert IntervalUnion([(F(2, 10), F(3, 10))]).measure() == F(1, 10)
     assert IntervalUnion.empty().measure() == 0
+
+
+def test_equal_sets_from_different_routes_have_equal_storage():
+    half = IntervalUnion([(0, F(1, 2))])
+    doubling = FullBranchMap.doubling()
+    widths = FullBranchMap.from_widths([F(1, 2), F(1, 4), F(1, 4)])
+    routes = [
+        IntervalUnion([(0, F(1, 4))]).union(IntervalUnion([(F(1, 4), F(1, 2))])),
+        IntervalUnion([(0, F(3, 4))]).intersect(
+            IntervalUnion([(0, F(1, 2)), (F(7, 8), 1)])),
+        IntervalUnion([(F(1, 2), 1)]).complement(),
+        doubling.image(IntervalUnion([(0, F(1, 4))])),
+        FullBranchMap.tripling().image(IntervalUnion([(0, F(1, 6))])),
+    ]
+    for s in routes:
+        assert s == half and hash(s) == hash(half)
+        assert (s.ends, s.denominator) == ((0, 1), 2)
+    # a preimage whose pieces merge at the branch boundaries, and one
+    # over a denominator with a common factor
+    full = IntervalUnion.full()
+    assert widths.preimage(full) == full and hash(widths.preimage(full)) == hash(full)
+    quarters = doubling.preimage_iter(half, 2)
+    direct = IntervalUnion([(0, F(1, 8)), (F(1, 4), F(3, 8)),
+                            (F(1, 2), F(5, 8)), (F(3, 4), F(7, 8))])
+    assert quarters == direct and hash(quarters) == hash(direct)
+    assert quarters.denominator == 8
+    assert IntervalUnion([(F(2, 6), F(4, 6))]).denominator == 3
 
 
 def test_ball_examples():

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extremap.errors import CapExceededError, ComponentBudgetError
 from extremap.intervals import IntervalUnion, ball
@@ -106,6 +107,45 @@ def test_image_examples():
     for x in [F(i, 997) for i in range(0, 997, 11)]:
         if s.contains(x):
             assert back_forth.contains(x)
+
+
+# rational slopes (widths:2/5,3/5) and a decreasing branch, besides the
+# integer-slope maps
+MEMBERSHIP_MAPS = [
+    DOUBLING, TRIPLING, WIDTHS, FullBranchMap.from_spec("widths:2/5,3/5"),
+    FullBranchMap.from_spec(
+        '[{"lo": 0, "hi": "1/2", "slope": 2, "intercept": 0},'
+        ' {"lo": "1/2", "hi": "3/4", "slope": -4, "intercept": 3},'
+        ' {"lo": "3/4", "hi": 1, "slope": 4, "intercept": -3}]'),
+]
+# no end of the sets below, of their preimages or of their images has
+# the prime 1009 in its denominator, so no grid point is an end
+GRID = [F(i, 1009) for i in range(1, 1009, 3)]
+
+
+@st.composite
+def grid_unions(draw):
+    k = draw(st.integers(0, 4))
+    ends = sorted(draw(st.lists(st.integers(0, 120), min_size=2 * k,
+                                max_size=2 * k, unique=True)))
+    return IntervalUnion([(F(a, 120), F(b, 120))
+                          for a, b in zip(ends[::2], ends[1::2])])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MEMBERSHIP_MAPS), grid_unions())
+def test_preimage_and_image_match_pointwise_dynamics(m, s):
+    pre, img = m.preimage(s), m.image(s)
+    # stored in canonical form, inside [0, 1]
+    assert IntervalUnion(pre.components) == pre
+    assert IntervalUnion(img.components) == img
+    for x in GRID:
+        assert pre.contains(x) == s.contains(m.apply(x))
+        # y is in f(S) iff one of its d branch preimages is in S
+        assert img.contains(x) == any(s.contains(br.inverse(x))
+                                      for br in m.branches)
+        if s.contains(x):
+            assert img.contains(m.apply(x))
 
 
 def test_periodic_points_doubling_period1():
