@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -64,6 +65,14 @@ def parse_count(s) -> int:
     if not v.is_integer() or v < 0:
         raise argparse.ArgumentTypeError(f"{s!r} is not a nonnegative integer")
     return int(v)
+
+
+def parse_workers(s) -> int:
+    """Worker process count, at least 1."""
+    v = int(s)
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"{s!r} is not a positive integer")
+    return v
 
 
 def parse_point(s) -> Fraction:
@@ -150,7 +159,9 @@ def _add_common(p, stochastic=False, budget=False, decay=False):
     p.add_argument("--out", default=None,
                    help="output directory (default $EXTREMAP_OUT or '.')")
     if stochastic:
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--workers", type=parse_workers, default=None,
+                       help="worker processes for the Monte Carlo chunks "
+                            "(default 1; at most one per chunk and per CPU)")
         p.add_argument("--trials", type=parse_count, default=None,
                        help="trial count (default 1e5)")
         p.add_argument("--seed", type=parse_count, default=None)
@@ -165,7 +176,7 @@ def _add_common(p, stochastic=False, budget=False, decay=False):
 
 
 _CONFIG_CONVERTERS = {
-    "trials": parse_count, "seed": parse_count, "workers": int, "bins": int,
+    "trials": parse_count, "seed": parse_count, "workers": parse_workers, "bins": int,
     "q": int, "prop_configs": int, "n_max": int, "budget": parse_count,
     "theta": float, "decay_c0": float, "decay_lam": float,
     "dump_ulam": _parse_switch,
@@ -512,7 +523,9 @@ def cmd_pressure(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``extremap`` parser, built once per process; do not modify it."""
     parser = argparse.ArgumentParser(
         prog="extremap",
         description="Rare-event laws for full-branch expanding interval maps")

@@ -24,6 +24,21 @@ left; a shorter draw is a prefix of the longer one's stream, so every
 estimate is the same as with full blocks.  Horner digits are counted
 against the inner branch breakpoints.
 
+The first-entry kernels retire the lanes that have entered the hole.
+Each step (each block, for Horner) adds its new entries to the
+histogram, and once the live lanes are half of those being stepped the
+entered ones are dropped, so a chunk compacts about log2(CHUNK) times.
+Digits are still drawn for every lane of the chunk, in the same order,
+and the live lanes take their own columns, so each lane sees the stream
+it would have seen and the histograms do not change.  The EVL kernels
+step every lane: at tau*theta <= 1 most lanes stay undecided up to the
+last checkpoint.
+
+With workers > 1 the chunks run on one process pool, built on first
+use and kept for the life of the process.  A call uses at most one
+worker per chunk and per CPU; at one it runs in-process.  The pool is
+rebuilt only to grow, or after a worker has died.
+
 An event enters the estimators as the center of its observable and the
 exact radius of its threshold ball.  The numerical settings are module
 constants: the chunk size, the digit block and Horner depth, the 95%
@@ -34,7 +49,9 @@ minimum bin count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
@@ -76,11 +93,46 @@ def _rng(seed: int, index: int) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
+def _pool_size(workers: int, tasks: int) -> int:
+    """Worker processes for ``tasks`` chunks: at most one per chunk and
+    per CPU, and 1 (run in-process) when there is nothing to share."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1 (got {workers})")
+    return max(1, min(workers, tasks, os.cpu_count() or 1))
+
+
+# the process's worker pool and its size: built on first use, then kept
+_pool: Optional[ProcessPoolExecutor] = None
+_pool_workers = 0
+
+
+def _shared_pool(workers: int) -> ProcessPoolExecutor:
+    """The process's pool, rebuilt only when a call needs more workers."""
+    global _pool, _pool_workers
+    if _pool is None or _pool_workers < workers:
+        _drop_pool()
+        _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
+    return _pool
+
+
+def _drop_pool():
+    global _pool, _pool_workers
+    if _pool is not None:
+        _pool.shutdown(wait=True)
+    _pool, _pool_workers = None, 0
+
+
 def _map_tasks(fn, args_list, workers: int):
-    if workers <= 1:
+    workers = _pool_size(workers, len(args_list))
+    if workers == 1:
         return [fn(*args) for args in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*args_list)))
+    try:
+        return list(_shared_pool(workers).map(fn, *zip(*args_list)))
+    except BrokenProcessPool:
+        # a worker died; the chunks are pure functions of their
+        # arguments, so they run again on a fresh pool
+        _drop_pool()
+        return list(_shared_pool(workers).map(fn, *zip(*args_list)))
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +162,17 @@ class _UniformOrbits:
     circle distance to the target in window units (int64 view trick for
     the d = 2 full-width case).  ``steps`` is the number of steps the
     chunk will take: the d >= 3 digit blocks are drawn no longer than
-    that.
+    that.  ``keep(mask)`` stops stepping the other lanes; digits are
+    still drawn for all ``count`` lanes of the chunk, and the kept
+    lanes take their own columns, so each sees the stream it would
+    have seen.
     """
 
     def __init__(self, d: int, m: int, zeta_int: int, count: int,
                  rng: np.random.Generator, steps: int):
         self.d, self.count, self.rng = d, count, rng
         self.native = d == 2
+        self._cols = None  # chunk lanes still stepped; None while all are
         self._t1 = np.empty(count, dtype=np.uint64)
         if self.native:
             self.Z = np.uint64(zeta_int % (1 << 64))
@@ -140,11 +196,26 @@ class _UniformOrbits:
             self._row = 0
             self._steps_left = steps
 
+    def keep(self, mask: np.ndarray):
+        """Step only the lanes where ``mask`` (over the stepped lanes) is true."""
+        self._cols = np.flatnonzero(mask) if self._cols is None else self._cols[mask]
+        self.state = self.state[mask]
+        self._t1 = np.empty(len(self.state), dtype=np.uint64)
+        if self.native:
+            self._buf = self._buf[mask]
+        else:
+            self._block = self._block[self._row:, mask]
+            self._row = 0
+
+    def _lanes(self, drawn: np.ndarray) -> np.ndarray:
+        """The stepped lanes' columns of a full-width draw."""
+        return drawn if self._cols is None else drawn[..., self._cols]
+
     def step(self):
         if self.native:
             if self._bits_left == 0:
-                self._buf = self.rng.integers(0, 2 ** 64, size=self.count,
-                                              dtype=np.uint64)
+                self._buf = self._lanes(self.rng.integers(
+                    0, 2 ** 64, size=self.count, dtype=np.uint64))
                 self._bits_left = 64
             np.right_shift(self._buf, self._s63, out=self._t1)
             np.left_shift(self._buf, self._one, out=self._buf)
@@ -155,9 +226,8 @@ class _UniformOrbits:
             if self._row == len(self._block):
                 # a shorter draw is a prefix of the full block's stream
                 rows = min(STEP_BLOCK, self._steps_left)
-                self._block = self.rng.integers(0, self.d,
-                                                size=(rows, self.count),
-                                                dtype=np.uint8)
+                self._block = self._lanes(self.rng.integers(
+                    0, self.d, size=(rows, self.count), dtype=np.uint8))
                 self._row = 0
             # (state * d + dig) mod m = state * d + dig - lead * m, where
             # lead = state // (m / d) is the digit shifted out; all
@@ -212,16 +282,31 @@ def _entry_chunk_uniform(map_: FullBranchMap, zeta: Fraction, radius: Fraction,
     orb = _UniformOrbits(map_.d, m, _scaled(zeta, m), count, _rng(seed, index),
                          steps=horizon)
     rint = np.uint64(_scaled(radius, m))
-    entry = np.zeros(count, dtype=np.int64)
+    hist = np.zeros(horizon + 1, dtype=np.int64)
+    alive = np.ones(count, dtype=bool)  # over the stepped lanes
+    live = count
     scratch = np.empty(count, dtype=np.uint64)
+    hit = np.empty(count, dtype=bool)
     for j in range(1, horizon + 1):
         orb.step()
-        hit = orb.dist(out=scratch) < rint
-        np.logical_and(hit, entry == 0, out=hit)
-        entry[hit] = j
-        if j % 256 == 0 and not (entry == 0).any():
+        np.less(orb.dist(out=scratch), rint, out=hit)
+        np.logical_and(hit, alive, out=hit)
+        entered = int(np.count_nonzero(hit))
+        if not entered:
+            continue
+        hist[j] = entered
+        live -= entered
+        if live == 0:
             break
-    return np.bincount(entry, minlength=horizon + 1)
+        np.logical_xor(alive, hit, out=alive)
+        # retire the entered lanes once they are half of those stepped
+        if 2 * live <= len(alive):
+            orb.keep(alive)
+            alive, scratch, hit = (np.ones(live, dtype=bool),
+                                   np.empty(live, dtype=np.uint64),
+                                   np.empty(live, dtype=bool))
+    hist[0] = live
+    return hist
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +316,13 @@ def _entry_chunk_uniform(map_: FullBranchMap, zeta: Fraction, radius: Fraction,
 
 def _position_blocks(map_: FullBranchMap, horizon: int, count: int,
                      rng: np.random.Generator):
-    """Yield (k0, positions) blocks of the symbolic orbits of a chunk."""
+    """Yield (k0, positions) blocks of the symbolic orbits of a chunk.
+
+    ``send(mask)`` after a block keeps only the lanes where ``mask``
+    (over that block's lanes) is true.  Later digits are still drawn for
+    all ``count`` lanes and the kept lanes take their own columns, so
+    each sees the stream it would have seen.
+    """
     D = HORNER_DEPTH
     los = np.array([float(b.lo) for b in map_.branches])
     ws = np.array([float(b.width) for b in map_.branches])
@@ -240,10 +331,13 @@ def _position_blocks(map_: FullBranchMap, horizon: int, count: int,
     # compared, so digits stay below d
     inner = np.cumsum([float(w) for w in map_.widths])[:-1]
     digit_type = np.min_scalar_type(map_.d - 1)
+    cols = None  # chunk lanes still reconstructed; None while all are
 
     def draw(rows):
         u = rng.random((rows, count))
-        dig = np.zeros((rows, count), dtype=digit_type)
+        if cols is not None:
+            u = u[:, cols]
+        dig = np.zeros(u.shape, dtype=digit_type)
         for c in inner:
             np.add(dig, u >= c, out=dig)
         return dig
@@ -253,16 +347,21 @@ def _position_blocks(map_: FullBranchMap, horizon: int, count: int,
     while k0 < horizon:
         B = min(STEP_BLOCK, horizon - k0)
         digits = np.concatenate([carry, draw(B)], axis=0)
-        pos = np.empty((B, count))
-        y = np.full(count, 0.5)
+        lanes = digits.shape[1]
+        pos = np.empty((B, lanes))
+        y = np.full(lanes, 0.5)
         for r in range(B + D - 1, -1, -1):
             row = digits[r].astype(np.intp)  # intp indexes fastest
             out = pos[r] if r < B else y
             np.multiply(ws[row], y, out=out)
             np.add(los[row], out, out=out)
             y = out
-        yield k0, pos
+        mask = yield k0, pos
         carry = digits[B:]
+        if mask is not None:
+            cols = np.flatnonzero(mask) if cols is None else cols[mask]
+            carry = carry[:, mask]
+            yield  # the value of send(); the loop's next() resumes here
         k0 += B
 
 
@@ -301,17 +400,28 @@ def _entry_chunk_horner(map_: FullBranchMap, zeta: Fraction, radius: Fraction,
                         horizon: int, index: int, count: int, seed: int):
     rng = _rng(seed, index)
     zf, rf = float(zeta), float(radius)
-    entry = np.zeros(count, dtype=np.int64)
+    hist = np.zeros(horizon + 1, dtype=np.int64)
+    alive = np.ones(count, dtype=bool)  # over the reconstructed lanes
+    live = count
     # positions include x_0 which hitting times skip, hence horizon+1 rows
-    for k0, pos in _position_blocks(map_, horizon + 1, count, rng):
+    blocks = _position_blocks(map_, horizon + 1, count, rng)
+    for k0, pos in blocks:
         hits = _circle_distance(pos, zf) < rf
         if k0 == 0:
             hits[0] = False
-        new = (entry == 0) & hits.any(axis=0)
-        entry[new] = k0 + hits.argmax(axis=0)[new]  # the first hit row
-        if not (entry == 0).any():
+        new = alive & hits.any(axis=0)
+        first = hits.argmax(axis=0)[new]  # the first hit row
+        hist[k0:k0 + len(pos)] += np.bincount(first, minlength=len(pos))
+        live -= len(first)
+        if live == 0:
             break
-    return np.bincount(entry, minlength=horizon + 1)[:horizon + 1]
+        np.logical_xor(alive, new, out=alive)
+        # retire the entered lanes once they are half of those stepped
+        if 2 * live <= len(alive):
+            blocks.send(alive)
+            alive = np.ones(live, dtype=bool)
+    hist[0] = live
+    return hist
 
 
 def _dispatch(map_: FullBranchMap, uniform, horner):
@@ -417,10 +527,9 @@ def _entry_histogram(map_: FullBranchMap, zeta, radius, horizon: int,
     kernel = _dispatch(map_, _entry_chunk_uniform, _entry_chunk_horner)
     args = [(map_, as_exact(zeta), radius, horizon, i, c, seed)
             for i, c in _chunks(trials)]
-    hists = _map_tasks(kernel, args, workers)
     out = np.zeros(horizon + 1, dtype=np.int64)
-    for h in hists:
-        out[:len(h)] += h
+    for h in _map_tasks(kernel, args, workers):
+        out += h
     return out
 
 

@@ -1,12 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
-from extremap.cli import main, parse_count, parse_grid, parse_point
+import extremap
+from extremap.cli import build_parser, main, parse_count, parse_grid, parse_point
 from fractions import Fraction as F
 
 
@@ -201,6 +205,67 @@ def test_bad_config_line_is_usage_error(tmp_path, capsys, line, named):
     assert rc == 2
     assert named in capsys.readouterr().err
     assert not (tmp_path / "check.json").exists()
+
+
+@pytest.mark.parametrize("flag, line", [
+    (("--workers", "0"), None), (("--workers", "-1"), None),
+    ((), "workers = 0"),
+])
+def test_workers_below_one_is_usage_error(tmp_path, capsys, flag, line):
+    argv = ["hts", "--zeta", "1/3", "--eps", "1/16", "--seed", "1",
+            "--trials", "100", *flag, "--out", str(tmp_path)]
+    if line is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        argv += ["--config", str(cfg)]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the flag itself
+        rc = exc.code
+    assert rc == 2
+    assert "workers" in capsys.readouterr().err
+    assert not (tmp_path / "hts.json").exists()
+
+
+def _fresh_process(argv):
+    """Run the CLI in a new interpreter."""
+    src = str(Path(extremap.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "extremap.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_main_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
+    # main builds its parser once; a run, a usage error and a run read
+    # from a config file must each come out as in a new interpreter
+    cfg = tmp_path / "hts.cfg"
+    cfg.write_text("zeta = 1/3\neps = 1/16\ntrials = 2000\nseed = 3\n")
+    runs = [
+        ["ei", "--zeta", "1/3", "--eps", "1/100", "--q", "2"],
+        ["hts", "--zeta", "1/3", "--eps", "1/16", "--seed", "1",
+         "--workers", "0"],
+        ["hts", "--config", str(cfg)],
+    ]
+    codes = []
+    for i, argv in enumerate(runs):
+        here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+        try:
+            rc = main(argv + ["--out", str(here)])
+        except SystemExit as exc:
+            rc = exc.code
+        err = capsys.readouterr().err
+        proc = _fresh_process(argv + ["--out", str(fresh)])
+        assert (rc, err) == (proc.returncode, proc.stderr)
+        names = sorted(p.name for p in here.glob("*"))
+        assert names == sorted(p.name for p in fresh.glob("*"))
+        for name in names:
+            assert ((here / name).read_text().replace(str(here), "OUT")
+                    == (fresh / name).read_text().replace(str(fresh), "OUT"))
+        codes.append((rc, names))
+    assert codes == [(0, ["ei.csv", "ei.json"]), (2, []),
+                     (0, ["hts.csv", "hts.json"])]
+    assert build_parser() is build_parser()
 
 
 def test_check_reads_tau_and_budget_from_config_file(tmp_path):

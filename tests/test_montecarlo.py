@@ -1,4 +1,6 @@
 import math
+import os
+import signal
 from fractions import Fraction as F
 
 import numpy as np
@@ -216,6 +218,74 @@ def test_evl_chunk_horner_matches_accumulated_minimum():
     assert counts == [int((runmin[n - 1] >= float(r)).sum()) for n, r in cps]
 
 
+# -- lane retirement: the entry kernels against full-lane references ------
+# (for Horner maps the reference is the row loop above)
+
+
+def _full_lane_entry_uniform(map_, zeta, radius, horizon, index, count, seed):
+    """The uniform first-entry kernel that steps every lane to the horizon."""
+    _, m = mc._uniform_window(map_)
+    orb = mc._UniformOrbits(map_.d, m, mc._scaled(zeta, m), count,
+                            mc._rng(seed, index), steps=horizon)
+    rint = np.uint64(mc._scaled(radius, m))
+    entry = np.zeros(count, dtype=np.int64)
+    scratch = np.empty(count, dtype=np.uint64)
+    for j in range(1, horizon + 1):
+        orb.step()
+        hit = orb.dist(out=scratch) < rint
+        np.logical_and(hit, entry == 0, out=hit)
+        entry[hit] = j
+    return np.bincount(entry, minlength=horizon + 1)
+
+
+ENTRY_MAPS = ["doubling", "tripling", "uniform:5", "widths:1/2,1/4,1/4",
+              "widths:49/50,1/50"]
+SPAN = 3 * mc.STEP_BLOCK + 5  # crosses three digit-block boundaries
+
+
+@pytest.mark.parametrize("spec", ENTRY_MAPS)
+@pytest.mark.parametrize("radius, horizon, count", [
+    (F(1, 4), SPAN, 61),       # every lane enters in block 0
+    (F(1, 20), SPAN, 61),      # several retirements, all lanes enter
+    (F(1, 1000), SPAN, 61),    # about half the lanes are censored
+    (F(1, 200), SPAN, 1000),
+    (F(1, 20), 0, 61),         # nothing to step
+])
+def test_entry_kernels_match_full_lane_reference(spec, radius, horizon, count):
+    # 61 lanes: a retired lane set that shifted the digit or bit stream
+    # of the kept lanes would change their entry times
+    f = FullBranchMap.from_spec(spec)
+    kernel = mc._dispatch(f, mc._entry_chunk_uniform, mc._entry_chunk_horner)
+    reference = mc._dispatch(f, _full_lane_entry_uniform,
+                             _reference_entry_histogram)
+    hist = kernel(f, F(1, 3), radius, horizon, 3, count, 21)
+    ref = reference(f, F(1, 3), radius, horizon, 3, count, 21)
+    assert hist.dtype == ref.dtype and np.array_equal(hist, ref)
+    assert len(hist) == horizon + 1 and hist.sum() == count
+    if radius == F(1, 4):
+        assert hist[0] == 0 and hist[mc.STEP_BLOCK + 1:].sum() == 0
+    if radius == F(1, 1000):
+        assert 0.25 * count < hist[0] < 0.75 * count
+
+
+def test_uniform_orbits_keep_follows_the_full_width_stream():
+    # after keep(), each kept lane steps through the same windows as the
+    # same lane of an orbit set that keeps every lane
+    for d in (2, 3):
+        _, m = mc._uniform_window(FullBranchMap.uniform(d))
+        full = mc._UniformOrbits(d, m, 0, 61, np.random.default_rng(3), 300)
+        kept = mc._UniformOrbits(d, m, 0, 61, np.random.default_rng(3), 300)
+        lanes = np.arange(61)
+        for k in range(300):
+            full.step()
+            kept.step()
+            if k in (10, 70, 130):
+                mask = np.random.default_rng(k).random(len(lanes)) < 0.6
+                kept.keep(mask)
+                lanes = lanes[mask]
+            assert np.array_equal(kept.state, full.state[lanes]), (d, k)
+
+
 def test_wilson_halfwidth_bounds():
     for n in (100, 10000, 100000):
         for s in (0, 1, n // 3, n // 2, n - 1, n):
@@ -281,6 +351,57 @@ def test_evl_worker_invariance():
     b = mc.estimate_evl_grid(DOUBLING, obs, [64], 1, trials=70000, seed=2,
                              workers=2)
     assert a == b
+
+
+def test_pool_size_is_capped_by_chunks_and_cpus():
+    # the count alone: no process is started
+    cpus = os.cpu_count() or 1
+    assert mc._pool_size(100000, 10 ** 6) == cpus
+    assert mc._pool_size(100000, 3) == min(3, cpus)
+    assert mc._pool_size(2, 1) == 1
+    assert mc._pool_size(2, 0) == 1
+    assert mc._pool_size(1, 10 ** 6) == 1
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            mc._pool_size(bad, 4)
+
+
+@pytest.fixture
+def two_cpu_pool(monkeypatch):
+    """A fresh module pool that may use two workers on any machine."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    mc._drop_pool()
+    yield
+    mc._drop_pool()
+
+
+def _hts(workers):
+    # three chunks, so workers = 2 runs on the pool
+    return mc.estimate_hts(TRIPLING, F(1, 3), F(1, 40), [F(1, 2), 1],
+                           trials=70000, seed=9, workers=workers)
+
+
+def test_pool_is_reused_across_calls(two_cpu_pool):
+    serial = _hts(1)
+    assert mc._pool is None
+    assert _hts(2) == serial
+    pool = mc._pool
+    pids = set(pool._processes)
+    assert 1 <= len(pids) <= 2
+    assert _hts(2) == serial
+    assert mc._pool is pool and pids <= set(pool._processes)
+
+
+def test_broken_pool_is_replaced_on_the_next_call(two_cpu_pool):
+    serial = _hts(1)
+    assert _hts(2) == serial
+    pool = mc._pool
+    pid, proc = next(iter(pool._processes.items()))
+    os.kill(pid, signal.SIGKILL)
+    proc.join(timeout=30)
+    assert not proc.is_alive()
+    assert _hts(2) == serial
+    assert mc._pool is not pool and pid not in mc._pool._processes
 
 
 def test_hts_estimates_and_edges():
