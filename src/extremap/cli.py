@@ -67,12 +67,12 @@ def parse_count(s) -> int:
     return int(v)
 
 
-def parse_workers(s) -> int:
-    """Worker process count, at least 1."""
-    v = int(s)
-    if v < 1:
+def parse_positive(s) -> int:
+    """Count of at least 1 (trials, workers), accepting 1e5."""
+    v = float(s)
+    if not v.is_integer() or v < 1:
         raise argparse.ArgumentTypeError(f"{s!r} is not a positive integer")
-    return v
+    return int(v)
 
 
 def parse_point(s) -> Fraction:
@@ -159,10 +159,10 @@ def _add_common(p, stochastic=False, budget=False, decay=False):
     p.add_argument("--out", default=None,
                    help="output directory (default $EXTREMAP_OUT or '.')")
     if stochastic:
-        p.add_argument("--workers", type=parse_workers, default=None,
+        p.add_argument("--workers", type=parse_positive, default=None,
                        help="worker processes for the Monte Carlo chunks "
                             "(default 1; at most one per chunk and per CPU)")
-        p.add_argument("--trials", type=parse_count, default=None,
+        p.add_argument("--trials", type=parse_positive, default=None,
                        help="trial count (default 1e5)")
         p.add_argument("--seed", type=parse_count, default=None)
     if budget:
@@ -176,8 +176,8 @@ def _add_common(p, stochastic=False, budget=False, decay=False):
 
 
 _CONFIG_CONVERTERS = {
-    "trials": parse_count, "seed": parse_count, "workers": parse_workers, "bins": int,
-    "q": int, "prop_configs": int, "n_max": int, "budget": parse_count,
+    "trials": parse_positive, "workers": parse_positive, "seed": parse_count,
+    "bins": int, "q": int, "prop_configs": int, "n_max": int, "budget": parse_count,
     "theta": float, "decay_c0": float, "decay_lam": float,
     "dump_ulam": _parse_switch,
 }

@@ -6,32 +6,38 @@ results in index order, so outputs are bit-for-bit identical no matter
 how many workers execute the chunks.
 
 Initial conditions are Lebesgue-distributed via i.i.d. branch digit
-streams.  For uniform maps (x -> d*x mod 1) an orbit is a sliding
-base-d window held as an unsigned 64-bit integer, so orbits of
-unbounded length never lose digit accuracy; non-uniform affine maps use
-a blockwise backward-Horner reconstruction at fixed digit depth.  These
-two samplers are the library's only orbit simulation: floating-point
-forward iteration of an expanding map collapses onto the dyadic
-rationals after roughly 53 steps, so it is never used.
+streams.  Each map family has one orbit stepper, and the two share one
+interface: ``step()``, ``dist()`` to the target, ``level(radius)`` in
+the stepper's own distance units, and ``keep(mask)``.  For uniform maps
+(x -> d*x mod 1) an orbit is a sliding base-d window held as an
+unsigned 64-bit integer, so orbits of unbounded length never lose digit
+accuracy; non-uniform affine maps use a blockwise backward-Horner
+reconstruction at fixed digit depth.  These two steppers are the
+library's only orbit simulation: floating-point forward iteration of an
+expanding map collapses onto the dyadic rationals after roughly 53
+steps, so it is never used.  Each estimator has one chunk kernel, run
+over whichever stepper the map takes: ``_evl_chunk`` checkpoints the
+running minimum distance, ``_entry_chunk`` records first entry times.
 
-The kernels avoid per-lane division by a variable: the d >= 3 window
-steps as state*d + digit - lead*m, with the leading digit ``lead`` from
-a floor division by the constant m/d (which numpy turns into a multiply
-and shift), and its circle distance folds [0, 2m) into [0, m) with
-wrapping unsigned minima instead of a modulo.  Digit blocks are drawn
-STEP_BLOCK rows at a time but never longer than the steps the chunk has
-left; a shorter draw is a prefix of the longer one's stream, so every
-estimate is the same as with full blocks.  Horner digits are counted
-against the inner branch breakpoints.
+The uniform stepper avoids per-lane division by a variable: the d >= 3
+window steps as state*d + digit - lead*m, with the leading digit
+``lead`` from a floor division by the constant m/d (which numpy turns
+into a multiply and shift), and its circle distance folds [0, 2m) into
+[0, m) with wrapping unsigned minima instead of a modulo.  Digit blocks
+are drawn STEP_BLOCK rows at a time but never longer than the steps the
+chunk has left; a shorter draw is a prefix of the longer one's stream,
+so every estimate is the same as with full blocks.  Horner digits are
+counted against the inner branch breakpoints.
 
-The first-entry kernels retire the lanes that have entered the hole.
-Each step (each block, for Horner) adds its new entries to the
-histogram, and once the live lanes are half of those being stepped the
-entered ones are dropped, so a chunk compacts about log2(CHUNK) times.
+The first-entry kernel retires the lanes that have entered the hole.
+Each step, on either stepper, adds its new entries to the histogram,
+and once the live lanes are half of those being stepped the entered
+ones are dropped (mid-block too: the rest of a built Horner block keeps
+the live lanes' rows), so a chunk compacts about log2(CHUNK) times.
 Digits are still drawn for every lane of the chunk, in the same order,
 and the live lanes take their own columns, so each lane sees the stream
-it would have seen and the histograms do not change.  The EVL kernels
-step every lane: at tau*theta <= 1 most lanes stay undecided up to the
+it would have seen and the histograms do not change.  The EVL kernel
+steps every lane: at tau*theta <= 1 most lanes stay undecided up to the
 last checkpoint.
 
 With workers > 1 the chunks run on one process pool, built on first
@@ -93,6 +99,11 @@ def _rng(seed: int, index: int) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
+def _check_trials(trials: int):
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1 (got {trials})")
+
+
 def _pool_size(workers: int, tasks: int) -> int:
     """Worker processes for ``tasks`` chunks: at most one per chunk and
     per CPU, and 1 (run in-process) when there is nothing to share."""
@@ -136,18 +147,8 @@ def _map_tasks(fn, args_list, workers: int):
 
 
 # ---------------------------------------------------------------------------
-# uniform-map kernels (x -> d*x mod 1)
+# orbit steppers: one per map family, one interface
 # ---------------------------------------------------------------------------
-
-
-def _uniform_window(map_: FullBranchMap):
-    d = map_.d
-    if d == 2:
-        return 64, 1 << 64
-    W = 1
-    while d ** (W + 2) <= 2 ** 63:
-        W += 1
-    return W, d ** W
 
 
 def _scaled(zeta_or_radius: Fraction, m: int) -> int:
@@ -155,39 +156,63 @@ def _scaled(zeta_or_radius: Fraction, m: int) -> int:
     return (f.numerator * m) // f.denominator
 
 
-class _UniformOrbits:
-    """Vectorized orbit stepper for one chunk of trials of a uniform map.
+class _Lanes:
+    """The lanes a stepper still steps, out of the ``count`` of its chunk.
 
-    ``state`` holds the current base-d windows; ``dist()`` returns the
-    circle distance to the target in window units (int64 view trick for
-    the d = 2 full-width case).  ``steps`` is the number of steps the
-    chunk will take: the d >= 3 digit blocks are drawn no longer than
-    that.  ``keep(mask)`` stops stepping the other lanes; digits are
-    still drawn for all ``count`` lanes of the chunk, and the kept
-    lanes take their own columns, so each sees the stream it would
-    have seen.
+    ``keep(mask)`` stops stepping the lanes where ``mask`` (over the
+    stepped lanes) is false.  Digits are still drawn for all ``count``
+    lanes, in the same order, and the kept lanes take their own columns
+    (``_lanes``), so each sees the stream it would have seen.
     """
 
-    def __init__(self, d: int, m: int, zeta_int: int, count: int,
-                 rng: np.random.Generator, steps: int):
-        self.d, self.count, self.rng = d, count, rng
-        self.native = d == 2
+    def __init__(self, count: int, rng: np.random.Generator):
+        self.count, self.rng = count, rng
         self._cols = None  # chunk lanes still stepped; None while all are
+
+    def keep(self, mask: np.ndarray):
+        self._cols = np.flatnonzero(mask) if self._cols is None else self._cols[mask]
+
+    def _lanes(self, drawn: np.ndarray) -> np.ndarray:
+        """The stepped lanes' columns of a full-width draw."""
+        return drawn if self._cols is None else drawn[..., self._cols]
+
+
+class _UniformOrbits(_Lanes):
+    """Vectorized orbit stepper for one chunk of trials of x -> d*x mod 1.
+
+    ``state`` holds the current base-d windows over m = d^W (2^64 for
+    d = 2); ``dist()`` is the circle distance to the target in 1/m
+    units, compared against ``level(radius)``.  ``steps`` is the number
+    of steps the chunk will take: the d >= 3 digit blocks are drawn no
+    longer than that.
+    """
+
+    def __init__(self, map_: FullBranchMap, zeta: Fraction, count: int,
+                 rng: np.random.Generator, steps: int):
+        super().__init__(count, rng)
+        d = self.d = map_.d
+        self.native = d == 2
         self._t1 = np.empty(count, dtype=np.uint64)
+        self._d = np.empty(count, dtype=np.uint64)
         if self.native:
-            self.Z = np.uint64(zeta_int % (1 << 64))
+            self.m = 1 << 64
+            self.Z = np.uint64(_scaled(zeta, self.m) % self.m)
             self.state = rng.integers(0, 2 ** 64, size=count, dtype=np.uint64)
             self._buf = rng.integers(0, 2 ** 64, size=count, dtype=np.uint64)
             self._bits_left = 64
             self._one, self._s63 = np.uint64(1), np.uint64(63)
         else:
+            # W digits give a window below d^W = m: no reduction needed,
+            # and d * m stays below 2^64
+            W = 1
+            while d ** (W + 2) <= 2 ** 63:
+                W += 1
+            m = self.m = d ** W
             # subtraction of Z is done as addition of m - Z to stay inside [0, 2m)
-            self.Zneg = np.uint64(m - zeta_int % m) if zeta_int % m else np.uint64(0)
+            self.Zneg = np.uint64(-_scaled(zeta, m) % m)
             self.mc = np.uint64(m)
             self.dc = np.uint64(d)
             self._lead = np.uint64(m // d)  # place value of the leading digit
-            # W digits give a window below d^W = m: no reduction needed
-            W = round(math.log(m, d))
             self.state = np.zeros(count, dtype=np.uint64)
             for dig in rng.integers(0, d, size=(W, count), dtype=np.uint64):
                 np.multiply(self.state, self.dc, out=self.state)
@@ -196,20 +221,20 @@ class _UniformOrbits:
             self._row = 0
             self._steps_left = steps
 
+    def level(self, radius: Fraction) -> np.uint64:
+        """The exact radius in 1/m units: dist() < level iff inside."""
+        return np.uint64(_scaled(radius, self.m))
+
     def keep(self, mask: np.ndarray):
-        """Step only the lanes where ``mask`` (over the stepped lanes) is true."""
-        self._cols = np.flatnonzero(mask) if self._cols is None else self._cols[mask]
+        super().keep(mask)
         self.state = self.state[mask]
         self._t1 = np.empty(len(self.state), dtype=np.uint64)
+        self._d = np.empty(len(self.state), dtype=np.uint64)
         if self.native:
             self._buf = self._buf[mask]
         else:
             self._block = self._block[self._row:, mask]
             self._row = 0
-
-    def _lanes(self, drawn: np.ndarray) -> np.ndarray:
-        """The stepped lanes' columns of a full-width draw."""
-        return drawn if self._cols is None else drawn[..., self._cols]
 
     def step(self):
         if self.native:
@@ -240,56 +265,152 @@ class _UniformOrbits:
             self._row += 1
             self._steps_left -= 1
 
-    def dist(self, out=None):
-        """Circle distance of the current points to the target, in 1/m units."""
+    def dist(self) -> np.ndarray:
+        """Circle distance of the current points to the target, in 1/m
+        units, in a buffer that the next call overwrites."""
+        diff = self._d
         if self.native:
-            diff = np.subtract(self.state, self.Z, out=out)
-            return np.abs(diff.view(np.int64)).view(np.uint64)
+            # the wrapped difference read as int64: its abs is the distance
+            np.subtract(self.state, self.Z, out=diff)
+            np.abs(diff.view(np.int64), out=diff.view(np.int64))
+            return diff
         # diff = state - Z + m lies in [0, 2m); below m, diff - m wraps
         # past 2^64 - m, so the minimum of the two is diff mod m
-        diff = np.add(self.state, self.Zneg, out=out)
+        np.add(self.state, self.Zneg, out=diff)
         other = np.subtract(diff, self.mc, out=self._t1)
         np.minimum(diff, other, out=diff)
         np.subtract(self.mc, diff, out=other)
         return np.minimum(diff, other, out=diff)
 
 
-def _evl_chunk_uniform(map_: FullBranchMap, zeta: Fraction,
-                       checkpoints: Tuple[Tuple[int, Fraction], ...],
-                       index: int, count: int, seed: int):
+class _HornerOrbits(_Lanes):
+    """Orbit stepper for one chunk of trials of a non-uniform affine map.
+
+    The points x_0 .. x_steps are rebuilt by backward Horner from i.i.d.
+    branch digits, STEP_BLOCK rows at a time (fewer for the last block),
+    each row reaching HORNER_DEPTH digits past the block's end through
+    the carried digits.  A block is built when ``step()`` runs past the
+    previous one.  ``dist()`` and ``level(radius)`` are floats.
+    """
+
+    def __init__(self, map_: FullBranchMap, zeta: Fraction, count: int,
+                 rng: np.random.Generator, steps: int):
+        super().__init__(count, rng)
+        self._zf = float(zeta)
+        self._los = np.array([float(b.lo) for b in map_.branches])
+        self._ws = np.array([float(b.width) for b in map_.branches])
+        # the digit of u is the number of inner breakpoints at or below it;
+        # the last cumulative width (which may round below 1) is never
+        # compared, so digits stay below d
+        self._inner = np.cumsum([float(w) for w in map_.widths])[:-1]
+        self._digit_type = np.min_scalar_type(map_.d - 1)
+        self._d = np.empty(count)
+        self._t = np.empty(count)
+        self._rows_left = steps + 1  # rows not yet built, x_0 included
+        self._carry = self._draw(HORNER_DEPTH)
+        self._build()
+
+    def _draw(self, rows: int) -> np.ndarray:
+        u = self._lanes(self.rng.random((rows, self.count)))
+        dig = np.zeros(u.shape, dtype=self._digit_type)
+        for c in self._inner:
+            np.add(dig, u >= c, out=dig)
+        return dig
+
+    def _build(self):
+        """The next block of positions, from its own and the carried digits."""
+        B = min(STEP_BLOCK, self._rows_left)
+        self._rows_left -= B
+        digits = np.concatenate([self._carry, self._draw(B)], axis=0)
+        lanes = digits.shape[1]
+        pos = np.empty((B, lanes))
+        y = np.full(lanes, 0.5)
+        for r in range(B + HORNER_DEPTH - 1, -1, -1):
+            row = digits[r].astype(np.intp)  # intp indexes fastest
+            out = pos[r] if r < B else y
+            np.multiply(self._ws[row], y, out=out)
+            np.add(self._los[row], out, out=out)
+            y = out
+        self._pos, self._row, self._carry = pos, 0, digits[B:]
+
+    def level(self, radius: Fraction) -> float:
+        return float(radius)
+
+    def keep(self, mask: np.ndarray):
+        super().keep(mask)
+        self._pos = self._pos[self._row:, mask]
+        self._row = 0
+        self._carry = self._carry[:, mask]
+        self._d = np.empty(len(self._cols))
+        self._t = np.empty(len(self._cols))
+
+    def step(self):
+        self._row += 1
+        if self._row == len(self._pos):
+            self._build()
+
+    def dist(self) -> np.ndarray:
+        """min(|x - zeta|, 1 - |x - zeta|), in a buffer that the next call
+        overwrites."""
+        diff = np.subtract(self._pos[self._row], self._zf, out=self._d)
+        np.abs(diff, out=diff)
+        np.subtract(1.0, diff, out=self._t)
+        return np.minimum(diff, self._t, out=diff)
+
+
+def _check_sampled(map_: FullBranchMap):
+    """Raise unless one of the steppers samples the map's orbits."""
+    if map_.is_uniform:
+        if map_.d > MAX_UNIFORM_D:
+            raise InfeasibleError(
+                f"Monte Carlo on uniform:d supports d <= {MAX_UNIFORM_D} "
+                f"(got d = {map_.d})")
+    elif not map_.is_affine:
+        raise ValueError("Monte Carlo estimators require an affine map")
+
+
+def _orbits(map_: FullBranchMap, zeta: Fraction, count: int,
+            rng: np.random.Generator, steps: int):
+    """The stepper of the map's family for one chunk of ``count`` lanes."""
+    cls = _UniformOrbits if map_.is_uniform else _HornerOrbits
+    return cls(map_, zeta, count, rng, steps)
+
+
+# ---------------------------------------------------------------------------
+# chunk kernels
+# ---------------------------------------------------------------------------
+
+
+def _evl_chunk(map_: FullBranchMap, zeta: Fraction,
+               checkpoints: Tuple[Tuple[int, Fraction], ...],
+               index: int, count: int, seed: int):
     """Survivor counts at each (n, radius) checkpoint for one chunk."""
-    _, m = _uniform_window(map_)
-    orb = _UniformOrbits(map_.d, m, _scaled(zeta, m), count, _rng(seed, index),
-                         steps=checkpoints[-1][0] - 1)
-    radii = [np.uint64(_scaled(r, m)) for _, r in checkpoints]
+    orb = _orbits(map_, zeta, count, _rng(seed, index),
+                  steps=checkpoints[-1][0] - 1)
     runmin = orb.dist().copy()
-    scratch = np.empty(count, dtype=np.uint64)
     k = 0
     counts = []
-    for (n, _), rint in zip(checkpoints, radii):
+    for n, radius in checkpoints:
         while k < n - 1:
             orb.step()
-            np.minimum(runmin, orb.dist(out=scratch), out=runmin)
+            np.minimum(runmin, orb.dist(), out=runmin)
             k += 1
-        counts.append(int((runmin >= rint).sum()))
+        counts.append(int((runmin >= orb.level(radius)).sum()))
     return counts
 
 
-def _entry_chunk_uniform(map_: FullBranchMap, zeta: Fraction, radius: Fraction,
-                         horizon: int, index: int, count: int, seed: int):
+def _entry_chunk(map_: FullBranchMap, zeta: Fraction, radius: Fraction,
+                 horizon: int, index: int, count: int, seed: int):
     """Histogram of first entry times (index 0 = never entered)."""
-    _, m = _uniform_window(map_)
-    orb = _UniformOrbits(map_.d, m, _scaled(zeta, m), count, _rng(seed, index),
-                         steps=horizon)
-    rint = np.uint64(_scaled(radius, m))
+    orb = _orbits(map_, zeta, count, _rng(seed, index), steps=horizon)
+    level = orb.level(radius)
     hist = np.zeros(horizon + 1, dtype=np.int64)
     alive = np.ones(count, dtype=bool)  # over the stepped lanes
     live = count
-    scratch = np.empty(count, dtype=np.uint64)
     hit = np.empty(count, dtype=bool)
     for j in range(1, horizon + 1):
         orb.step()
-        np.less(orb.dist(out=scratch), rint, out=hit)
+        np.less(orb.dist(), level, out=hit)
         np.logical_and(hit, alive, out=hit)
         entered = int(np.count_nonzero(hit))
         if not entered:
@@ -302,139 +423,9 @@ def _entry_chunk_uniform(map_: FullBranchMap, zeta: Fraction, radius: Fraction,
         # retire the entered lanes once they are half of those stepped
         if 2 * live <= len(alive):
             orb.keep(alive)
-            alive, scratch, hit = (np.ones(live, dtype=bool),
-                                   np.empty(live, dtype=np.uint64),
-                                   np.empty(live, dtype=bool))
+            alive, hit = np.ones(live, dtype=bool), np.empty(live, dtype=bool)
     hist[0] = live
     return hist
-
-
-# ---------------------------------------------------------------------------
-# non-uniform affine kernels (blockwise backward Horner)
-# ---------------------------------------------------------------------------
-
-
-def _position_blocks(map_: FullBranchMap, horizon: int, count: int,
-                     rng: np.random.Generator):
-    """Yield (k0, positions) blocks of the symbolic orbits of a chunk.
-
-    ``send(mask)`` after a block keeps only the lanes where ``mask``
-    (over that block's lanes) is true.  Later digits are still drawn for
-    all ``count`` lanes and the kept lanes take their own columns, so
-    each sees the stream it would have seen.
-    """
-    D = HORNER_DEPTH
-    los = np.array([float(b.lo) for b in map_.branches])
-    ws = np.array([float(b.width) for b in map_.branches])
-    # the digit of u is the number of inner breakpoints at or below it;
-    # the last cumulative width (which may round below 1) is never
-    # compared, so digits stay below d
-    inner = np.cumsum([float(w) for w in map_.widths])[:-1]
-    digit_type = np.min_scalar_type(map_.d - 1)
-    cols = None  # chunk lanes still reconstructed; None while all are
-
-    def draw(rows):
-        u = rng.random((rows, count))
-        if cols is not None:
-            u = u[:, cols]
-        dig = np.zeros(u.shape, dtype=digit_type)
-        for c in inner:
-            np.add(dig, u >= c, out=dig)
-        return dig
-
-    carry = draw(D)
-    k0 = 0
-    while k0 < horizon:
-        B = min(STEP_BLOCK, horizon - k0)
-        digits = np.concatenate([carry, draw(B)], axis=0)
-        lanes = digits.shape[1]
-        pos = np.empty((B, lanes))
-        y = np.full(lanes, 0.5)
-        for r in range(B + D - 1, -1, -1):
-            row = digits[r].astype(np.intp)  # intp indexes fastest
-            out = pos[r] if r < B else y
-            np.multiply(ws[row], y, out=out)
-            np.add(los[row], out, out=out)
-            y = out
-        mask = yield k0, pos
-        carry = digits[B:]
-        if mask is not None:
-            cols = np.flatnonzero(mask) if cols is None else cols[mask]
-            carry = carry[:, mask]
-            yield  # the value of send(); the loop's next() resumes here
-        k0 += B
-
-
-def _circle_distance(pos: np.ndarray, zf: float) -> np.ndarray:
-    """min(|pos - zf|, 1 - |pos - zf|), computed in place over ``pos``."""
-    np.subtract(pos, zf, out=pos)
-    np.abs(pos, out=pos)
-    return np.minimum(pos, 1.0 - pos, out=pos)
-
-
-def _evl_chunk_horner(map_: FullBranchMap, zeta: Fraction,
-                      checkpoints, index: int, count: int, seed: int):
-    rng = _rng(seed, index)
-    zf = float(zeta)
-    n_max = checkpoints[-1][0]
-    runmin = np.full(count, np.inf)
-    counts = []
-    for k0, pos in _position_blocks(map_, n_max, count, rng):
-        d0 = _circle_distance(pos, zf)
-        # fold the block into the running minimum up to each checkpoint
-        # it holds (checkpoints are sorted by n), then up to its end
-        done = 0
-        for n, radius in checkpoints[len(counts):]:
-            if n > k0 + len(d0):
-                break
-            if n - k0 > done:
-                np.minimum(runmin, d0[done:n - k0].min(axis=0), out=runmin)
-                done = n - k0
-            counts.append(int((runmin >= float(radius)).sum()))
-        if done < len(d0):
-            np.minimum(runmin, d0[done:].min(axis=0), out=runmin)
-    return counts
-
-
-def _entry_chunk_horner(map_: FullBranchMap, zeta: Fraction, radius: Fraction,
-                        horizon: int, index: int, count: int, seed: int):
-    rng = _rng(seed, index)
-    zf, rf = float(zeta), float(radius)
-    hist = np.zeros(horizon + 1, dtype=np.int64)
-    alive = np.ones(count, dtype=bool)  # over the reconstructed lanes
-    live = count
-    # positions include x_0 which hitting times skip, hence horizon+1 rows
-    blocks = _position_blocks(map_, horizon + 1, count, rng)
-    for k0, pos in blocks:
-        hits = _circle_distance(pos, zf) < rf
-        if k0 == 0:
-            hits[0] = False
-        new = alive & hits.any(axis=0)
-        first = hits.argmax(axis=0)[new]  # the first hit row
-        hist[k0:k0 + len(pos)] += np.bincount(first, minlength=len(pos))
-        live -= len(first)
-        if live == 0:
-            break
-        np.logical_xor(alive, new, out=alive)
-        # retire the entered lanes once they are half of those stepped
-        if 2 * live <= len(alive):
-            blocks.send(alive)
-            alive = np.ones(live, dtype=bool)
-    hist[0] = live
-    return hist
-
-
-def _dispatch(map_: FullBranchMap, uniform, horner):
-    """The kernel of the map's family: ``uniform`` or ``horner``."""
-    if map_.is_uniform:
-        if map_.d > MAX_UNIFORM_D:
-            raise InfeasibleError(
-                f"Monte Carlo on uniform:d supports d <= {MAX_UNIFORM_D} "
-                f"(got d = {map_.d})")
-        return uniform
-    if map_.is_affine:
-        return horner
-    raise ValueError("Monte Carlo estimators require an affine map")
 
 
 # ---------------------------------------------------------------------------
@@ -484,16 +475,17 @@ def estimate_evl_points(map_: FullBranchMap, obs: Observable,
     and compared against the exact threshold radius of that (n, tau).
     Degenerate tau = 0 pairs return the exact estimate 1.
     """
+    _check_trials(trials)
     order = sorted(range(len(pairs)), key=lambda i: int(pairs[i][0]))
     live = [(i, int(pairs[i][0]), as_exact(pairs[i][1])) for i in order
             if as_exact(pairs[i][1]) != 0]
     checkpoints = tuple((n, threshold_for(obs, n, tau).radius)
                         for _, n, tau in live)
     if checkpoints:
-        kernel = _dispatch(map_, _evl_chunk_uniform, _evl_chunk_horner)
+        _check_sampled(map_)
         args = [(map_, obs.center, checkpoints, i, c, seed)
                 for i, c in _chunks(trials)]
-        per_chunk = _map_tasks(kernel, args, workers)
+        per_chunk = _map_tasks(_evl_chunk, args, workers)
         totals = [sum(row[j] for row in per_chunk) for j in range(len(live))]
     else:
         totals = []
@@ -524,11 +516,11 @@ def estimate_evl(map_: FullBranchMap, obs: Observable, n: int, tau,
 
 def _entry_histogram(map_: FullBranchMap, zeta, radius, horizon: int,
                      trials: int, seed: int, workers: int):
-    kernel = _dispatch(map_, _entry_chunk_uniform, _entry_chunk_horner)
+    _check_sampled(map_)
     args = [(map_, as_exact(zeta), radius, horizon, i, c, seed)
             for i, c in _chunks(trials)]
     out = np.zeros(horizon + 1, dtype=np.int64)
-    for h in _map_tasks(kernel, args, workers):
+    for h in _map_tasks(_entry_chunk, args, workers):
         out += h
     return out
 
@@ -540,6 +532,7 @@ def estimate_hts(map_: FullBranchMap, zeta, eps, tau_grid: Sequence,
     B is the radius-eps ball at zeta; each trial runs to the horizon
     max(tau_grid)/P(B) and records its first entry time.
     """
+    _check_trials(trials)
     eps = as_exact(eps)
     if eps >= Fraction(1, 4):
         raise InfeasibleError("eps must be < 1/4")
@@ -569,6 +562,7 @@ def estimate_escape_rate(map_: FullBranchMap, zeta, eps, trials: int,
     prefix, up to the last t with at least MIN_SURVIVORS surviving
     trials.
     """
+    _check_trials(trials)
     eps = as_exact(eps)
     if eps == 0:
         return EscapeFit(0.0, 0.0, (0, 0), 0.0, trials, seed, trials)

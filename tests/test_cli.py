@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import extremap
-from extremap.cli import build_parser, main, parse_count, parse_grid, parse_point
+from extremap.cli import (build_parser, main, parse_count, parse_grid,
+                          parse_point, parse_positive)
 from fractions import Fraction as F
 
 
@@ -26,6 +27,10 @@ def test_parsers():
     assert parse_count("100000") == 100000
     with pytest.raises(Exception):
         parse_count("1.5")
+    assert parse_positive("1e5") == 100000 and parse_positive("2") == 2
+    for bad in ("0", "-1", "1.5", "0e3"):
+        with pytest.raises(Exception):
+            parse_positive(bad)
     assert parse_point("1/3") == F(1, 3)
     assert parse_point("0.25") == F(1, 4)
     assert parse_grid("1/3,0.5") == [F(1, 3), F(1, 2)]
@@ -225,6 +230,31 @@ def test_workers_below_one_is_usage_error(tmp_path, capsys, flag, line):
     assert rc == 2
     assert "workers" in capsys.readouterr().err
     assert not (tmp_path / "hts.json").exists()
+
+
+@pytest.mark.parametrize("command, args", [
+    ("evl", ("--zeta", "1/3", "--n", "100")),
+    ("hts", ("--zeta", "1/3", "--eps", "1/16")),
+    ("escape", ("--zeta", "0", "--eps", "1/25")),
+])
+@pytest.mark.parametrize("flag, line", [
+    (("--trials", "0"), None), (("--trials", "-5"), None),
+    ((), "trials = 0"),
+])
+def test_trials_below_one_is_usage_error(tmp_path, capsys, command, args,
+                                         flag, line):
+    argv = [command, *args, "--seed", "1", *flag, "--out", str(tmp_path)]
+    if line is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        argv += ["--config", str(cfg)]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the flag itself
+        rc = exc.code
+    assert rc == 2
+    assert "trials" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.json").exists()
 
 
 def _fresh_process(argv):

@@ -8,7 +8,7 @@ import pytest
 
 from extremap.errors import InfeasibleError
 from extremap.intervals import IntervalUnion, ball
-from extremap.maps import FullBranchMap, ulam_matrix
+from extremap.maps import FullBranchMap, SmoothBranch, ulam_matrix
 from extremap.events import (
     Observable,
     exact_evl_prob,
@@ -27,13 +27,26 @@ WIDTHS = FullBranchMap.from_widths([F(1, 2), F(1, 4), F(1, 4)])
 
 def _uniform_states(d, steps, count, seed):
     """Windows of one _UniformOrbits chunk at times 0..steps, (steps+1, count)."""
-    _, m = mc._uniform_window(FullBranchMap.uniform(d))
-    orb = mc._UniformOrbits(d, m, 0, count, np.random.default_rng(seed), steps)
+    orb = mc._UniformOrbits(FullBranchMap.uniform(d), F(0), count,
+                            np.random.default_rng(seed), steps)
     states = [orb.state.copy()]
     for _ in range(steps):
         orb.step()
         states.append(orb.state.copy())
-    return m, np.array(states)
+    return orb.m, np.array(states)
+
+
+def _horner_positions(map_, steps, count, rng):
+    """Points of one _HornerOrbits chunk at times 0..steps, (steps+1, count),
+    and the times at which it built a new block."""
+    orb = mc._HornerOrbits(map_, F(0), count, rng, steps)
+    rows, starts = [orb._pos[orb._row].copy()], [0]
+    for k in range(1, steps + 1):
+        orb.step()
+        rows.append(orb._pos[orb._row].copy())
+        if orb._row == 0:
+            starts.append(k)
+    return np.array(rows), starts
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -73,10 +86,9 @@ def test_position_blocks_coding_across_step_block():
     # also from the last row of one block to the first of the next, and
     # visit the branches with frequencies equal to their widths
     horizon = 2 * mc.STEP_BLOCK + 7
-    rows = list(mc._position_blocks(WIDTHS, horizon, 2000,
-                                    np.random.default_rng(9)))
-    assert [k0 for k0, _ in rows] == [0, mc.STEP_BLOCK, 2 * mc.STEP_BLOCK]
-    pos = np.concatenate([p for _, p in rows])
+    pos, starts = _horner_positions(WIDTHS, horizon - 1, 2000,
+                                    np.random.default_rng(9))
+    assert starts == [0, mc.STEP_BLOCK, 2 * mc.STEP_BLOCK]
     assert pos.shape == (horizon, 2000)
     for lane in range(20):
         for k in range(horizon - 1):
@@ -124,22 +136,21 @@ def test_uniform_orbits_match_modular_reference(d, steps):
     # from 4-byte words, so an odd lane count makes a draw that ends off
     # a block boundary shift the rest of the stream
     lanes = 61
-    _, m = mc._uniform_window(FullBranchMap.uniform(d))
-    zeta_int = mc._scaled(F(1, 3), m)
+    orb = mc._UniformOrbits(FullBranchMap.uniform(d), F(1, 3), lanes,
+                            np.random.default_rng(17), steps)
     ref_states, ref_dists = _reference_uniform_orbits(
-        d, m, zeta_int, lanes, np.random.default_rng(17), steps)
-    orb = mc._UniformOrbits(d, m, zeta_int, lanes, np.random.default_rng(17),
-                            steps)
+        d, orb.m, mc._scaled(F(1, 3), orb.m), lanes,
+        np.random.default_rng(17), steps)
     for k in range(steps + 1):
         if k:
             orb.step()
         assert np.array_equal(orb.state, ref_states[k]), k
-        assert np.array_equal(orb.dist(out=np.empty(lanes, np.uint64)),
-                              ref_dists[k]), k
+        assert np.array_equal(orb.dist(), ref_dists[k]), k
 
 
 def _reference_position_blocks(map_, horizon, count, rng):
-    """_position_blocks with searchsorted digits and a fresh y per row."""
+    """(k0, positions) blocks of the backward Horner reconstruction, with
+    searchsorted digits and a fresh y per row."""
     D, d = mc.HORNER_DEPTH, map_.d
     los = np.array([float(b.lo) for b in map_.branches])
     ws = np.array([float(b.width) for b in map_.branches])
@@ -169,12 +180,12 @@ def test_position_blocks_match_searchsorted_reference(spec):
     # the ten widths of 1/10 sum to 0.9999999999999999 in float
     f = FullBranchMap.from_spec(spec)
     horizon = mc.STEP_BLOCK + 9
-    got = list(mc._position_blocks(f, horizon, 500, np.random.default_rng(4)))
+    got, starts = _horner_positions(f, horizon - 1, 500,
+                                    np.random.default_rng(4))
     ref = list(_reference_position_blocks(f, horizon, 500,
                                           np.random.default_rng(4)))
-    assert [k0 for k0, _ in got] == [k0 for k0, _ in ref] == [0, mc.STEP_BLOCK]
-    for (_, p), (_, q) in zip(got, ref):
-        assert np.array_equal(p, q)
+    assert starts == [k0 for k0, _ in ref] == [0, mc.STEP_BLOCK]
+    assert np.array_equal(got, np.concatenate([q for _, q in ref]))
 
 
 def _reference_entry_histogram(map_, zeta, radius, horizon, index, count, seed):
@@ -197,7 +208,7 @@ def _reference_entry_histogram(map_, zeta, radius, horizon, index, count, seed):
     (F(1, 5), 400),   # every lane enters in the first block: early exit
 ])
 def test_entry_chunk_horner_matches_row_loop(radius, horizon):
-    hist = mc._entry_chunk_horner(WIDTHS, F(1, 3), radius, horizon, 2, 3000, 8)
+    hist = mc._entry_chunk(WIDTHS, F(1, 3), radius, horizon, 2, 3000, 8)
     ref = _reference_entry_histogram(WIDTHS, F(1, 3), radius, horizon, 2,
                                      3000, 8)
     assert np.array_equal(hist, ref)
@@ -209,7 +220,7 @@ def test_evl_chunk_horner_matches_accumulated_minimum():
     cps = ((1, F(1, 4)), (7, F(1, 50)), (7, F(1, 20)),
            (mc.STEP_BLOCK, F(1, 500)), (mc.STEP_BLOCK + 1, F(1, 500)),
            (300, F(1, 2000)))
-    counts = mc._evl_chunk_horner(WIDTHS, F(1, 3), cps, 1, 2000, 6)
+    counts = mc._evl_chunk(WIDTHS, F(1, 3), cps, 1, 2000, 6)
     rng, zf = mc._rng(6, 1), 1 / 3
     pos = np.concatenate([p for _, p in
                           _reference_position_blocks(WIDTHS, 300, 2000, rng)])
@@ -224,15 +235,13 @@ def test_evl_chunk_horner_matches_accumulated_minimum():
 
 def _full_lane_entry_uniform(map_, zeta, radius, horizon, index, count, seed):
     """The uniform first-entry kernel that steps every lane to the horizon."""
-    _, m = mc._uniform_window(map_)
-    orb = mc._UniformOrbits(map_.d, m, mc._scaled(zeta, m), count,
-                            mc._rng(seed, index), steps=horizon)
-    rint = np.uint64(mc._scaled(radius, m))
+    orb = mc._UniformOrbits(map_, zeta, count, mc._rng(seed, index),
+                            steps=horizon)
+    rint = orb.level(radius)
     entry = np.zeros(count, dtype=np.int64)
-    scratch = np.empty(count, dtype=np.uint64)
     for j in range(1, horizon + 1):
         orb.step()
-        hit = orb.dist(out=scratch) < rint
+        hit = orb.dist() < rint
         np.logical_and(hit, entry == 0, out=hit)
         entry[hit] = j
     return np.bincount(entry, minlength=horizon + 1)
@@ -255,10 +264,9 @@ def test_entry_kernels_match_full_lane_reference(spec, radius, horizon, count):
     # 61 lanes: a retired lane set that shifted the digit or bit stream
     # of the kept lanes would change their entry times
     f = FullBranchMap.from_spec(spec)
-    kernel = mc._dispatch(f, mc._entry_chunk_uniform, mc._entry_chunk_horner)
-    reference = mc._dispatch(f, _full_lane_entry_uniform,
-                             _reference_entry_histogram)
-    hist = kernel(f, F(1, 3), radius, horizon, 3, count, 21)
+    reference = (_full_lane_entry_uniform if f.is_uniform
+                 else _reference_entry_histogram)
+    hist = mc._entry_chunk(f, F(1, 3), radius, horizon, 3, count, 21)
     ref = reference(f, F(1, 3), radius, horizon, 3, count, 21)
     assert hist.dtype == ref.dtype and np.array_equal(hist, ref)
     assert len(hist) == horizon + 1 and hist.sum() == count
@@ -269,12 +277,14 @@ def test_entry_kernels_match_full_lane_reference(spec, radius, horizon, count):
 
 
 def test_uniform_orbits_keep_follows_the_full_width_stream():
-    # after keep(), each kept lane steps through the same windows as the
-    # same lane of an orbit set that keeps every lane
-    for d in (2, 3):
-        _, m = mc._uniform_window(FullBranchMap.uniform(d))
-        full = mc._UniformOrbits(d, m, 0, 61, np.random.default_rng(3), 300)
-        kept = mc._UniformOrbits(d, m, 0, 61, np.random.default_rng(3), 300)
+    # after keep(), each kept lane steps through the same points as the
+    # same lane of an orbit set that keeps every lane; the keeps at steps
+    # 10 and 70 fall inside the first digit block and the lanes kept
+    # then cross into the next one, where the keep at 130 falls
+    for spec in ENTRY_MAPS:
+        f = FullBranchMap.from_spec(spec)
+        full = mc._orbits(f, F(1, 3), 61, np.random.default_rng(3), 300)
+        kept = mc._orbits(f, F(1, 3), 61, np.random.default_rng(3), 300)
         lanes = np.arange(61)
         for k in range(300):
             full.step()
@@ -283,7 +293,39 @@ def test_uniform_orbits_keep_follows_the_full_width_stream():
                 mask = np.random.default_rng(k).random(len(lanes)) < 0.6
                 kept.keep(mask)
                 lanes = lanes[mask]
-            assert np.array_equal(kept.state, full.state[lanes]), (d, k)
+            assert np.array_equal(kept.dist(), full.dist()[lanes]), (spec, k)
+            if f.is_uniform:
+                assert np.array_equal(kept.state, full.state[lanes]), (spec, k)
+
+
+# Survivor counts at the parent of the one-kernel-per-estimator change:
+# estimate_evl_grid at n = 1, 7, 129, 300 and estimate_hts survivors at
+# tau = 1/2, 1, 2, 3 (t = 25 .. 150, past STEP_BLOCK), then the censored
+# count; centre 1/3, eps 1/100, seed 5.  A shifted random stream in any
+# kernel family changes them.
+PINNED = {
+    "doubling": ([16985, 20348, 22936, 23093], [22209, 14672, 6379, 2801], 2801),
+    "tripling": ([16931, 18860, 20247, 20461], [19577, 11486, 3988, 1419], 1419),
+    "uniform:5": ([16827, 19045, 20732, 20800], [20288, 12222, 4383, 1576], 1576),
+    "widths:1/2,1/4,1/4": ([16817, 18451, 20318, 20447],
+                           [19759, 11400, 3784, 1241], 1241),
+    "widths:49/50,1/50": ([16903, 29818, 17813, 22468],
+                          [27438, 21693, 11966, 7298], 7298),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED))
+def test_estimates_are_pinned_per_kernel_family(spec):
+    # CHUNK + 1000 trials: a full chunk and a short last one
+    f, trials = FullBranchMap.from_spec(spec), mc.CHUNK + 1000
+    evl, hts, censored = PINNED[spec]
+    pts = mc.estimate_evl_grid(f, Observable(F(1, 3)), [1, 7, 129, 300],
+                               F(1, 2), trials, seed=5)
+    assert [p.estimate for p in pts] == [c / trials for c in evl]
+    ecdf = mc.estimate_hts(f, F(1, 3), F(1, 100), [F(1, 2), 1, 2, 3],
+                           trials, seed=5)
+    assert list(ecdf.estimates) == [c / trials for c in hts]
+    assert ecdf.censored == censored
 
 
 def test_wilson_halfwidth_bounds():
@@ -333,6 +375,38 @@ def test_evl_infeasible_threshold():
     obs = Observable(center=F(1, 3))
     with pytest.raises(InfeasibleError):
         mc.estimate_evl(DOUBLING, obs, 4, 8, trials=100, seed=1)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_estimators_reject_trials_below_one(trials):
+    obs = Observable(center=F(1, 3))
+    with pytest.raises(ValueError, match="trials"):
+        mc.estimate_evl(DOUBLING, obs, 10, 1, trials=trials, seed=1)
+    with pytest.raises(ValueError, match="trials"):
+        mc.estimate_evl(DOUBLING, obs, 10, 0, trials=trials, seed=1)
+    with pytest.raises(ValueError, match="trials"):
+        mc.estimate_hts(DOUBLING, F(1, 3), F(1, 16), [1], trials=trials, seed=1)
+    with pytest.raises(ValueError, match="trials"):
+        mc.estimate_escape_rate(DOUBLING, F(0), F(1, 25), trials=trials,
+                                seed=1)
+
+
+def test_unsampled_maps_fail_before_any_chunk_is_scheduled(monkeypatch):
+    # a smooth map has no stepper, and the digits of uniform:257 do not
+    # fit the uint8 digit blocks: both raise in the calling process
+    monkeypatch.setattr(mc, "_map_tasks",
+                        lambda *args: pytest.fail("a chunk was scheduled"))
+    smooth = FullBranchMap([
+        SmoothBranch(0.0, 0.5, lambda x: 2 * x, lambda x: 2.0),
+        SmoothBranch(0.5, 1.0, lambda x: 2 * x - 1, lambda x: 2.0)])
+    obs = Observable(center=F(1, 3))
+    for f, error in ((smooth, ValueError),
+                     (FullBranchMap.uniform(257), InfeasibleError)):
+        with pytest.raises(error):
+            mc.estimate_evl(f, obs, 100, 1, trials=100, seed=1, workers=2)
+        with pytest.raises(error):
+            mc.estimate_hts(f, F(1, 3), F(1, 40), [1], trials=100, seed=1,
+                            workers=2)
 
 
 def test_evl_determinism_and_grid_consistency():
