@@ -9,8 +9,10 @@ Subpackage map:
 * ``events``     exceedance balls, annuli, extremal indices, exact oracles
 * ``brackets``   closed-form error brackets, blocking optimizers and the
                  bracket inputs they share
-* ``montecarlo`` seeded, reproducible large-scale estimators
-* ``cli``        command-line entry points
+* ``montecarlo`` seeded, reproducible large-scale estimators; they
+                 estimate only, and import no bracket
+* ``cli``        command-line entry points; each command puts the
+                 estimates and the brackets of one event together
 """
 
 from .intervals import IntervalUnion, ball
@@ -46,7 +48,6 @@ from .brackets import (
     ErrorBudget,
     EscapeWindow,
     annuli_gap_bound,
-    limit_evl_bracket,
     escape_rate_window,
     escape_window,
     evl_bracket_inputs,
@@ -65,9 +66,6 @@ from .montecarlo import (
     ECDF,
     EscapeFit,
     EvlEstimate,
-    SweepConfig,
-    SweepTable,
-    convergence_sweep,
     estimate_escape_rate,
     estimate_evl,
     estimate_evl_grid,

@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Tuple
 from .errors import InfeasibleError
 from .intervals import IntervalUnion
 from .maps import FullBranchMap, bv_norm_indicator
-from .events import annulus_set, recurrence_start, survivor_set
+from .events import DEFAULT_BUDGET, annulus_set, recurrence_start, survivor_set
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +325,12 @@ def optimize_kt_hts(PB: float, gamma: DecayModel) -> BlockingParams:
 class BracketInputs:
     """What the brackets of one event are evaluated from.
 
-    The exact measure PA of the event's q-annulus A, the optimizer's
+    The event's q-annulus A and its exact measure PA, the optimizer's
     blocking parameters (k, t, ell), the first return time R of A
     (``recurrence_start``) and the BV norm M of its indicator.
     """
 
+    A: IntervalUnion
     PA: Fraction
     k: int
     t: int
@@ -339,30 +340,32 @@ class BracketInputs:
 
 
 def evl_bracket_inputs(map_: FullBranchMap, U: IntervalUnion, q: int, n: int,
-                       gamma: DecayModel) -> BracketInputs:
+                       gamma: DecayModel,
+                       budget: int = DEFAULT_BUDGET) -> BracketInputs:
     """Bracket inputs of P(M_n <= u_n) for the exceedance set U.
 
     ell is the optimizer's n // k - t as it stands: the sharp bracket
-    itself rejects ell < 1.
+    itself rejects ell < 1.  ``budget`` caps the annulus components.
     """
-    A = annulus_set(map_, U, q)
+    A = annulus_set(map_, U, q, budget=budget)
     PA = A.measure()
     params = optimize_kt_evl(n, float(PA), gamma)
     return _bracket_inputs(map_, A, PA, params, params.ell)
 
 
 def hts_bracket_inputs(map_: FullBranchMap, B: IntervalUnion, q: int,
-                       gamma: DecayModel) -> BracketInputs:
+                       gamma: DecayModel,
+                       budget: int = DEFAULT_BUDGET) -> BracketInputs:
     """Bracket inputs of the hitting-time law of the ball B, with the
     block length ell raised to at least 1."""
-    A = annulus_set(map_, B, q)
+    A = annulus_set(map_, B, q, budget=budget)
     params = optimize_kt_hts(float(B.measure()), gamma)
     return _bracket_inputs(map_, A, A.measure(), params, max(params.ell, 1))
 
 
 def _bracket_inputs(map_, A, PA, params: BlockingParams,
                     ell: int) -> BracketInputs:
-    return BracketInputs(PA=PA, k=params.k, t=params.t, ell=ell,
+    return BracketInputs(A=A, PA=PA, k=params.k, t=params.t, ell=ell,
                          R=recurrence_start(map_, A, ell),
                          M=bv_norm_indicator(A))
 
@@ -373,37 +376,24 @@ def _bracket_inputs(map_, A, PA, params: BlockingParams,
 
 
 def general_evl_bracket(tau: float, n: int, q: int, k: int, t: int, PU: float,
-                  PA: float, gamma_mix: float, dprime: float) -> ErrorBudget:
-    """General stationary-process bracket around exp(-theta_n * tau).
+                        PA: float, gamma_mix: float, dprime: float,
+                        theta: Optional[float] = None) -> ErrorBudget:
+    """Blocked stationary-process bracket of P(M_n <= u_n).
 
     Terms: blocking gaps, long-range mixing (n * gamma), the short-range
     recurrence sum, the Poisson/threshold term weighted by the limit
     value, and the ball-versus-annulus replacement cost q * P(U - A).
+    With theta None this is the general bracket around
+    exp(-theta_n * tau), theta_n = PA/PU.  A theta gives the limit
+    bracket around exp(-theta * tau), which adds the
+    |theta_n - theta| * tau term ei_gap before the annulus term.
     """
     theta_n = PA / PU if PU > 0 else 1.0
-    if not (0 <= theta_n <= 1):
-        raise ValueError("PA/PU outside [0, 1]")
-    return _blocked_evl_budget(tau, n, q, k, t, PU, PA, theta_n, None,
-                               gamma_mix, dprime)
-
-
-def limit_evl_bracket(tau: float, n: int, q: int, k: int, t: int, PU: float,
-                  PA: float, theta: float, gamma_mix: float,
-                  dprime: float) -> ErrorBudget:
-    """As the general bracket but around exp(-theta * tau), with the extra
-    |theta_n - theta| * tau term."""
-    if not (0 <= theta <= 1):
+    if theta is None:
+        if not (0 <= theta_n <= 1):
+            raise ValueError("PA/PU outside [0, 1]")
+    elif not (0 <= theta <= 1):
         raise ValueError("theta outside [0, 1]")
-    theta_n = PA / PU if PU > 0 else 1.0
-    return _blocked_evl_budget(tau, n, q, k, t, PU, PA, theta_n, theta,
-                               gamma_mix, dprime)
-
-
-def _blocked_evl_budget(tau, n, q, k, t, PU, PA, theta_n, theta, gamma_mix,
-                        dprime) -> ErrorBudget:
-    """The terms of the general (theta None) and limit brackets, weighted
-    by exp(-theta_n * tau) or exp(-theta * tau); the limit bracket adds
-    ei_gap before the annulus term."""
     w = math.exp(-(theta_n if theta is None else theta) * tau)
     ei_gap = () if theta is None else (
         ("ei_gap", w * abs(theta_n - theta) * tau),)

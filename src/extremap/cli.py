@@ -19,13 +19,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import (
-    ComponentBudgetError,
-    ExtremapError,
-    InfeasibleError,
-    PeriodUndecidedError,
-    RadiusRangeError,
-)
+from .errors import ComponentBudgetError, ExtremapError, InfeasibleError
 from .intervals import ball
 from .maps import FullBranchMap, Potential, weighted_periodic_sum
 from .events import (
@@ -43,7 +37,6 @@ from .brackets import (
     annuli_gap_bound,
     evl_bracket_inputs,
     hts_bracket_inputs,
-    limit_evl_bracket,
     escape_window,
     general_evl_bracket,
     sharp_evl_bracket,
@@ -266,14 +259,37 @@ def cmd_evl(args) -> int:
     if tau <= 0:
         raise InfeasibleError("tau must be positive")
     decay = _decay_for(args, map_)
-    cfg = mc.SweepConfig(
-        map=map_, zeta=parse_point(args.zeta), tau=tau,
-        n_grid=tuple(parse_count(n) for n in str(args.n).split(",")),
-        trials=args.trials, seed=args.seed, q=args.q, theta=args.theta,
-        decay=decay, workers=args.workers)
-    table = mc.convergence_sweep(cfg)
-    config = dict(_common_config(args, map_, decay), **table.config)
-    write_outputs(_out_dir(args), "evl", table.columns, table.rows, config)
+    zeta = parse_point(args.zeta)
+    n_grid = [parse_count(n) for n in str(args.n).split(",")]
+    q, theta = args.q, args.theta
+    if q is None or theta is None:
+        q_det, theta_det = theta_limit(map_, zeta)
+        q = q_det if q is None else q
+        theta = theta_det if theta is None else theta
+    obs = Observable(center=zeta)
+    limit = math.exp(-theta * float(tau))
+    rows = []
+    for pt in mc.estimate_evl_grid(map_, obs, n_grid, tau, args.trials,
+                                   args.seed, args.workers):
+        U = threshold_for(obs, pt.n, tau).exceedance
+        inputs = evl_bracket_inputs(map_, U, q, pt.n, decay)
+        bracket = sharp_evl_bracket(float(tau), pt.n, theta, float(inputs.PA),
+                                    inputs.k, inputs.t, inputs.R, decay).total
+        deviation = abs(pt.estimate - limit)
+        rows.append({
+            "scale": pt.n, "estimate": pt.estimate, "ci_half": pt.half_width,
+            "limit": limit, "deviation": deviation, "bracket": bracket,
+            "ratio": deviation / bracket if bracket > 0 else math.inf,
+            "seed": args.seed, "k": inputs.k, "t": inputs.t, "R": inputs.R,
+            "q": q, "theta": theta, "PA": float(inputs.PA),
+        })
+    config = _common_config(args, map_, decay)
+    config["decay"]["table"] = list(decay.table)
+    config.update(map=map_.name, zeta=str(zeta), tau=str(tau), n_grid=n_grid,
+                  q=args.q, theta=args.theta, chunk=mc.CHUNK)
+    write_outputs(_out_dir(args), "evl",
+                  ("scale", "estimate", "ci_half", "limit", "deviation",
+                   "bracket", "ratio", "seed"), rows, config)
     return 0
 
 
@@ -407,29 +423,26 @@ def cmd_bounds(args) -> int:
         for n_s in str(args.n).split(","):
             n = parse_count(n_s)
             U = threshold_for(obs, n, tau).exceedance
-            inputs = evl_bracket_inputs(map_, U, q, n, decay)
+            inputs = evl_bracket_inputs(map_, U, q, n, decay,
+                                        budget=args.budget)
             k, t, PA = inputs.k, inputs.t, float(inputs.PA)
             if kind == "sharp-evl":
                 budget = sharp_evl_bracket(float(tau), n, theta, PA, k, t,
                                            inputs.R, decay)
             else:
-                gamma_mix = inputs.M * decay.gamma(t)
-                dp = float(dprime_sum(map_, obs, n, q, k, tau=tau,
+                dp = float(dprime_sum(map_, inputs.A, n, q, k,
                                       budget=args.budget,
                                       variant="theorem" if kind == "general"
                                       else "corollary"))
-                PU = float(U.measure())
-                if kind == "general":
-                    budget = general_evl_bracket(float(tau), n, q, k, t, PU,
-                                                 PA, gamma_mix, dp)
-                else:
-                    budget = limit_evl_bracket(float(tau), n, q, k, t, PU, PA,
-                                               theta, gamma_mix, dp)
+                budget = general_evl_bracket(
+                    float(tau), n, q, k, t, float(U.measure()), PA,
+                    inputs.M * decay.gamma(t), dp,
+                    theta=None if kind == "general" else theta)
             rows.extend(_budget_rows(n, k, t, inputs.R, budget))
     elif kind == "sharp-hts":
         for eps in parse_grid(args.eps):
             B = ball(zeta, eps)
-            inputs = hts_bracket_inputs(map_, B, q, decay)
+            inputs = hts_bracket_inputs(map_, B, q, decay, budget=args.budget)
             budget = sharp_hts_bracket(float(tau), float(B.measure()),
                                        float(inputs.PA), theta, inputs.k,
                                        inputs.t, inputs.R, inputs.ell,
@@ -463,7 +476,9 @@ def cmd_check(args) -> int:
     for n_s in str(args.n).split(","):
         n = parse_count(n_s)
         k_n = max(1, math.ceil(n ** 0.25))
-        value = dprime_sum(map_, obs, n, q, k_n, tau=tau, budget=args.budget)
+        A = annulus_set(map_, threshold_for(obs, n, tau).exceedance, q,
+                        budget=args.budget)
+        value = dprime_sum(map_, A, n, q, k_n, budget=args.budget)
         decreasing = previous is None or value < previous
         rows.append({"kind": "dprime", "scale": n, "k_n": k_n,
                      "value": float(value), "value_exact": str(value),
@@ -612,8 +627,7 @@ def main(argv=None) -> int:
     except ComponentBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InfeasibleError, RadiusRangeError, PeriodUndecidedError,
-            ExtremapError, ValueError) as exc:
+    except (ExtremapError, ValueError) as exc:
         return _fail(str(exc))
 
 

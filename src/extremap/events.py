@@ -258,16 +258,16 @@ def pair_correlation_measure(map_: FullBranchMap, A: IntervalUnion, j: int,
     return A.intersect(P).measure()
 
 
-def dprime_sum(map_: FullBranchMap, obs: Observable, n: int, q: int, k: int,
-               tau=1, budget: int = DEFAULT_BUDGET,
+def dprime_sum(map_: FullBranchMap, A: IntervalUnion, n: int, q: int, k: int,
+               budget: int = DEFAULT_BUDGET,
                variant: str = "theorem") -> Fraction:
     """Short-range recurrence sum of the no-clustering condition.
 
-    n * sum over j of measure(A(q) intersect f^(-j) A(q)), where A(q) is
-    the annulus at the level with n * P(U) = tau.  ``variant="theorem"``
-    sums j = q+1 .. floor(n/k) - 1; ``variant="corollary"`` sums
-    j = 1 .. floor(n/k) (the two ranges stated alongside the two error
-    brackets).  An empty range gives 0.
+    n * sum over j of measure(A intersect f^(-j) A), where A is the
+    q-annulus A(q) of the exceedance ball at the level with
+    n * P(U) = tau.  ``variant="theorem"`` sums j = q+1 .. floor(n/k) - 1;
+    ``variant="corollary"`` sums j = 1 .. floor(n/k) (the two ranges
+    stated alongside the two error brackets).  An empty range gives 0.
     """
     if variant == "theorem":
         j_lo, j_hi = q + 1, n // k - 1
@@ -275,10 +275,6 @@ def dprime_sum(map_: FullBranchMap, obs: Observable, n: int, q: int, k: int,
         j_lo, j_hi = 1, n // k
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    if j_hi < j_lo:
-        return Fraction(0)
-    sched = threshold_for(obs, n, tau)
-    A = annulus_set(map_, sched.exceedance, q, budget=budget)
     total = Fraction(0)
     for j in range(j_lo, j_hi + 1):
         total += pair_correlation_measure(map_, A, j, budget=budget)

@@ -49,7 +49,8 @@ An event enters the estimators as the center of its observable and the
 exact radius of its threshold ball.  The numerical settings are module
 constants: the chunk size, the digit block and Horner depth, the 95%
 Wilson quantile, the escape fit's survivor floor and the Ulam oracle's
-minimum bin count.
+minimum bin count.  The estimators only estimate: the ``cli`` commands
+set them against the error brackets of ``brackets``.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from .errors import InfeasibleError
 from .intervals import IntervalUnion, as_exact, ball
 from .maps import FullBranchMap, open_system_decay_rate, ulam_matrix
 from .events import Observable, theta_limit, threshold_for
-from .brackets import DecayModel, evl_bracket_inputs, sharp_evl_bracket
 
 CHUNK = 32768
 STEP_BLOCK = 128
@@ -632,97 +632,3 @@ def ulam_escape_oracle(map_: FullBranchMap, hole: IntervalUnion,
         in_hole[int(lo * bins):int(hi * bins)] = True
     keep = np.nonzero(~in_hole)[0]
     return open_system_decay_rate(M, keep)
-
-
-# ---------------------------------------------------------------------------
-# sweep orchestration
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SweepConfig:
-    map: FullBranchMap
-    zeta: Fraction
-    tau: Fraction
-    n_grid: Tuple[int, ...]
-    trials: int
-    seed: int
-    q: Optional[int] = None
-    theta: Optional[float] = None
-    decay: Optional[DecayModel] = None
-    workers: int = 1
-
-    def resolved(self) -> dict:
-        decay = self.decay if self.decay is not None else DecayModel.for_map(self.map)
-        return {
-            "map": self.map.name,
-            "zeta": str(as_exact(self.zeta)),
-            "tau": str(as_exact(self.tau)),
-            "n_grid": list(self.n_grid),
-            "trials": self.trials,
-            "seed": self.seed,
-            "q": self.q,
-            "theta": self.theta,
-            "decay": {"kind": decay.kind, "c0": decay.c0, "lam": decay.lam,
-                      "table": list(decay.table)},
-            "workers": self.workers,
-            "chunk": CHUNK,
-        }
-
-
-SWEEP_COLUMNS = ("scale", "estimate", "ci_half", "limit", "deviation",
-                 "bracket", "ratio", "seed")
-
-
-@dataclass
-class SweepTable:
-    rows: Tuple[dict, ...]
-    config: dict
-    columns: Tuple[str, ...] = SWEEP_COLUMNS
-
-
-def convergence_sweep(cfg: SweepConfig) -> SweepTable:
-    """One row per n: estimate, limit law value, deviation, sharp bracket.
-
-    The bracket uses optimizer-chosen blocking parameters, the exact
-    annulus measure and the exact first return time at each n, so the
-    deviation/bracket ratio column is the bounded-ratio check for the
-    convergence theorems.
-    """
-    obs = Observable(cfg.zeta)
-    decay = cfg.decay if cfg.decay is not None else DecayModel.for_map(cfg.map)
-    if cfg.q is None or cfg.theta is None:
-        q_det, theta_det = theta_limit(cfg.map, cfg.zeta)
-        q = cfg.q if cfg.q is not None else q_det
-        theta = cfg.theta if cfg.theta is not None else theta_det
-    else:
-        q, theta = cfg.q, cfg.theta
-    tau = as_exact(cfg.tau)
-    limit = math.exp(-theta * float(tau))
-    points = estimate_evl_grid(cfg.map, obs, cfg.n_grid, tau, cfg.trials,
-                               cfg.seed, cfg.workers)
-    rows = []
-    for pt in points:
-        U = threshold_for(obs, pt.n, tau).exceedance
-        inputs = evl_bracket_inputs(cfg.map, U, q, pt.n, decay)
-        budget = sharp_evl_bracket(float(tau), pt.n, theta, float(inputs.PA),
-                                   inputs.k, inputs.t, inputs.R, decay)
-        deviation = abs(pt.estimate - limit)
-        bracket = budget.total
-        rows.append({
-            "scale": pt.n,
-            "estimate": pt.estimate,
-            "ci_half": pt.half_width,
-            "limit": limit,
-            "deviation": deviation,
-            "bracket": bracket,
-            "ratio": deviation / bracket if bracket > 0 else math.inf,
-            "seed": cfg.seed,
-            "k": inputs.k,
-            "t": inputs.t,
-            "R": inputs.R,
-            "q": q,
-            "theta": theta,
-            "PA": float(inputs.PA),
-        })
-    return SweepTable(rows=tuple(rows), config=cfg.resolved())

@@ -9,6 +9,7 @@ defect scaled by n^k must stay within a factor 10 over the n grid and
 match the leading coefficient to 1e-3 at n = 10^4.
 """
 
+import json
 import math
 import random
 import time
@@ -35,6 +36,7 @@ from extremap.events import (
     threshold_for,
 )
 from extremap.brackets import annuli_gap_bound, exp_approx_error
+from extremap.cli import main
 from extremap import montecarlo as mc
 
 DOUBLING = FullBranchMap.doubling()
@@ -50,14 +52,16 @@ def report(name: str, ok: bool, detail: str):
 
 
 @pytest.fixture(scope="module")
-def evl_sweep():
-    """Shared AC-2 run, reused by AC-6."""
-    cfg = mc.SweepConfig(map=DOUBLING, zeta=F(1, 3), tau=F(1),
-                         n_grid=(1000, 10000, 100000), trials=100000,
-                         seed=SEED)
+def evl_sweep(tmp_path_factory):
+    """Shared AC-2 run, reused by AC-6: the rows of ``extremap evl``."""
+    out = tmp_path_factory.mktemp("evl")
     start = time.time()
-    table = mc.convergence_sweep(cfg)
-    return table, time.time() - start
+    rc = main(["evl", "--map", "doubling", "--zeta", "1/3", "--tau", "1",
+               "--n", "1000,10000,100000", "--trials", "100000",
+               "--seed", str(SEED), "--out", str(out)])
+    elapsed = time.time() - start
+    assert rc == 0
+    return json.loads((out / "evl.json").read_text())["rows"], elapsed
 
 
 def test_ac1_extremal_index_exact():
@@ -76,8 +80,7 @@ def test_ac1_extremal_index_exact():
 
 
 def test_ac2_evl_convergence(evl_sweep):
-    table, elapsed = evl_sweep
-    rows = table.rows
+    rows, elapsed = evl_sweep
     devs = [r["deviation"] for r in rows]
     hws = [r["ci_half"] for r in rows]
     final_ok = abs(rows[-1]["estimate"] - LIMIT_34) <= 0.01
@@ -162,8 +165,8 @@ def test_ac5_escape_rates():
 
 
 def test_ac6_bound_ratio(evl_sweep):
-    table, _ = evl_sweep
-    ratios = [r["ratio"] for r in table.rows]
+    rows, _ = evl_sweep
+    ratios = [r["ratio"] for r in rows]
     spread = max(ratios) / min(ratios)
     ok = spread <= 50 and max(ratios) <= 100
     report("AC-6", ok,
@@ -192,7 +195,8 @@ def test_ac7_exact_inequalities():
     values = []
     for e in range(8, 15):
         n = 2 ** e
-        values.append(dprime_sum(DOUBLING, obs, n, 2, math.ceil(n ** 0.25)))
+        A = annulus_set(DOUBLING, threshold_for(obs, n, 1).exceedance, 2)
+        values.append(dprime_sum(DOUBLING, A, n, 2, math.ceil(n ** 0.25)))
     decreasing = all(b < a for a, b in zip(values, values[1:]))
     elapsed = time.time() - start
     ok = decreasing and elapsed < 120

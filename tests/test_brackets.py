@@ -18,7 +18,6 @@ from extremap.events import (
 from extremap.brackets import (
     DecayModel,
     annuli_gap_bound,
-    limit_evl_bracket,
     escape_rate_window,
     evl_bracket_inputs,
     exp_approx_error,
@@ -258,11 +257,14 @@ def test_general_bracket_frozen_doubling_run():
 def test_limit_bracket_reductions():
     kwargs = dict(tau=1.0, n=4096, q=2, k=12, t=22, PU=1 / 4096,
                   PA=0.75 / 4096, gamma_mix=0.0, dprime=0.01)
-    same = limit_evl_bracket(theta=0.75, **kwargs)
+    same = general_evl_bracket(theta=0.75, **kwargs)
     base = general_evl_bracket(**kwargs)
     assert same.total == pytest.approx(base.total)  # theta_n equals theta here
-    zero_tau = limit_evl_bracket(tau=0.0, n=64, q=1, k=4, t=2, PU=0.0, PA=0.0,
-                             theta=0.5, gamma_mix=1e-3, dprime=0.02)
+    assert [name for name, _ in same.terms] == [
+        "block_gap", "mixing", "recurrence", "poisson", "ei_gap", "annulus"]
+    zero_tau = general_evl_bracket(tau=0.0, n=64, q=1, k=4, t=2, PU=0.0,
+                                   PA=0.0, theta=0.5, gamma_mix=1e-3,
+                                   dprime=0.02)
     assert zero_tau.total == pytest.approx(64 * 1e-3 + 0.02)
 
 
@@ -470,7 +472,7 @@ def test_bracket_inputs_builder():
     assert (evl.k, evl.t, evl.ell) == (bp_evl.k, bp_evl.t, bp_evl.ell)
     for event, inputs in ((B, hts), (U, evl)):
         A = annulus_set(DOUBLING, event, 2)
-        assert A.intersect(event) == A
+        assert inputs.A == A and A.intersect(event) == A
         assert inputs.PA == A.measure() == F(3, 4) * event.measure()
         assert inputs.R == first_return_time(DOUBLING, A, 256) >= 3
         assert inputs.M == bv_norm_indicator(A)
@@ -481,7 +483,7 @@ def test_dprime_feeds_general_bracket():
     n = 512
     sched = threshold_for(obs, n, 1)
     A = annulus_set(DOUBLING, sched.exceedance, 2)
-    dp = float(dprime_sum(DOUBLING, obs, n, 2, 5))
+    dp = float(dprime_sum(DOUBLING, A, n, 2, 5))
     M = bv_norm_indicator(A)
     b = general_evl_bracket(1.0, n, 2, 5, 9, float(sched.exceedance.measure()),
                       float(A.measure()), M * 0.5 ** 9, dp)

@@ -119,6 +119,53 @@ def test_evl_outputs_and_determinism(tmp_path):
     assert cfg["trials"] == 20000 and cfg["seed"] == 7
 
 
+def test_evl_sweep_deterministic(tmp_path):
+    # a rerun gives the same rows and config; the periodic centre 1/3
+    # takes q = 2 and theta = 3/4, and every bracket is positive
+    args = ["evl", "--zeta", "1/3", "--tau", "1", "--n", "200,800",
+            "--trials", "30000", "--seed", "9", "--out", str(tmp_path)]
+    runs = []
+    for _ in range(2):
+        assert main(args) == 0
+        runs.append(json.loads((tmp_path / "evl.json").read_text()))
+    t1, t2 = runs
+    assert t1["rows"] == t2["rows"]
+    assert t1["config"] == t2["config"]
+    assert t1["columns"] == ["scale", "estimate", "ci_half", "limit",
+                             "deviation", "bracket", "ratio", "seed"]
+    for col in t1["columns"]:
+        assert col in t1["rows"][0]
+    assert t1["rows"][0]["q"] == 2 and t1["rows"][0]["theta"] == 0.75
+    assert all(r["bracket"] > 0 for r in t1["rows"])
+    # the config records the map name and q, theta as requested
+    cfg = t1["config"]
+    assert cfg["map"] == "doubling" and cfg["n_grid"] == [200, 800]
+    assert cfg["q"] is None and cfg["theta"] is None
+    assert cfg["decay"]["table"] == [] and cfg["chunk"] > 0
+
+
+def test_evl_nonperiodic_center_uses_theta_one(tmp_path):
+    # dyadic denominator: strictly preperiodic, hence not periodic
+    assert main(["evl", "--zeta", "419/1024", "--tau", "1", "--n", "128",
+                 "--trials", "20000", "--seed", "3",
+                 "--out", str(tmp_path)]) == 0
+    row = json.loads((tmp_path / "evl.json").read_text())["rows"][0]
+    assert row["q"] == 0 and row["theta"] == 1.0
+    assert row["limit"] == pytest.approx(math.exp(-1.0))
+
+
+def test_evl_q_and_theta_skip_period_detection(tmp_path, capsys):
+    # the period of 1/1000003 under doubling is beyond the detection cap;
+    # only --q and --theta together make the detection unnecessary
+    args = ["evl", "--zeta", "1/1000003", "--n", "100", "--trials", "1000",
+            "--seed", "1", "--q", "0", "--out", str(tmp_path)]
+    assert main(args + ["--theta", "1"]) == 0
+    cfg = json.loads((tmp_path / "evl.json").read_text())["config"]
+    assert cfg["q"] == 0 and cfg["theta"] == 1.0
+    assert main(args) == 2
+    assert "period of 1/1000003 exceeds cap 64" in capsys.readouterr().err
+
+
 def test_hts_command_tau_zero_row(tmp_path):
     rc = main(["hts", "--zeta", "1/3", "--eps", "1/40", "--tau", "0,1",
                "--trials", "1e4", "--seed", "3", "--out", str(tmp_path)])
@@ -184,6 +231,44 @@ def test_bounds_command_theorems(tmp_path):
     by_term = {r["term"]: float(r["value"]) for r in rows}
     assert by_term["mixing"] == 0.0
     assert by_term["recurrence"] == 0.0
+
+
+@pytest.mark.parametrize("bracket", ["sharp-evl", "sharp-hts", "general",
+                                     "limit"])
+def test_bounds_budget_reaches_every_annulus(tmp_path, bracket):
+    # one component cannot hold the q = 2 annulus of a ball at 1/3
+    rc = main(["bounds", "--zeta", "1/3", "--bracket", bracket, "--n", "1024",
+               "--budget", "1", "--out", str(tmp_path)])
+    assert rc == 3
+    assert not (tmp_path / "bounds.json").exists()
+
+
+@pytest.mark.parametrize("bracket", ["general", "limit"])
+def test_bounds_builds_one_annulus_per_n(tmp_path, monkeypatch, bracket):
+    from extremap import brackets, cli, events
+    calls = []
+    annulus_set = events.annulus_set
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return annulus_set(*args, **kwargs)
+
+    for module in (events, brackets, cli):
+        monkeypatch.setattr(module, "annulus_set", counted)
+    assert main(["bounds", "--zeta", "1/3", "--bracket", bracket,
+                 "--n", "64,512", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "--seed", "1", "--prop-configs", "0"],
+    ["bounds", "--zeta", "1/3", "--bracket", "general"]])
+def test_tau_over_n_at_least_one_is_usage_error(tmp_path, capsys, command):
+    # at n = tau the threshold ball would have radius 1/2
+    rc = main([*command, "--n", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "tau/n = 1/1 >= 1" in capsys.readouterr().err
+    assert not (tmp_path / f"{command[0]}.json").exists()
 
 
 def test_config_file_with_flag_override(tmp_path):

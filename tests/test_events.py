@@ -252,24 +252,30 @@ def test_pair_correlation_closed_form_on_random_sets(d, j, ends):
 
 def test_dprime_sum_examples():
     obs = Observable(center=F(1, 3))
+
+    def annulus(n, q=2):
+        return annulus_set(DOUBLING, threshold_for(obs, n, 1).exceedance, q)
+
     prev = None
     for n in (256, 1024, 4096):
         k = max(1, math.ceil(n ** 0.25))
-        v = dprime_sum(DOUBLING, obs, n, 2, k)
+        v = dprime_sum(DOUBLING, annulus(n), n, 2, k)
         assert v > 0
         if prev is not None:
             assert v < prev
         prev = v
-    # empty range
-    assert dprime_sum(DOUBLING, obs, 64, 31, 2) == 0
+    # empty range: the sum reads no annulus, so any set stands in for
+    # A(31), whose 31 preimages would exhaust the budget
+    assert dprime_sum(DOUBLING, annulus(64), 64, 31, 2) == 0
     # first return beyond the summation range kills every term
-    assert dprime_sum(DOUBLING, obs, 64, 2, 16) == 0
+    assert dprime_sum(DOUBLING, annulus(64), 64, 2, 16) == 0
     # corollary variant starts at j = 1
-    assert dprime_sum(DOUBLING, obs, 256, 2, 4, variant="corollary") >= \
-        dprime_sum(DOUBLING, obs, 256, 2, 4, variant="theorem")
+    A = annulus(256)
+    assert dprime_sum(DOUBLING, A, 256, 2, 4, variant="corollary") >= \
+        dprime_sum(DOUBLING, A, 256, 2, 4, variant="theorem")
 
 
 def test_dprime_nonuniform_budgeted_path():
-    obs = Observable(center=F(0))
-    v = dprime_sum(WIDTHS, obs, 32, 1, 4)
+    U = threshold_for(Observable(center=F(0)), 32, 1).exceedance
+    v = dprime_sum(WIDTHS, annulus_set(WIDTHS, U, 1), 32, 1, 4)
     assert v >= 0

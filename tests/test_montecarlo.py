@@ -555,19 +555,6 @@ def test_aligned_bins():
     assert mc.aligned_bins(DOUBLING, ball(F(1, 3), F(1, 200))) == 600
 
 
-def test_convergence_sweep_deterministic():
-    cfg = mc.SweepConfig(map=DOUBLING, zeta=F(1, 3), tau=F(1),
-                         n_grid=(200, 800), trials=30000, seed=9)
-    t1 = mc.convergence_sweep(cfg)
-    t2 = mc.convergence_sweep(cfg)
-    assert t1.rows == t2.rows
-    assert t1.config == t2.config
-    for col in mc.SWEEP_COLUMNS:
-        assert col in t1.rows[0]
-    assert t1.rows[0]["q"] == 2 and t1.rows[0]["theta"] == 0.75
-    assert all(r["bracket"] > 0 for r in t1.rows)
-
-
 def test_evl_hts_duality_consistency():
     # with eps equal to the threshold radius of (n, tau), the hitting-time
     # horizon tau/P(B) is exactly n, and invariance makes the two survival
@@ -596,12 +583,3 @@ def test_escape_rate_sandwich():
                            0.5, PB, dm)
     slack = 0.1 * window.nominal
     assert window.lower - slack <= spectral <= window.nominal + slack
-
-
-def test_sweep_nonperiodic_center_uses_theta_one():
-    # dyadic denominator: strictly preperiodic, hence not periodic
-    cfg = mc.SweepConfig(map=DOUBLING, zeta=F(419, 1024), tau=F(1),
-                         n_grid=(128,), trials=20000, seed=3)
-    row = mc.convergence_sweep(cfg).rows[0]
-    assert row["q"] == 0 and row["theta"] == 1.0
-    assert row["limit"] == pytest.approx(math.exp(-1.0))
