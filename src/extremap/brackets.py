@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Tuple
 from .errors import InfeasibleError
 from .intervals import IntervalUnion
 from .maps import FullBranchMap, bv_norm_indicator
-from .events import DEFAULT_BUDGET, annulus_set, recurrence_start, survivor_set
+from .events import annulus_set, recurrence_start, survivor_set
 
 
 # ---------------------------------------------------------------------------
@@ -340,25 +340,23 @@ class BracketInputs:
 
 
 def evl_bracket_inputs(map_: FullBranchMap, U: IntervalUnion, q: int, n: int,
-                       gamma: DecayModel,
-                       budget: int = DEFAULT_BUDGET) -> BracketInputs:
+                       gamma: DecayModel) -> BracketInputs:
     """Bracket inputs of P(M_n <= u_n) for the exceedance set U.
 
     ell is the optimizer's n // k - t as it stands: the sharp bracket
-    itself rejects ell < 1.  ``budget`` caps the annulus components.
+    itself rejects ell < 1.
     """
-    A = annulus_set(map_, U, q, budget=budget)
+    A = annulus_set(map_, U, q)
     PA = A.measure()
     params = optimize_kt_evl(n, float(PA), gamma)
     return _bracket_inputs(map_, A, PA, params, params.ell)
 
 
 def hts_bracket_inputs(map_: FullBranchMap, B: IntervalUnion, q: int,
-                       gamma: DecayModel,
-                       budget: int = DEFAULT_BUDGET) -> BracketInputs:
+                       gamma: DecayModel) -> BracketInputs:
     """Bracket inputs of the hitting-time law of the ball B, with the
     block length ell raised to at least 1."""
-    A = annulus_set(map_, B, q, budget=budget)
+    A = annulus_set(map_, B, q)
     params = optimize_kt_hts(float(B.measure()), gamma)
     return _bracket_inputs(map_, A, A.measure(), params, max(params.ell, 1))
 
@@ -542,7 +540,7 @@ def exp_approx_error(x: float, n: int) -> Tuple[float, float]:
 
 
 def annuli_gap_bound(map_: FullBranchMap, B: IntervalUnion, A: IntervalUnion,
-                     q: int, n: int, budget: int = 10 ** 6):
+                     q: int, n: int):
     """Exact right-hand side of the ball/annulus replacement bound.
 
     RHS = sum over j = 1..q of measure(W intersect f^-(n-j)(B - A)) with
@@ -551,19 +549,18 @@ def annuli_gap_bound(map_: FullBranchMap, B: IntervalUnion, A: IntervalUnion,
     """
     if q < 0 or n <= q:
         raise ValueError("need 0 <= q < n")
-    expected = annulus_set(map_, B, q, budget=budget)
+    expected = annulus_set(map_, B, q)
     if expected != A:
         raise ValueError("A is not the q-step annulus of B")
     if q == 0:
         return A.measure() - A.measure()
-    W = survivor_set(map_, A, n, budget=budget)
+    W = survivor_set(map_, A, n)
     diff = B.difference(A)
     total = None
     P = diff
     levels = {}
     for i in range(1, n):
-        P = map_._budgeted_preimage(P, budget,
-                                    "annuli gap bound exceeds budget")
+        P = map_.preimage(P)
         if n - i <= q:
             levels[n - i] = P
     for j in range(1, q + 1):

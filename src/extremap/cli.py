@@ -21,7 +21,8 @@ from pathlib import Path
 
 from .errors import ComponentBudgetError, ExtremapError, InfeasibleError
 from .intervals import ball
-from .maps import FullBranchMap, Potential, weighted_periodic_sum
+from .maps import (COMPONENT_BUDGET, FullBranchMap, Potential,
+                   weighted_periodic_sum)
 from .events import (
     Observable,
     annulus_set,
@@ -160,7 +161,9 @@ def _add_common(p, stochastic=False, budget=False, decay=False):
         p.add_argument("--seed", type=parse_count, default=None)
     if budget:
         p.add_argument("--budget", type=parse_count, default=None,
-                       help="component budget for exact set computations")
+                       help="most components an exact preimage may have "
+                            f"(default {COMPONENT_BUDGET:,}); a command "
+                            "whose exact sets need more exits 3")
     if decay:
         p.add_argument("--decay-c0", type=float, default=None,
                        help="decay prefactor (default 4)")
@@ -407,8 +410,8 @@ def _budget_rows(scale, k, t, R, budget):
 
 def cmd_bounds(args) -> int:
     _defaults(args, map="doubling", tau="1", bracket="sharp-evl", n="1024",
-              eps="1/100", budget=10 ** 6)
-    map_ = FullBranchMap.from_spec(args.map)
+              eps="1/100", budget=COMPONENT_BUDGET)
+    map_ = FullBranchMap.from_spec(args.map, budget=args.budget)
     _require(args, "zeta")
     zeta = parse_point(args.zeta)
     obs = Observable(center=zeta)
@@ -423,15 +426,13 @@ def cmd_bounds(args) -> int:
         for n_s in str(args.n).split(","):
             n = parse_count(n_s)
             U = threshold_for(obs, n, tau).exceedance
-            inputs = evl_bracket_inputs(map_, U, q, n, decay,
-                                        budget=args.budget)
+            inputs = evl_bracket_inputs(map_, U, q, n, decay)
             k, t, PA = inputs.k, inputs.t, float(inputs.PA)
             if kind == "sharp-evl":
                 budget = sharp_evl_bracket(float(tau), n, theta, PA, k, t,
                                            inputs.R, decay)
             else:
                 dp = float(dprime_sum(map_, inputs.A, n, q, k,
-                                      budget=args.budget,
                                       variant="theorem" if kind == "general"
                                       else "corollary"))
                 budget = general_evl_bracket(
@@ -442,7 +443,7 @@ def cmd_bounds(args) -> int:
     elif kind == "sharp-hts":
         for eps in parse_grid(args.eps):
             B = ball(zeta, eps)
-            inputs = hts_bracket_inputs(map_, B, q, decay, budget=args.budget)
+            inputs = hts_bracket_inputs(map_, B, q, decay)
             budget = sharp_hts_bracket(float(tau), float(B.measure()),
                                        float(inputs.PA), theta, inputs.k,
                                        inputs.t, inputs.R, inputs.ell,
@@ -461,8 +462,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_check(args) -> int:
     _defaults(args, map="doubling", zeta="1/3", tau="1", prop_configs=10,
-              n="256,512,1024,2048,4096,8192,16384", budget=10 ** 6)
-    map_ = FullBranchMap.from_spec(args.map)
+              n="256,512,1024,2048,4096,8192,16384", budget=COMPONENT_BUDGET)
+    map_ = FullBranchMap.from_spec(args.map, budget=args.budget)
     _require_seed(args)
     zeta = parse_point(args.zeta)
     obs = Observable(center=zeta)
@@ -476,9 +477,8 @@ def cmd_check(args) -> int:
     for n_s in str(args.n).split(","):
         n = parse_count(n_s)
         k_n = max(1, math.ceil(n ** 0.25))
-        A = annulus_set(map_, threshold_for(obs, n, tau).exceedance, q,
-                        budget=args.budget)
-        value = dprime_sum(map_, A, n, q, k_n, budget=args.budget)
+        A = annulus_set(map_, threshold_for(obs, n, tau).exceedance, q)
+        value = dprime_sum(map_, A, n, q, k_n)
         decreasing = previous is None or value < previous
         rows.append({"kind": "dprime", "scale": n, "k_n": k_n,
                      "value": float(value), "value_exact": str(value),
@@ -492,10 +492,10 @@ def cmd_check(args) -> int:
         q_i = rng.randrange(0, 4)
         n_i = rng.randrange(q_i + 2, 13)
         B = ball(zeta_i, eps)
-        A = annulus_set(map_, B, q_i, budget=args.budget)
-        lhs = abs(survivor_set(map_, B, n_i, budget=args.budget).measure()
-                  - survivor_set(map_, A, n_i, budget=args.budget).measure())
-        rhs = annuli_gap_bound(map_, B, A, q_i, n_i, budget=args.budget)
+        A = annulus_set(map_, B, q_i)
+        lhs = abs(survivor_set(map_, B, n_i).measure()
+                  - survivor_set(map_, A, n_i).measure())
+        rhs = annuli_gap_bound(map_, B, A, q_i, n_i)
         ok = lhs <= rhs
         violated = violated or not ok
         rows.append({"kind": "proposition", "scale": n_i, "zeta": str(zeta_i),

@@ -20,9 +20,10 @@ class CapExceededError(ExtremapError):
 
 
 class ComponentBudgetError(ExtremapError):
-    """Exact interval computation would exceed the component budget.
+    """An exact preimage would exceed its map's component budget.
 
-    Signals that the caller should fall back to Monte Carlo.
+    Raised only by ``FullBranchMap.preimage``; the caller should fall
+    back to Monte Carlo.
     """
 
 

@@ -22,11 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .errors import ComponentBudgetError, InfeasibleError, PeriodUndecidedError
+from .errors import InfeasibleError, PeriodUndecidedError
 from .intervals import IntervalUnion, as_exact, ball
 from .maps import FullBranchMap
-
-DEFAULT_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -75,8 +73,7 @@ def threshold_for(obs: Observable, n: int, tau) -> ThresholdSchedule:
 # ---------------------------------------------------------------------------
 
 
-def annulus_set(map_: FullBranchMap, B: IntervalUnion, q: int,
-                budget: int = DEFAULT_BUDGET) -> IntervalUnion:
+def annulus_set(map_: FullBranchMap, B: IntervalUnion, q: int) -> IntervalUnion:
     """A(q) = B minus its first q dynamical preimages of itself.
 
     Equals B intersect f^(-1)(B^c) ... f^(-q)(B^c); q = 0 returns B.
@@ -86,14 +83,12 @@ def annulus_set(map_: FullBranchMap, B: IntervalUnion, q: int,
     A = B
     P = B
     for _ in range(q):
-        P = map_._budgeted_preimage(P, budget,
-                                    "annulus preimages exceed budget")
+        P = map_.preimage(P)
         A = A.difference(P)
     return A
 
 
-def survivor_set(map_: FullBranchMap, B: IntervalUnion, ell: int,
-                 budget: int = DEFAULT_BUDGET) -> IntervalUnion:
+def survivor_set(map_: FullBranchMap, B: IntervalUnion, ell: int) -> IntervalUnion:
     """Points avoiding B at times 0, ..., ell - 1 (full space if ell = 0)."""
     ell = int(math.floor(ell))
     if ell < 0:
@@ -102,9 +97,6 @@ def survivor_set(map_: FullBranchMap, B: IntervalUnion, ell: int,
     Bc = B.complement()
     for _ in range(ell):
         W = Bc.intersect(map_.preimage(W))
-        if len(W) > budget:
-            raise ComponentBudgetError(
-                "survivor set exceeds component budget; use Monte Carlo")
     return W
 
 
@@ -224,8 +216,8 @@ def recurrence_start(map_: FullBranchMap, A: IntervalUnion, ell: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def pair_correlation_measure(map_: FullBranchMap, A: IntervalUnion, j: int,
-                             budget: int = DEFAULT_BUDGET) -> Fraction:
+def pair_correlation_measure(map_: FullBranchMap, A: IntervalUnion,
+                             j: int) -> Fraction:
     """Exact measure(A intersect f^(-j)(A)).
 
     For uniform maps (x -> d*x mod 1) the j-fold composition is globally
@@ -235,7 +227,8 @@ def pair_correlation_measure(map_: FullBranchMap, A: IntervalUnion, j: int,
     ends of divmod(D*e, q): whole turns count A's full measure and the
     remainder a prefix of A's components.  The closed form has no
     component blowup and stays exact for arbitrarily large j.  Other
-    affine maps fall back to budgeted iterated preimages.
+    affine maps fall back to iterated preimages, each within the map's
+    component budget.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
@@ -254,12 +247,11 @@ def pair_correlation_measure(map_: FullBranchMap, A: IntervalUnion, j: int,
                 cum += r - e[i - 1]
             total += cum if k % 2 else -cum
         return Fraction(total, q * D)
-    P = map_.preimage_iter(A, j, budget=budget)
+    P = map_.preimage_iter(A, j)
     return A.intersect(P).measure()
 
 
 def dprime_sum(map_: FullBranchMap, A: IntervalUnion, n: int, q: int, k: int,
-               budget: int = DEFAULT_BUDGET,
                variant: str = "theorem") -> Fraction:
     """Short-range recurrence sum of the no-clustering condition.
 
@@ -277,7 +269,7 @@ def dprime_sum(map_: FullBranchMap, A: IntervalUnion, n: int, q: int, k: int,
         raise ValueError(f"unknown variant {variant!r}")
     total = Fraction(0)
     for j in range(j_lo, j_hi + 1):
-        total += pair_correlation_measure(map_, A, j, budget=budget)
+        total += pair_correlation_measure(map_, A, j)
     return n * total
 
 
@@ -286,18 +278,16 @@ def dprime_sum(map_: FullBranchMap, A: IntervalUnion, n: int, q: int, k: int,
 # ---------------------------------------------------------------------------
 
 
-def exact_evl_prob(map_: FullBranchMap, U: IntervalUnion, n: int,
-                   budget: int = DEFAULT_BUDGET):
+def exact_evl_prob(map_: FullBranchMap, U: IntervalUnion, n: int):
     """P(max of the first n observations <= u) for U = {X_0 > u}, exact."""
-    return survivor_set(map_, U, n, budget=budget).measure()
+    return survivor_set(map_, U, n).measure()
 
 
-def exact_hts_prob(map_: FullBranchMap, B: IntervalUnion, t: int,
-                   budget: int = DEFAULT_BUDGET):
+def exact_hts_prob(map_: FullBranchMap, B: IntervalUnion, t: int):
     """P(first hitting time of B > t), exact.
 
     The event is the preimage of the length-t survivor set W, and a
     full-branch affine map preserves Lebesgue measure (each branch has
     width * |slope| = 1), so its probability is m(W): 1 at t = 0.
     """
-    return survivor_set(map_, B, t, budget=budget).measure()
+    return survivor_set(map_, B, t).measure()

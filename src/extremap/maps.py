@@ -30,6 +30,7 @@ from .errors import CapExceededError, ComponentBudgetError, ConvergenceError
 from .intervals import IntervalUnion, as_exact
 
 PERIOD_CAP = 20  # longest period the periodic-orbit routines accept
+COMPONENT_BUDGET = 10 ** 6  # most components an exact preimage may have
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +109,11 @@ class SmoothBranch:
 
 
 class FullBranchMap:
-    """Expanding interval map with finitely many full branches."""
+    """Expanding interval map with finitely many full branches; ``budget``
+    caps the components of every exact preimage (see ``preimage``)."""
 
-    def __init__(self, branches: Sequence, name: str = ""):
+    def __init__(self, branches: Sequence, name: str = "",
+                 budget: int = COMPONENT_BUDGET):
         branches = tuple(branches)
         if len(branches) < 2:
             raise ValueError("need at least 2 branches")
@@ -125,6 +128,7 @@ class FullBranchMap:
             raise ValueError("branch domains must end at 1")
         self.branches = branches
         self.name = name or f"{len(branches)}-branch"
+        self.budget = budget
         self._los = [b.lo for b in branches]
         self._affine = all(isinstance(b, AffineBranch) for b in branches)
         self._uniform = self._affine and all(
@@ -155,7 +159,7 @@ class FullBranchMap:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def uniform(cls, d: int) -> "FullBranchMap":
+    def uniform(cls, d: int, budget=COMPONENT_BUDGET) -> "FullBranchMap":
         """The map x -> d*x mod 1."""
         if d < 2:
             raise ValueError("d must be at least 2")
@@ -164,7 +168,7 @@ class FullBranchMap:
             for i in range(d)
         ]
         names = {2: "doubling", 3: "tripling"}
-        return cls(branches, name=names.get(d, f"uniform-{d}"))
+        return cls(branches, name=names.get(d, f"uniform-{d}"), budget=budget)
 
     @classmethod
     def doubling(cls) -> "FullBranchMap":
@@ -175,7 +179,7 @@ class FullBranchMap:
         return cls.uniform(3)
 
     @classmethod
-    def from_widths(cls, widths) -> "FullBranchMap":
+    def from_widths(cls, widths, budget=COMPONENT_BUDGET) -> "FullBranchMap":
         """Increasing affine branches with the given (rational) widths."""
         ws = [as_exact(w) for w in widths]
         if sum(ws) != 1:
@@ -186,36 +190,34 @@ class FullBranchMap:
             branches.append(AffineBranch(lo, lo + w, slope, -lo * slope))
             lo += w
         name = "widths-" + ",".join(str(w) for w in ws)
-        return cls(branches, name=name)
+        return cls(branches, name=name, budget=budget)
 
     @classmethod
-    def from_spec(cls, spec) -> "FullBranchMap":
+    def from_spec(cls, spec, budget=COMPONENT_BUDGET) -> "FullBranchMap":
         """Build from a builtin name or an explicit branch list.
 
         Accepts "doubling", "tripling", "uniform:<d>",
         "widths:w1,w2,..." or a JSON list of
         {"lo":..., "hi":..., "slope":..., "intercept":...} dicts.
         """
-        if isinstance(spec, FullBranchMap):
-            return spec
         if isinstance(spec, (list, tuple)):
             branches = [
                 AffineBranch(as_exact(b["lo"]), as_exact(b["hi"]),
                              as_exact(b["slope"]), as_exact(b["intercept"]))
                 for b in spec
             ]
-            return cls(branches, name="custom")
+            return cls(branches, name="custom", budget=budget)
         s = str(spec).strip()
         if s.startswith("["):
-            return cls.from_spec(json.loads(s))
+            return cls.from_spec(json.loads(s), budget)
         if s == "doubling":
-            return cls.doubling()
+            return cls.uniform(2, budget)
         if s == "tripling":
-            return cls.tripling()
+            return cls.uniform(3, budget)
         if s.startswith("uniform:"):
-            return cls.uniform(int(s.split(":", 1)[1]))
+            return cls.uniform(int(s.split(":", 1)[1]), budget)
         if s.startswith("widths:"):
-            return cls.from_widths(s.split(":", 1)[1].split(","))
+            return cls.from_widths(s.split(":", 1)[1].split(","), budget)
         raise ValueError(f"unknown map spec {spec!r}")
 
     def __repr__(self):
@@ -262,15 +264,20 @@ class FullBranchMap:
             raise ValueError(f"{what} requires an affine map")
 
     def preimage(self, S: IntervalUnion) -> IntervalUnion:
-        """Full preimage f^(-1)(S), exact.
+        """Full preimage f^(-1)(S), exact, within the component budget.
 
         On branch b, y = e/q pulls back to (R_b*e + T_b*q) / (M*q) (see
         ``_pullback_data``).  The pieces of each branch lie inside its
         domain and the domains are in order, so the blocks concatenate
-        sorted and merge only where one block ends at the next one's start.
+        sorted and merge only where one block ends at the next one's start:
+        c components of S give at least d*c - (d - 1).  A bound past the
+        budget raises ComponentBudgetError before anything is built, and
+        so does a built preimage past it.
         """
         self._require_affine("preimage")
         e, q = S.ends, S.denominator
+        if self.d * len(S) - (self.d - 1) > self.budget:
+            raise self._over_budget()
         M, coeffs = self._pullback
         out = []
         for R, T in coeffs:
@@ -281,7 +288,15 @@ class FullBranchMap:
             if out and block and out[-1] == block[0]:
                 del out[-1], block[0]
             out += block
-        return IntervalUnion._from_ends(out, M * q)
+        P = IntervalUnion._from_ends(out, M * q)
+        if len(P) > self.budget:
+            raise self._over_budget()
+        return P
+
+    def _over_budget(self) -> ComponentBudgetError:
+        return ComponentBudgetError(
+            f"exact preimage exceeds the component budget of {self.budget}; "
+            "use Monte Carlo")
 
     def image(self, S: IntervalUnion) -> IntervalUnion:
         """Forward image f(S), exact.
@@ -307,32 +322,11 @@ class FullBranchMap:
                     pairs.append((u, v) if u < v else (v, u))
         return IntervalUnion._from_pairs(pairs, Q * q * K)
 
-    def preimage_iter(self, S: IntervalUnion, j: int,
-                      budget: int = 10 ** 6) -> IntervalUnion:
-        """f^(-j)(S) with a component-count budget."""
+    def preimage_iter(self, S: IntervalUnion, j: int) -> IntervalUnion:
+        """f^(-j)(S), one budgeted preimage at a time."""
         for _ in range(j):
-            S = self._budgeted_preimage(
-                S, budget,
-                f"preimage has more than {budget} components; use Monte Carlo")
+            S = self.preimage(S)
         return S
-
-    def _budgeted_preimage(self, S: IntervalUnion, budget: int,
-                           message: str) -> IntervalUnion:
-        """f^(-1)(S), raising ComponentBudgetError(message) when it has
-        more than ``budget`` components.
-
-        Each branch pulls the c components of S back to c disjoint,
-        non-adjacent pieces, and pieces of neighbouring branches can merge
-        only at the d - 1 inner branch boundaries, so an exact preimage
-        has at least d*c - (d - 1) components: past the budget that
-        raises before the preimage is built.
-        """
-        if self.is_affine and self.d * len(S) - (self.d - 1) > budget:
-            raise ComponentBudgetError(message)
-        P = self.preimage(S)
-        if len(P) > budget:
-            raise ComponentBudgetError(message)
-        return P
 
 
 def _pullback_data(branches):

@@ -443,7 +443,7 @@ def test_check_violation_exits_one(tmp_path, monkeypatch):
     # fault injection: force the domination bound below the true gap
     import extremap.cli as cli_mod
 
-    def broken_bound(map_, B, A, q, n, budget=10 ** 6):
+    def broken_bound(map_, B, A, q, n):
         return -1
 
     monkeypatch.setattr(cli_mod, "annuli_gap_bound", broken_bound)
@@ -498,6 +498,18 @@ def test_oversized_annulus_fails_fast(tmp_path):
                "--trials", "1000", "--seed", "1", "--out", str(tmp_path)])
     assert rc == 3
     assert time.perf_counter() - start < 10
+
+
+def test_oversized_survivor_set_fails_fast(tmp_path, capsys):
+    # the proposition row's survivor set on uniform:256 grows 256-fold per
+    # step; its next preimage is refused before it is built, not after
+    start = time.perf_counter()
+    rc = main(["check", "--map", "uniform:256", "--zeta", "1/3", "--n", "256",
+               "--seed", "2", "--prop-configs", "1", "--out", str(tmp_path)])
+    assert rc == 3
+    assert time.perf_counter() - start < 10
+    assert "component budget of 1000000" in capsys.readouterr().err
+    assert not (tmp_path / "check.json").exists()
 
 
 def test_monte_carlo_digit_limit_of_uniform_maps(tmp_path, capsys):

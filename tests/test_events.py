@@ -5,7 +5,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extremap.errors import InfeasibleError, PeriodUndecidedError
+from extremap.brackets import annuli_gap_bound
+from extremap.errors import (
+    ComponentBudgetError,
+    InfeasibleError,
+    PeriodUndecidedError,
+)
 from extremap.intervals import IntervalUnion, ball
 from extremap.maps import FullBranchMap
 from extremap.events import (
@@ -279,3 +284,48 @@ def test_dprime_nonuniform_budgeted_path():
     U = threshold_for(Observable(center=F(0)), 32, 1).exceedance
     v = dprime_sum(WIDTHS, annulus_set(WIDTHS, U, 1), 32, 1, 4)
     assert v >= 0
+
+
+# -- the component budget -----------------------------------------------------
+
+SMALL_TRIPLING = FullBranchMap.uniform(3, budget=50)
+SMALL_WIDTHS = FullBranchMap.from_widths([F(1, 2), F(1, 4), F(1, 4)], budget=50)
+HOLE = ball(F(1, 3), F(1, 100))
+
+BUDGET_ENTRY_POINTS = {
+    "survivor_set": lambda: survivor_set(SMALL_TRIPLING, HOLE, 12),
+    "annulus_set": lambda: annulus_set(SMALL_TRIPLING, HOLE, 8),
+    "annuli_gap_bound": lambda: annuli_gap_bound(
+        SMALL_TRIPLING, HOLE, annulus_set(SMALL_TRIPLING, HOLE, 1), 1, 12),
+    "exact_hts_prob": lambda: exact_hts_prob(SMALL_TRIPLING, HOLE, 12),
+    "pair_correlation_measure": lambda: pair_correlation_measure(
+        SMALL_WIDTHS, HOLE, 8),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BUDGET_ENTRY_POINTS))
+def test_every_exact_set_stops_at_the_map_budget(entry, monkeypatch):
+    # each entry point needs a preimage past the budget of 50; none may
+    # return one before it raises
+    sizes = []
+    preimage = FullBranchMap.preimage
+
+    def spy(self, S):
+        P = preimage(self, S)
+        sizes.append(len(P))
+        return P
+
+    monkeypatch.setattr(FullBranchMap, "preimage", spy)
+    with pytest.raises(ComponentBudgetError, match="budget of 50"):
+        BUDGET_ENTRY_POINTS[entry]()
+    assert sizes and max(sizes) <= 50
+
+
+def test_survivor_set_budget_bounds_the_preimage():
+    # at ell = 6 the survivor set of HOLE under tripling has 352
+    # components and the preimage it is cut from 358: the budget bounds
+    # the preimage, so 352 no longer suffices
+    assert len(survivor_set(FullBranchMap.uniform(3, budget=358), HOLE, 6)) \
+        == 352
+    with pytest.raises(ComponentBudgetError):
+        survivor_set(FullBranchMap.uniform(3, budget=357), HOLE, 6)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from extremap.errors import CapExceededError, ComponentBudgetError
 from extremap.intervals import IntervalUnion, ball
 from extremap.maps import (
+    COMPONENT_BUDGET,
     AffineBranch,
     FullBranchMap,
     Potential,
@@ -86,15 +87,31 @@ def test_budget_trips_before_the_preimage_is_built(monkeypatch):
     # the bound is attained when the pieces merge at the inner branch
     # boundary, so a preimage of exactly the budget still passes
     for s in (IntervalUnion.full(), ball(F(0), F(1, 7))):
-        assert len(DOUBLING.preimage_iter(s, 1, budget=2 * len(s) - 1)) \
-            == 2 * len(s) - 1
+        m = FullBranchMap.uniform(2, budget=2 * len(s) - 1)
+        assert len(m.preimage(s)) == 2 * len(s) - 1
     s = IntervalUnion([(F(1, 10), F(2, 10)), (F(3, 10), F(4, 10)),
                        (F(5, 10), F(6, 10))])
-    assert len(DOUBLING.preimage_iter(s, 1, budget=6)) == 6
-    monkeypatch.setattr(FullBranchMap, "preimage",
-                        lambda self, S: pytest.fail("preimage was built"))
+    assert len(FullBranchMap.uniform(2, budget=6).preimage(s)) == 6
+    # 2*3 - 1 = 5 passes the early check; the built preimage has 6
+    with pytest.raises(ComponentBudgetError, match="budget of 5"):
+        FullBranchMap.uniform(2, budget=5).preimage(s)
+    tight = FullBranchMap.uniform(2, budget=4)
+    # 2*3 - 1 = 5 > 4: neither the pullback loop nor the merge may run
+    monkeypatch.setattr(tight, "_pullback", None)
+    monkeypatch.setattr(IntervalUnion, "_from_ends", classmethod(
+        lambda cls, ends, den: pytest.fail("preimage was built")))
+    with pytest.raises(ComponentBudgetError, match="budget of 4"):
+        tight.preimage(s)
     with pytest.raises(ComponentBudgetError):
-        DOUBLING.preimage_iter(s, 1, budget=4)
+        tight.preimage_iter(s, 2)
+
+
+def test_from_spec_carries_the_budget():
+    for spec in ("doubling", "tripling", "uniform:5", "widths:1/2,1/4,1/4",
+                 '[{"lo": 0, "hi": "1/2", "slope": 2, "intercept": 0},'
+                 ' {"lo": "1/2", "hi": 1, "slope": 2, "intercept": -1}]'):
+        assert FullBranchMap.from_spec(spec, budget=7).budget == 7
+        assert FullBranchMap.from_spec(spec).budget == COMPONENT_BUDGET
 
 
 def test_image_examples():
