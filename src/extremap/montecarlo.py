@@ -29,6 +29,16 @@ chunk has left; a shorter draw is a prefix of the longer one's stream,
 so every estimate is the same as with full blocks.  Horner digits are
 counted against the inner branch breakpoints.
 
+A chunk's working memory beyond the position block it must keep is
+O(lanes).  A Horner chunk holds one float position block, one integer
+digit buffer of STEP_BLOCK + HORNER_DEPTH rows and lane-sized rows,
+all reused from block to block; a uniform chunk holds its windows, its
+digit block and lane-sized rows.  Uniforms and the d >= 3 start window
+are drawn one lane-sized row at a time: split ``random()`` draws and
+split uint64 ``integers`` draws give the same numbers as one big draw.
+Split uint8 draws do not (numpy fills them from 32-bit words), so the
+d >= 3 digit block stays one draw.
+
 The first-entry kernel retires the lanes that have entered the hole.
 Each step, on either stepper, adds its new entries to the histogram,
 and once the live lanes are half of those being stepped the entered
@@ -214,7 +224,9 @@ class _UniformOrbits(_Lanes):
             self.dc = np.uint64(d)
             self._lead = np.uint64(m // d)  # place value of the leading digit
             self.state = np.zeros(count, dtype=np.uint64)
-            for dig in rng.integers(0, d, size=(W, count), dtype=np.uint64):
+            for _ in range(W):
+                # one row at a time: split uint64 draws keep the stream
+                dig = rng.integers(0, d, size=count, dtype=np.uint64)
                 np.multiply(self.state, self.dc, out=self.state)
                 np.add(self.state, dig, out=self.state)
             self._block = np.empty((0, count), dtype=np.uint8)
@@ -291,56 +303,83 @@ class _HornerOrbits(_Lanes):
     each row reaching HORNER_DEPTH digits past the block's end through
     the carried digits.  A block is built when ``step()`` runs past the
     previous one.  ``dist()`` and ``level(radius)`` are floats.
+
+    A chunk holds one position block, one digit buffer of STEP_BLOCK +
+    HORNER_DEPTH rows and a few lane-sized rows, all reused from block
+    to block; ``keep()`` moves the live lanes to fresh, narrower ones.
+    The uniforms are drawn one row at a time into one full-width row:
+    split ``random()`` draws give the same numbers as one block-sized
+    draw.  Each branch is inverted as x = a + b*y, with
+    a = -intercept/slope and b = 1/slope, so decreasing branches are
+    sampled too; on an increasing branch a and b are its lo and width.
     """
 
     def __init__(self, map_: FullBranchMap, zeta: Fraction, count: int,
                  rng: np.random.Generator, steps: int):
         super().__init__(count, rng)
         self._zf = float(zeta)
-        self._los = np.array([float(b.lo) for b in map_.branches])
-        self._ws = np.array([float(b.width) for b in map_.branches])
+        self._a = np.array([float(-b.intercept / b.slope) for b in map_.branches])
+        self._b = np.array([float(1 / b.slope) for b in map_.branches])
         # the digit of u is the number of inner breakpoints at or below it;
         # the last cumulative width (which may round below 1) is never
         # compared, so digits stay below d
         self._inner = np.cumsum([float(w) for w in map_.widths])[:-1]
-        self._digit_type = np.min_scalar_type(map_.d - 1)
         self._d = np.empty(count)
         self._t = np.empty(count)
+        self._u = np.empty(count)  # one full-width row of uniforms
         self._rows_left = steps + 1  # rows not yet built, x_0 included
-        self._carry = self._draw(HORNER_DEPTH)
+        # the digits carried into the next block start at row _carry of
+        # _digits; the buffers are allocated at the live width whenever
+        # _block is None: at the first block and after keep()
+        self._digits = np.empty((HORNER_DEPTH, count),
+                                dtype=np.min_scalar_type(map_.d - 1))
+        self._carry, self._block = 0, None
+        self._draw(0, HORNER_DEPTH)
         self._build()
 
-    def _draw(self, rows: int) -> np.ndarray:
-        u = self._lanes(self.rng.random((rows, self.count)))
-        dig = np.zeros(u.shape, dtype=self._digit_type)
-        for c in self._inner:
-            np.add(dig, u >= c, out=dig)
-        return dig
+    def _draw(self, start: int, stop: int):
+        """Digit rows start..stop-1, drawn one row at a time."""
+        for row in self._digits[start:stop]:
+            self.rng.random(out=self._u)
+            u = self._lanes(self._u)
+            row.fill(0)
+            for c in self._inner:
+                np.add(row, u >= c, out=row)
 
     def _build(self):
         """The next block of positions, from its own and the carried digits."""
-        B = min(STEP_BLOCK, self._rows_left)
+        B, D = min(STEP_BLOCK, self._rows_left), HORNER_DEPTH
         self._rows_left -= B
-        digits = np.concatenate([self._carry, self._draw(B)], axis=0)
-        lanes = digits.shape[1]
-        pos = np.empty((B, lanes))
-        y = np.full(lanes, 0.5)
-        for r in range(B + HORNER_DEPTH - 1, -1, -1):
+        carry = self._digits[self._carry:self._carry + D]
+        if self._block is None:
+            # no later block is longer than this one
+            self._block = np.empty((B, carry.shape[1]))
+            self._digits = np.empty((B + D, carry.shape[1]), dtype=carry.dtype)
+        digits = self._digits
+        digits[:D] = carry
+        del carry  # a carry from __init__ or keep() is its own array: free it
+        self._draw(D, D + B)
+        pos = self._block[:B]
+        y = np.full(digits.shape[1], 0.5)
+        for r in range(B + D - 1, -1, -1):
             row = digits[r].astype(np.intp)  # intp indexes fastest
             out = pos[r] if r < B else y
-            np.multiply(self._ws[row], y, out=out)
-            np.add(self._los[row], out, out=out)
+            np.multiply(self._b[row], y, out=out)
+            np.add(self._a[row], out, out=out)
             y = out
-        self._pos, self._row, self._carry = pos, 0, digits[B:]
+        self._pos, self._row, self._carry = pos, 0, B
 
     def level(self, radius: Fraction) -> float:
         return float(radius)
 
     def keep(self, mask: np.ndarray):
         super().keep(mask)
+        # the carried digits and the positions still ahead go to fresh
+        # arrays, the digits first, so that no full-width digit buffer is
+        # left when the positions are copied beside the block buffer
+        self._digits = self._digits[self._carry:self._carry + HORNER_DEPTH, mask]
         self._pos = self._pos[self._row:, mask]
-        self._row = 0
-        self._carry = self._carry[:, mask]
+        self._carry, self._block, self._row = 0, None, 0
         self._d = np.empty(len(self._cols))
         self._t = np.empty(len(self._cols))
 

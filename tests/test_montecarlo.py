@@ -1,14 +1,17 @@
+import itertools
 import math
 import os
 import signal
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from extremap.errors import InfeasibleError
 from extremap.intervals import IntervalUnion, ball
-from extremap.maps import FullBranchMap, SmoothBranch, ulam_matrix
+from extremap.maps import AffineBranch, FullBranchMap, SmoothBranch, ulam_matrix
 from extremap.events import (
     Observable,
     exact_evl_prob,
@@ -20,6 +23,11 @@ from extremap import montecarlo as mc
 DOUBLING = FullBranchMap.doubling()
 TRIPLING = FullBranchMap.tripling()
 WIDTHS = FullBranchMap.from_widths([F(1, 2), F(1, 4), F(1, 4)])
+# the widths of WIDTHS with a decreasing first branch
+DECREASING = FullBranchMap.from_spec([
+    {"lo": 0, "hi": "1/2", "slope": -2, "intercept": 1},
+    {"lo": "1/2", "hi": "3/4", "slope": 4, "intercept": -2},
+    {"lo": "3/4", "hi": 1, "slope": 4, "intercept": -3}])
 
 
 # -- the orbit samplers the estimators run ----------------------------------
@@ -81,23 +89,32 @@ def test_uniform_orbits_occupation_frequency():
         assert abs(((x >= 0.2) & (x < 0.3)).mean() - 0.1) < 0.001
 
 
-def test_position_blocks_coding_across_step_block():
+def _check_position_coding(f):
     # widths 1/2, 1/4, 1/4: the reconstructed points step by the map,
     # also from the last row of one block to the first of the next, and
     # visit the branches with frequencies equal to their widths
     horizon = 2 * mc.STEP_BLOCK + 7
-    pos, starts = _horner_positions(WIDTHS, horizon - 1, 2000,
+    pos, starts = _horner_positions(f, horizon - 1, 2000,
                                     np.random.default_rng(9))
     assert starts == [0, mc.STEP_BLOCK, 2 * mc.STEP_BLOCK]
     assert pos.shape == (horizon, 2000)
     for lane in range(20):
         for k in range(horizon - 1):
-            gap = abs(WIDTHS.apply(pos[k, lane]) - pos[k + 1, lane])
+            gap = abs(f.apply(pos[k, lane]) - pos[k + 1, lane])
             assert min(gap, 1 - gap) < 1e-9
     digits = np.searchsorted([0.5, 0.75], pos, side="right")
     for i, w in enumerate((0.5, 0.25, 0.25)):
         assert abs((digits == i).mean() - w) < 0.005
     assert abs(((pos >= 0.2) & (pos < 0.3)).mean() - 0.1) < 0.002
+
+
+def test_position_blocks_coding_across_step_block():
+    _check_position_coding(WIDTHS)
+
+
+def test_position_blocks_coding_on_a_decreasing_branch():
+    # x = a + b*y with b = 1/slope < 0 inverts the decreasing branch
+    _check_position_coding(DECREASING)
 
 
 # -- the kernels against references with the plain arithmetic -------------
@@ -150,10 +167,11 @@ def test_uniform_orbits_match_modular_reference(d, steps):
 
 def _reference_position_blocks(map_, horizon, count, rng):
     """(k0, positions) blocks of the backward Horner reconstruction, with
-    searchsorted digits and a fresh y per row."""
+    searchsorted digits, block-sized draws and a fresh y per row; each
+    branch is inverted as x = a + b*y."""
     D, d = mc.HORNER_DEPTH, map_.d
-    los = np.array([float(b.lo) for b in map_.branches])
-    ws = np.array([float(b.width) for b in map_.branches])
+    a = np.array([float(-b.intercept / b.slope) for b in map_.branches])
+    b = np.array([float(1 / b.slope) for b in map_.branches])
     cum = np.cumsum([float(w) for w in map_.widths])
 
     def draw(rows):
@@ -167,7 +185,7 @@ def _reference_position_blocks(map_, horizon, count, rng):
         digits = np.concatenate([carry, draw(B)], axis=0)
         pos, y = np.empty((B, count)), np.full(count, 0.5)
         for r in range(B + D - 1, -1, -1):
-            y = los[digits[r]] + ws[digits[r]] * y
+            y = a[digits[r]] + b[digits[r]] * y
             if r < B:
                 pos[r] = y
         yield k0, pos
@@ -279,8 +297,10 @@ def test_entry_kernels_match_full_lane_reference(spec, radius, horizon, count):
 def test_uniform_orbits_keep_follows_the_full_width_stream():
     # after keep(), each kept lane steps through the same points as the
     # same lane of an orbit set that keeps every lane; the keeps at steps
-    # 10 and 70 fall inside the first digit block and the lanes kept
-    # then cross into the next one, where the keep at 130 falls
+    # 10 and 70 fall inside the first digit block, the keep after step
+    # 127 on its last row (one row ahead, then a block built at the live
+    # width), and the lanes kept then cross into the next block, where
+    # the keep at 130 falls
     for spec in ENTRY_MAPS:
         f = FullBranchMap.from_spec(spec)
         full = mc._orbits(f, F(1, 3), 61, np.random.default_rng(3), 300)
@@ -289,7 +309,9 @@ def test_uniform_orbits_keep_follows_the_full_width_stream():
         for k in range(300):
             full.step()
             kept.step()
-            if k in (10, 70, 130):
+            if k in (10, 70, 126, 130):
+                if k == 126 and not f.is_uniform:
+                    assert kept._row == len(kept._pos) - 1
                 mask = np.random.default_rng(k).random(len(lanes)) < 0.6
                 kept.keep(mask)
                 lanes = lanes[mask]
@@ -353,6 +375,104 @@ def test_evl_estimate_tripling_and_nonuniform():
     estw = mc.estimate_evl(WIDTHS, obsw, 8, 1, trials=30000, seed=5)
     exactw = float(exact_evl_prob(WIDTHS, threshold_for(obsw, 8, 1).exceedance, 8))
     assert abs(estw.estimate - exactw) <= 3 * estw.half_width
+
+
+@pytest.mark.parametrize("zeta", [F(1, 5), F(2, 7), F(1, 3)])
+def test_evl_estimate_on_a_decreasing_branch(zeta):
+    # a rebuild as x = lo + w*y, right for increasing branches only,
+    # reads 0.1221, 0.0608 and 0.0414 against 0.0795, 0.2033 and 0.1913
+    obs = Observable(center=zeta)
+    est = mc.estimate_evl(DECREASING, obs, 8, 2, trials=100000, seed=3)
+    exact = float(exact_evl_prob(DECREASING,
+                                 threshold_for(obs, 8, 2).exceedance, 8))
+    assert abs(est.estimate - exact) <= 3 * est.half_width
+
+
+def test_hts_estimate_on_a_decreasing_branch():
+    B = ball(F(1, 5), F(1, 16))
+    ecdf = mc.estimate_hts(DECREASING, F(1, 5), F(1, 16), [F(1, 2), 1],
+                           trials=100000, seed=3)
+    for tau, est, hw in zip(ecdf.grid, ecdf.estimates, ecdf.half_widths):
+        exact = float(exact_hts_prob(DECREASING, B, int(F(tau) / B.measure())))
+        assert abs(est - exact) <= 3 * hw
+
+
+# widths with denominators at most 8, each at most 1/2, 2 to 4 of them
+_FRACTIONS = sorted({F(p, q) for q in range(2, 9) for p in range(1, q // 2 + 1)})
+WIDTH_VECTORS = [
+    ws + (1 - sum(ws),) for k in (1, 2, 3)
+    for ws in itertools.product(_FRACTIONS, repeat=k)
+    if 0 < 1 - sum(ws) <= F(1, 2) and (1 - sum(ws)).denominator <= 8]
+
+
+@st.composite
+def affine_maps(draw):
+    """A full-branch affine map, each branch increasing or decreasing."""
+    branches, lo = [], F(0)
+    for w in draw(st.sampled_from(WIDTH_VECTORS)):
+        if draw(st.booleans()):
+            branches.append(AffineBranch(lo, lo + w, 1 / w, -lo / w))
+        else:
+            branches.append(AffineBranch(lo, lo + w, -1 / w, (lo + w) / w))
+        lo += w
+    return FullBranchMap(branches)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(f=affine_maps(),
+       zeta=st.integers(1, 17).flatmap(
+           lambda q: st.integers(0, q - 1).map(lambda p: F(p, q))),
+       n=st.integers(1, 8), tau=st.sampled_from([F(1, 2), F(1), F(2)]))
+def test_evl_estimate_matches_exact_on_random_affine_maps(f, zeta, n, tau):
+    assume(tau < n)  # tau/n >= 1 has no threshold ball
+    obs = Observable(center=zeta)
+    est = mc.estimate_evl(f, obs, n, tau, trials=20000, seed=1)
+    exact = float(exact_evl_prob(f, threshold_for(obs, n, tau).exceedance, n))
+    assert abs(est.estimate - exact) <= 4 * est.half_width
+
+
+def _peak_mib(fn, *args):
+    """fn(*args), and the peak memory traced during the call (numpy
+    buffers included) in MiB."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_horner_evl_chunk_holds_one_position_block():
+    # checkpoints across two block edges at a full chunk: one float block,
+    # one digit buffer and lane-sized rows, about 40.5 MiB; a block-sized
+    # float draw beside the old and the new block reads 79.0 MiB
+    cps = ((100, F(1, 1000)), (300, F(1, 2000)))
+    bound = (mc.STEP_BLOCK * mc.CHUNK * 8
+             + (mc.STEP_BLOCK + mc.HORNER_DEPTH) * mc.CHUNK) / 2 ** 20 + 6
+    _, peak = _peak_mib(mc._evl_chunk, WIDTHS, F(1, 3), cps, 0, mc.CHUNK, 1)
+    assert peak <= bound
+
+
+def test_horner_entry_chunk_memory_with_retired_lanes():
+    # every lane enters, so keep() runs several times mid-block: about
+    # 49 MiB, where block-sized float draws read 53.5 MiB
+    hist, peak = _peak_mib(mc._entry_chunk, WIDTHS, F(1, 3), F(1, 20), 300,
+                           0, mc.CHUNK, 1)
+    assert hist[0] == 0 and peak <= 53
+
+
+def test_uniform_window_start_is_drawn_row_by_row():
+    # d = 3 at a full chunk and a short horizon: the W start digits are
+    # drawn one lane-sized row at a time, about 1.3 MiB; one (W, CHUNK)
+    # uint64 draw reads 10.3 MiB
+    cps = ((8, F(1, 100)),)
+    _, peak = _peak_mib(mc._evl_chunk, TRIPLING, F(1, 3), cps, 0, mc.CHUNK, 1)
+    assert peak <= 4
 
 
 def test_evl_points_multiple_tau_single_pass():
