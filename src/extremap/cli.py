@@ -288,7 +288,7 @@ def cmd_evl(args) -> int:
         })
     config = _common_config(args, map_, decay)
     config["decay"]["table"] = list(decay.table)
-    config.update(map=map_.name, zeta=str(zeta), tau=str(tau), n_grid=n_grid,
+    config.update(zeta=str(zeta), tau=str(tau), n_grid=n_grid,
                   q=args.q, theta=args.theta, chunk=mc.CHUNK)
     write_outputs(_out_dir(args), "evl",
                   ("scale", "estimate", "ci_half", "limit", "deviation",

@@ -5,39 +5,40 @@ from SeedSequence(seed, spawn_key=(i,)), and aggregation sums chunk
 results in index order, so outputs are bit-for-bit identical no matter
 how many workers execute the chunks.
 
-Initial conditions are Lebesgue-distributed via i.i.d. branch digit
-streams.  Each map family has one orbit stepper, and the two share one
+Initial conditions are Lebesgue-distributed via i.i.d. random digits.
+Each map family has one orbit stepper, and the two share one
 interface: ``step()``, ``dist()`` to the target, ``level(radius)`` in
 the stepper's own distance units, and ``keep(mask)``.  For uniform maps
-(x -> d*x mod 1) an orbit is a sliding base-d window held as an
-unsigned 64-bit integer, so orbits of unbounded length never lose digit
-accuracy; non-uniform affine maps use a blockwise backward-Horner
-reconstruction at fixed digit depth.  These two steppers are the
-library's only orbit simulation: floating-point forward iteration of an
-expanding map collapses onto the dyadic rationals after roughly 53
-steps, so it is never used.  Each estimator has one chunk kernel, run
-over whichever stepper the map takes: ``_evl_chunk`` checkpoints the
-running minimum distance, ``_entry_chunk`` records first entry times.
+(x -> d*x mod 1) an orbit is held as the unsigned 64-bit window
+floor(2^64*x), refilled from below with base-d digits, so orbits of
+unbounded length never lose digit accuracy; non-uniform affine maps use
+a blockwise backward-Horner reconstruction at fixed digit depth.  These
+two steppers are the library's only orbit simulation: floating-point
+forward iteration of an expanding map collapses onto the dyadic
+rationals after roughly 53 steps, so it is never used.  Each estimator
+has one chunk kernel, run over whichever stepper the map takes:
+``_evl_chunk`` checkpoints the running minimum distance,
+``_entry_chunk`` records first entry times.
 
-The uniform stepper avoids per-lane division by a variable: the d >= 3
-window steps as state*d + digit - lead*m, with the leading digit
-``lead`` from a floor division by the constant m/d (which numpy turns
-into a multiply and shift), and its circle distance folds [0, 2m) into
-[0, m) with wrapping unsigned minima instead of a modulo.  Digit blocks
-are drawn STEP_BLOCK rows at a time but never longer than the steps the
-chunk has left; a shorter draw is a prefix of the longer one's stream,
-so every estimate is the same as with full blocks.  Horner digits are
-counted against the inner branch breakpoints.
+The uniform stepper draws one uniform word C in [0, d^J) per J steps,
+J the largest exponent with d^J <= 2^64.  If x = (s0 + t)/2^64 with t
+uniform on [0, 1), then floor(d^J*t) is uniform on [0, d^J) and the
+rest of d^J*t is uniform again, so i steps into a word that started at
+window s0 the window is d^i*s0 + C // d^(J-i) mod 2^64: one multiply,
+one floor division by a constant (a right shift when d is a power of
+two) and one add per step, with the constants read from a table built
+once per d.  For d = 2 a word is 64 bits and the step is a shift of the
+window that brings in the next bit.  The circle distance is the wrapped
+difference to the target read as int64, then its absolute value.
+Horner digits are counted against the inner branch breakpoints.
 
 A chunk's working memory beyond the position block it must keep is
 O(lanes).  A Horner chunk holds one float position block, one integer
 digit buffer of STEP_BLOCK + HORNER_DEPTH rows and lane-sized rows,
-all reused from block to block; a uniform chunk holds its windows, its
-digit block and lane-sized rows.  Uniforms and the d >= 3 start window
-are drawn one lane-sized row at a time: split ``random()`` draws and
-split uint64 ``integers`` draws give the same numbers as one big draw.
-Split uint8 draws do not (numpy fills them from 32-bit words), so the
-d >= 3 digit block stays one draw.
+all reused from block to block; a uniform chunk holds lane-sized rows
+only: the window, the word and its start.  Horner uniforms are drawn
+one lane-sized row at a time: split ``random()`` draws give the same
+numbers as one block-sized draw.
 
 The first-entry kernel retires the lanes that have entered the hole.
 Each step, on either stepper, adds its new entries to the histogram,
@@ -57,7 +58,7 @@ rebuilt only to grow, or after a worker has died.
 
 An event enters the estimators as the center of its observable and the
 exact radius of its threshold ball.  The numerical settings are module
-constants: the chunk size, the digit block and Horner depth, the 95%
+constants: the chunk size, the Horner block and depth, the 95%
 Wilson quantile, the escape fit's survivor floor and the Ulam oracle's
 minimum bin count.  The estimators only estimate: the ``cli`` commands
 set them against the error brackets of ``brackets``.
@@ -65,6 +66,7 @@ set them against the error brackets of ``brackets``.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -83,7 +85,10 @@ from .events import Observable, theta_limit, threshold_for
 CHUNK = 32768
 STEP_BLOCK = 128
 HORNER_DEPTH = 48
-MAX_UNIFORM_D = 256  # the d >= 3 kernel draws its digit blocks as uint8
+# the uniform stepper is exact for any d < 2^64; this is the range the
+# CLI documents and its exit-3 tests hold, and the exact oracles and
+# brackets are untested past it
+MAX_UNIFORM_D = 256
 Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
 MIN_SURVIVORS = 100  # the escape fit ends at the last t with this many left
 MIN_BINS = 64  # coarsest Ulam partition the escape oracle accepts
@@ -187,51 +192,49 @@ class _Lanes:
         return drawn if self._cols is None else drawn[..., self._cols]
 
 
+@functools.lru_cache(maxsize=None)
+def _word_steps(d: int):
+    """The J steps of one digit word of x -> d*x mod 1, J the largest
+    exponent with d^J <= 2^64: for i = 1..J the triple (d^i mod 2^64,
+    op, q) with op(C, q) = C // d^(J-i).  A power of two d = 2^k divides
+    by a right shift of k*(J-i) bits, which numpy does in about half the
+    time of a division."""
+    J = 1
+    while d ** (J + 1) <= 1 << 64:
+        J += 1
+    k = d.bit_length() - 1
+    shift = d == 1 << k
+    return tuple((np.uint64(d ** i % (1 << 64)),
+                  np.right_shift if shift else np.floor_divide,
+                  np.uint64(k * (J - i) if shift else d ** (J - i)))
+                 for i in range(1, J + 1))
+
+
 class _UniformOrbits(_Lanes):
     """Vectorized orbit stepper for one chunk of trials of x -> d*x mod 1.
 
-    ``state`` holds the current base-d windows over m = d^W (2^64 for
-    d = 2); ``dist()`` is the circle distance to the target in 1/m
-    units, compared against ``level(radius)``.  ``steps`` is the number
-    of steps the chunk will take: the d >= 3 digit blocks are drawn no
-    longer than that.
+    ``state`` holds floor(m*x) with m = 2^64; ``dist()`` is the circle
+    distance to the target in 1/m units, compared against
+    ``level(radius)``.  The steps come in words of J (``_word_steps``):
+    a word draws one uniform integer C in [0, d^J), and i steps into it
+    the window is d^i*s0 + C // d^(J-i) mod 2^64, with s0 the window at
+    the word's start.  ``steps`` is not read: a word is one row.
     """
+
+    m = 1 << 64
 
     def __init__(self, map_: FullBranchMap, zeta: Fraction, count: int,
                  rng: np.random.Generator, steps: int):
         super().__init__(count, rng)
-        d = self.d = map_.d
-        self.native = d == 2
-        self._t1 = np.empty(count, dtype=np.uint64)
+        self._word = _word_steps(map_.d)
+        self._J = len(self._word)
+        self._top = map_.d ** self._J
+        self.Z = np.uint64(_scaled(zeta, self.m) % self.m)
+        self.state = rng.integers(0, self.m, size=count, dtype=np.uint64)
+        self._s0 = np.empty(count, dtype=np.uint64)
+        self._C = np.empty(count, dtype=np.uint64)
+        self._i = self._J  # the first step draws a word
         self._d = np.empty(count, dtype=np.uint64)
-        if self.native:
-            self.m = 1 << 64
-            self.Z = np.uint64(_scaled(zeta, self.m) % self.m)
-            self.state = rng.integers(0, 2 ** 64, size=count, dtype=np.uint64)
-            self._buf = rng.integers(0, 2 ** 64, size=count, dtype=np.uint64)
-            self._bits_left = 64
-            self._one, self._s63 = np.uint64(1), np.uint64(63)
-        else:
-            # W digits give a window below d^W = m: no reduction needed,
-            # and d * m stays below 2^64
-            W = 1
-            while d ** (W + 2) <= 2 ** 63:
-                W += 1
-            m = self.m = d ** W
-            # subtraction of Z is done as addition of m - Z to stay inside [0, 2m)
-            self.Zneg = np.uint64(-_scaled(zeta, m) % m)
-            self.mc = np.uint64(m)
-            self.dc = np.uint64(d)
-            self._lead = np.uint64(m // d)  # place value of the leading digit
-            self.state = np.zeros(count, dtype=np.uint64)
-            for _ in range(W):
-                # one row at a time: split uint64 draws keep the stream
-                dig = rng.integers(0, d, size=count, dtype=np.uint64)
-                np.multiply(self.state, self.dc, out=self.state)
-                np.add(self.state, dig, out=self.state)
-            self._block = np.empty((0, count), dtype=np.uint8)
-            self._row = 0
-            self._steps_left = steps
 
     def level(self, radius: Fraction) -> np.uint64:
         """The exact radius in 1/m units: dist() < level iff inside."""
@@ -239,60 +242,31 @@ class _UniformOrbits(_Lanes):
 
     def keep(self, mask: np.ndarray):
         super().keep(mask)
-        self.state = self.state[mask]
-        self._t1 = np.empty(len(self.state), dtype=np.uint64)
+        self.state, self._s0, self._C = (
+            self.state[mask], self._s0[mask], self._C[mask])
         self._d = np.empty(len(self.state), dtype=np.uint64)
-        if self.native:
-            self._buf = self._buf[mask]
-        else:
-            self._block = self._block[self._row:, mask]
-            self._row = 0
 
     def step(self):
-        if self.native:
-            if self._bits_left == 0:
-                self._buf = self._lanes(self.rng.integers(
-                    0, 2 ** 64, size=self.count, dtype=np.uint64))
-                self._bits_left = 64
-            np.right_shift(self._buf, self._s63, out=self._t1)
-            np.left_shift(self._buf, self._one, out=self._buf)
-            self._bits_left -= 1
-            np.left_shift(self.state, self._one, out=self.state)
-            np.bitwise_or(self.state, self._t1, out=self.state)
-        else:
-            if self._row == len(self._block):
-                # a shorter draw is a prefix of the full block's stream
-                rows = min(STEP_BLOCK, self._steps_left)
-                self._block = self._lanes(self.rng.integers(
-                    0, self.d, size=(rows, self.count), dtype=np.uint8))
-                self._row = 0
-            # (state * d + dig) mod m = state * d + dig - lead * m, where
-            # lead = state // (m / d) is the digit shifted out; all
-            # intermediates stay below d * m < 2^64
-            lead = np.floor_divide(self.state, self._lead, out=self._t1)
-            np.multiply(lead, self.mc, out=lead)
-            np.multiply(self.state, self.dc, out=self.state)
-            np.add(self.state, self._block[self._row], out=self.state)
-            np.subtract(self.state, lead, out=self.state)
-            self._row += 1
-            self._steps_left -= 1
+        if self._i == self._J:
+            # the window becomes the next word's s0; its buffer is free
+            self._s0, self.state = self.state, self._s0
+            self._C = self._lanes(self.rng.integers(
+                0, self._top, size=self.count, dtype=np.uint64))
+            self._i = 0
+        power, op, q = self._word[self._i]
+        self._i += 1
+        # C // d^(J-i) goes through the distance buffer: one row fewer
+        # for the step to stream through the cache
+        np.multiply(self._s0, power, out=self.state)
+        np.add(self.state, op(self._C, q, out=self._d), out=self.state)
 
     def dist(self) -> np.ndarray:
         """Circle distance of the current points to the target, in 1/m
-        units, in a buffer that the next call overwrites."""
-        diff = self._d
-        if self.native:
-            # the wrapped difference read as int64: its abs is the distance
-            np.subtract(self.state, self.Z, out=diff)
-            np.abs(diff.view(np.int64), out=diff.view(np.int64))
-            return diff
-        # diff = state - Z + m lies in [0, 2m); below m, diff - m wraps
-        # past 2^64 - m, so the minimum of the two is diff mod m
-        np.add(self.state, self.Zneg, out=diff)
-        other = np.subtract(diff, self.mc, out=self._t1)
-        np.minimum(diff, other, out=diff)
-        np.subtract(self.mc, diff, out=other)
-        return np.minimum(diff, other, out=diff)
+        units, in a buffer that the next step() or dist() overwrites."""
+        # the wrapped difference read as int64: its abs is the distance
+        diff = np.subtract(self.state, self.Z, out=self._d)
+        np.abs(diff.view(np.int64), out=diff.view(np.int64))
+        return diff
 
 
 class _HornerOrbits(_Lanes):

@@ -144,6 +144,21 @@ def test_evl_sweep_deterministic(tmp_path):
     assert cfg["decay"]["table"] == [] and cfg["chunk"] > 0
 
 
+@pytest.mark.parametrize("spec, name", [
+    ("widths:1/2,1/4,1/4", "widths-1/2,1/4,1/4"),
+    ('[{"lo": 0, "hi": "1/2", "slope": -2, "intercept": 1},'
+     ' {"lo": "1/2", "hi": 1, "slope": 2, "intercept": -1}]', "custom")])
+def test_evl_records_the_map_spec_as_given(tmp_path, spec, name):
+    # "map" is the spec as the user gave it, as in hts, escape and ei;
+    # "map_name" is the name the map was built with
+    assert main(["evl", "--map", spec, "--zeta", "1/5", "--tau", "1",
+                 "--n", "8", "--trials", "1000", "--seed", "2",
+                 "--out", str(tmp_path)]) == 0
+    cfg = json.loads((tmp_path / "evl.json").read_text())["config"]
+    assert cfg["map"] == spec
+    assert cfg["map_name"] == name
+
+
 def test_evl_nonperiodic_center_uses_theta_one(tmp_path):
     # dyadic denominator: strictly preperiodic, hence not periodic
     assert main(["evl", "--zeta", "419/1024", "--tau", "1", "--n", "128",

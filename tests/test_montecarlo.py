@@ -59,19 +59,19 @@ def _horner_positions(map_, steps, count, rng):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_uniform_orbits_coding(d):
-    # x_k = window_k / m steps by the map up to the digit shifted in
-    # (an exact multiple of 1/m below d/m), and that digit is the branch
-    # of the orbit W - 1 steps later, once it leads the W-digit window
+    # x_k = window_k / m steps by the map up to the digit shifted in (an
+    # exact multiple of 1/m below d/m); for d = 2 the window is a base-2
+    # window, so that digit is the branch of the orbit 63 steps later,
+    # once it leads the window
     f = FullBranchMap.uniform(d)
     m, states = _uniform_states(d, 120, 6, seed=11)
-    W = round(math.log(m, d))
     for lane in range(states.shape[1]):
         xs = [F(int(s), m) for s in states[:, lane]]
         for k in range(len(xs) - 1):
             digit = (xs[k + 1] - f.apply(xs[k])) * m
             assert digit.denominator == 1 and 0 <= digit < d
-            if k + W < len(xs):
-                assert f.branch_index(xs[k + W]) == digit
+            if d == 2 and k + 64 < len(xs):
+                assert f.branch_index(xs[k + 64]) == digit
 
 
 def test_uniform_orbits_fair_digits():
@@ -120,49 +120,62 @@ def test_position_blocks_coding_on_a_decreasing_branch():
 # -- the kernels against references with the plain arithmetic -------------
 
 
-def _reference_uniform_orbits(d, m, zeta_int, count, rng, steps):
-    """Windows and circle distances at times 0..steps, stepped with ``%``
-    and digit blocks drawn STEP_BLOCK rows at a time."""
-    mc_, dc = np.uint64(m), np.uint64(d)
-    state = np.zeros(count, dtype=np.uint64)
-    for _ in range(round(math.log(m, d))):
-        dig = rng.integers(0, d, size=count, dtype=np.uint64)
-        state = (state * dc + dig) % mc_
-    zneg = np.uint64((m - zeta_int % m) % m)
-
-    def dist(s):
-        diff = (s + zneg) % mc_
-        return np.minimum(diff, mc_ - diff)
-
-    states, dists = [state], [dist(state)]
-    for k in range(steps):
-        if k % mc.STEP_BLOCK == 0:
-            block = rng.integers(0, d, size=(mc.STEP_BLOCK, count),
-                                 dtype=np.uint8)
-        state = (state * dc + block[k % mc.STEP_BLOCK].astype(np.uint64)) % mc_
-        states.append(state)
-        dists.append(dist(state))
-    return states, dists
+# digits per word: the largest J with d^J <= 2^64
+WORD = {2: 64, 3: 40, 5: 27, 8: 21, 256: 8}
 
 
-@pytest.mark.parametrize("d", [3, 5, 256])
+def _exact_uniform_windows(d, zeta, count, seed, steps):
+    """Windows and circle distances of the uniform stepper at times
+    0..steps, (steps+1, count) Python ints, from x -> d*x mod 1 applied
+    to Fractions: x_0 = (s0 + sum_b C_b d^(-bJ)) / 2^64 is built from the
+    stepper's draws (the start window s0, then one word C_b in [0, d^J)
+    per J steps), and the window at time k is floor(2^64 x_k)."""
+    J, m = WORD[d], 2 ** 64
+    rng = np.random.default_rng(seed)
+    s0 = rng.integers(0, m, size=count, dtype=np.uint64)
+    words = [rng.integers(0, d ** J, size=count, dtype=np.uint64)
+             for _ in range(-(-steps // J))]
+    z = zeta.numerator * m // zeta.denominator
+    states, dists = [], []
+    for lane in range(count):
+        x = F(int(s0[lane]) + sum(F(int(C[lane]), d ** (b * J))
+                                  for b, C in enumerate(words, 1)), m)
+        col = []
+        for _ in range(steps + 1):
+            col.append(x.numerator * m // x.denominator)
+            x = d * x % 1
+        states.append(col)
+        dists.append([min((w - z) % m, (z - w) % m) for w in col])
+    return np.array(states, dtype=object).T, np.array(dists, dtype=object).T
+
+
+@pytest.mark.parametrize("d", sorted(WORD))
 @pytest.mark.parametrize("steps", [7, 128, 300])
 def test_uniform_orbits_match_modular_reference(d, steps):
-    # shorter than, equal to and across STEP_BLOCK, with a target whose
-    # window offset folds half the lanes past m; numpy fills uint8 draws
-    # from 4-byte words, so an odd lane count makes a draw that ends off
-    # a block boundary shift the rest of the stream
+    # the window is floor(2^64 x_k) exactly, inside a word and across
+    # words (128 and 300 steps cross at least one word boundary at every
+    # d), with the target at 1/3, so the wrapped difference takes both
+    # signs; a second stepper keeps a random subset mid-word after step
+    # 3 and one and a half words in, and its lanes stay exact
     lanes = 61
-    orb = mc._UniformOrbits(FullBranchMap.uniform(d), F(1, 3), lanes,
-                            np.random.default_rng(17), steps)
-    ref_states, ref_dists = _reference_uniform_orbits(
-        d, orb.m, mc._scaled(F(1, 3), orb.m), lanes,
-        np.random.default_rng(17), steps)
+    assert len(mc._word_steps(d)) == WORD[d]
+    ref_states, ref_dists = _exact_uniform_windows(d, F(1, 3), lanes, 17, steps)
+    f = FullBranchMap.uniform(d)
+    orb = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(17), steps)
+    kept = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(17), steps)
+    cols = np.arange(lanes)
     for k in range(steps + 1):
         if k:
             orb.step()
-        assert np.array_equal(orb.state, ref_states[k]), k
-        assert np.array_equal(orb.dist(), ref_dists[k]), k
+            kept.step()
+        if k in (3, WORD[d] + WORD[d] // 2):
+            mask = np.random.default_rng(k).random(len(cols)) < 0.6
+            kept.keep(mask)
+            cols = cols[mask]
+        assert orb.state.tolist() == ref_states[k].tolist(), k
+        assert orb.dist().tolist() == ref_dists[k].tolist(), k
+        assert kept.state.tolist() == ref_states[k][cols].tolist(), k
+        assert kept.dist().tolist() == ref_dists[k][cols].tolist(), k
 
 
 def _reference_position_blocks(map_, horizon, count, rng):
@@ -267,7 +280,7 @@ def _full_lane_entry_uniform(map_, zeta, radius, horizon, index, count, seed):
 
 ENTRY_MAPS = ["doubling", "tripling", "uniform:5", "widths:1/2,1/4,1/4",
               "widths:49/50,1/50"]
-SPAN = 3 * mc.STEP_BLOCK + 5  # crosses three digit-block boundaries
+SPAN = 3 * mc.STEP_BLOCK + 5  # crosses three Horner blocks and 6+ words
 
 
 @pytest.mark.parametrize("spec", ENTRY_MAPS)
@@ -279,7 +292,7 @@ SPAN = 3 * mc.STEP_BLOCK + 5  # crosses three digit-block boundaries
     (F(1, 20), 0, 61),         # nothing to step
 ])
 def test_entry_kernels_match_full_lane_reference(spec, radius, horizon, count):
-    # 61 lanes: a retired lane set that shifted the digit or bit stream
+    # 61 lanes: a retired lane set that shifted the digit or word stream
     # of the kept lanes would change their entry times
     f = FullBranchMap.from_spec(spec)
     reference = (_full_lane_entry_uniform if f.is_uniform
@@ -296,11 +309,13 @@ def test_entry_kernels_match_full_lane_reference(spec, radius, horizon, count):
 
 def test_uniform_orbits_keep_follows_the_full_width_stream():
     # after keep(), each kept lane steps through the same points as the
-    # same lane of an orbit set that keeps every lane; the keeps at steps
-    # 10 and 70 fall inside the first digit block, the keep after step
-    # 127 on its last row (one row ahead, then a block built at the live
-    # width), and the lanes kept then cross into the next block, where
-    # the keep at 130 falls
+    # same lane of an orbit set that keeps every lane.  Horner: the keeps
+    # after steps 11 and 71 fall inside the first block, the keep after
+    # step 127 on its last row (one row ahead, then a block built at the
+    # live width), and the lanes kept then cross into the next block,
+    # where the keeps after 128 and 131 fall.  Uniform: the keeps fall
+    # mid-word, and after 120 (tripling) and 128 (doubling) steps on the
+    # last step of a word
     for spec in ENTRY_MAPS:
         f = FullBranchMap.from_spec(spec)
         full = mc._orbits(f, F(1, 3), 61, np.random.default_rng(3), 300)
@@ -309,7 +324,7 @@ def test_uniform_orbits_keep_follows_the_full_width_stream():
         for k in range(300):
             full.step()
             kept.step()
-            if k in (10, 70, 126, 130):
+            if k in (10, 70, 119, 126, 127, 130):
                 if k == 126 and not f.is_uniform:
                     assert kept._row == len(kept._pos) - 1
                 mask = np.random.default_rng(k).random(len(lanes)) < 0.6
@@ -320,15 +335,17 @@ def test_uniform_orbits_keep_follows_the_full_width_stream():
                 assert np.array_equal(kept.state, full.state[lanes]), (spec, k)
 
 
-# Survivor counts at the parent of the one-kernel-per-estimator change:
-# estimate_evl_grid at n = 1, 7, 129, 300 and estimate_hts survivors at
-# tau = 1/2, 1, 2, 3 (t = 25 .. 150, past STEP_BLOCK), then the censored
-# count; centre 1/3, eps 1/100, seed 5.  A shifted random stream in any
-# kernel family changes them.
+# Survivor counts: estimate_evl_grid at n = 1, 7, 129, 300 and
+# estimate_hts survivors at tau = 1/2, 1, 2, 3 (t = 25 .. 150, past
+# STEP_BLOCK and past several digit words), then the censored count;
+# centre 1/3, eps 1/100, seed 5.  The doubling and widths rows date from
+# the parent of the one-kernel-per-estimator change, the tripling and
+# uniform:5 rows from the change to one 2^64 window for every uniform:d.
+# A shifted random stream in any kernel family changes them.
 PINNED = {
     "doubling": ([16985, 20348, 22936, 23093], [22209, 14672, 6379, 2801], 2801),
-    "tripling": ([16931, 18860, 20247, 20461], [19577, 11486, 3988, 1419], 1419),
-    "uniform:5": ([16827, 19045, 20732, 20800], [20288, 12222, 4383, 1576], 1576),
+    "tripling": ([16985, 19018, 20413, 20383], [19874, 11605, 3894, 1348], 1348),
+    "uniform:5": ([16985, 19065, 20725, 20957], [20231, 12128, 4328, 1596], 1596),
     "widths:1/2,1/4,1/4": ([16817, 18451, 20318, 20447],
                            [19759, 11400, 3784, 1241], 1241),
     "widths:49/50,1/50": ([16903, 29818, 17813, 22468],
@@ -418,17 +435,56 @@ def affine_maps(draw):
     return FullBranchMap(branches)
 
 
-@settings(max_examples=20, derandomize=True, database=None, deadline=None)
-@given(f=affine_maps(),
-       zeta=st.integers(1, 17).flatmap(
-           lambda q: st.integers(0, q - 1).map(lambda p: F(p, q))),
-       n=st.integers(1, 8), tau=st.sampled_from([F(1, 2), F(1), F(2)]))
-def test_evl_estimate_matches_exact_on_random_affine_maps(f, zeta, n, tau):
+POINTS = st.integers(1, 17).flatmap(
+    lambda q: st.integers(0, q - 1).map(lambda p: F(p, q)))
+EVL_ARGS = dict(zeta=POINTS, n=st.integers(1, 8),
+                tau=st.sampled_from([F(1, 2), F(1), F(2)]))
+# hitting times up to 1/P(B) = 8 keep the exact survivor sets small
+HTS_ARGS = dict(zeta=POINTS, eps=st.sampled_from([F(1, 16), F(1, 10), F(1, 5)]))
+HTS_TAUS = [F(1, 2), F(1)]
+UNIFORM_DS = range(3, 8)
+
+
+def _check_evl_against_exact(f, zeta, n, tau):
     assume(tau < n)  # tau/n >= 1 has no threshold ball
     obs = Observable(center=zeta)
     est = mc.estimate_evl(f, obs, n, tau, trials=20000, seed=1)
     exact = float(exact_evl_prob(f, threshold_for(obs, n, tau).exceedance, n))
     assert abs(est.estimate - exact) <= 4 * est.half_width
+
+
+def _check_hts_against_exact(f, zeta, eps):
+    B = ball(zeta, eps)
+    ecdf = mc.estimate_hts(f, zeta, eps, HTS_TAUS, trials=20000, seed=1)
+    for tau, est, hw in zip(HTS_TAUS, ecdf.estimates, ecdf.half_widths):
+        exact = float(exact_hts_prob(f, B, int(tau / B.measure())))
+        assert abs(est - exact) <= 4 * hw, tau
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(f=affine_maps(), **EVL_ARGS)
+def test_evl_estimate_matches_exact_on_random_affine_maps(f, zeta, n, tau):
+    _check_evl_against_exact(f, zeta, n, tau)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(f=affine_maps(), **HTS_ARGS)
+def test_hts_estimate_matches_exact_on_random_affine_maps(f, zeta, eps):
+    _check_hts_against_exact(f, zeta, eps)
+
+
+@pytest.mark.parametrize("d", UNIFORM_DS)
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(**EVL_ARGS)
+def test_evl_estimate_matches_exact_on_uniform_maps(d, zeta, n, tau):
+    _check_evl_against_exact(FullBranchMap.uniform(d), zeta, n, tau)
+
+
+@pytest.mark.parametrize("d", UNIFORM_DS)
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(**HTS_ARGS)
+def test_hts_estimate_matches_exact_on_uniform_maps(d, zeta, eps):
+    _check_hts_against_exact(FullBranchMap.uniform(d), zeta, eps)
 
 
 def _peak_mib(fn, *args):
@@ -467,9 +523,9 @@ def test_horner_entry_chunk_memory_with_retired_lanes():
 
 
 def test_uniform_window_start_is_drawn_row_by_row():
-    # d = 3 at a full chunk and a short horizon: the W start digits are
-    # drawn one lane-sized row at a time, about 1.3 MiB; one (W, CHUNK)
-    # uint64 draw reads 10.3 MiB
+    # d = 3 at a full chunk and a short horizon: the start window and
+    # each digit word are one lane-sized uint64 row, about 2.2 MiB with
+    # the stepper's rows; one (40, CHUNK) uint64 draw reads 10 MiB
     cps = ((8, F(1, 100)),)
     _, peak = _peak_mib(mc._evl_chunk, TRIPLING, F(1, 3), cps, 0, mc.CHUNK, 1)
     assert peak <= 4
@@ -512,8 +568,8 @@ def test_estimators_reject_trials_below_one(trials):
 
 
 def test_unsampled_maps_fail_before_any_chunk_is_scheduled(monkeypatch):
-    # a smooth map has no stepper, and the digits of uniform:257 do not
-    # fit the uint8 digit blocks: both raise in the calling process
+    # a smooth map has no stepper, and uniform:257 is past MAX_UNIFORM_D:
+    # both raise in the calling process
     monkeypatch.setattr(mc, "_map_tasks",
                         lambda *args: pytest.fail("a chunk was scheduled"))
     smooth = FullBranchMap([
