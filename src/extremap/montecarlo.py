@@ -17,7 +17,8 @@ two steppers are the library's only orbit simulation: floating-point
 forward iteration of an expanding map collapses onto the dyadic
 rationals after roughly 53 steps, so it is never used.  Each estimator
 has one chunk kernel, run over whichever stepper the map takes:
-``_evl_chunk`` checkpoints the running minimum distance,
+``_evl_chunk`` checkpoints the running minimum distance (on
+power-of-two uniform maps through a coarse pass, below),
 ``_entry_chunk`` records first entry times.
 
 The uniform stepper draws one uniform word C in [0, d^J) per J steps,
@@ -32,11 +33,32 @@ window that brings in the next bit.  The circle distance is the wrapped
 difference to the target read as int64, then its absolute value.
 Horner digits are counted against the inner branch breakpoints.
 
+On ``uniform:d`` with d = 2^k the EVL kernel first runs a coarse pass
+(``_CoarseOrbits``).  It makes the exact stepper's draws, so a chunk
+sees the same orbits, but each step reads only the top 32 bits of the
+window, a shift-or of two uint32 halves of the stream s0 || C (C
+left-justified when k*J < 64), and the coarse distance c: the wrapped
+difference to the target's top 32 bits read as int32, then its
+absolute value.  That is six uint32 passes per step where the exact
+step and distance take six uint64 passes.  The low 32 bits of the
+window and of the target move the exact distance by less than 2^32
+either way, so it lies strictly between (c - 1)*2^32 and (c + 1)*2^32,
+and so does a running minimum.  With L32 the radius's level shifted
+right by 32 bits, a lane whose coarse minimum is at least L32 + 2
+surely survives and one at most L32 - 1 surely entered.  The rare
+lanes at L32 or L32 + 1 at some checkpoint (the band) run again
+through the exact stepper on the same generator, keeping only their
+columns and building each word's steps as one block (``min_dist``),
+and their exact outcomes replace the coarse ones, so every count is
+the exact stepper's.  The first-entry kernel keeps the exact stepper:
+a first entry would need the band handled at every step.
+
 A chunk's working memory beyond the position block it must keep is
 O(lanes).  A Horner chunk holds one float position block, one integer
 digit buffer of STEP_BLOCK + HORNER_DEPTH rows and lane-sized rows,
 all reused from block to block; a uniform chunk holds lane-sized rows
-only: the window, the word and its start.  Horner uniforms are drawn
+only: the window, the word and its start, and in the coarse pass the
+uint32 halves of the stream.  Horner uniforms are drawn
 one lane-sized row at a time: split ``random()`` draws give the same
 numbers as one block-sized draw.
 
@@ -66,14 +88,13 @@ set them against the error brackets of ``brackets``.
 
 from __future__ import annotations
 
+import atexit
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,6 +102,9 @@ from .errors import InfeasibleError
 from .intervals import IntervalUnion, as_exact, ball
 from .maps import FullBranchMap, open_system_decay_rate, ulam_matrix
 from .events import Observable, theta_limit, threshold_for
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 CHUNK = 32768
 STEP_BLOCK = 128
@@ -135,6 +159,8 @@ _pool_workers = 0
 def _shared_pool(workers: int) -> ProcessPoolExecutor:
     """The process's pool, rebuilt only when a call needs more workers."""
     global _pool, _pool_workers
+    # imported here: only runs with workers > 1 need a pool
+    from concurrent.futures import ProcessPoolExecutor
     if _pool is None or _pool_workers < workers:
         _drop_pool()
         _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
@@ -148,10 +174,17 @@ def _drop_pool():
     _pool, _pool_workers = None, 0
 
 
+# shut the pool down before the interpreter clears the modules at exit:
+# concurrent.futures, imported after this module, is cleared before it,
+# and a pool collected after that raises in its own weakref callback
+atexit.register(_drop_pool)
+
+
 def _map_tasks(fn, args_list, workers: int):
     workers = _pool_size(workers, len(args_list))
     if workers == 1:
         return [fn(*args) for args in args_list]
+    from concurrent.futures.process import BrokenProcessPool
     try:
         return list(_shared_pool(workers).map(fn, *zip(*args_list)))
     except BrokenProcessPool:
@@ -246,13 +279,16 @@ class _UniformOrbits(_Lanes):
             self.state[mask], self._s0[mask], self._C[mask])
         self._d = np.empty(len(self.state), dtype=np.uint64)
 
+    def _next_word(self):
+        # the window becomes the next word's s0; its buffer is free
+        self._s0, self.state = self.state, self._s0
+        self._C = self._lanes(self.rng.integers(
+            0, self._top, size=self.count, dtype=np.uint64))
+        self._i = 0
+
     def step(self):
         if self._i == self._J:
-            # the window becomes the next word's s0; its buffer is free
-            self._s0, self.state = self.state, self._s0
-            self._C = self._lanes(self.rng.integers(
-                0, self._top, size=self.count, dtype=np.uint64))
-            self._i = 0
+            self._next_word()
         power, op, q = self._word[self._i]
         self._i += 1
         # C // d^(J-i) goes through the distance buffer: one row fewer
@@ -266,6 +302,102 @@ class _UniformOrbits(_Lanes):
         # the wrapped difference read as int64: its abs is the distance
         diff = np.subtract(self.state, self.Z, out=self._d)
         np.abs(diff.view(np.int64), out=diff.view(np.int64))
+        return diff
+
+    def min_dist(self, steps: int) -> np.ndarray:
+        """Step ``steps`` times and return the minimum of dist() over
+        those steps (2^64 - 1 when there are none).  The windows of each
+        word's steps are built as one (steps, lanes) block, so the calls
+        per step fall from six to a fraction of one: for a few lanes,
+        whose steps cost more in calls than in arithmetic."""
+        low = np.full(len(self.state), np.iinfo(np.uint64).max, dtype=np.uint64)
+        while steps:
+            if self._i == self._J:
+                self._next_word()
+            rows = self._word[self._i:self._i + steps]
+            power = np.array([p for p, _, _ in rows])[:, None]
+            q = np.array([q for _, _, q in rows])[:, None]
+            block = np.multiply(self._s0, power)
+            block += rows[0][1](self._C, q)
+            self.state[...] = block[-1]
+            block -= self.Z
+            np.abs(block.view(np.int64), out=block.view(np.int64))
+            np.minimum(low, block.min(axis=0), out=low)
+            self._i += len(rows)
+            steps -= len(rows)
+        return low
+
+
+@functools.lru_cache(maxsize=None)
+def _top_steps(d: int):
+    """For d = 2^k, where the J steps of one word read the top 32 bits of
+    the window: i steps in they are bits k*i .. k*i + 31 of the stream
+    s0 || C' split into uint32 halves h[0..3], C' the word shifted left by
+    64 - k*J bits.  The triple (q, r, 32 - r), (q, r) = divmod(k*i, 32),
+    reads them as (h[q] << r) | (h[q+1] >> (32 - r)), or h[q] when r = 0."""
+    k = d.bit_length() - 1
+    return tuple((q, np.uint32(r), np.uint32(32 - r))
+                 for q, r in (divmod(k * i, 32)
+                              for i in range(1, len(_word_steps(d)) + 1)))
+
+
+class _CoarseOrbits(_UniformOrbits):
+    """The top 32 bits of the ``_UniformOrbits`` window, for d = 2^k.
+
+    The draws are the exact stepper's: the start row, then one word per
+    J steps, so a chunk sees the same orbits.  Once per word the 64-bit
+    window jumps to the word's end, the next word's s0, and the stream
+    s0 || C' is split into four uint32 halves (C' is C left-justified: when
+    k*J < 64 its low bits are zero); each step reads the window's top 32
+    bits from two of them (``_top_steps``).  ``dist()`` is the coarse
+    distance c, the wrapped difference of those bits to the target's
+    top 32 bits read as int32, then its absolute value, read back as
+    uint32 (2^31 stays 2^31); ``level(radius)`` is floor(radius*2^64)
+    >> 32.  ``_evl_chunk`` says how c brackets the exact distance.  The
+    coarse pass steps every lane: it is never kept.
+    """
+
+    def __init__(self, map_: FullBranchMap, zeta: Fraction, count: int,
+                 rng: np.random.Generator, steps: int):
+        super().__init__(map_, zeta, count, rng, steps)
+        self._tops = _top_steps(map_.d)
+        self._pad = np.uint64(64 - (map_.d.bit_length() - 1) * self._J)
+        self._Z32 = np.uint32(int(self.Z) >> 32)
+        self._h = np.empty((4, count), dtype=np.uint32)
+        self._t = np.empty(count, dtype=np.uint32)  # the top 32 bits
+        self._c = np.empty(count, dtype=np.uint32)
+        self._top32 = np.right_shift(self.state, np.uint64(32), out=self._t,
+                                     casting="unsafe")
+
+    def level(self, radius: Fraction) -> int:
+        return _scaled(radius, self.m) >> 32
+
+    def step(self):
+        h = self._h
+        if self._i == self._J:
+            self._next_word()
+            np.multiply(self._s0, self._word[-1][0], out=self.state)
+            np.add(self.state, self._C, out=self.state)
+            np.right_shift(self._s0, np.uint64(32), out=h[0], casting="unsafe")
+            np.copyto(h[1], self._s0, casting="unsafe")
+            np.right_shift(self._C, np.uint64(32) - self._pad, out=h[2],
+                           casting="unsafe")
+            np.left_shift(self._C, self._pad, out=h[3], casting="unsafe")
+        q, r, rest = self._tops[self._i]
+        self._i += 1
+        if r:
+            np.left_shift(h[q], r, out=self._t)
+            np.bitwise_or(self._t, np.right_shift(h[q + 1], rest, out=self._c),
+                          out=self._t)
+            self._top32 = self._t
+        else:
+            self._top32 = h[q]
+
+    def dist(self) -> np.ndarray:
+        """The coarse distance c of the current points to the target, in
+        a buffer that the next step() or dist() overwrites."""
+        diff = np.subtract(self._top32, self._Z32, out=self._c)
+        np.abs(diff.view(np.int32), out=diff.view(np.int32))
         return diff
 
 
@@ -394,21 +526,57 @@ def _orbits(map_: FullBranchMap, zeta: Fraction, count: int,
 # ---------------------------------------------------------------------------
 
 
-def _evl_chunk(map_: FullBranchMap, zeta: Fraction,
-               checkpoints: Tuple[Tuple[int, Fraction], ...],
-               index: int, count: int, seed: int):
-    """Survivor counts at each (n, radius) checkpoint for one chunk."""
-    orb = _orbits(map_, zeta, count, _rng(seed, index),
-                  steps=checkpoints[-1][0] - 1)
+def _running_minima(orb, checkpoints: Tuple[Tuple[int, Fraction], ...]):
+    """At each (n, radius) checkpoint, the running minimum of ``dist()``
+    over x_0 .. x_(n-1) and the level of the radius, in the stepper's
+    units; the minimum is one buffer, updated in place."""
     runmin = orb.dist().copy()
     k = 0
-    counts = []
     for n, radius in checkpoints:
         while k < n - 1:
             orb.step()
             np.minimum(runmin, orb.dist(), out=runmin)
             k += 1
-        counts.append(int((runmin >= orb.level(radius)).sum()))
+        yield runmin, orb.level(radius)
+
+
+def _evl_chunk(map_: FullBranchMap, zeta: Fraction,
+               checkpoints: Tuple[Tuple[int, Fraction], ...],
+               index: int, count: int, seed: int):
+    """Survivor counts at each (n, radius) checkpoint for one chunk.
+
+    A lane survives a checkpoint when its running minimum distance is at
+    least the radius's level.  On ``uniform:d`` with d a power of two
+    the chunk runs the coarse pass (``_CoarseOrbits``): its running
+    minimum c of the top-32-bit distance brackets the exact one strictly
+    between (c - 1)*2^32 and (c + 1)*2^32, so with L32 = level >> 32 a
+    lane surely survives when c >= L32 + 2 and surely entered when
+    c <= L32 - 1.  The lanes with c in {L32, L32 + 1} at some checkpoint
+    (the band) run again through the exact stepper, on the same
+    generator, and their exact outcomes at the checkpoints where they
+    were in the band replace the coarse ones, so the counts are exact.
+    Other maps run the exact stepper alone.
+    """
+    steps = checkpoints[-1][0] - 1
+    if not (map_.is_uniform and (map_.d & (map_.d - 1)) == 0):
+        orb = _orbits(map_, zeta, count, _rng(seed, index), steps)
+        return [int((runmin >= level).sum())
+                for runmin, level in _running_minima(orb, checkpoints)]
+    orb = _CoarseOrbits(map_, zeta, count, _rng(seed, index), steps)
+    counts, bands = [], []
+    for cmin, L32 in _running_minima(orb, checkpoints):
+        counts.append(int((cmin >= L32 + 2).sum()))
+        bands.append(np.flatnonzero((cmin >= L32) & (cmin <= L32 + 1)))
+    lanes = np.unique(np.concatenate(bands))
+    if len(lanes):
+        exact = _UniformOrbits(map_, zeta, count, _rng(seed, index), steps)
+        exact.keep(np.isin(np.arange(count), lanes))
+        runmin, k = exact.dist().copy(), 0
+        for j, (n, radius) in enumerate(checkpoints):
+            np.minimum(runmin, exact.min_dist(n - 1 - k), out=runmin)
+            k = n - 1
+            band = runmin[np.searchsorted(lanes, bands[j])]
+            counts[j] += int((band >= exact.level(radius)).sum())
     return counts
 
 

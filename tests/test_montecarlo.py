@@ -178,6 +178,117 @@ def test_uniform_orbits_match_modular_reference(d, steps):
         assert kept.dist().tolist() == ref_dists[k][cols].tolist(), k
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 256])
+def test_uniform_min_dist_matches_the_step_loop(d):
+    # runs of 0, 1 and 62 steps end mid-word, a run of J steps from
+    # mid-word crosses a boundary, and 2J + 3 steps cross two
+    J, lanes = WORD[d], 7
+    f = FullBranchMap.uniform(d)
+    blocked = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(5), 0)
+    stepped = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(5), 0)
+    for run in (0, 1, 62, J, 2 * J + 3, 1):
+        low = np.full(lanes, np.iinfo(np.uint64).max, dtype=np.uint64)
+        for _ in range(run):
+            stepped.step()
+            low = np.minimum(low, stepped.dist())
+        assert blocked.min_dist(run).tolist() == low.tolist(), run
+        assert blocked.state.tolist() == stepped.state.tolist(), run
+
+
+# -- the coarse EVL pass of power-of-two uniform maps against the exact one
+
+
+def _coarse_bounds_hold(c, exact):
+    """(c - 1)*2^32 < D < (c + 1)*2^32 for every lane, in Python ints."""
+    return all((ci - 1) << 32 < di < (ci + 1) << 32
+               for ci, di in zip(c.tolist(), exact.tolist()))
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 32, 128, 256])
+def test_coarse_orbits_read_the_top_bits_of_the_window(d):
+    # 300 steps cross several words at every d; at d = 8, 32 and 128 a
+    # word fills 63, 60 and 63 bits and is left-justified
+    f, lanes = FullBranchMap.uniform(d), 61
+    coarse = mc._CoarseOrbits(f, F(1, 3), lanes, np.random.default_rng(8), 300)
+    exact = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(8), 300)
+    for k in range(301):
+        if k:
+            coarse.step()
+            exact.step()
+        top = (exact.state >> np.uint64(32)).astype(np.uint32)
+        assert coarse._top32.tolist() == top.tolist(), k
+        assert _coarse_bounds_hold(coarse.dist(), exact.dist()), k
+
+
+def _exact_evl_minima(map_, zeta, checkpoints, index, count, seed):
+    """The exact running minimum distance at each checkpoint, by the
+    uniform stepper's step loop, and the survivor counts it gives."""
+    orb = mc._UniformOrbits(map_, zeta, count, mc._rng(seed, index),
+                            checkpoints[-1][0] - 1)
+    runmin, k, minima, counts = orb.dist().copy(), 0, [], []
+    for n, radius in checkpoints:
+        while k < n - 1:
+            orb.step()
+            runmin = np.minimum(runmin, orb.dist())
+            k += 1
+        minima.append(runmin)
+        counts.append(int((runmin >= orb.level(radius)).sum()))
+    return minima, counts
+
+
+# checkpoints on both sides of a doubling word's end, with several radii
+# at one n as the AC-3 runs have
+EDGE_CHECKPOINTS = ((1, F(1, 5)), (63, F(1, 200)), (64, F(1, 200)),
+                    (65, F(1, 300)), (128, F(1, 400)), (129, F(1, 800)),
+                    (129, F(1, 400)), (129, F(1, 250)))
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 256])
+@pytest.mark.parametrize("count", [61, 1001])
+def test_evl_chunk_coarse_pass_matches_the_exact_stepper(d, count):
+    # lane for lane: each coarse minimum brackets the exact one, the sure
+    # survivors survive and the sure entries entered; and the chunk's
+    # counts are the exact loop's
+    f = FullBranchMap.uniform(d)
+    minima, counts = _exact_evl_minima(f, F(1, 3), EDGE_CHECKPOINTS, 2, count, 9)
+    assert mc._evl_chunk(f, F(1, 3), EDGE_CHECKPOINTS, 2, count, 9) == counts
+    coarse = mc._CoarseOrbits(f, F(1, 3), count, mc._rng(9, 2), 128)
+    passes = mc._running_minima(coarse, EDGE_CHECKPOINTS)
+    for (cmin, L32), exact, (_, radius) in zip(passes, minima, EDGE_CHECKPOINTS):
+        assert _coarse_bounds_hold(cmin, exact)
+        L = (radius.numerator << 64) // radius.denominator
+        assert L32 == L >> 32
+        survives = exact >= np.uint64(L)
+        assert survives[cmin >= L32 + 2].all()
+        assert not survives[cmin <= L32 - 1].any()
+
+
+@pytest.mark.parametrize("d", [2, 8])
+def test_evl_chunk_band_lanes_run_again(d, monkeypatch):
+    # radii at the exact minima of eight lanes, +-1 and +-2^32 units, all
+    # at n = 129: the band holds lanes that survive and lanes that
+    # entered, and only the re-run of the band gets their counts right
+    f, count, n = FullBranchMap.uniform(d), 61, 129
+    minima, _ = _exact_evl_minima(f, F(1, 3), ((n, F(1, 4)),), 4, count, 3)
+    levels = sorted(int(minima[0][lane]) + delta for lane in range(8)
+                    for delta in (-(1 << 32), -1, 0, 1, 1 << 32))
+    cps = tuple((n, F(L, 1 << 64)) for L in levels)
+    _, counts = _exact_evl_minima(f, F(1, 3), cps, 4, count, 3)
+    coarse = mc._CoarseOrbits(f, F(1, 3), count, mc._rng(3, 4), n - 1)
+    band, outcomes = np.zeros(count, dtype=bool), set()
+    for (cmin, L32), L in zip(mc._running_minima(coarse, cps), levels):
+        here = (cmin >= L32) & (cmin <= L32 + 1)
+        band |= here
+        outcomes |= set((minima[0][here] >= np.uint64(L)).tolist())
+    assert outcomes == {False, True}
+    kept = []
+    keep = mc._UniformOrbits.keep
+    monkeypatch.setattr(mc._UniformOrbits, "keep",
+                        lambda orb, mask: kept.append(mask.copy()) or keep(orb, mask))
+    assert mc._evl_chunk(f, F(1, 3), cps, 4, count, 3) == counts
+    assert len(kept) == 1 and np.array_equal(kept[0], band)
+
+
 def _reference_position_blocks(map_, horizon, count, rng):
     """(k0, positions) blocks of the backward Horner reconstruction, with
     searchsorted digits, block-sized draws and a fresh y per row; each
