@@ -199,16 +199,16 @@ RETURN_HORIZON = 256
 
 
 def recurrence_start(map_: FullBranchMap, A: IntervalUnion, ell: int) -> int:
-    """First return time of A, or max(ell, RETURN_HORIZON) without a return.
+    """First return time of A, or RETURN_HORIZON + 1 without a return.
 
     The brackets sum the decay tail from this time to the block length
-    ell.  A set that does not return within RETURN_HORIZON steps is read
-    as having no recurrence term, which the fallback >= ell makes empty;
-    beyond a few hundred steps the decay tail of the default models is
-    numerically zero.
+    ell.  A set that does not return within RETURN_HORIZON steps may
+    still return at any later step up to ell, so the tail is summed from
+    the first step not searched.  That is bound-safe: the tail sum only
+    shrinks as its start grows, and it is empty when ell <= RETURN_HORIZON.
     """
     R = first_return_time(map_, A, horizon=RETURN_HORIZON)
-    return R if R is not None else max(ell, RETURN_HORIZON)
+    return R if R is not None else RETURN_HORIZON + 1
 
 
 # ---------------------------------------------------------------------------

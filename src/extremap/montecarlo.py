@@ -12,10 +12,14 @@ the stepper's own distance units, and ``keep(mask)``.  For uniform maps
 (x -> d*x mod 1) an orbit is held as the unsigned 64-bit window
 floor(2^64*x), refilled from below with base-d digits, so orbits of
 unbounded length never lose digit accuracy; non-uniform affine maps use
-a blockwise backward-Horner reconstruction at fixed digit depth.  These
-two steppers are the library's only orbit simulation: floating-point
-forward iteration of an expanding map collapses onto the dyadic
-rationals after roughly 53 steps, so it is never used.  Each estimator
+a blockwise backward-Horner reconstruction, at fixed digit depth in
+every block but the last.  The last block starts its fold from a
+uniform row, because the point after its digits is uniform and
+independent of them, so an orbit within one block is exact in law on
+every affine map.  These two steppers are the library's only orbit
+simulation: floating-point forward iteration of an expanding map
+collapses onto the dyadic rationals after roughly 53 steps, so it is
+never used.  Each estimator
 has one chunk kernel, run over whichever stepper the map takes:
 ``_evl_chunk`` checkpoints the running minimum distance (on
 power-of-two uniform maps through a coarse pass, below),
@@ -55,12 +59,12 @@ a first entry would need the band handled at every step.
 
 A chunk's working memory beyond the position block it must keep is
 O(lanes).  A Horner chunk holds one float position block, one integer
-digit buffer of STEP_BLOCK + HORNER_DEPTH rows and lane-sized rows,
-all reused from block to block; a uniform chunk holds lane-sized rows
-only: the window, the word and its start, and in the coarse pass the
-uint32 halves of the stream.  Horner uniforms are drawn
-one lane-sized row at a time: split ``random()`` draws give the same
-numbers as one block-sized draw.
+digit buffer of at most STEP_BLOCK + HORNER_DEPTH rows and lane-sized
+rows, all reused from block to block; a uniform chunk holds lane-sized
+rows only: the window, the word and its start, and in the coarse pass
+the uint32 halves of the stream.  Horner uniforms are drawn one
+lane-sized row at a time: split ``random()`` draws give the same numbers
+as one block-sized draw.
 
 The first-entry kernel retires the lanes that have entered the hole.
 Each step, on either stepper, adds its new entries to the histogram,
@@ -405,19 +409,26 @@ class _HornerOrbits(_Lanes):
     """Orbit stepper for one chunk of trials of a non-uniform affine map.
 
     The points x_0 .. x_steps are rebuilt by backward Horner from i.i.d.
-    branch digits, STEP_BLOCK rows at a time (fewer for the last block),
-    each row reaching HORNER_DEPTH digits past the block's end through
-    the carried digits.  A block is built when ``step()`` runs past the
-    previous one.  ``dist()`` and ``level(radius)`` are floats.
+    branch digits, STEP_BLOCK rows at a time (fewer for the last block).
+    A block is built when ``step()`` runs past the previous one.  A
+    block before the last reaches HORNER_DEPTH digits past its end
+    through the carried digits and starts the fold from y = 0.5.  The
+    last block draws only the digits it needs, keeps every digit it was
+    carried, and starts the fold from a uniform row: Lebesgue measure is
+    invariant under the map, so the point after the last digit is
+    uniform and independent of the digits before it.  An orbit within
+    one block is therefore exact in law.  ``dist()`` and
+    ``level(radius)`` are floats.
 
-    A chunk holds one position block, one digit buffer of STEP_BLOCK +
-    HORNER_DEPTH rows and a few lane-sized rows, all reused from block
-    to block; ``keep()`` moves the live lanes to fresh, narrower ones.
-    The uniforms are drawn one row at a time into one full-width row:
-    split ``random()`` draws give the same numbers as one block-sized
-    draw.  Each branch is inverted as x = a + b*y, with
-    a = -intercept/slope and b = 1/slope, so decreasing branches are
-    sampled too; on an increasing branch a and b are its lo and width.
+    A chunk holds one position block, one digit buffer of at most
+    STEP_BLOCK + HORNER_DEPTH rows and a few lane-sized rows, all reused
+    from block to block; ``keep()`` moves the live lanes to fresh,
+    narrower ones.  The uniforms are drawn one full-width row at a time,
+    the last block's start row too: split ``random()`` draws give the
+    same numbers as one block-sized draw.  Each branch is inverted as
+    x = a + b*y, with a = -intercept/slope and b = 1/slope, so
+    decreasing branches are sampled too; on an increasing branch a and b
+    are its lo and width.
     """
 
     def __init__(self, map_: FullBranchMap, zeta: Fraction, count: int,
@@ -434,13 +445,12 @@ class _HornerOrbits(_Lanes):
         self._t = np.empty(count)
         self._u = np.empty(count)  # one full-width row of uniforms
         self._rows_left = steps + 1  # rows not yet built, x_0 included
-        # the digits carried into the next block start at row _carry of
-        # _digits; the buffers are allocated at the live width whenever
-        # _block is None: at the first block and after keep()
-        self._digits = np.empty((HORNER_DEPTH, count),
+        # the _held digits carried into the next block start at row
+        # _carry of _digits; the buffers are allocated at the live width
+        # whenever _block is None: at the first block and after keep()
+        self._digits = np.empty((0, count),
                                 dtype=np.min_scalar_type(map_.d - 1))
-        self._carry, self._block = 0, None
-        self._draw(0, HORNER_DEPTH)
+        self._carry, self._held, self._block = 0, 0, None
         self._build()
 
     def _draw(self, start: int, stop: int):
@@ -454,26 +464,37 @@ class _HornerOrbits(_Lanes):
 
     def _build(self):
         """The next block of positions, from its own and the carried digits."""
-        B, D = min(STEP_BLOCK, self._rows_left), HORNER_DEPTH
+        B = min(STEP_BLOCK, self._rows_left)
         self._rows_left -= B
-        carry = self._digits[self._carry:self._carry + D]
+        last, held = not self._rows_left, self._held
+        # the digits the fold runs through: the last block folds those it
+        # was carried, or those of its points but the last if that is more
+        depth = max(B - 1, held) if last else B + HORNER_DEPTH
+        carry = self._digits[self._carry:self._carry + held]
         if self._block is None:
-            # no later block is longer than this one
+            # no later block is longer or deeper than this one
             self._block = np.empty((B, carry.shape[1]))
-            self._digits = np.empty((B + D, carry.shape[1]), dtype=carry.dtype)
+            self._digits = np.empty((depth, carry.shape[1]), dtype=carry.dtype)
         digits = self._digits
-        digits[:D] = carry
-        del carry  # a carry from __init__ or keep() is its own array: free it
-        self._draw(D, D + B)
+        digits[:held] = carry
+        del carry  # a carry from keep() is its own array: free it
+        self._draw(held, depth)
         pos = self._block[:B]
-        y = np.full(digits.shape[1], 0.5)
-        for r in range(B + D - 1, -1, -1):
+        if last:
+            self.rng.random(out=self._u)
+            y = self._lanes(self._u)
+            if depth < B:  # the uniform row is the block's last point
+                pos[B - 1] = y
+        else:
+            y = np.full(digits.shape[1], 0.5)
+        for r in range(depth - 1, -1, -1):
             row = digits[r].astype(np.intp)  # intp indexes fastest
             out = pos[r] if r < B else y
             np.multiply(self._b[row], y, out=out)
             np.add(self._a[row], out, out=out)
             y = out
-        self._pos, self._row, self._carry = pos, 0, B
+        self._pos, self._row = pos, 0
+        self._carry, self._held = B, 0 if last else HORNER_DEPTH
 
     def level(self, radius: Fraction) -> float:
         return float(radius)
@@ -483,7 +504,7 @@ class _HornerOrbits(_Lanes):
         # the carried digits and the positions still ahead go to fresh
         # arrays, the digits first, so that no full-width digit buffer is
         # left when the positions are copied beside the block buffer
-        self._digits = self._digits[self._carry:self._carry + HORNER_DEPTH, mask]
+        self._digits = self._digits[self._carry:self._carry + self._held, mask]
         self._pos = self._pos[self._row:, mask]
         self._carry, self._block, self._row = 0, None, 0
         self._d = np.empty(len(self._cols))

@@ -10,7 +10,9 @@ PARENT_SRC, each side in its own subprocess, through the benchmark's own
 ``run.execute``.  A ``cli`` job compares its exit code and its CSV and
 JSON bytes, with its output directory replaced by ``<out>``; a ``call``
 job compares the ``repr`` of its result.  Every differing job is
-printed, and the exit code is 1 if any job differs.
+printed, then a tally of differing jobs per workload and map spec (a
+``cli`` job's ``--map`` value, a ``call`` job's second field), and the
+exit code is 1 if any job differs.
 
 The name does not start with ``test_``, so pytest does not collect it.
 It reads ``perfbench/`` and changes nothing there.
@@ -19,6 +21,7 @@ It reads ``perfbench/`` and changes nothing there.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import subprocess
 import sys
@@ -70,6 +73,13 @@ def _side_outputs(src: str, workload: str, seed: int, work: Path) -> dict:
     return json.loads(proc.stdout)
 
 
+def map_spec(job) -> str:
+    """The map spec a job runs on, or "-" for a job that names none."""
+    if job.kind == "call":
+        return str(job.argv[1])
+    return job.argv[job.argv.index("--map") + 1] if "--map" in job.argv else "-"
+
+
 def _first_difference(a: str, b: str) -> str:
     for i, (x, y) in enumerate(zip(a.splitlines(), b.splitlines())):
         if x != y:
@@ -88,25 +98,33 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(PERFBENCH))
     import jobs
 
-    differing = compared = 0
+    # (workload, map spec) -> [differing, compared]
+    tally = collections.defaultdict(lambda: [0, 0])
     with tempfile.TemporaryDirectory() as tmp:
         for seed in args.seeds:
             for workload in sorted(jobs.WORKLOADS):
+                specs = {job.name: map_spec(job)
+                         for job in jobs.build_jobs(workload, seed)}
                 change = _side_outputs(str(ROOT / "src"), workload, seed,
                                        Path(tmp) / "change")
                 base = _side_outputs(parent, workload, seed,
                                      Path(tmp) / "parent")
                 for name in sorted(set(change) | set(base)):
-                    compared += 1
+                    group = tally[workload, specs.get(name, "-")]
+                    group[1] += 1
                     if change.get(name) == base.get(name):
                         continue
-                    differing += 1
+                    group[0] += 1
                     if name not in change or name not in base:
                         detail = "job missing on one side"
                     else:
                         detail = _first_difference(change[name], base[name])
                     print(f"DIFFERS seed {seed} {workload} {name}: {detail}")
+    differing = sum(n_diff for n_diff, _ in tally.values())
+    compared = sum(n_all for _, n_all in tally.values())
     print(f"{compared - differing} of {compared} jobs identical")
+    for (workload, spec), (n_diff, n_all) in sorted(tally.items()):
+        print(f"  {workload} {spec}: {n_diff} of {n_all} differ")
     return 1 if differing else 0
 
 

@@ -8,6 +8,7 @@ from extremap.errors import InfeasibleError
 from extremap.intervals import ball
 from extremap.maps import FullBranchMap, bv_norm_indicator
 from extremap.events import (
+    RETURN_HORIZON,
     Observable,
     annulus_set,
     dprime_sum,
@@ -476,6 +477,22 @@ def test_bracket_inputs_builder():
         assert inputs.PA == A.measure() == F(3, 4) * event.measure()
         assert inputs.R == first_return_time(DOUBLING, A, 256) >= 3
         assert inputs.M == bv_norm_indicator(A)
+
+
+def test_sharp_evl_bracket_counts_the_tail_past_the_return_horizon():
+    # ball(1/2, 1e-15) on the slope-50/49 branch does not return within
+    # RETURN_HORIZON steps, but it may between 257 and ell = 7993, where
+    # gamma is still about 0.023: the recurrence tail counts from 257
+    skewed = FullBranchMap.from_spec("widths:49/50,1/50")
+    gamma = DecayModel.for_map(skewed)
+    U = ball(F(1, 2), F(1, 10 ** 15))
+    inputs = evl_bracket_inputs(skewed, U, 2, 10 ** 4, gamma)
+    assert first_return_time(skewed, inputs.A, RETURN_HORIZON) is None
+    assert inputs.R == RETURN_HORIZON + 1 < inputs.ell
+    b = sharp_evl_bracket(1.0, 10 ** 4, 1.0, float(inputs.PA), inputs.k,
+                          inputs.t, inputs.R, gamma)
+    tail = gamma.partial_sum(RETURN_HORIZON + 1, inputs.ell)
+    assert tail > 1 and b.term("recurrence") == math.exp(-1.0) * tail
 
 
 def test_dprime_feeds_general_bracket():

@@ -222,12 +222,13 @@ def test_first_return_horizon_exhausted():
 
 def test_recurrence_start_fallback_without_return():
     # on the slope-50/49 branch a tiny ball drifts away for hundreds of
-    # steps; its images do not meet it within the 256-step horizon
+    # steps; its images do not meet it within the 256-step horizon, so
+    # the tail starts at the first step not searched, whatever ell is
     skewed = FullBranchMap.from_spec("widths:49/50,1/50")
     A = ball(F(1, 2), F(1, 10 ** 15))
     assert first_return_time(skewed, A, horizon=256) is None
-    assert recurrence_start(skewed, A, 10) == 256
-    assert recurrence_start(skewed, A, 300) == 300
+    assert recurrence_start(skewed, A, 10) == 257
+    assert recurrence_start(skewed, A, 300) == 257
     returning = annulus_set(DOUBLING, ball(F(1, 3), F(1, 100)), 2)
     R = first_return_time(DOUBLING, returning)
     assert recurrence_start(DOUBLING, returning, 1000) == R < 256

@@ -23,6 +23,7 @@ from extremap import montecarlo as mc
 DOUBLING = FullBranchMap.doubling()
 TRIPLING = FullBranchMap.tripling()
 WIDTHS = FullBranchMap.from_widths([F(1, 2), F(1, 4), F(1, 4)])
+SKEWED = FullBranchMap.from_spec("widths:49/50,1/50")
 # the widths of WIDTHS with a decreasing first branch
 DECREASING = FullBranchMap.from_spec([
     {"lo": 0, "hi": "1/2", "slope": -2, "intercept": 1},
@@ -292,7 +293,10 @@ def test_evl_chunk_band_lanes_run_again(d, monkeypatch):
 def _reference_position_blocks(map_, horizon, count, rng):
     """(k0, positions) blocks of the backward Horner reconstruction, with
     searchsorted digits, block-sized draws and a fresh y per row; each
-    branch is inverted as x = a + b*y."""
+    branch is inverted as x = a + b*y.  A block before the last folds
+    HORNER_DEPTH digits past its end from y = 1/2.  The last block folds
+    the digits it was carried, or those of all its points but the last
+    if that is more, from a uniform row drawn after them."""
     D, d = mc.HORNER_DEPTH, map_.d
     a = np.array([float(-b.intercept / b.slope) for b in map_.branches])
     b = np.array([float(1 / b.slope) for b in map_.branches])
@@ -303,12 +307,16 @@ def _reference_position_blocks(map_, horizon, count, rng):
         dig = np.searchsorted(cum, u.ravel(), side="right").reshape(rows, count)
         return np.minimum(dig, d - 1)
 
-    carry, k0 = draw(D), 0
+    carry, k0 = np.empty((0, count), dtype=np.intp), 0
     while k0 < horizon:
         B = min(mc.STEP_BLOCK, horizon - k0)
-        digits = np.concatenate([carry, draw(B)], axis=0)
-        pos, y = np.empty((B, count)), np.full(count, 0.5)
-        for r in range(B + D - 1, -1, -1):
+        last = k0 + B == horizon
+        depth = max(B - 1, len(carry)) if last else B + D
+        digits = np.concatenate([carry, draw(depth - len(carry))], axis=0)
+        y = rng.random(count) if last else np.full(count, 0.5)
+        pos = np.empty((B, count))
+        pos[depth:] = y  # the uniform row, when it is the last point
+        for r in range(depth - 1, -1, -1):
             y = a[digits[r]] + b[digits[r]] * y
             if r < B:
                 pos[r] = y
@@ -319,15 +327,28 @@ def _reference_position_blocks(map_, horizon, count, rng):
 @pytest.mark.parametrize("spec", ["widths:1/2,1/4,1/4", "widths:49/50,1/50",
                                   "widths:" + ",".join(["1/10"] * 10)])
 def test_position_blocks_match_searchsorted_reference(spec):
-    # the ten widths of 1/10 sum to 0.9999999999999999 in float
+    # the ten widths of 1/10 sum to 0.9999999999999999 in float.  One
+    # block; a last block shorter than the carried digits, which it folds
+    # all of; a last block longer than them
     f = FullBranchMap.from_spec(spec)
-    horizon = mc.STEP_BLOCK + 9
-    got, starts = _horner_positions(f, horizon - 1, 500,
-                                    np.random.default_rng(4))
-    ref = list(_reference_position_blocks(f, horizon, 500,
-                                          np.random.default_rng(4)))
-    assert starts == [k0 for k0, _ in ref] == [0, mc.STEP_BLOCK]
-    assert np.array_equal(got, np.concatenate([q for _, q in ref]))
+    for horizon in (9, mc.STEP_BLOCK + 9, 2 * mc.STEP_BLOCK + 60):
+        got, starts = _horner_positions(f, horizon - 1, 500,
+                                        np.random.default_rng(4))
+        ref = list(_reference_position_blocks(f, horizon, 500,
+                                              np.random.default_rng(4)))
+        assert starts == [k0 for k0, _ in ref] == list(
+            range(0, horizon, mc.STEP_BLOCK))
+        assert np.array_equal(got, np.concatenate([q for _, q in ref]))
+
+
+@pytest.mark.parametrize("steps", [0, 7, mc.STEP_BLOCK - 1])
+def test_single_block_chunk_draws_one_row_per_point(steps):
+    # steps digit rows and the uniform row of x_steps: no digit past the
+    # horizon is drawn
+    rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+    mc._HornerOrbits(SKEWED, F(1, 3), 61, rng, steps)
+    ref.random((steps + 1, 61))
+    assert rng.random() == ref.random()
 
 
 def _reference_entry_histogram(map_, zeta, radius, horizon, index, count, seed):
@@ -449,18 +470,19 @@ def test_uniform_orbits_keep_follows_the_full_width_stream():
 # Survivor counts: estimate_evl_grid at n = 1, 7, 129, 300 and
 # estimate_hts survivors at tau = 1/2, 1, 2, 3 (t = 25 .. 150, past
 # STEP_BLOCK and past several digit words), then the censored count;
-# centre 1/3, eps 1/100, seed 5.  The doubling and widths rows date from
-# the parent of the one-kernel-per-estimator change, the tripling and
-# uniform:5 rows from the change to one 2^64 window for every uniform:d.
+# centre 1/3, eps 1/100, seed 5.  The doubling row dates from the parent
+# of the one-kernel-per-estimator change, the tripling and uniform:5 rows
+# from the change to one 2^64 window for every uniform:d, the widths rows
+# from the change that starts the last Horner block from a uniform row.
 # A shifted random stream in any kernel family changes them.
 PINNED = {
     "doubling": ([16985, 20348, 22936, 23093], [22209, 14672, 6379, 2801], 2801),
     "tripling": ([16985, 19018, 20413, 20383], [19874, 11605, 3894, 1348], 1348),
     "uniform:5": ([16985, 19065, 20725, 20957], [20231, 12128, 4328, 1596], 1596),
-    "widths:1/2,1/4,1/4": ([16817, 18451, 20318, 20447],
+    "widths:1/2,1/4,1/4": ([16817, 18451, 20318, 20444],
                            [19759, 11400, 3784, 1241], 1241),
-    "widths:49/50,1/50": ([16903, 29818, 17813, 22468],
-                          [27438, 21693, 11966, 7298], 7298),
+    "widths:49/50,1/50": ([16903, 29818, 17813, 21320],
+                          [27438, 21693, 11966, 6683], 6683),
 }
 
 
@@ -525,6 +547,29 @@ def test_hts_estimate_on_a_decreasing_branch():
         assert abs(est - exact) <= 3 * hw
 
 
+# The skewed map's orbits below fit one Horner block, folded from a
+# uniform row.  Folding it from y = 1/2 at HORNER_DEPTH digits past the
+# horizon, an error the wide branch contracts by only (49/50)^48 ~ 0.38,
+# read 0.8464 (EVL) and 0.9374 and 0.9364 (t = 4 and 6) against 0.6858,
+# 0.8513 and 0.8354.
+
+
+def test_evl_estimate_on_the_skewed_map():
+    obs = Observable(center=F(1, 3))
+    est = mc.estimate_evl(SKEWED, obs, 8, 2, trials=100000, seed=11)
+    exact = float(exact_evl_prob(SKEWED, threshold_for(obs, 8, 2).exceedance, 8))
+    assert abs(est.estimate - exact) <= 3 * est.half_width
+
+
+def test_hts_estimate_on_the_skewed_map():
+    B = ball(F(1, 3), F(1, 16))  # P(B) = 1/8: t = 4 and 6
+    ecdf = mc.estimate_hts(SKEWED, F(1, 3), F(1, 16), [F(1, 2), F(3, 4)],
+                           trials=100000, seed=11)
+    for tau, est, hw in zip(ecdf.grid, ecdf.estimates, ecdf.half_widths):
+        exact = float(exact_hts_prob(SKEWED, B, int(F(tau) / B.measure())))
+        assert abs(est - exact) <= 3 * hw
+
+
 # widths with denominators at most 8, each at most 1/2, 2 to 4 of them
 _FRACTIONS = sorted({F(p, q) for q in range(2, 9) for p in range(1, q // 2 + 1)})
 WIDTH_VECTORS = [
@@ -534,10 +579,10 @@ WIDTH_VECTORS = [
 
 
 @st.composite
-def affine_maps(draw):
+def affine_maps(draw, widths=st.sampled_from(WIDTH_VECTORS)):
     """A full-branch affine map, each branch increasing or decreasing."""
     branches, lo = [], F(0)
-    for w in draw(st.sampled_from(WIDTH_VECTORS)):
+    for w in draw(widths):
         if draw(st.booleans()):
             branches.append(AffineBranch(lo, lo + w, 1 / w, -lo / w))
         else:
@@ -581,6 +626,22 @@ def test_evl_estimate_matches_exact_on_random_affine_maps(f, zeta, n, tau):
 @settings(max_examples=20, derandomize=True, database=None, deadline=None)
 @given(f=affine_maps(), **HTS_ARGS)
 def test_hts_estimate_matches_exact_on_random_affine_maps(f, zeta, eps):
+    _check_hts_against_exact(f, zeta, eps)
+
+
+# widths 49/50, 1/50: the orbits drawn here fit one Horner block
+SKEWED_MAPS = affine_maps(st.just((F(49, 50), F(1, 50))))
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(f=SKEWED_MAPS, **EVL_ARGS)
+def test_evl_estimate_matches_exact_on_skewed_maps(f, zeta, n, tau):
+    _check_evl_against_exact(f, zeta, n, tau)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(f=SKEWED_MAPS, **HTS_ARGS)
+def test_hts_estimate_matches_exact_on_skewed_maps(f, zeta, eps):
     _check_hts_against_exact(f, zeta, eps)
 
 
