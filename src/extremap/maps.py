@@ -11,7 +11,8 @@ branches (monotone callables) are supported for pointwise evaluation
 and Ulam discretization only.  Pointwise evaluation uses the half-open
 domains [lo, hi), so a point on an inner branch boundary belongs to the
 branch on its right.  Random orbits are sampled by ``montecarlo`` from
-their branch digit streams.
+their branch digit streams.  Only the Ulam functions use numpy; it is
+loaded on first use (``_lazy``), so the exact routines never load it.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .errors import CapExceededError, ComponentBudgetError, ConvergenceError
 from .intervals import IntervalUnion, as_exact
+
+np = lazy_numpy()  # loads at the first Ulam matrix
 
 PERIOD_CAP = 20  # longest period the periodic-orbit routines accept
 COMPONENT_BUDGET = 10 ** 6  # most components an exact preimage may have

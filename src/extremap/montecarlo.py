@@ -82,12 +82,20 @@ use and kept for the life of the process.  A call uses at most one
 worker per chunk and per CPU; at one it runs in-process.  The pool is
 rebuilt only to grow, or after a worker has died.
 
+numpy is loaded on first use (``_lazy``): importing this module does
+not run it, and no name here reads it at import, so the exact commands
+never pay for it.  An estimate loads it at its first chunk.  The pool
+loads it before it is built, so that the workers it forks inherit
+numpy instead of each importing it again, and so that it is loaded on
+the calling thread, never on the pool's result thread.
+
 An event enters the estimators as the center of its observable and the
 exact radius of its threshold ball.  The numerical settings are module
 constants: the chunk size, the Horner block and depth, the 95%
-Wilson quantile, the escape fit's survivor floor and the Ulam oracle's
-minimum bin count.  The estimators only estimate: the ``cli`` commands
-set them against the error brackets of ``brackets``.
+Wilson quantile, the escape fit's transient level and survivor floor,
+and the Ulam oracle's minimum bin count.  The estimators only estimate:
+the ``cli`` commands set them against the error brackets of
+``brackets``.
 """
 
 from __future__ import annotations
@@ -100,12 +108,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-import numpy as np
-
+from ._lazy import lazy_numpy
 from .errors import InfeasibleError
 from .intervals import IntervalUnion, as_exact, ball
 from .maps import FullBranchMap, open_system_decay_rate, ulam_matrix
-from .events import Observable, theta_limit, threshold_for
+from .events import Observable, threshold_for
+
+np = lazy_numpy()  # loads at the first chunk, or before the pool forks
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -119,6 +128,7 @@ HORNER_DEPTH = 48
 MAX_UNIFORM_D = 256
 Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
 MIN_SURVIVORS = 100  # the escape fit ends at the last t with this many left
+ESCAPE_TRANSIENT = 1e-4  # the escape fit starts once 4*w_max^t is this small
 MIN_BINS = 64  # coarsest Ulam partition the escape oracle accepts
 
 
@@ -165,6 +175,7 @@ def _shared_pool(workers: int) -> ProcessPoolExecutor:
     global _pool, _pool_workers
     # imported here: only runs with workers > 1 need a pool
     from concurrent.futures import ProcessPoolExecutor
+    np.ndarray  # loads numpy before the workers fork (module docstring)
     if _pool is None or _pool_workers < workers:
         _drop_pool()
         _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
@@ -755,37 +766,54 @@ def estimate_hts(map_: FullBranchMap, zeta, eps, tau_grid: Sequence,
                 trials=trials, seed=seed, censored=int(hist[0]))
 
 
+def _transient(map_: FullBranchMap) -> int:
+    """The first t with 4*w_max^t <= ESCAPE_TRANSIENT, w_max the widest
+    branch: 16 on doubling, 10 on tripling."""
+    w, t = float(max(map_.widths)), 1
+    while 4 * w ** t > ESCAPE_TRANSIENT:
+        t += 1
+    return t
+
+
 def estimate_escape_rate(map_: FullBranchMap, zeta, eps, trials: int,
                          seed: int, workers: int = 1) -> EscapeFit:
-    """Least-squares escape rate from the survival curve of the eps-hole.
+    """Hazard estimate of the escape rate from the survival curve of the
+    eps-hole.
 
-    Each trial runs to the horizon 50/P(B).  The fit of -log P(r_B > t)
-    against t runs from 5/(theta*P(B)), which excludes the transient
-    prefix, up to the last t with at least MIN_SURVIVORS surviving
-    trials.
+    Each trial runs to the horizon 50/P(B).  With S(t) the trials that
+    have not entered by t, the window runs from t0, where the map's
+    transient 4*w_max^t has fallen to ESCAPE_TRANSIENT, up to t1, the
+    last t with at least MIN_SURVIVORS survivors.  The rate is
+    -log(1 - exits/exposure), with exits = S(t0) - S(t1) and exposure
+    the sum of S(t) for t0 <= t < t1: the maximum-likelihood rate of a
+    constant per-step exit probability.  ``intercept`` places the line
+    -log P(r_B > t) = slope*t + intercept through t0, and
+    ``residual_norm`` is the root mean square of -log(S(t)/trials) about
+    that line over the window.
     """
     _check_trials(trials)
     eps = as_exact(eps)
     if eps == 0:
         return EscapeFit(0.0, 0.0, (0, 0), 0.0, trials, seed, trials)
-    B = ball(as_exact(zeta), eps)
-    PB = B.measure()
-    theta = theta_limit(map_, zeta)[1]
+    PB = ball(as_exact(zeta), eps).measure()
     horizon = int(50 / float(PB))
     hist = _entry_histogram(map_, zeta, eps, horizon, trials, seed, workers)
-    survivors = trials - np.cumsum(hist[1:])
-    t_start = max(1, int(math.ceil(5.0 / (theta * float(PB)))))
+    # survivors[t] = S(t), the trials not entered by step t
+    survivors = trials - np.concatenate(([0], np.cumsum(hist[1:])))
+    t_start = _transient(map_)
     alive = np.nonzero(survivors >= MIN_SURVIVORS)[0]
-    t_end = int(alive[-1]) + 1 if alive.size else 0
+    t_end = int(alive[-1]) if alive.size else 0
     if t_end - t_start < 8:
         raise InfeasibleError(
             "survival window too short for a fit; increase trials")
-    ts = np.arange(t_start, t_end + 1)
-    logs = -np.log(survivors[ts - 1] / trials)
-    A = np.vstack([ts, np.ones_like(ts)]).T
-    (slope, intercept), res, *_ = np.linalg.lstsq(A.astype(float), logs, rcond=None)
-    residual = float(math.sqrt(res[0] / len(ts))) if res.size else 0.0
-    return EscapeFit(slope=float(slope), intercept=float(intercept),
+    exits = int(survivors[t_start] - survivors[t_end])
+    exposure = int(survivors[t_start:t_end].sum())
+    slope = -math.log1p(-exits / exposure)
+    logs = -np.log(survivors[t_start:t_end + 1] / trials)
+    intercept = float(logs[0]) - slope * t_start
+    line = slope * np.arange(t_start, t_end + 1) + intercept
+    residual = float(np.sqrt(np.mean((logs - line) ** 2)))
+    return EscapeFit(slope=slope, intercept=intercept,
                      window=(t_start, t_end), residual_norm=residual,
                      trials=trials, seed=seed, censored=int(hist[0]))
 

@@ -878,20 +878,35 @@ def test_escape_rate_against_oracle():
     rate = mc.ulam_escape_oracle(DOUBLING, hole, mc.aligned_bins(DOUBLING, hole))
     fit = mc.estimate_escape_rate(DOUBLING, F(0), eps, trials=300000, seed=7)
     assert abs(fit.slope - rate) / rate < 0.08
-    assert fit.window[0] == math.ceil(5 / (0.5 * float(hole.measure())))
+    # the first t with 4 * (1/2)^t <= 1e-4
+    assert fit.window[0] == 16
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="known wrong answer: the fit window t = 160..215 "
-                          "misses the spectral rate on this hole")
+def test_escape_window_starts_at_the_map_transient():
+    assert mc._transient(DOUBLING) == 16
+    assert mc._transient(TRIPLING) == 10
+
+
 def test_escape_rate_on_a_preperiodic_centre():
-    # 3/8 is preperiodic under doubling, so theta = 1; the fit reads
-    # 0.02871 against the spectral 0.03689
+    # 3/8 is preperiodic under doubling, so theta = 1; a fit window from
+    # 5/(theta*P(B)) = 160 read 0.02871 here against the spectral 0.03689
     hole = ball(F(3, 8), F(1, 64))
     rate = mc.ulam_escape_oracle(DOUBLING, hole, mc.aligned_bins(DOUBLING, hole))
     fit = mc.estimate_escape_rate(DOUBLING, F(3, 8), F(1, 64), trials=200000,
                                   seed=2059379695)
     assert abs(fit.slope - rate) <= 0.006
+
+
+@pytest.mark.parametrize("zeta, eps, seed", [
+    (F(3, 8), F(1, 64), 2059379695), (F(3, 8), F(1, 64), 2),
+    (F(1, 3), F(1, 64), 1), (F(0), F(1, 100), 4), (F(1, 5), F(1, 40), 5)])
+def test_escape_rate_hazard_estimate_within_1e3_of_ulam(zeta, eps, seed):
+    # a least-squares fit from 5/(theta*P(B)) misses each of these by
+    # 1.4e-3 to 8.2e-3
+    hole = ball(zeta, eps)
+    rate = mc.ulam_escape_oracle(DOUBLING, hole, mc.aligned_bins(DOUBLING, hole))
+    fit = mc.estimate_escape_rate(DOUBLING, zeta, eps, trials=200000, seed=seed)
+    assert abs(fit.slope - rate) <= 1e-3
 
 
 def test_ulam_escape_oracle_edges():
