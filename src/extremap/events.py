@@ -4,8 +4,27 @@ An exceedance event is a ball: a center and a radius.  Everything here
 works on exact ``IntervalUnion`` values, so the exceedance ball U_n, the
 annulus A(q) obtained by removing the first q dynamical preimages, the
 survivor sets of finite windows, and the short-range recurrence sums
-are all computed with zero tolerance.  On uniform maps the recurrence
-sums have a closed form in the integer endpoint numerators of the set.
+are all computed with zero tolerance.
+
+Which exact oracle runs depends on the map.  On a map whose slopes and
+intercepts are all integers (``FullBranchMap.is_integer``: every
+``uniform:d``, ``widths:1/2,1/4,1/4``, integer JSON maps with either
+branch orientation) the survivor measures of ``exact_evl_prob`` and
+``exact_hts_prob`` come from the set's Markov partition
+(``FullBranchMap.markov_partition``): integer masses per cell, pulled
+back in O(cells) per step at any horizon (after Keller and Liverani,
+"Rare events, escape rates and quasistationarity: some exact formulae",
+J. Stat. Phys. 2009).  Where the partition would cost more than
+interval algebra at the horizon asked for (many cells at a short
+horizon: a centre with a long orbit, or a large denominator), or more
+than the map's budget, it is not built and interval algebra runs
+instead (``_partition``).  The recurrence sums have a closed form in the
+set's integer endpoint numerators on uniform maps, and take every
+m(A intersect f^(-j) A) from one pass over the partition on the other
+integer maps.  Every other affine map (``widths:2/5,3/5``, say) takes
+interval algebra: survivor sets and iterated preimages, within the
+map's component budget.  The sets themselves (``survivor_set``,
+``annulus_set``) are always built by interval algebra.
 
 The time conventions follow the max/hitting duality: the survivor set
 of length ell is the set of points whose orbit avoids B at times
@@ -19,6 +38,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, compress
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -90,14 +110,19 @@ def annulus_set(map_: FullBranchMap, B: IntervalUnion, q: int) -> IntervalUnion:
 
 def survivor_set(map_: FullBranchMap, B: IntervalUnion, ell: int) -> IntervalUnion:
     """Points avoiding B at times 0, ..., ell - 1 (full space if ell = 0)."""
-    ell = int(math.floor(ell))
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
+    ell = _window_length(ell)
     W = IntervalUnion.full()
     Bc = B.complement()
     for _ in range(ell):
         W = Bc.intersect(map_.preimage(W))
     return W
+
+
+def _window_length(ell) -> int:
+    ell = int(math.floor(ell))
+    if ell < 0:
+        raise ValueError("ell must be nonnegative")
+    return ell
 
 
 def theta_n(map_: FullBranchMap, B: IntervalUnion, q: int):
@@ -227,8 +252,9 @@ def pair_correlation_measure(map_: FullBranchMap, A: IntervalUnion,
     ends of divmod(D*e, q): whole turns count A's full measure and the
     remainder a prefix of A's components.  The closed form has no
     component blowup and stays exact for arbitrarily large j.  Other
-    affine maps fall back to iterated preimages, each within the map's
-    component budget.
+    integer maps take it from A's Markov partition
+    (``_markov_pair_measures``), and the remaining affine maps from
+    iterated preimages, each within the map's component budget.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
@@ -247,8 +273,15 @@ def pair_correlation_measure(map_: FullBranchMap, A: IntervalUnion,
                 cum += r - e[i - 1]
             total += cum if k % 2 else -cum
         return Fraction(total, q * D)
-    P = map_.preimage_iter(A, j)
-    return A.intersect(P).measure()
+    measures = _markov_pair_measures(map_, A, j)
+    if measures is not None:
+        return measures[-1]
+    return _pair_by_preimages(map_, A, j)
+
+
+def _pair_by_preimages(map_: FullBranchMap, A: IntervalUnion, j: int):
+    """m(A intersect f^(-j) A) from budgeted iterated preimages."""
+    return A.intersect(map_.preimage_iter(A, j)).measure()
 
 
 def dprime_sum(map_: FullBranchMap, A: IntervalUnion, n: int, q: int, k: int,
@@ -267,20 +300,47 @@ def dprime_sum(map_: FullBranchMap, A: IntervalUnion, n: int, q: int, k: int,
         j_lo, j_hi = 1, n // k
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    total = Fraction(0)
-    for j in range(j_lo, j_hi + 1):
-        total += pair_correlation_measure(map_, A, j)
-    return n * total
+    if j_hi < j_lo:
+        return Fraction(0)
+    if map_.is_uniform:
+        terms = (pair_correlation_measure(map_, A, j)
+                 for j in range(j_lo, j_hi + 1))
+    elif (measures := _markov_pair_measures(map_, A, j_hi)) is not None:
+        terms = measures[j_lo - 1:]
+    else:
+        terms = (_pair_by_preimages(map_, A, j)
+                 for j in range(j_lo, j_hi + 1))
+    return n * sum(terms, Fraction(0))
+
+
+def _markov_pair_measures(map_: FullBranchMap, A: IntervalUnion, j_max: int):
+    """[m(A intersect f^(-j) A) for j = 1..j_max], in one pass over A's
+    Markov partition, or None without one (``_partition``).  Cell i holds
+    m(cell_i intersect f^(-j) A) scaled by den * scale^j; a step pulls
+    the masses back (``_pull_back``), and the sum over A's cells is the
+    j-th measure."""
+    part = _partition(map_, A, j_max)
+    if part is None:
+        return None
+    ends, den, scale, rows = part
+    inside = _cells_in(ends, den, A)
+    mass = [b - a if i else 0 for a, b, i in zip(ends, ends[1:], inside)]
+    out = []
+    for _ in range(j_max):
+        mass = _pull_back(rows, mass)
+        den *= scale
+        out.append(Fraction(sum(compress(mass, inside)), den))
+    return out
 
 
 # ---------------------------------------------------------------------------
-# exact small-horizon probabilities
+# exact probabilities
 # ---------------------------------------------------------------------------
 
 
 def exact_evl_prob(map_: FullBranchMap, U: IntervalUnion, n: int):
     """P(max of the first n observations <= u) for U = {X_0 > u}, exact."""
-    return survivor_set(map_, U, n).measure()
+    return _survivor_measure(map_, U, n)
 
 
 def exact_hts_prob(map_: FullBranchMap, B: IntervalUnion, t: int):
@@ -290,4 +350,65 @@ def exact_hts_prob(map_: FullBranchMap, B: IntervalUnion, t: int):
     full-branch affine map preserves Lebesgue measure (each branch has
     width * |slope| = 1), so its probability is m(W): 1 at t = 0.
     """
-    return survivor_set(map_, B, t).measure()
+    return _survivor_measure(map_, B, t)
+
+
+def _survivor_measure(map_: FullBranchMap, B: IntervalUnion, ell: int):
+    """m(survivor_set(map_, B, ell)), exact: from B's Markov partition
+    where there is one (``_partition``), in O(cells) integer operations
+    per step, and otherwise from the survivor set itself.
+
+    Cell i holds the mass of the survivor set on it, scaled by
+    den * scale^k after k steps.  A step keeps the cells outside B and
+    pulls the masses back (``_pull_back``), which is
+    W <- B^c intersect f^(-1)(W) on every cell at once.
+    """
+    ell = _window_length(ell)
+    part = _partition(map_, B, ell)
+    if part is None:
+        return survivor_set(map_, B, ell).measure()
+    ends, den, scale, rows = part
+    rows = [(0 if i else f, j0, j1)
+            for (f, j0, j1), i in zip(rows, _cells_in(ends, den, B))]
+    mass = [b - a for a, b in zip(ends, ends[1:])]
+    for _ in range(ell):
+        mass = _pull_back(rows, mass)
+    return Fraction(sum(mass), den * scale ** ell)
+
+
+def _partition(map_: FullBranchMap, S: IntervalUnion, steps: int):
+    """S's Markov partition on an integer map, or None where interval
+    algebra is the route to take.
+
+    The partition is built only while cells * (steps + 16) stays within
+    both the map's budget and (len(S) + 1) * d^steps, the most
+    components interval algebra can reach in ``steps`` preimages; past
+    either, interval algebra runs, and raises ComponentBudgetError where
+    it does not fit.  Measured on doubling, tripling and
+    widths:1/2,1/4,1/4 (balls of radius 1/1000, 200-330000 cells, 4-16
+    steps, CPython 3.11 on a 2-vCPU VM): a cell costs 0.16-0.18 us a step
+    and 12-26 steps' worth to build, and interval algebra about 0.8 us
+    per component of a last set 2.3-4.5 times below that bound, so the
+    two sides weigh about the same.  The rule took the faster route in
+    49 of 50 cases; the miss took 2.0 ms of intervals against 0.8 ms.
+    """
+    if not map_.is_integer:
+        return None
+    cap = min((len(S) + 1) * map_.d ** steps, map_.budget)
+    return map_.markov_partition(S, limit=cap // (steps + 16))
+
+
+def _pull_back(rows, mass) -> list:
+    """The masses of f^(-1)(W) per cell, times scale, from those of W:
+    cell i maps onto cells j0..j1-1 with slope s, so it holds their mass
+    over |s|, times the factor f = scale/|s| in rows[i] = (f, j0, j1)."""
+    prefix = [0, *accumulate(mass)]
+    return [f * (prefix[j1] - prefix[j0]) for f, j0, j1 in rows]
+
+
+def _cells_in(ends, den: int, S: IntervalUnion) -> list:
+    """Whether each cell [ends[i], ends[i+1]) / den lies in S, whose ends
+    are among the cuts."""
+    up = den // S.denominator
+    cuts = [e * up for e in S.ends]
+    return [bisect_right(cuts, a) % 2 == 1 for a in ends[:-1]]

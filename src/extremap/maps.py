@@ -6,13 +6,16 @@ Affine branches carry exact rational data, which keeps preimages,
 periodic points and annulus constructions exactly computable.  An
 affine map puts its branch data over common denominators once, at
 construction, so ``preimage`` and ``image`` act on the integer
-numerators of an ``IntervalUnion`` with integer arithmetic; smooth
-branches (monotone callables) are supported for pointwise evaluation
-and Ulam discretization only.  Pointwise evaluation uses the half-open
-domains [lo, hi), so a point on an inner branch boundary belongs to the
-branch on its right.  Random orbits are sampled by ``montecarlo`` from
-their branch digit streams.  Only the Ulam functions use numpy; it is
-loaded on first use (``_lazy``), so the exact routines never load it.
+numerators of an ``IntervalUnion`` with integer arithmetic.  An
+affine map with integer slopes and intercepts also cuts [0, 1) into the
+finite Markov partition of any rational set (``markov_partition``).
+Smooth branches (monotone callables) are supported for pointwise
+evaluation and Ulam discretization only.  Pointwise evaluation uses the
+half-open domains [lo, hi), so a point on an inner branch boundary
+belongs to the branch on its right.  Random orbits are sampled by
+``montecarlo`` from their branch digit streams.  Only the Ulam
+functions use numpy; it is loaded on first use (``_lazy``), so the
+exact routines never load it.
 """
 
 from __future__ import annotations
@@ -153,6 +156,13 @@ class FullBranchMap:
     def is_uniform(self) -> bool:
         """True for x -> d*x mod 1 (equal widths, increasing branches)."""
         return self._uniform
+
+    @property
+    def is_integer(self) -> bool:
+        """True for an affine map whose slopes and intercepts are all
+        integers: it keeps the denominator of every rational point, which
+        is what ``markov_partition`` needs."""
+        return self._affine and self._pushforward[1] == 1
 
     @property
     def widths(self):
@@ -329,6 +339,53 @@ class FullBranchMap:
         for _ in range(j):
             S = self.preimage(S)
         return S
+
+    def markov_partition(self, S: IntervalUnion, limit=None):
+        """Cells of [0, 1) that each map onto a run of cells, cut at the
+        forward orbits of 0, the branch ends and the ends of S.
+
+        Only for integer maps (``is_integer``).  Returns (ends, den,
+        scale, rows): cell i is [ends[i], ends[i+1]) / den, and
+        rows[i] = (scale/|s|, j0, j1), s the cell's slope and scale the
+        lcm of every |s|, says that it maps onto cells j0..j1-1.
+
+        Over D, the least common denominator of S and the branch ends, a
+        branch with slope s and intercept c sends e/D to (s*e + c*D)/D, so
+        every orbit stays among the numerators 0..D-1 and the cuts are
+        finite.  A cell [a, b) lies in one branch, and its image runs
+        between the images of a and b, which are cuts or the ends 0 and D.
+        Each cut starts one cell.  Returns None, before it holds a cut
+        past it, at the budget or at ``limit`` if that is smaller.
+        """
+        if not self.is_integer:
+            raise ValueError("a Markov partition requires an integer map")
+        K, _, coeffs = self._pushforward
+        D = math.lcm(S.denominator, K)
+        up = D // S.denominator
+        los = [LO * (D // K) for LO, _, _, _ in coeffs]
+        affine = [(A, C * D) for _, _, A, C in coeffs]
+        stop = self.budget if limit is None else min(limit, self.budget)
+        cuts, todo = set(), [*los, *(e * up % D for e in S.ends)]
+        while todo:
+            e = todo.pop()
+            if e in cuts:
+                continue
+            if len(cuts) >= stop:
+                return None
+            cuts.add(e)
+            A, CD = affine[bisect_right(los, e) - 1]
+            todo.append((A * e + CD) % D)
+        ends = sorted(cuts)
+        ends.append(D)
+        index = {e: i for i, e in enumerate(ends)}
+        scale = math.lcm(*(abs(A) for A, _ in affine))
+        rows = []
+        for a, b in zip(ends, ends[1:]):
+            A, CD = affine[bisect_right(los, a) - 1]
+            u, v = A * a + CD, A * b + CD
+            j0, j1 = (index[u], index[v]) if A > 0 else (index[v], index[u])
+            rows.append((scale // abs(A), j0, j1))
+        return ends, D, scale, rows
 
 
 def _pullback_data(branches):

@@ -468,12 +468,39 @@ def test_check_violation_exits_one(tmp_path, monkeypatch):
 
 
 def test_budget_exceeded_exit_code(tmp_path):
-    # non-uniform map: the exact recurrence sums need iterated preimages,
-    # whose component count explodes at this horizon
-    rc = main(["bounds", "--map", "widths:1/2,1/4,1/4", "--zeta", "0",
+    # slopes 5/2 and 5/3 give no Markov partition: the exact recurrence
+    # sums need iterated preimages, whose component count explodes at
+    # this horizon
+    rc = main(["bounds", "--map", "widths:2/5,3/5", "--zeta", "0",
                "--bracket", "general", "--n", "4096", "--budget", "20000",
                "--out", str(tmp_path)])
     assert rc == 3
+
+
+def test_check_on_widths_sums_pair_correlations_past_the_preimages(
+        tmp_path, capsys):
+    # at n = 1000 the recurrence sum adds m(A intersect f^-j A) for
+    # j = 4..165, far past where iterated preimages fit the default
+    # budget; the annulus's Markov partition has 83 cells, and its pass
+    # costs 83 * (165 + 16) = 15023 of the budget
+    argv = ["check", "--map", "widths:1/2,1/4,1/4", "--zeta", "2/5",
+            "--n", "1000", "--prop-configs", "1", "--seed", "1"]
+    assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
+    rows = json.loads((tmp_path / "ok" / "check.json").read_text())["rows"]
+    assert [r["kind"] for r in rows] == ["dprime", "proposition"]
+    assert F(rows[0]["value_exact"]) > 0
+    assert main(argv + ["--budget", "15023",
+                        "--out", str(tmp_path / "edge")]) == 0
+    assert json.loads((tmp_path / "edge" / "check.json").read_text())[
+        "rows"] == rows
+    # one less, and the sum falls back to iterated preimages, which
+    # exceed it
+    capsys.readouterr()
+    assert main(argv + ["--budget", "15022",
+                        "--out", str(tmp_path / "no")]) == 3
+    assert "exact preimage exceeds the component budget of 15022" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "no" / "check.json").exists()
 
 
 def test_sweep_and_bounds_share_bracket_inputs(tmp_path):

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from extremap.brackets import annuli_gap_bound
 from extremap.errors import (
@@ -282,15 +282,22 @@ def test_dprime_sum_examples():
 
 
 def test_dprime_nonuniform_budgeted_path():
+    # WIDTHS takes its Markov partition, widths:2/5,3/5 budgeted
+    # iterated preimages; both sum the terms j = 2..7
     U = threshold_for(Observable(center=F(0)), 32, 1).exceedance
-    v = dprime_sum(WIDTHS, annulus_set(WIDTHS, U, 1), 32, 1, 4)
-    assert v >= 0
+    for m in (WIDTHS, FullBranchMap.from_spec("widths:2/5,3/5")):
+        A = annulus_set(m, U, 1)
+        v = dprime_sum(m, A, 32, 1, 4)
+        assert v > 0
+        assert v == 32 * sum(A.intersect(m.preimage_iter(A, j)).measure()
+                             for j in range(2, 8))
 
 
 # -- the component budget -----------------------------------------------------
 
 SMALL_TRIPLING = FullBranchMap.uniform(3, budget=50)
-SMALL_WIDTHS = FullBranchMap.from_widths([F(1, 2), F(1, 4), F(1, 4)], budget=50)
+# slopes 5/2 and 5/3: no Markov partition, so the oracles build preimages
+SMALL_SPLIT = FullBranchMap.from_spec("widths:2/5,3/5", budget=50)
 HOLE = ball(F(1, 3), F(1, 100))
 
 BUDGET_ENTRY_POINTS = {
@@ -298,9 +305,9 @@ BUDGET_ENTRY_POINTS = {
     "annulus_set": lambda: annulus_set(SMALL_TRIPLING, HOLE, 8),
     "annuli_gap_bound": lambda: annuli_gap_bound(
         SMALL_TRIPLING, HOLE, annulus_set(SMALL_TRIPLING, HOLE, 1), 1, 12),
-    "exact_hts_prob": lambda: exact_hts_prob(SMALL_TRIPLING, HOLE, 12),
+    "exact_hts_prob": lambda: exact_hts_prob(SMALL_SPLIT, HOLE, 12),
     "pair_correlation_measure": lambda: pair_correlation_measure(
-        SMALL_WIDTHS, HOLE, 8),
+        SMALL_SPLIT, HOLE, 8),
 }
 
 
@@ -330,3 +337,194 @@ def test_survivor_set_budget_bounds_the_preimage():
         == 352
     with pytest.raises(ComponentBudgetError):
         survivor_set(FullBranchMap.uniform(3, budget=357), HOLE, 6)
+
+
+# -- the Markov-partition oracle of integer maps ------------------------------
+
+# the widths of WIDTHS with a decreasing first branch
+DECREASING_SPEC = ('[{"lo": 0, "hi": "1/2", "slope": -2, "intercept": 1},'
+                   ' {"lo": "1/2", "hi": "3/4", "slope": 4, "intercept": -2},'
+                   ' {"lo": "3/4", "hi": 1, "slope": 4, "intercept": -3}]')
+INTEGER_MAPS = {"doubling": DOUBLING, "tripling": TRIPLING, "widths": WIDTHS,
+                "decreasing": FullBranchMap.from_spec(DECREASING_SPEC)}
+CENTRES = st.integers(1, 40).flatmap(
+    lambda q: st.integers(0, q - 1).map(lambda p: F(p, q)))
+
+
+def test_which_maps_are_integer_maps():
+    assert all(m.is_integer for m in INTEGER_MAPS.values())
+    for m in (FullBranchMap.from_spec("widths:2/5,3/5"),
+              FullBranchMap.from_spec("widths:49/50,1/50"), FOLDED):
+        assert not m.is_integer
+        with pytest.raises(ValueError, match="integer map"):
+            m.markov_partition(HOLE)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_MAPS))
+def test_markov_cells_map_onto_runs_of_cells(name):
+    m = INTEGER_MAPS[name]
+    e, D, scale, rows = m.markov_partition(ball(F(2, 7), F(1, 30)))
+    assert e[0] == 0 and e[-1] == D and e == sorted(set(e))
+    assert len(rows) == len(e) - 1
+    for (f, j0, j1), a, b in zip(rows, e, e[1:]):
+        br = m.branches[m.branch_index(F(a, D))]
+        assert br.lo <= F(a, D) < F(b, D) <= br.hi
+        image = sorted((br.value(F(a, D)), br.value(F(b, D))))
+        assert image == [F(e[j0], D), F(e[j1], D)]
+        assert f * abs(br.slope) == scale
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(sorted(INTEGER_MAPS)), zeta=CENTRES,
+       n=st.integers(1, 12), tau=st.sampled_from([F(1, 2), F(1), F(2)]))
+def test_markov_evl_oracle_equals_the_survivor_set(name, zeta, n, tau):
+    assume(tau < n)
+    m = INTEGER_MAPS[name]
+    U = threshold_for(Observable(zeta), n, tau).exceedance
+    assert exact_evl_prob(m, U, n) == survivor_set(m, U, n).measure()
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(sorted(INTEGER_MAPS)), zeta=CENTRES,
+       t=st.integers(0, 12),
+       eps=st.sampled_from([F(1, 10), F(1, 16), F(1, 40), F(1, 64)]))
+def test_markov_hts_oracle_equals_the_survivor_set(name, zeta, t, eps):
+    m = INTEGER_MAPS[name]
+    B = ball(zeta, eps)
+    assert exact_hts_prob(m, B, t) == survivor_set(m, B, t).measure()
+
+
+def _pair_by_preimages(map_, A, j):
+    """m(A intersect f^(-j) A) by exact preimages, each cut down to the
+    forward image of A at its time, so that j = 16 stays small."""
+    images = [A]
+    for _ in range(j - 1):
+        images.append(map_.image(images[-1]))
+    Z = A
+    for Y in reversed(images):
+        Z = Y.intersect(map_.preimage(Z))
+    return Z.measure()
+
+
+@pytest.mark.parametrize("zeta", [F(2, 5), F(1, 3), F(0), F(1, 7)])
+def test_markov_pair_correlations_equal_preimages_on_widths(zeta):
+    q, _ = theta_limit(WIDTHS, zeta)
+    A = annulus_set(WIDTHS, ball(zeta, F(1, 10000)), q)
+    measures = [pair_correlation_measure(WIDTHS, A, j) for j in range(1, 17)]
+    assert any(measures)
+    for j in range(1, 9):
+        assert measures[j - 1] == \
+            A.intersect(WIDTHS.preimage_iter(A, j)).measure()
+    assert measures == [_pair_by_preimages(WIDTHS, A, j) for j in range(1, 17)]
+    # the recurrence sums read the same pass, here up to j = 16
+    assert dprime_sum(WIDTHS, A, 68, q, 4) == 68 * sum(measures[q:])
+    assert dprime_sum(WIDTHS, A, 64, q, 4, variant="corollary") == \
+        64 * sum(measures)
+
+
+def test_a_long_orbit_at_a_short_horizon_takes_interval_algebra():
+    # the binary float 0.1 is 3602879701896397 / 2^55, whose tripling
+    # orbit has period 2^53: its partition stops only at its limit, and
+    # the oracle takes interval algebra.  At n = 12 interval algebra's
+    # worst case, 2 * 3^12 = 1062882 components, is past the default
+    # budget, which then sets the limit; the survivor set it builds has
+    # 107563 components.
+    B = threshold_for(Observable(0.1), 5, 1).exceedance
+    assert TRIPLING.markov_partition(B, limit=486) is None
+    assert FullBranchMap.uniform(3, budget=10 ** 4).markov_partition(B) \
+        is None
+    assert exact_evl_prob(TRIPLING, B, 5) == \
+        survivor_set(TRIPLING, B, 5).measure()
+    B = threshold_for(Observable(0.1), 12, 1).exceedance
+    assert 2 * 3 ** 12 > TRIPLING.budget
+    assert exact_evl_prob(TRIPLING, B, 12) == \
+        survivor_set(TRIPLING, B, 12).measure()
+
+
+# 108 cells on doubling, 205 on tripling and 77 on the other two
+WIDE = ball(F(1, 3), F(1, 1000))
+PARTITION_ENTRY_POINTS = {  # (map, steps of the recursion, call)
+    "exact_evl_prob": ("doubling", 12, lambda m: exact_evl_prob(m, WIDE, 12)),
+    "exact_hts_prob": ("tripling", 12, lambda m: exact_hts_prob(m, WIDE, 12)),
+    "pair_correlation_measure": (
+        "widths:1/2,1/4,1/4", 8,
+        lambda m: pair_correlation_measure(m, WIDE, 8)),
+    "dprime_sum": (DECREASING_SPEC, 249,
+                   lambda m: dprime_sum(m, WIDE, 1000, 1, 4)),
+}
+
+
+def test_the_markov_partition_stops_at_its_limit():
+    # a partition stops before it holds a cut past the budget or the
+    # limit, whichever is smaller, and returns None
+    for spec in ("doubling", "tripling", DECREASING_SPEC):
+        cells = len(FullBranchMap.from_spec(spec).markov_partition(WIDE)[3])
+        assert cells > 50
+        for budget, limit in ((cells, None), (cells, cells),
+                              (10 ** 6, cells)):
+            m = FullBranchMap.from_spec(spec, budget=budget)
+            assert len(m.markov_partition(WIDE, limit)[3]) == cells
+        for budget, limit in ((cells - 1, None), (cells, cells - 1),
+                              (cells - 1, cells), (50, None)):
+            m = FullBranchMap.from_spec(spec, budget=budget)
+            assert m.markov_partition(WIDE, limit) is None
+
+
+@pytest.mark.parametrize("entry", sorted(PARTITION_ENTRY_POINTS))
+def test_the_markov_partition_stops_at_the_map_budget(entry, monkeypatch):
+    # each entry point's partition needs more than 50 cells.  Its pass
+    # costs cells * (steps + 16) of the budget: at that budget the oracle
+    # runs the partition and builds no preimage; one below, the partition
+    # stops early and interval algebra answers or raises; at 50 it raises
+    spec, steps, call = PARTITION_ENTRY_POINTS[entry]
+    cells = len(FullBranchMap.from_spec(spec).markov_partition(WIDE)[3])
+    assert cells > 50
+    exact = call(FullBranchMap.from_spec(spec))
+    partitions = []
+    markov_partition = FullBranchMap.markov_partition
+
+    def spy(self, S, limit=None):
+        part = markov_partition(self, S, limit)
+        partitions.append(part)
+        return part
+
+    monkeypatch.setattr(FullBranchMap, "markov_partition", spy)
+    with pytest.raises(ComponentBudgetError, match="budget of 50;"):
+        call(FullBranchMap.from_spec(spec, budget=50))
+    assert partitions and all(p is None for p in partitions)
+    partitions.clear()
+    try:
+        assert call(FullBranchMap.from_spec(
+            spec, budget=cells * (steps + 16) - 1)) == exact
+    except ComponentBudgetError:
+        pass
+    assert partitions and all(p is None for p in partitions)
+
+    def no_preimage(self, S):
+        raise AssertionError("an integer map built a preimage")
+
+    monkeypatch.setattr(FullBranchMap, "preimage", no_preimage)
+    partitions.clear()
+    assert call(FullBranchMap.from_spec(
+        spec, budget=cells * (steps + 16))) == exact
+    assert [len(p[3]) for p in partitions] == [cells]
+
+
+def test_the_oracle_takes_intervals_where_they_are_cheaper(monkeypatch):
+    # WIDE has 108 cells on doubling, and 108 * (n + 16) is within
+    # 2 * 2^n, the most components interval algebra reaches in n steps,
+    # only from n = 11 on
+    partitions = []
+    markov_partition = FullBranchMap.markov_partition
+
+    def spy(self, S, limit=None):
+        part = markov_partition(self, S, limit)
+        partitions.append(part and len(part[3]))
+        return part
+
+    monkeypatch.setattr(FullBranchMap, "markov_partition", spy)
+    for n, cells in ((10, None), (11, 108)):
+        partitions.clear()
+        assert exact_evl_prob(DOUBLING, WIDE, n) == \
+            survivor_set(DOUBLING, WIDE, n).measure()
+        assert partitions == [cells]

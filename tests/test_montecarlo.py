@@ -4,6 +4,7 @@ import os
 import signal
 import tracemalloc
 from fractions import Fraction as F
+from multiprocessing.connection import wait
 
 import numpy as np
 import pytest
@@ -547,6 +548,35 @@ def test_hts_estimate_on_a_decreasing_branch():
         assert abs(est - exact) <= 3 * hw
 
 
+# Past one random word: a uniform:d orbit takes a fresh word every J
+# steps (J = 64 on doubling, 40 on tripling), and the Markov-partition
+# oracle reaches any horizon on these maps.
+
+
+@pytest.mark.parametrize("zeta", [F(1, 7), F(1, 15)])
+def test_hts_estimate_past_one_random_word(zeta):
+    # t = 192 is three words; a stepper that divides each word by one
+    # power of d too many, so that every 64th digit is 0, reads
+    # z = -15.1 and -27.1 here
+    B = ball(zeta, F(1, 256))
+    ecdf = mc.estimate_hts(DOUBLING, zeta, F(1, 256), [192 * B.measure()],
+                           trials=200000, seed=3)
+    exact = float(exact_hts_prob(DOUBLING, B, 192))
+    assert abs(ecdf.estimates[0] - exact) <= 3 * ecdf.half_widths[0]
+
+
+@pytest.mark.parametrize("map_, zeta, n", [(TRIPLING, F(1, 4), 120),
+                                           (DOUBLING, F(1, 3), 192)])
+def test_evl_estimate_past_one_random_word(map_, zeta, n):
+    # the divisor fault above does not show here: the doubling EVL coarse
+    # pass reads the random stream, not the divided word, and on d = 3
+    # it moves only the last steps of each word
+    obs = Observable(center=zeta)
+    est = mc.estimate_evl(map_, obs, n, 1, trials=100000, seed=3)
+    exact = float(exact_evl_prob(map_, threshold_for(obs, n, 1).exceedance, n))
+    assert abs(est.estimate - exact) <= 3 * est.half_width
+
+
 # The skewed map's orbits below fit one Horner block, folded from a
 # uniform row.  Folding it from y = 1/2 at HORNER_DEPTH digits past the
 # horizon, an error the wide branch contracts by only (49/50)^48 ~ 0.38,
@@ -820,8 +850,9 @@ def test_broken_pool_is_replaced_on_the_next_call(two_cpu_pool):
     pool = mc._pool
     pid, proc = next(iter(pool._processes.items()))
     os.kill(pid, signal.SIGKILL)
-    proc.join(timeout=30)
-    assert not proc.is_alive()
+    # the executor's own thread may reap the worker first, and a join
+    # after that cannot tell that it ended; its sentinel can
+    assert wait([proc.sentinel], timeout=30) == [proc.sentinel]
     assert _hts(2) == serial
     assert mc._pool is not pool and pid not in mc._pool._processes
 
