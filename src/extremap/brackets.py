@@ -552,18 +552,20 @@ def annuli_gap_bound(map_: FullBranchMap, B: IntervalUnion, A: IntervalUnion,
     expected = annulus_set(map_, B, q)
     if expected != A:
         raise ValueError("A is not the q-step annulus of B")
+    return _annuli_gap(map_, B, A, q, n)
+
+
+def _annuli_gap(map_: FullBranchMap, B: IntervalUnion, A: IntervalUnion,
+                q: int, n: int, W: Optional[IntervalUnion] = None):
+    """``annuli_gap_bound`` without its checks, for A the q-annulus of B
+    and 0 <= q < n; W, when given, is A's length-n survivor set."""
     if q == 0:
-        return A.measure() - A.measure()
-    W = survivor_set(map_, A, n)
-    diff = B.difference(A)
-    total = None
-    P = diff
-    levels = {}
+        return Fraction(0)
+    if W is None:
+        W = survivor_set(map_, A, n)
+    total, P = Fraction(0), B.difference(A)
     for i in range(1, n):
         P = map_.preimage(P)
         if n - i <= q:
-            levels[n - i] = P
-    for j in range(1, q + 1):
-        piece = W.intersect(levels[j]).measure()
-        total = piece if total is None else total + piece
+            total += W.intersect(P).measure()
     return total

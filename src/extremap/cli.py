@@ -35,7 +35,7 @@ from .events import (
 )
 from .brackets import (
     DecayModel,
-    annuli_gap_bound,
+    _annuli_gap,
     evl_bracket_inputs,
     hts_bracket_inputs,
     escape_window,
@@ -492,10 +492,12 @@ def cmd_check(args) -> int:
         q_i = rng.randrange(0, 4)
         n_i = rng.randrange(q_i + 2, 13)
         B = ball(zeta_i, eps)
+        # A is B's annulus by construction: the bound takes it and its
+        # survivor set as they are
         A = annulus_set(map_, B, q_i)
-        lhs = abs(survivor_set(map_, B, n_i).measure()
-                  - survivor_set(map_, A, n_i).measure())
-        rhs = annuli_gap_bound(map_, B, A, q_i, n_i)
+        W = survivor_set(map_, A, n_i)
+        lhs = abs(survivor_set(map_, B, n_i).measure() - W.measure())
+        rhs = _annuli_gap(map_, B, A, q_i, n_i, W)
         ok = lhs <= rhs
         violated = violated or not ok
         rows.append({"kind": "proposition", "scale": n_i, "zeta": str(zeta_i),

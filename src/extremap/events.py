@@ -276,12 +276,19 @@ def pair_correlation_measure(map_: FullBranchMap, A: IntervalUnion,
     measures = _markov_pair_measures(map_, A, j)
     if measures is not None:
         return measures[-1]
-    return _pair_by_preimages(map_, A, j)
+    return _pairs_by_preimages(map_, A, j, j)[0]
 
 
-def _pair_by_preimages(map_: FullBranchMap, A: IntervalUnion, j: int):
-    """m(A intersect f^(-j) A) from budgeted iterated preimages."""
-    return A.intersect(map_.preimage_iter(A, j)).measure()
+def _pairs_by_preimages(map_: FullBranchMap, A: IntervalUnion, j_lo: int,
+                        j_hi: int) -> list:
+    """[m(A intersect f^(-j) A) for j = j_lo..j_hi], from one chain of
+    budgeted preimages f^(-1) A, f^(-2) A, ..., f^(-j_hi) A."""
+    out, P = [], A
+    for j in range(1, j_hi + 1):
+        P = map_.preimage(P)
+        if j >= j_lo:
+            out.append(A.intersect(P).measure())
+    return out
 
 
 def dprime_sum(map_: FullBranchMap, A: IntervalUnion, n: int, q: int, k: int,
@@ -308,8 +315,7 @@ def dprime_sum(map_: FullBranchMap, A: IntervalUnion, n: int, q: int, k: int,
     elif (measures := _markov_pair_measures(map_, A, j_hi)) is not None:
         terms = measures[j_lo - 1:]
     else:
-        terms = (_pair_by_preimages(map_, A, j)
-                 for j in range(j_lo, j_hi + 1))
+        terms = _pairs_by_preimages(map_, A, j_lo, j_hi)
     return n * sum(terms, Fraction(0))
 
 

@@ -7,20 +7,21 @@ how many workers execute the chunks.
 
 Initial conditions are Lebesgue-distributed via i.i.d. random digits.
 Each map family has one orbit stepper, and the two share one
-interface: ``step()``, ``dist()`` to the target, ``level(radius)`` in
-the stepper's own distance units, and ``keep(mask)``.  For uniform maps
-(x -> d*x mod 1) an orbit is held as the unsigned 64-bit window
-floor(2^64*x), refilled from below with base-d digits, so orbits of
-unbounded length never lose digit accuracy; non-uniform affine maps use
-a blockwise backward-Horner reconstruction, at fixed digit depth in
-every block but the last.  The last block starts its fold from a
-uniform row, because the point after its digits is uniform and
-independent of them, so an orbit within one block is exact in law on
-every affine map.  These two steppers are the library's only orbit
-simulation: floating-point forward iteration of an expanding map
-collapses onto the dyadic rationals after roughly 53 steps, so it is
-never used.  Each estimator
-has one chunk kernel, run over whichever stepper the map takes:
+interface: the kernels' two reductions ``running_minima(checkpoints)``
+and ``inside(level)``, ``level(radius)`` in the stepper's own distance
+units, and ``keep(mask)``.  For uniform maps (x -> d*x mod 1) an orbit
+is held as the unsigned 64-bit window floor(2^64*x), refilled from
+below with base-d digits, so orbits of unbounded length never lose
+digit accuracy; non-uniform affine maps use a blockwise backward-Horner
+reconstruction that stores no positions, at fixed digit depth in every
+block but the last.  The last block starts its fold from a uniform
+row, because the point after its digits is uniform and independent of
+them, so an orbit within one block is exact in law on every affine
+map.  These two steppers are the library's only orbit simulation:
+floating-point forward iteration of an expanding map collapses onto
+the dyadic rationals after roughly 53 steps, so it is never used.
+Each estimator has one chunk kernel, run over whichever stepper the
+map takes:
 ``_evl_chunk`` checkpoints the running minimum distance (on
 power-of-two uniform maps through a coarse pass, below),
 ``_entry_chunk`` records first entry times.
@@ -57,20 +58,20 @@ and their exact outcomes replace the coarse ones, so every count is
 the exact stepper's.  The first-entry kernel keeps the exact stepper:
 a first entry would need the band handled at every step.
 
-A chunk's working memory beyond the position block it must keep is
-O(lanes).  A Horner chunk holds one float position block, one integer
-digit buffer of at most STEP_BLOCK + HORNER_DEPTH rows and lane-sized
-rows, all reused from block to block; a uniform chunk holds lane-sized
-rows only: the window, the word and its start, and in the coarse pass
-the uint32 halves of the stream.  Horner uniforms are drawn one
-lane-sized row at a time: split ``random()`` draws give the same numbers
-as one block-sized draw.
+A chunk's working memory is O(lanes).  A Horner chunk holds one
+integer digit buffer of at most STEP_BLOCK + HORNER_DEPTH rows and
+lane-sized rows, all reused from block to block; a uniform chunk holds
+lane-sized rows only: the window, the word and its start, and in the
+coarse pass the uint32 halves of the stream.  Horner uniforms are drawn
+one lane-sized row at a time: split ``random()`` draws give the same
+numbers as one block-sized draw.
 
 The first-entry kernel retires the lanes that have entered the hole.
 Each step, on either stepper, adds its new entries to the histogram,
 and once the live lanes are half of those being stepped the entered
-ones are dropped (mid-block too: the rest of a built Horner block keeps
-the live lanes' rows), so a chunk compacts about log2(CHUNK) times.
+ones are dropped (mid-block too: a folded Horner block keeps the live
+lanes' entry steps and digits), so a chunk compacts about log2(CHUNK)
+times.
 Digits are still drawn for every lane of the chunk, in the same order,
 and the live lanes take their own columns, so each lane sees the stream
 it would have seen and the histograms do not change.  The EVL kernel
@@ -104,6 +105,7 @@ import atexit
 import functools
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
@@ -232,12 +234,15 @@ class _Lanes:
         self.count, self.rng = count, rng
         self._cols = None  # chunk lanes still stepped; None while all are
 
-    def keep(self, mask: np.ndarray):
-        self._cols = np.flatnonzero(mask) if self._cols is None else self._cols[mask]
+    def keep(self, mask: np.ndarray) -> np.ndarray:
+        """The kept lanes' indices, by which the steppers take rows."""
+        idx = np.flatnonzero(mask)
+        self._cols = idx if self._cols is None else self._cols.take(idx)
+        return idx
 
     def _lanes(self, drawn: np.ndarray) -> np.ndarray:
         """The stepped lanes' columns of a full-width draw."""
-        return drawn if self._cols is None else drawn[..., self._cols]
+        return drawn if self._cols is None else drawn.take(self._cols, axis=-1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -283,16 +288,18 @@ class _UniformOrbits(_Lanes):
         self._C = np.empty(count, dtype=np.uint64)
         self._i = self._J  # the first step draws a word
         self._d = np.empty(count, dtype=np.uint64)
+        self._in = np.empty(count, dtype=bool)
 
     def level(self, radius: Fraction) -> np.uint64:
         """The exact radius in 1/m units: dist() < level iff inside."""
         return np.uint64(_scaled(radius, self.m))
 
     def keep(self, mask: np.ndarray):
-        super().keep(mask)
+        idx = super().keep(mask)
         self.state, self._s0, self._C = (
-            self.state[mask], self._s0[mask], self._C[mask])
-        self._d = np.empty(len(self.state), dtype=np.uint64)
+            self.state.take(idx), self._s0.take(idx), self._C.take(idx))
+        self._d = np.empty(len(idx), dtype=np.uint64)
+        self._in = np.empty(len(idx), dtype=bool)
 
     def _next_word(self):
         # the window becomes the next word's s0; its buffer is free
@@ -318,6 +325,25 @@ class _UniformOrbits(_Lanes):
         diff = np.subtract(self.state, self.Z, out=self._d)
         np.abs(diff.view(np.int64), out=diff.view(np.int64))
         return diff
+
+    def running_minima(self, checkpoints: Tuple[Tuple[int, Fraction], ...]):
+        """At each (n, radius) checkpoint, n increasing, the running
+        minimum of ``dist()`` over x_0 .. x_(n-1) (one buffer, updated in
+        place) and the level of the radius."""
+        runmin = self.dist().copy()
+        k = 0
+        for n, radius in checkpoints:
+            while k < n - 1:
+                self.step()
+                np.minimum(runmin, self.dist(), out=runmin)
+                k += 1
+            yield runmin, self.level(radius)
+
+    def inside(self, level) -> np.ndarray:
+        """Step once and return dist() < level, in a buffer that the next
+        call overwrites."""
+        self.step()
+        return np.less(self.dist(), level, out=self._in)
 
     def min_dist(self, steps: int) -> np.ndarray:
         """Step ``steps`` times and return the minimum of dist() over
@@ -421,25 +447,22 @@ class _HornerOrbits(_Lanes):
 
     The points x_0 .. x_steps are rebuilt by backward Horner from i.i.d.
     branch digits, STEP_BLOCK rows at a time (fewer for the last block).
-    A block is built when ``step()`` runs past the previous one.  A
-    block before the last reaches HORNER_DEPTH digits past its end
+    A block before the last reaches HORNER_DEPTH digits past its end
     through the carried digits and starts the fold from y = 0.5.  The
     last block draws only the digits it needs, keeps every digit it was
     carried, and starts the fold from a uniform row: Lebesgue measure is
     invariant under the map, so the point after the last digit is
     uniform and independent of the digits before it.  An orbit within
-    one block is therefore exact in law.  ``dist()`` and
-    ``level(radius)`` are floats.
+    one block is therefore exact in law.  ``level(radius)`` is a float.
 
-    A chunk holds one position block, one digit buffer of at most
-    STEP_BLOCK + HORNER_DEPTH rows and a few lane-sized rows, all reused
-    from block to block; ``keep()`` moves the live lanes to fresh,
-    narrower ones.  The uniforms are drawn one full-width row at a time,
-    the last block's start row too: split ``random()`` draws give the
-    same numbers as one block-sized draw.  Each branch is inverted as
+    The fold (``_fold``) carries one lane-sized row back through a
+    block's digits and hands each point, last first, to the kernel's
+    reduction; no position is stored.  A chunk holds one digit buffer of
+    at most STEP_BLOCK + HORNER_DEPTH rows and lane-sized rows, reused
+    from block to block.  The uniforms are drawn one full-width row at a
+    time, the last block's start row too.  Each branch is inverted as
     x = a + b*y, with a = -intercept/slope and b = 1/slope, so
-    decreasing branches are sampled too; on an increasing branch a and b
-    are its lo and width.
+    decreasing branches are sampled too.
     """
 
     def __init__(self, map_: FullBranchMap, zeta: Fraction, count: int,
@@ -452,17 +475,22 @@ class _HornerOrbits(_Lanes):
         # the last cumulative width (which may round below 1) is never
         # compared, so digits stay below d
         self._inner = np.cumsum([float(w) for w in map_.widths])[:-1]
-        self._d = np.empty(count)
-        self._t = np.empty(count)
         self._u = np.empty(count)  # one full-width row of uniforms
-        self._rows_left = steps + 1  # rows not yet built, x_0 included
+        self._rows_left = steps + 1  # rows not yet folded, x_0 included
+        self._built = 0  # the time of the next block's first point
         # the _held digits carried into the next block start at row
-        # _carry of _digits; the buffers are allocated at the live width
-        # whenever _block is None: at the first block and after keep()
+        # _carry of _digits; the first fold, and the first after keep(),
+        # allocates _digits at the live width
         self._digits = np.empty((0, count),
                                 dtype=np.min_scalar_type(map_.d - 1))
-        self._carry, self._held, self._block = 0, 0, None
-        self._build()
+        self._carry, self._held = 0, 0
+        self._first = np.zeros(count, dtype=np.int64)
+        self._j = 0  # the step inside() last read
+        self._rows(count)
+
+    def _rows(self, lanes: int):
+        self._y, self._d, self._t = (np.empty(lanes) for _ in range(3))
+        self._in = np.empty(lanes, dtype=bool)
 
     def _draw(self, start: int, stop: int):
         """Digit rows start..stop-1, drawn one row at a time."""
@@ -473,8 +501,9 @@ class _HornerOrbits(_Lanes):
             for c in self._inner:
                 np.add(row, u >= c, out=row)
 
-    def _build(self):
-        """The next block of positions, from its own and the carried digits."""
+    def _fold(self, reduce) -> int:
+        """Fold the next block, calling reduce(k, x) on each of its points
+        x_k, last first (x is overwritten next); returns its first k."""
         B = min(STEP_BLOCK, self._rows_left)
         self._rows_left -= B
         last, held = not self._rows_left, self._held
@@ -482,57 +511,85 @@ class _HornerOrbits(_Lanes):
         # was carried, or those of its points but the last if that is more
         depth = max(B - 1, held) if last else B + HORNER_DEPTH
         carry = self._digits[self._carry:self._carry + held]
-        if self._block is None:
-            # no later block is longer or deeper than this one
-            self._block = np.empty((B, carry.shape[1]))
+        if len(self._digits) < depth:
+            # no later block is deeper than this one
             self._digits = np.empty((depth, carry.shape[1]), dtype=carry.dtype)
         digits = self._digits
         digits[:held] = carry
         del carry  # a carry from keep() is its own array: free it
         self._draw(held, depth)
-        pos = self._block[:B]
+        k0, y = self._built, self._y
         if last:
             self.rng.random(out=self._u)
-            y = self._lanes(self._u)
+            y[...] = self._lanes(self._u)
             if depth < B:  # the uniform row is the block's last point
-                pos[B - 1] = y
+                reduce(k0 + B - 1, y)
         else:
-            y = np.full(digits.shape[1], 0.5)
+            y.fill(0.5)
         for r in range(depth - 1, -1, -1):
             row = digits[r].astype(np.intp)  # intp indexes fastest
-            out = pos[r] if r < B else y
-            np.multiply(self._b[row], y, out=out)
-            np.add(self._a[row], out, out=out)
-            y = out
-        self._pos, self._row = pos, 0
+            np.multiply(self._b[row], y, out=y)
+            np.add(self._a[row], y, out=y)
+            if r < B:
+                reduce(k0 + r, y)
+        self._built += B
         self._carry, self._held = B, 0 if last else HORNER_DEPTH
+        return k0
 
     def level(self, radius: Fraction) -> float:
         return float(radius)
 
-    def keep(self, mask: np.ndarray):
-        super().keep(mask)
-        # the carried digits and the positions still ahead go to fresh
-        # arrays, the digits first, so that no full-width digit buffer is
-        # left when the positions are copied beside the block buffer
-        self._digits = self._digits[self._carry:self._carry + self._held, mask]
-        self._pos = self._pos[self._row:, mask]
-        self._carry, self._block, self._row = 0, None, 0
-        self._d = np.empty(len(self._cols))
-        self._t = np.empty(len(self._cols))
-
-    def step(self):
-        self._row += 1
-        if self._row == len(self._pos):
-            self._build()
-
-    def dist(self) -> np.ndarray:
-        """min(|x - zeta|, 1 - |x - zeta|), in a buffer that the next call
-        overwrites."""
-        diff = np.subtract(self._pos[self._row], self._zf, out=self._d)
+    def _dist(self, x: np.ndarray) -> np.ndarray:
+        """min(|x - zeta|, 1 - |x - zeta|), in a buffer that the next
+        call overwrites."""
+        diff = np.subtract(x, self._zf, out=self._d)
         np.abs(diff, out=diff)
         np.subtract(1.0, diff, out=self._t)
         return np.minimum(diff, self._t, out=diff)
+
+    def running_minima(self, checkpoints: Tuple[Tuple[int, Fraction], ...]):
+        """As ``_UniformOrbits.running_minima``: the checkpoints inside a
+        block cut it into stretches, each folded into one minimum row,
+        and the rows join the running minimum in step order."""
+        runmin = np.full(len(self._y), np.inf)
+        i = 0
+        while self._rows_left:
+            end = self._built + min(STEP_BLOCK, self._rows_left)
+            cuts = sorted({n for n, _ in checkpoints[i:] if n < end})
+            mins = np.full((len(cuts) + 1, len(runmin)), np.inf)
+
+            def reduce(k, x):
+                low = mins[bisect_right(cuts, k)]
+                np.minimum(low, self._dist(x), out=low)
+
+            self._fold(reduce)
+            for cut, low in zip(cuts + [end], mins):
+                np.minimum(runmin, low, out=runmin)
+                while i < len(checkpoints) and checkpoints[i][0] == cut:
+                    yield runmin, self.level(checkpoints[i][1])
+                    i += 1
+
+    def inside(self, level: float) -> np.ndarray:
+        """As ``_UniformOrbits.inside`` on every lane not yet entered.  A
+        block's fold records each lane's earliest step in the ball in
+        ``_first`` (time 0 untested), and step j reads ``_first == j``."""
+        self._j += 1
+        if self._j >= self._built:
+            def reduce(k, x):
+                if k:
+                    np.less(self._dist(x), level, out=self._in)
+                    np.copyto(self._first, k, where=self._in)
+
+            self._fold(reduce)
+        return np.equal(self._first, self._j, out=self._in)
+
+    def keep(self, mask: np.ndarray):
+        idx = super().keep(mask)
+        self._digits = self._digits[self._carry:self._carry + self._held].take(
+            idx, axis=1)
+        self._first = self._first.take(idx)
+        self._carry = 0
+        self._rows(len(idx))
 
 
 def _check_sampled(map_: FullBranchMap):
@@ -558,20 +615,6 @@ def _orbits(map_: FullBranchMap, zeta: Fraction, count: int,
 # ---------------------------------------------------------------------------
 
 
-def _running_minima(orb, checkpoints: Tuple[Tuple[int, Fraction], ...]):
-    """At each (n, radius) checkpoint, the running minimum of ``dist()``
-    over x_0 .. x_(n-1) and the level of the radius, in the stepper's
-    units; the minimum is one buffer, updated in place."""
-    runmin = orb.dist().copy()
-    k = 0
-    for n, radius in checkpoints:
-        while k < n - 1:
-            orb.step()
-            np.minimum(runmin, orb.dist(), out=runmin)
-            k += 1
-        yield runmin, orb.level(radius)
-
-
 def _evl_chunk(map_: FullBranchMap, zeta: Fraction,
                checkpoints: Tuple[Tuple[int, Fraction], ...],
                index: int, count: int, seed: int):
@@ -593,10 +636,10 @@ def _evl_chunk(map_: FullBranchMap, zeta: Fraction,
     if not (map_.is_uniform and (map_.d & (map_.d - 1)) == 0):
         orb = _orbits(map_, zeta, count, _rng(seed, index), steps)
         return [int((runmin >= level).sum())
-                for runmin, level in _running_minima(orb, checkpoints)]
+                for runmin, level in orb.running_minima(checkpoints)]
     orb = _CoarseOrbits(map_, zeta, count, _rng(seed, index), steps)
     counts, bands = [], []
-    for cmin, L32 in _running_minima(orb, checkpoints):
+    for cmin, L32 in orb.running_minima(checkpoints):
         counts.append(int((cmin >= L32 + 2).sum()))
         bands.append(np.flatnonzero((cmin >= L32) & (cmin <= L32 + 1)))
     lanes = np.unique(np.concatenate(bands))
@@ -622,9 +665,7 @@ def _entry_chunk(map_: FullBranchMap, zeta: Fraction, radius: Fraction,
     live = count
     hit = np.empty(count, dtype=bool)
     for j in range(1, horizon + 1):
-        orb.step()
-        np.less(orb.dist(), level, out=hit)
-        np.logical_and(hit, alive, out=hit)
+        np.logical_and(orb.inside(level), alive, out=hit)
         entered = int(np.count_nonzero(hit))
         if not entered:
             continue

@@ -458,13 +458,35 @@ def test_check_violation_exits_one(tmp_path, monkeypatch):
     # fault injection: force the domination bound below the true gap
     import extremap.cli as cli_mod
 
-    def broken_bound(map_, B, A, q, n):
+    def broken_bound(map_, B, A, q, n, W):
         return -1
 
-    monkeypatch.setattr(cli_mod, "annuli_gap_bound", broken_bound)
+    monkeypatch.setattr(cli_mod, "_annuli_gap", broken_bound)
     rc = main(["check", "--zeta", "1/3", "--q", "2", "--n", "256",
                "--seed", "5", "--prop-configs", "2", "--out", str(tmp_path)])
     assert rc == 1
+
+
+def test_check_builds_each_set_of_a_proposition_row_once(tmp_path,
+                                                        monkeypatch):
+    # the dprime rows build one annulus each; a proposition row builds
+    # one annulus A and the survivor sets of B and A, and the bound takes
+    # A and its survivor set from the row (it built both again before)
+    import extremap.brackets as brackets_mod
+    import extremap.cli as cli_mod
+    built = []
+    for mod in (cli_mod, brackets_mod):
+        for name in ("annulus_set", "survivor_set"):
+            monkeypatch.setattr(
+                mod, name,
+                lambda *args, _fn=getattr(mod, name), _name=name:
+                    built.append(_name) or _fn(*args))
+    rc = main(["check", "--map", "tripling", "--zeta", "1/4",
+               "--n", "256,1024,4096", "--prop-configs", "2", "--seed", "1",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert built.count("annulus_set") == 3 + 2
+    assert built.count("survivor_set") == 2 * 2
 
 
 def test_budget_exceeded_exit_code(tmp_path):

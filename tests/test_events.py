@@ -293,6 +293,26 @@ def test_dprime_nonuniform_budgeted_path():
                              for j in range(2, 8))
 
 
+@pytest.mark.parametrize("zeta, q", [(F(1, 3), 1), (F(0), 0)])
+def test_dprime_sum_walks_one_preimage_chain(zeta, q, monkeypatch):
+    # widths:2/5,3/5 has no Markov partition: the terms j = q+1..15 come
+    # from one chain f^-1 A .. f^-15 A, 15 preimages, where building
+    # each f^-j A from A again took 119 at 1/3.  At the fixed point 0
+    # with q = 0 the first term, j = 1, is not 0
+    m = FullBranchMap.from_spec("widths:2/5,3/5")
+    A = annulus_set(m, threshold_for(Observable(center=zeta), 64, 1)
+                    .exceedance, q)
+    terms = [A.intersect(m.preimage_iter(A, j)).measure()
+             for j in range(q + 1, 16)]
+    assert (terms[0] > 0) == (q == 0)
+    calls = []
+    preimage = FullBranchMap.preimage
+    monkeypatch.setattr(FullBranchMap, "preimage",
+                        lambda self, S: calls.append(S) or preimage(self, S))
+    assert dprime_sum(m, A, 64, q, 4) == 64 * sum(terms)
+    assert len(calls) == 15
+
+
 # -- the component budget -----------------------------------------------------
 
 SMALL_TRIPLING = FullBranchMap.uniform(3, budget=50)
@@ -308,6 +328,7 @@ BUDGET_ENTRY_POINTS = {
     "exact_hts_prob": lambda: exact_hts_prob(SMALL_SPLIT, HOLE, 12),
     "pair_correlation_measure": lambda: pair_correlation_measure(
         SMALL_SPLIT, HOLE, 8),
+    "dprime_sum": lambda: dprime_sum(SMALL_SPLIT, HOLE, 64, 1, 4),
 }
 
 

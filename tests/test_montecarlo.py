@@ -46,17 +46,24 @@ def _uniform_states(d, steps, count, seed):
     return orb.m, np.array(states)
 
 
+def _fold_points(orb, pos):
+    """Fold ``orb``'s next block into the rows of ``pos`` at its times,
+    one column per stepped lane; returns the block's first time."""
+    def record(k, x):
+        pos[k, :len(x)] = x
+
+    return orb._fold(record)
+
+
 def _horner_positions(map_, steps, count, rng):
     """Points of one _HornerOrbits chunk at times 0..steps, (steps+1, count),
-    and the times at which it built a new block."""
+    as its fold hands them on, and the times at which each block starts.
+    A point the fold never hands on stays NaN."""
     orb = mc._HornerOrbits(map_, F(0), count, rng, steps)
-    rows, starts = [orb._pos[orb._row].copy()], [0]
-    for k in range(1, steps + 1):
-        orb.step()
-        rows.append(orb._pos[orb._row].copy())
-        if orb._row == 0:
-            starts.append(k)
-    return np.array(rows), starts
+    pos, starts = np.full((steps + 1, count), np.nan), []
+    while orb._rows_left:
+        starts.append(_fold_points(orb, pos))
+    return pos, starts
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -255,7 +262,7 @@ def test_evl_chunk_coarse_pass_matches_the_exact_stepper(d, count):
     minima, counts = _exact_evl_minima(f, F(1, 3), EDGE_CHECKPOINTS, 2, count, 9)
     assert mc._evl_chunk(f, F(1, 3), EDGE_CHECKPOINTS, 2, count, 9) == counts
     coarse = mc._CoarseOrbits(f, F(1, 3), count, mc._rng(9, 2), 128)
-    passes = mc._running_minima(coarse, EDGE_CHECKPOINTS)
+    passes = coarse.running_minima(EDGE_CHECKPOINTS)
     for (cmin, L32), exact, (_, radius) in zip(passes, minima, EDGE_CHECKPOINTS):
         assert _coarse_bounds_hold(cmin, exact)
         L = (radius.numerator << 64) // radius.denominator
@@ -278,7 +285,7 @@ def test_evl_chunk_band_lanes_run_again(d, monkeypatch):
     _, counts = _exact_evl_minima(f, F(1, 3), cps, 4, count, 3)
     coarse = mc._CoarseOrbits(f, F(1, 3), count, mc._rng(3, 4), n - 1)
     band, outcomes = np.zeros(count, dtype=bool), set()
-    for (cmin, L32), L in zip(mc._running_minima(coarse, cps), levels):
+    for (cmin, L32), L in zip(coarse.running_minima(cps), levels):
         here = (cmin >= L32) & (cmin <= L32 + 1)
         band |= here
         outcomes |= set((minima[0][here] >= np.uint64(L)).tolist())
@@ -347,7 +354,8 @@ def test_single_block_chunk_draws_one_row_per_point(steps):
     # steps digit rows and the uniform row of x_steps: no digit past the
     # horizon is drawn
     rng, ref = np.random.default_rng(2), np.random.default_rng(2)
-    mc._HornerOrbits(SKEWED, F(1, 3), 61, rng, steps)
+    orb = mc._HornerOrbits(SKEWED, F(1, 3), 61, rng, steps)
+    assert len(list(orb.running_minima(((steps + 1, F(1, 10)),)))) == 1
     ref.random((steps + 1, 61))
     assert rng.random() == ref.random()
 
@@ -440,32 +448,69 @@ def test_entry_kernels_match_full_lane_reference(spec, radius, horizon, count):
         assert 0.25 * count < hist[0] < 0.75 * count
 
 
+KEEP_STEPS = (10, 70, 119, 126, 127, 130)
+
+
 def test_uniform_orbits_keep_follows_the_full_width_stream():
     # after keep(), each kept lane steps through the same points as the
-    # same lane of an orbit set that keeps every lane.  Horner: the keeps
-    # after steps 11 and 71 fall inside the first block, the keep after
-    # step 127 on its last row (one row ahead, then a block built at the
-    # live width), and the lanes kept then cross into the next block,
-    # where the keeps after 128 and 131 fall.  Uniform: the keeps fall
-    # mid-word, and after 120 (tripling) and 128 (doubling) steps on the
-    # last step of a word
+    # same lane of an orbit set that keeps every lane.  Uniform: the
+    # keeps fall mid-word, and after 120 (tripling) and 128 (doubling)
+    # steps on the last step of a word.  Horner: the keeps after steps
+    # 11, 71, 120, 127 and 128 fall inside the first block, while it is
+    # read, so they take the carried digits into the second block, where
+    # the keep after step 131 falls
     for spec in ENTRY_MAPS:
         f = FullBranchMap.from_spec(spec)
         full = mc._orbits(f, F(1, 3), 61, np.random.default_rng(3), 300)
         kept = mc._orbits(f, F(1, 3), 61, np.random.default_rng(3), 300)
         lanes = np.arange(61)
+        if not f.is_uniform:
+            ref = np.full((301, 61), np.nan)
+            got = np.full((301, 61), np.nan)
+            for k0 in range(0, 301, mc.STEP_BLOCK):
+                assert _fold_points(full, ref) == _fold_points(kept, got) == k0
+                block = slice(k0, k0 + mc.STEP_BLOCK)
+                assert np.array_equal(got[block, :len(lanes)],
+                                      ref[block][:, lanes]), (spec, k0)
+                for k in KEEP_STEPS:
+                    if k0 <= k < k0 + mc.STEP_BLOCK:
+                        mask = np.random.default_rng(k).random(len(lanes)) < 0.6
+                        kept.keep(mask)
+                        lanes = lanes[mask]
+            continue
         for k in range(300):
             full.step()
             kept.step()
-            if k in (10, 70, 119, 126, 127, 130):
-                if k == 126 and not f.is_uniform:
-                    assert kept._row == len(kept._pos) - 1
+            if k in KEEP_STEPS:
                 mask = np.random.default_rng(k).random(len(lanes)) < 0.6
                 kept.keep(mask)
                 lanes = lanes[mask]
             assert np.array_equal(kept.dist(), full.dist()[lanes]), (spec, k)
-            if f.is_uniform:
-                assert np.array_equal(kept.state, full.state[lanes]), (spec, k)
+            assert np.array_equal(kept.state, full.state[lanes]), (spec, k)
+
+
+@pytest.mark.parametrize("spec", ["widths:1/2,1/4,1/4", "widths:49/50,1/50"])
+def test_horner_inside_after_keep_follows_the_full_width_stream(spec):
+    # the entries inside() reads after keep(), mid-block and across the
+    # next block, are the full-width ones of the kept lanes, on every
+    # lane that has not entered: keep() takes the recorded first entry
+    # steps of the block with the carried digits
+    f = FullBranchMap.from_spec(spec)
+    full = mc._HornerOrbits(f, F(1, 3), 61, np.random.default_rng(3), 300)
+    kept = mc._HornerOrbits(f, F(1, 3), 61, np.random.default_rng(3), 300)
+    out = np.zeros(61, dtype=bool)  # entered, over the chunk's lanes
+    lanes = np.arange(61)
+    for j in range(1, 301):
+        ref = full.inside(1 / 20)
+        got = kept.inside(1 / 20)
+        new = ~out[lanes]
+        assert np.array_equal(got[new], ref[lanes][new]), j
+        out[lanes[got & new]] = True
+        if j - 1 in KEEP_STEPS:
+            mask = np.random.default_rng(j).random(len(lanes)) < 0.6
+            kept.keep(mask)
+            lanes = lanes[mask]
+    assert out.any() and not out.all()
 
 
 # Survivor counts: estimate_evl_grid at n = 1, 7, 129, 300 and
@@ -705,23 +750,25 @@ def _peak_mib(fn, *args):
             tracemalloc.stop()
 
 
-def test_horner_evl_chunk_holds_one_position_block():
-    # checkpoints across two block edges at a full chunk: one float block,
-    # one digit buffer and lane-sized rows, about 40.5 MiB; a block-sized
-    # float draw beside the old and the new block reads 79.0 MiB
+# a Horner chunk's digit buffer, and 4 MiB for its lane-sized rows
+HORNER_CHUNK_MIB = (mc.STEP_BLOCK + mc.HORNER_DEPTH) * mc.CHUNK / 2 ** 20 + 4
+
+
+def test_horner_evl_chunk_holds_no_position_block():
+    # checkpoints across two block edges at a full chunk: one digit
+    # buffer and lane-sized rows, about 8.3 MiB; with a float position
+    # block beside them it read 40.0 MiB
     cps = ((100, F(1, 1000)), (300, F(1, 2000)))
-    bound = (mc.STEP_BLOCK * mc.CHUNK * 8
-             + (mc.STEP_BLOCK + mc.HORNER_DEPTH) * mc.CHUNK) / 2 ** 20 + 6
     _, peak = _peak_mib(mc._evl_chunk, WIDTHS, F(1, 3), cps, 0, mc.CHUNK, 1)
-    assert peak <= bound
+    assert peak <= HORNER_CHUNK_MIB
 
 
 def test_horner_entry_chunk_memory_with_retired_lanes():
     # every lane enters, so keep() runs several times mid-block: about
-    # 49 MiB, where block-sized float draws read 53.5 MiB
+    # 7.7 MiB; with a float position block it read 49.0 MiB
     hist, peak = _peak_mib(mc._entry_chunk, WIDTHS, F(1, 3), F(1, 20), 300,
                            0, mc.CHUNK, 1)
-    assert hist[0] == 0 and peak <= 53
+    assert hist[0] == 0 and peak <= HORNER_CHUNK_MIB
 
 
 def test_uniform_window_start_is_drawn_row_by_row():
