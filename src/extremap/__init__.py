@@ -20,7 +20,6 @@ from .maps import (
     AffineBranch,
     FullBranchMap,
     Potential,
-    SmoothBranch,
     bv_norm_indicator,
     periodic_points,
     pressure_sequence,

@@ -157,12 +157,11 @@ def _uniform_period(map_: FullBranchMap, zeta: Fraction, cap: int):
 def detect_period(map_: FullBranchMap, zeta, cap: int = 64) -> Optional[int]:
     """Prime period of ``zeta`` under the map, or None if not periodic.
 
-    Exact for rational points of affine maps.  For non-uniform maps the
-    orbit is iterated up to ``cap``: a return to the start gives the
-    period, any other repeat certifies non-periodicity, and otherwise
-    the detection is inconclusive and raises.
+    Exact for rational points.  For non-uniform maps the orbit is
+    iterated up to ``cap``: a return to the start gives the period, any
+    other repeat certifies non-periodicity, and otherwise the detection
+    is inconclusive and raises.
     """
-    map_._require_affine("period detection")
     zeta = as_exact(zeta)
     if map_.is_uniform:
         return _uniform_period(map_, zeta, cap)
@@ -189,16 +188,21 @@ def theta_limit_exact(map_: FullBranchMap, zeta):
 
     For a periodic center of prime period p the limit extremal index is
     1 - 1/|DF^p| (the reciprocal of the orbit multiplier); a
-    non-periodic center gives q = 0 and theta = 1.
+    non-periodic center gives q = 0 and theta = 1.  The center 0 is an
+    end of both end branches, and each maps its side of 0 back onto 0:
+    the share of the ball that returns at once is the mean width of
+    the two end branches.
     """
     zeta = as_exact(zeta)
+    if zeta == 0:
+        return 1, 1 - (map_.branches[0].width + map_.branches[-1].width) / 2
     p = detect_period(map_, zeta)
     if p is None:
         return 0, Fraction(1)
     mult = Fraction(1)
     z = zeta
     for _ in range(p):
-        mult *= abs(map_.derivative_at(z))
+        mult *= abs(map_.branches[map_.branch_index(z)].slope)
         z = map_.apply(z)
     return p, 1 - Fraction(1) / mult
 

@@ -2,15 +2,13 @@
 
 A ``FullBranchMap`` is a finite collection of branches whose domains
 tile [0, 1) and which each map their domain bijectively onto [0, 1).
-Affine branches carry exact rational data, which keeps preimages,
-periodic points and annulus constructions exactly computable.  An
-affine map puts its branch data over common denominators once, at
-construction, so ``preimage`` and ``image`` act on the integer
-numerators of an ``IntervalUnion`` with integer arithmetic.  An
-affine map with integer slopes and intercepts also cuts [0, 1) into the
-finite Markov partition of any rational set (``markov_partition``).
-Smooth branches (monotone callables) are supported for pointwise
-evaluation and Ulam discretization only.  Pointwise evaluation uses the
+Every branch is affine with exact rational data, which keeps preimages,
+periodic points and annulus constructions exactly computable.  A map
+puts its branch data over common denominators once, at construction, so
+``preimage`` and ``image`` act on the integer numerators of an
+``IntervalUnion`` with integer arithmetic.  A map with integer slopes
+and intercepts also cuts [0, 1) into the finite Markov partition of any
+rational set (``markov_partition``).  Pointwise evaluation uses the
 half-open domains [lo, hi), so a point on an inner branch boundary
 belongs to the branch on its right.  Random orbits are sampled by
 ``montecarlo`` from their branch digit streams.  Only the Ulam
@@ -26,7 +24,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from ._lazy import lazy_numpy
 from .errors import CapExceededError, ComponentBudgetError, ConvergenceError
@@ -74,50 +72,13 @@ class AffineBranch:
     def inverse(self, y):
         return (y - self.intercept) / self.slope
 
-    def deriv(self, x):
-        return self.slope
-
-
-@dataclass(frozen=True)
-class SmoothBranch:
-    """Monotone smooth branch given by function and derivative handles."""
-
-    lo: float
-    hi: float
-    fn: Callable[[float], float]
-    dfn: Callable[[float], float]
-    increasing: bool = True
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def value(self, x):
-        return self.fn(x)
-
-    def deriv(self, x):
-        return self.dfn(x)
-
-    def inverse(self, y):
-        """Invert by bisection on the (monotone) branch, to width 1e-14."""
-        lo, hi = self.lo, self.hi
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            v = self.fn(mid)
-            if (v < y) == self.increasing:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-14:
-                break
-        return 0.5 * (lo + hi)
-
 
 class FullBranchMap:
-    """Expanding interval map with finitely many full branches; ``budget``
-    caps the components of every exact preimage (see ``preimage``)."""
+    """Expanding interval map with finitely many full affine branches;
+    ``budget`` caps the components of every exact preimage (see
+    ``preimage``)."""
 
-    def __init__(self, branches: Sequence, name: str = "",
+    def __init__(self, branches: Sequence[AffineBranch], name: str = "",
                  budget: int = COMPONENT_BUDGET):
         branches = tuple(branches)
         if len(branches) < 2:
@@ -135,12 +96,10 @@ class FullBranchMap:
         self.name = name or f"{len(branches)}-branch"
         self.budget = budget
         self._los = [b.lo for b in branches]
-        self._affine = all(isinstance(b, AffineBranch) for b in branches)
-        self._uniform = self._affine and all(
+        self._uniform = all(
             b.width == branches[0].width and b.slope > 0 for b in branches)
-        if self._affine:
-            self._pullback = _pullback_data(branches)
-            self._pushforward = _pushforward_data(branches)
+        self._pullback = _pullback_data(branches)
+        self._pushforward = _pushforward_data(branches)
 
     # -- structure ---------------------------------------------------------
 
@@ -149,20 +108,16 @@ class FullBranchMap:
         return len(self.branches)
 
     @property
-    def is_affine(self) -> bool:
-        return self._affine
-
-    @property
     def is_uniform(self) -> bool:
         """True for x -> d*x mod 1 (equal widths, increasing branches)."""
         return self._uniform
 
     @property
     def is_integer(self) -> bool:
-        """True for an affine map whose slopes and intercepts are all
-        integers: it keeps the denominator of every rational point, which
-        is what ``markov_partition`` needs."""
-        return self._affine and self._pushforward[1] == 1
+        """True for a map whose slopes and intercepts are all integers: it
+        keeps the denominator of every rational point, which is what
+        ``markov_partition`` needs."""
+        return self._pushforward[1] == 1
 
     @property
     def widths(self):
@@ -248,7 +203,7 @@ class FullBranchMap:
         return bisect_right(self._los, x) - 1
 
     def apply(self, x):
-        """One step of the map; exact on Fraction inputs of affine maps."""
+        """One step of the map; exact on Fraction inputs."""
         br = self.branches[self.branch_index(x)]
         y = br.value(x)
         zero = y - y
@@ -258,9 +213,6 @@ class FullBranchMap:
             y = zero  # float rounding guard
         return y
 
-    def derivative_at(self, x):
-        return self.branches[self.branch_index(x)].deriv(x)
-
     def orbit(self, x, n: int):
         """[x, f(x), ..., f^(n-1)(x)]."""
         out = [x]
@@ -269,11 +221,7 @@ class FullBranchMap:
             out.append(x)
         return out
 
-    # -- set dynamics (affine only) -----------------------------------------
-
-    def _require_affine(self, what: str):
-        if not self.is_affine:
-            raise ValueError(f"{what} requires an affine map")
+    # -- set dynamics --------------------------------------------------------
 
     def preimage(self, S: IntervalUnion) -> IntervalUnion:
         """Full preimage f^(-1)(S), exact, within the component budget.
@@ -286,7 +234,6 @@ class FullBranchMap:
         budget raises ComponentBudgetError before anything is built, and
         so does a built preimage past it.
         """
-        self._require_affine("preimage")
         e, q = S.ends, S.denominator
         if self.d * len(S) - (self.d - 1) > self.budget:
             raise self._over_budget()
@@ -318,7 +265,6 @@ class FullBranchMap:
         maps to (A_b*x + C_b*q*K) / (Q*q*K) (see ``_pushforward_data``).
         Images of different branches overlap, so they are merged.
         """
-        self._require_affine("image")
         e, q = S.ends, S.denominator
         K, Q, coeffs = self._pushforward
         if K != 1:
@@ -335,7 +281,8 @@ class FullBranchMap:
         return IntervalUnion._from_pairs(pairs, Q * q * K)
 
     def preimage_iter(self, S: IntervalUnion, j: int) -> IntervalUnion:
-        """f^(-j)(S), one budgeted preimage at a time."""
+        """f^(-j)(S), one budgeted preimage at a time: the reference that
+        the Markov-partition and pair-correlation tests compare against."""
         for _ in range(j):
             S = self.preimage(S)
         return S
@@ -442,8 +389,7 @@ class PeriodicPoint(NamedTuple):
     boundary_degenerate: bool
 
 
-def _require_period(map_: FullBranchMap, n: int, what: str):
-    map_._require_affine(what)
+def _require_period(n: int):
     if n < 1:
         raise ValueError("period must be >= 1")
     if n > PERIOD_CAP:
@@ -451,7 +397,7 @@ def _require_period(map_: FullBranchMap, n: int, what: str):
 
 
 def periodic_points(map_: FullBranchMap, n: int):
-    """All period-n symbolic fixed points of an affine map.
+    """All period-n symbolic fixed points of the map.
 
     One point per n-cylinder (d^n in total), each solved in closed form
     from the composed affine branch; composition prefixes are shared via
@@ -459,7 +405,7 @@ def periodic_points(map_: FullBranchMap, n: int):
     are canonicalized to 0 and flagged boundary-degenerate.  This
     enumeration is the oracle ``weighted_periodic_sum`` is tested against.
     """
-    _require_period(map_, n, "periodic_points")
+    _require_period(n)
     d = map_.d
     slopes = [br.slope for br in map_.branches]
     intercepts = [br.intercept for br in map_.branches]
@@ -501,7 +447,7 @@ def weighted_periodic_sum(map_: FullBranchMap, potential: Potential, n: int):
     zero potential (s = 0) and (sum_i w_i)^n = 1 for the geometric one
     (s = 1).
     """
-    _require_period(map_, n, "weighted_periodic_sum")
+    _require_period(n)
     if potential.kind == "zero":
         return Fraction(map_.d) ** n
     return sum(map_.widths) ** n
@@ -545,44 +491,30 @@ def bv_norm_indicator(S: IntervalUnion) -> int:
 def ulam_matrix(map_: FullBranchMap, bins: int) -> np.ndarray:
     """Row-stochastic Ulam matrix on the uniform partition into ``bins`` cells.
 
-    Entry (i, j) is m(bin_i intersect f^(-1)(bin_j)) / m(bin_i); for
-    affine maps the overlaps are computed with exact rational arithmetic
-    before conversion to float.
+    Entry (i, j) is m(bin_i intersect f^(-1)(bin_j)) / m(bin_i); the
+    overlaps are computed with exact rational arithmetic before
+    conversion to float.
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
     N = bins
     M = np.zeros((N, N))
-    if map_.is_affine:
-        for br in map_.branches:
-            for j in range(N):
-                a = br.inverse(Fraction(j, N))
-                b = br.inverse(Fraction(j + 1, N))
-                if a > b:
-                    a, b = b, a
-                a, b = max(a, br.lo), min(b, br.hi)
-                if a >= b:
-                    continue
-                i0 = int(a * N)
-                i1 = min(int(math.ceil(b * N)), N)
-                for i in range(i0, i1):
-                    lo = max(a, Fraction(i, N))
-                    hi = min(b, Fraction(i + 1, N))
-                    if lo < hi:
-                        M[i, j] += float((hi - lo) * N)
-        return M
     for br in map_.branches:
-        edges = [br.inverse(j / N) for j in range(N + 1)]
         for j in range(N):
-            a, b = sorted((edges[j], edges[j + 1]))
+            a = br.inverse(Fraction(j, N))
+            b = br.inverse(Fraction(j + 1, N))
+            if a > b:
+                a, b = b, a
             a, b = max(a, br.lo), min(b, br.hi)
             if a >= b:
                 continue
-            i0, i1 = int(a * N), min(int(b * N) + 1, N)
+            i0 = int(a * N)
+            i1 = min(int(math.ceil(b * N)), N)
             for i in range(i0, i1):
-                lo, hi = max(a, i / N), min(b, (i + 1) / N)
+                lo = max(a, Fraction(i, N))
+                hi = min(b, Fraction(i + 1, N))
                 if lo < hi:
-                    M[i, j] += (hi - lo) * N
+                    M[i, j] += float((hi - lo) * N)
     return M
 
 

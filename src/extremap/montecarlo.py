@@ -594,13 +594,10 @@ class _HornerOrbits(_Lanes):
 
 def _check_sampled(map_: FullBranchMap):
     """Raise unless one of the steppers samples the map's orbits."""
-    if map_.is_uniform:
-        if map_.d > MAX_UNIFORM_D:
-            raise InfeasibleError(
-                f"Monte Carlo on uniform:d supports d <= {MAX_UNIFORM_D} "
-                f"(got d = {map_.d})")
-    elif not map_.is_affine:
-        raise ValueError("Monte Carlo estimators require an affine map")
+    if map_.is_uniform and map_.d > MAX_UNIFORM_D:
+        raise InfeasibleError(
+            f"Monte Carlo on uniform:d supports d <= {MAX_UNIFORM_D} "
+            f"(got d = {map_.d})")
 
 
 def _orbits(map_: FullBranchMap, zeta: Fraction, count: int,

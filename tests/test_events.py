@@ -101,10 +101,28 @@ def test_theta_limit_cases():
 
 
 def test_theta_limit_widths_map():
-    # 0 is fixed with slope 2 on the first branch
-    assert theta_limit(WIDTHS, F(0)) == (1, 0.5)
+    # 0 is fixed on the first branch (slope 2) from the right and on the
+    # last (slope 4) from the left: theta = 1 - (1/2 + 1/4)/2
+    assert theta_limit(WIDTHS, F(0)) == (1, 0.625)
     with pytest.raises(PeriodUndecidedError):
         detect_period(WIDTHS, F(1, 9973), cap=4)
+
+
+@pytest.mark.parametrize("spec", [
+    "widths:1/2,1/4,1/4", "widths:1/3,2/3", "uniform:5",
+    '[{"lo": 0, "hi": "1/2", "slope": -2, "intercept": 1},'
+    ' {"lo": "1/2", "hi": "3/4", "slope": 4, "intercept": -2},'
+    ' {"lo": "3/4", "hi": 1, "slope": 4, "intercept": -3}]',
+    '[{"lo": 0, "hi": "1/2", "slope": 2, "intercept": 0},'
+    ' {"lo": "1/2", "hi": 1, "slope": -2, "intercept": 2}]',
+], ids=["widths", "thirds", "uniform5", "decreasing-first", "tent"])
+def test_theta_limit_at_zero_equals_theta_n_on_small_balls(spec):
+    # the ball around 0 meets both end branches, one on each side
+    m = FullBranchMap.from_spec(spec)
+    q, theta = theta_limit_exact(m, 0)
+    assert q == 1
+    for r in (F(1, 1000), F(1, 10 ** 6)):
+        assert theta == theta_n(m, ball(F(0), r), 1)
 
 
 # -- survivor sets and exact probabilities ----------------------------------

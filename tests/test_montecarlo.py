@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from extremap.errors import InfeasibleError
 from extremap.intervals import IntervalUnion, ball
-from extremap.maps import AffineBranch, FullBranchMap, SmoothBranch, ulam_matrix
+from extremap.maps import AffineBranch, FullBranchMap, ulam_matrix
 from extremap.events import (
     Observable,
     exact_evl_prob,
@@ -817,21 +817,16 @@ def test_estimators_reject_trials_below_one(trials):
 
 
 def test_unsampled_maps_fail_before_any_chunk_is_scheduled(monkeypatch):
-    # a smooth map has no stepper, and uniform:257 is past MAX_UNIFORM_D:
-    # both raise in the calling process
+    # uniform:257 is past MAX_UNIFORM_D: it raises in the calling process
     monkeypatch.setattr(mc, "_map_tasks",
                         lambda *args: pytest.fail("a chunk was scheduled"))
-    smooth = FullBranchMap([
-        SmoothBranch(0.0, 0.5, lambda x: 2 * x, lambda x: 2.0),
-        SmoothBranch(0.5, 1.0, lambda x: 2 * x - 1, lambda x: 2.0)])
+    f = FullBranchMap.uniform(257)
     obs = Observable(center=F(1, 3))
-    for f, error in ((smooth, ValueError),
-                     (FullBranchMap.uniform(257), InfeasibleError)):
-        with pytest.raises(error):
-            mc.estimate_evl(f, obs, 100, 1, trials=100, seed=1, workers=2)
-        with pytest.raises(error):
-            mc.estimate_hts(f, F(1, 3), F(1, 40), [1], trials=100, seed=1,
-                            workers=2)
+    with pytest.raises(InfeasibleError):
+        mc.estimate_evl(f, obs, 100, 1, trials=100, seed=1, workers=2)
+    with pytest.raises(InfeasibleError):
+        mc.estimate_hts(f, F(1, 3), F(1, 40), [1], trials=100, seed=1,
+                        workers=2)
 
 
 def test_evl_determinism_and_grid_consistency():
