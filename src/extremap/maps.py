@@ -491,31 +491,25 @@ def bv_norm_indicator(S: IntervalUnion) -> int:
 def ulam_matrix(map_: FullBranchMap, bins: int) -> np.ndarray:
     """Row-stochastic Ulam matrix on the uniform partition into ``bins`` cells.
 
-    Entry (i, j) is m(bin_i intersect f^(-1)(bin_j)) / m(bin_i); the
-    overlaps are computed with exact rational arithmetic before
-    conversion to float.
+    Entry (i, j) is m(bin_i intersect f^(-1)(bin_j)) / m(bin_i).  Over
+    1/(M*bins), with ``_pullback_data``, branch b pulls bin j back to the
+    integers between R_b*j + T_b*bins and R_b*(j+1) + T_b*bins, and bin i
+    is [i*M, (i+1)*M), so each branch's overlap of c units adds c/M,
+    rounded once (int/int division rounds correctly).
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
     N = bins
-    M = np.zeros((N, N))
-    for br in map_.branches:
+    rows = [[0.0] * N for _ in range(N)]
+    M, coeffs = map_._pullback
+    for R, T in coeffs:
         for j in range(N):
-            a = br.inverse(Fraction(j, N))
-            b = br.inverse(Fraction(j + 1, N))
+            a, b = R * j + T * N, R * (j + 1) + T * N
             if a > b:
                 a, b = b, a
-            a, b = max(a, br.lo), min(b, br.hi)
-            if a >= b:
-                continue
-            i0 = int(a * N)
-            i1 = min(int(math.ceil(b * N)), N)
-            for i in range(i0, i1):
-                lo = max(a, Fraction(i, N))
-                hi = min(b, Fraction(i + 1, N))
-                if lo < hi:
-                    M[i, j] += float((hi - lo) * N)
-    return M
+            for i in range(a // M, -(-b // M)):
+                rows[i][j] += (min(b, (i + 1) * M) - max(a, i * M)) / M
+    return np.array(rows)
 
 
 def save_matrix_csv(matrix: np.ndarray, path) -> None:

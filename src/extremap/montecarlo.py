@@ -8,13 +8,13 @@ how many workers execute the chunks.
 Initial conditions are Lebesgue-distributed via i.i.d. random digits.
 Each map family has one orbit stepper, and the two share one
 interface: the kernels' two reductions ``running_minima(checkpoints)``
-and ``inside(level)``, ``level(radius)`` in the stepper's own distance
-units, and ``keep(mask)``.  For uniform maps (x -> d*x mod 1) an orbit
-is held as the unsigned 64-bit window floor(2^64*x), refilled from
-below with base-d digits, so orbits of unbounded length never lose
-digit accuracy; non-uniform affine maps use a blockwise backward-Horner
-reconstruction that stores no positions, at fixed digit depth in every
-block but the last.  The last block starts its fold from a uniform
+and ``first_entries(level, steps)``, ``level(radius)`` in the stepper's
+own distance units, and ``keep(mask)``.  For uniform maps
+(x -> d*x mod 1) an orbit is held as the unsigned 64-bit window
+floor(2^64*x), refilled from below with base-d digits, so orbits of
+unbounded length never lose digit accuracy; non-uniform affine maps
+use a blockwise backward-Horner reconstruction that stores no
+positions, at fixed digit depth in every block but the last.  The last block starts its fold from a uniform
 row, because the point after its digits is uniform and independent of
 them, so an orbit within one block is exact in law on every affine
 map.  These two steppers are the library's only orbit simulation:
@@ -61,17 +61,20 @@ a first entry would need the band handled at every step.
 A chunk's working memory is O(lanes).  A Horner chunk holds one
 integer digit buffer of at most STEP_BLOCK + HORNER_DEPTH rows and
 lane-sized rows, all reused from block to block; a uniform chunk holds
-lane-sized rows only: the window, the word and its start, and in the
-coarse pass the uint32 halves of the stream.  Horner uniforms are drawn
-one lane-sized row at a time: split ``random()`` draws give the same
-numbers as one block-sized draw.
+lane-sized rows only (and word-long blocks over few lanes): the
+window, the word and its start, and in the coarse pass the uint32
+halves of the stream.  Horner uniforms are drawn one lane-sized row at
+a time: split ``random()`` draws give the same numbers as one
+block-sized draw.
 
 The first-entry kernel retires the lanes that have entered the hole.
-Each step, on either stepper, adds its new entries to the histogram,
-and once the live lanes are half of those being stepped the entered
-ones are dropped (mid-block too: a folded Horner block keeps the live
-lanes' entry steps and digits), so a chunk compacts about log2(CHUNK)
-times.
+A uniform chunk of more than FEW_LANES lanes steps them one at a time
+(``inside``), adds each step's entries to the histogram, and drops the
+entered lanes once they are half of those stepped.  From FEW_LANES live
+lanes down, where a step costs more in calls than in arithmetic, and
+on every Horner chunk, ``first_entries`` takes each lane's first step
+in the ball from one (steps, lanes) block, the rest of a word or a
+folded block; the kernel bins them and drops the lanes that entered.
 Digits are still drawn for every lane of the chunk, in the same order,
 and the live lanes take their own columns, so each lane sees the stream
 it would have seen and the histograms do not change.  The EVL kernel
@@ -92,11 +95,11 @@ the calling thread, never on the pool's result thread.
 
 An event enters the estimators as the center of its observable and the
 exact radius of its threshold ball.  The numerical settings are module
-constants: the chunk size, the Horner block and depth, the 95%
-Wilson quantile, the escape fit's transient level and survivor floor,
-and the Ulam oracle's minimum bin count.  The estimators only estimate:
-the ``cli`` commands set them against the error brackets of
-``brackets``.
+constants: the chunk size, the first-entry kernel's switch to blocks,
+the Horner block and depth, the 95% Wilson quantile, the escape fit's
+transient level and survivor floor, and the Ulam oracle's minimum bin
+count.  The estimators only estimate: the ``cli`` commands set them
+against the error brackets of ``brackets``.
 """
 
 from __future__ import annotations
@@ -122,6 +125,7 @@ if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
 CHUNK = 32768
+FEW_LANES = 2048  # live lanes at which first entries are read a word at a time
 STEP_BLOCK = 128
 HORNER_DEPTH = 48
 # the uniform stepper is exact for any d < 2^64; this is the range the
@@ -281,6 +285,9 @@ class _UniformOrbits(_Lanes):
         super().__init__(count, rng)
         self._word = _word_steps(map_.d)
         self._J = len(self._word)
+        # the word's powers and divisors as columns, for _dist_block
+        self._powers = np.array([p for p, _, _ in self._word])[:, None]
+        self._q = np.array([q for _, _, q in self._word])[:, None]
         self._top = map_.d ** self._J
         self.Z = np.uint64(_scaled(zeta, self.m) % self.m)
         self.state = rng.integers(0, self.m, size=count, dtype=np.uint64)
@@ -345,28 +352,37 @@ class _UniformOrbits(_Lanes):
         self.step()
         return np.less(self.dist(), level, out=self._in)
 
+    def _dist_block(self, steps: int) -> np.ndarray:
+        """dist() at the next min(steps, rest of the word) steps as one
+        new (steps, lanes) block, in a fraction of a call per step; the
+        stepper moves past them."""
+        if self._i == self._J:
+            self._next_word()
+        i, self._i = self._i, min(self._J, self._i + steps)
+        block = np.multiply(self._s0, self._powers[i:self._i])
+        block += self._word[0][1](self._C, self._q[i:self._i])
+        self.state[...] = block[-1]
+        block -= self.Z
+        np.abs(block.view(np.int64), out=block.view(np.int64))
+        return block
+
     def min_dist(self, steps: int) -> np.ndarray:
         """Step ``steps`` times and return the minimum of dist() over
-        those steps (2^64 - 1 when there are none).  The windows of each
-        word's steps are built as one (steps, lanes) block, so the calls
-        per step fall from six to a fraction of one: for a few lanes,
-        whose steps cost more in calls than in arithmetic."""
+        those steps (2^64 - 1 when there are none), one block per word."""
         low = np.full(len(self.state), np.iinfo(np.uint64).max, dtype=np.uint64)
         while steps:
-            if self._i == self._J:
-                self._next_word()
-            rows = self._word[self._i:self._i + steps]
-            power = np.array([p for p, _, _ in rows])[:, None]
-            q = np.array([q for _, _, q in rows])[:, None]
-            block = np.multiply(self._s0, power)
-            block += rows[0][1](self._C, q)
-            self.state[...] = block[-1]
-            block -= self.Z
-            np.abs(block.view(np.int64), out=block.view(np.int64))
+            block = self._dist_block(steps)
             np.minimum(low, block.min(axis=0), out=low)
-            self._i += len(rows)
-            steps -= len(rows)
+            steps -= len(block)
         return low
+
+    def first_entries(self, level, steps: int):
+        """Each lane's first step in the ball, from 1 (0 for none), over
+        the rest of the word or ``steps`` steps if fewer; and the steps."""
+        inside = self._dist_block(steps) < level
+        first = inside.argmax(axis=0) + 1
+        first *= inside.any(axis=0)
+        return first, len(inside)
 
 
 @functools.lru_cache(maxsize=None)
@@ -484,8 +500,6 @@ class _HornerOrbits(_Lanes):
         self._digits = np.empty((0, count),
                                 dtype=np.min_scalar_type(map_.d - 1))
         self._carry, self._held = 0, 0
-        self._first = np.zeros(count, dtype=np.int64)
-        self._j = 0  # the step inside() last read
         self._rows(count)
 
     def _rows(self, lanes: int):
@@ -569,25 +583,24 @@ class _HornerOrbits(_Lanes):
                     yield runmin, self.level(checkpoints[i][1])
                     i += 1
 
-    def inside(self, level: float) -> np.ndarray:
-        """As ``_UniformOrbits.inside`` on every lane not yet entered.  A
-        block's fold records each lane's earliest step in the ball in
-        ``_first`` (time 0 untested), and step j reads ``_first == j``."""
-        self._j += 1
-        if self._j >= self._built:
-            def reduce(k, x):
-                if k:
-                    np.less(self._dist(x), level, out=self._in)
-                    np.copyto(self._first, k, where=self._in)
+    def first_entries(self, level: float, steps: int):
+        """As ``_UniformOrbits.first_entries`` over the next folded block,
+        whatever ``steps`` (time 0 untested)."""
+        first = np.zeros(len(self._y), dtype=np.intp)
+        done = max(self._built - 1, 0)  # the steps before this block
 
-            self._fold(reduce)
-        return np.equal(self._first, self._j, out=self._in)
+        def reduce(k, x):
+            if k:
+                np.less(self._dist(x), level, out=self._in)
+                np.copyto(first, k - done, where=self._in)
+
+        self._fold(reduce)
+        return first, self._built - 1 - done
 
     def keep(self, mask: np.ndarray):
         idx = super().keep(mask)
         self._digits = self._digits[self._carry:self._carry + self._held].take(
             idx, axis=1)
-        self._first = self._first.take(idx)
         self._carry = 0
         self._rows(len(idx))
 
@@ -658,23 +671,32 @@ def _entry_chunk(map_: FullBranchMap, zeta: Fraction, radius: Fraction,
     orb = _orbits(map_, zeta, count, _rng(seed, index), steps=horizon)
     level = orb.level(radius)
     hist = np.zeros(horizon + 1, dtype=np.int64)
-    alive = np.ones(count, dtype=bool)  # over the stepped lanes
-    live = count
-    hit = np.empty(count, dtype=bool)
-    for j in range(1, horizon + 1):
-        np.logical_and(orb.inside(level), alive, out=hit)
-        entered = int(np.count_nonzero(hit))
-        if not entered:
-            continue
-        hist[j] = entered
-        live -= entered
-        if live == 0:
-            break
-        np.logical_xor(alive, hit, out=alive)
-        # retire the entered lanes once they are half of those stepped
-        if 2 * live <= len(alive):
-            orb.keep(alive)
-            alive, hit = np.ones(live, dtype=bool), np.empty(live, dtype=bool)
+    j, live = 0, count
+    if map_.is_uniform:
+        alive = np.ones(count, dtype=bool)  # over the stepped lanes
+        hit = np.empty(count, dtype=bool)
+        while j < horizon and live > FEW_LANES:
+            j += 1
+            np.logical_and(orb.inside(level), alive, out=hit)
+            entered = int(np.count_nonzero(hit))
+            if not entered:
+                continue
+            hist[j] = entered
+            live -= entered
+            np.logical_xor(alive, hit, out=alive)
+            # retire the entered lanes once they are half of those
+            # stepped, and before the blocks, which step live lanes only
+            if 2 * live <= len(alive) or live <= FEW_LANES:
+                orb.keep(alive)
+                alive, hit = np.ones(live, dtype=bool), np.empty(live, dtype=bool)
+    while live and j < horizon:
+        first, k = orb.first_entries(level, horizon - j)
+        counts = np.bincount(first, minlength=k + 1)
+        hist[j + 1:j + k + 1] += counts[1:]
+        j += k
+        if counts[0] < live:
+            live = int(counts[0])
+            orb.keep(first == 0)
     hist[0] = live
     return hist
 
@@ -879,8 +901,9 @@ def ulam_escape_oracle(map_: FullBranchMap, hole: IntervalUnion,
                        bins: int) -> float:
     """Escape rate as -log(spectral radius) of the holed Ulam matrix.
 
-    The hole must be aligned to bin boundaries so the open-system
-    restriction is exact; power iteration runs to 1e-12 relative
+    The hole must be aligned to bin boundaries.  The rate is exact only
+    where each bin maps onto whole bins, as on uniform maps; elsewhere it
+    moves with the bin count.  Power iteration runs to 1e-12 relative
     tolerance.  An empty hole gives 0, a full hole +inf.
     """
     if hole.is_empty:

@@ -204,6 +204,35 @@ def test_uniform_min_dist_matches_the_step_loop(d):
         assert blocked.state.tolist() == stepped.state.tolist(), run
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 256])
+def test_uniform_first_entries_match_the_step_loop(d):
+    # a run of 1 step, one that ends mid-word, one asked past the word's
+    # end (the block stops there), then a run of 3 steps and one to the
+    # word's end after keep()
+    J, lanes = WORD[d], 400
+    f = FullBranchMap.uniform(d)
+    blocked = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(5), 0)
+    stepped = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(5), 0)
+    level, done, seen = blocked.level(F(1, 100)), 0, set()
+    for run in (1, J // 2, 2 * J, "keep", 3, J):
+        if run == "keep":
+            mask = np.random.default_rng(d).random(lanes) < 0.6
+            blocked.keep(mask)
+            stepped.keep(mask)
+            continue
+        first, k = blocked.first_entries(level, run)
+        assert k == min(run, J - done % J), run
+        ref = np.zeros(len(first), dtype=np.int64)
+        for o in range(1, k + 1):
+            stepped.step()
+            ref[(ref == 0) & (stepped.dist() < level)] = o
+        assert first.tolist() == ref.tolist(), run
+        assert blocked.state.tolist() == stepped.state.tolist(), run
+        done += k
+        seen.update(first.tolist())
+    assert 0 in seen and len(seen) > 2
+
+
 # -- the coarse EVL pass of power-of-two uniform maps against the exact one
 
 
@@ -448,6 +477,31 @@ def test_entry_kernels_match_full_lane_reference(spec, radius, horizon, count):
         assert 0.25 * count < hist[0] < 0.75 * count
 
 
+@pytest.mark.parametrize("spec", ["doubling", "tripling", "uniform:5"])
+@pytest.mark.parametrize("radius, horizon, count", [
+    (F(1, 20), SPAN, 5000),    # crosses FEW_LANES mid-word
+    (F(1, 200), SPAN, 1500),   # below FEW_LANES from the start
+    (F(1, 1000), 100, 1500),   # the horizon ends mid-word, most censored
+    (F(1, 1000), 100, 3000),   # never crosses FEW_LANES
+    (F(1, 4), SPAN, 3000),     # every lane enters long before the horizon
+])
+def test_uniform_entry_chunk_matches_full_lane_reference_across_the_switch(
+        spec, radius, horizon, count):
+    f = FullBranchMap.from_spec(spec)
+    hist = mc._entry_chunk(f, F(1, 3), radius, horizon, 3, count, 21)
+    ref = _full_lane_entry_uniform(f, F(1, 3), radius, horizon, 3, count, 21)
+    assert hist.dtype == ref.dtype and np.array_equal(hist, ref)
+    assert horizon % len(mc._word_steps(f.d))
+    live = count - np.cumsum(hist[1:])
+    if count == 5000:
+        switch = int(np.argmax(live <= mc.FEW_LANES)) + 1  # steps stepped
+        assert live[switch - 1] < mc.FEW_LANES < live[switch - 2]
+        assert switch % len(mc._word_steps(f.d))
+    if count == 3000:
+        assert (live[-1] == 0) == (radius == F(1, 4))
+        assert (live[-1] > mc.FEW_LANES) == (radius == F(1, 1000))
+
+
 KEEP_STEPS = (10, 70, 119, 126, 127, 130)
 
 
@@ -490,27 +544,24 @@ def test_uniform_orbits_keep_follows_the_full_width_stream():
 
 
 @pytest.mark.parametrize("spec", ["widths:1/2,1/4,1/4", "widths:49/50,1/50"])
-def test_horner_inside_after_keep_follows_the_full_width_stream(spec):
-    # the entries inside() reads after keep(), mid-block and across the
-    # next block, are the full-width ones of the kept lanes, on every
-    # lane that has not entered: keep() takes the recorded first entry
-    # steps of the block with the carried digits
+def test_horner_first_entries_after_keep_follow_full_width(spec):
+    # the first entries of each block after keep() are the full-width
+    # ones of the kept lanes: keep() takes the carried digits.  300
+    # steps are blocks of 127, 128 and 45 steps
     f = FullBranchMap.from_spec(spec)
     full = mc._HornerOrbits(f, F(1, 3), 61, np.random.default_rng(3), 300)
     kept = mc._HornerOrbits(f, F(1, 3), 61, np.random.default_rng(3), 300)
-    out = np.zeros(61, dtype=bool)  # entered, over the chunk's lanes
-    lanes = np.arange(61)
-    for j in range(1, 301):
-        ref = full.inside(1 / 20)
-        got = kept.inside(1 / 20)
-        new = ~out[lanes]
-        assert np.array_equal(got[new], ref[lanes][new]), j
-        out[lanes[got & new]] = True
-        if j - 1 in KEEP_STEPS:
-            mask = np.random.default_rng(j).random(len(lanes)) < 0.6
-            kept.keep(mask)
-            lanes = lanes[mask]
-    assert out.any() and not out.all()
+    lanes, steps = np.arange(61), []
+    while sum(steps) < 300:
+        ref, k = full.first_entries(1 / 200, 300 - sum(steps))
+        got, k_kept = kept.first_entries(1 / 200, 300 - sum(steps))
+        assert k == k_kept and np.array_equal(got, ref[lanes]), steps
+        assert ref.max() <= k and (ref > 0).any() and (ref == 0).any()
+        steps.append(k)
+        mask = np.random.default_rng(k).random(len(lanes)) < 0.6
+        kept.keep(mask)
+        lanes = lanes[mask]
+    assert steps == [mc.STEP_BLOCK - 1, mc.STEP_BLOCK, 300 - 2 * mc.STEP_BLOCK + 1]
 
 
 # Survivor counts: estimate_evl_grid at n = 1, 7, 129, 300 and
