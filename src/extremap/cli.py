@@ -101,9 +101,34 @@ def _fail(msg: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+_CHUNK = 10 ** 1000
+
+
+def _digits(n: int) -> str:
+    """str(n) at any size.  CPython's str() refuses an int past
+    sys.get_int_max_str_digits() digits (4300 by default), and an exact
+    recurrence sum at n = 1e6 has about 10^4, so long ints are written
+    1000 digits at a time."""
+    if n < 0:
+        return "-" + _digits(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, r = divmod(n, _CHUNK)
+        chunks.append(f"{r:01000d}")
+    return str(n) + "".join(reversed(chunks))
+
+
+def exact_str(x) -> str:
+    """str(x) for an exact value (a Fraction or an int), at any size:
+    the format of every ``*_exact`` column."""
+    if x.denominator == 1:
+        return _digits(x.numerator)
+    return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
+
+
 def _jsonable(v):
     if isinstance(v, Fraction):
-        return str(v)
+        return exact_str(v)
     if isinstance(v, float) and (math.isnan(v) or math.isinf(v)):
         return repr(v)
     if isinstance(v, (list, tuple)):
@@ -382,9 +407,9 @@ def cmd_ei(args) -> int:
         th = theta_n(map_, U, q)
         rows.append({
             "scale": float(eps), "q": q, "theta_n": float(th),
-            "theta_n_exact": str(th), "q_limit": q_limit,
+            "theta_n_exact": exact_str(th), "q_limit": q_limit,
             "theta_limit": float(theta_lim),
-            "theta_limit_exact": str(theta_lim),
+            "theta_limit_exact": exact_str(theta_lim),
         })
     config = dict(_common_config(args, map_), zeta=str(zeta), q=q,
                   eps=[str(e) for e in parse_grid(args.eps)])
@@ -481,8 +506,8 @@ def cmd_check(args) -> int:
         value = dprime_sum(map_, A, n, q, k_n)
         decreasing = previous is None or value < previous
         rows.append({"kind": "dprime", "scale": n, "k_n": k_n,
-                     "value": float(value), "value_exact": str(value),
-                     "ok": decreasing})
+                     "value": float(value),
+                     "value_exact": exact_str(value), "ok": decreasing})
         previous = value
     rng = random.Random(args.seed)
     for i in range(args.prop_configs):
@@ -502,8 +527,8 @@ def cmd_check(args) -> int:
         violated = violated or not ok
         rows.append({"kind": "proposition", "scale": n_i, "zeta": str(zeta_i),
                      "eps": str(eps), "q": q_i, "lhs": float(lhs),
-                     "rhs": float(rhs), "lhs_exact": str(lhs),
-                     "rhs_exact": str(rhs), "ok": ok})
+                     "rhs": float(rhs), "lhs_exact": exact_str(lhs),
+                     "rhs_exact": exact_str(rhs), "ok": ok})
     config = dict(_common_config(args, map_), zeta=str(zeta), q=q,
                   tau=str(tau), seed=args.seed, prop_configs=args.prop_configs)
     write_outputs(_out_dir(args), "check",

@@ -19,9 +19,10 @@ interval algebra at the horizon asked for (many cells at a short
 horizon: a centre with a long orbit, or a large denominator), or more
 than the map's budget, it is not built and interval algebra runs
 instead (``_partition``).  The recurrence sums have a closed form in the
-set's integer endpoint numerators on uniform maps, and take every
-m(A intersect f^(-j) A) from one pass over the partition on the other
-integer maps.  Every other affine map (``widths:2/5,3/5``, say) takes
+set's integer endpoint numerators and the residues d^j mod q on uniform
+maps, and take every m(A intersect f^(-j) A) from one pass over the
+partition on the other integer maps; either way a sum is one integer
+numerator.  Every other affine map (``widths:2/5,3/5``, say) takes
 interval algebra: survivor sets and iterated preimages, within the
 map's component budget.  The sets themselves (``survivor_set``,
 ``annulus_set``) are always built by interval algebra.
@@ -38,6 +39,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, compress
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -249,50 +251,16 @@ def pair_correlation_measure(map_: FullBranchMap, A: IntervalUnion,
                              j: int) -> Fraction:
     """Exact measure(A intersect f^(-j)(A)).
 
-    For uniform maps (x -> d*x mod 1) the j-fold composition is globally
-    x -> D*x mod 1 with D = d^j, so the measure is (1/D) times the
-    integral of the periodized indicator of A over the magnified set D*A.
-    On A's integer ends e over q that integral is a signed sum over the
-    ends of divmod(D*e, q): whole turns count A's full measure and the
-    remainder a prefix of A's components.  The closed form has no
-    component blowup and stays exact for arbitrarily large j.  Other
-    integer maps take it from A's Markov partition
-    (``_markov_pair_measures``), and the remaining affine maps from
-    iterated preimages, each within the map's component budget.
+    The one-term case of the recurrence sum (``_pair_sum``): on uniform
+    maps a closed form in A's integer ends and d^j mod q
+    (``_uniform_pair_sum``), exact at any j with no component blowup; on
+    the other integer maps A's Markov partition (``_markov_pair_sum``);
+    on the remaining affine maps iterated preimages, within the map's
+    component budget.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    if map_.is_uniform:
-        D = map_.d ** j
-        e, q = A.ends, A.denominator
-        prefix = [0]  # prefix[m]: measure * q of the first m components
-        for k in range(0, len(e), 2):
-            prefix.append(prefix[-1] + e[k + 1] - e[k])
-        total = 0
-        for k, y in enumerate(e):
-            turns, r = divmod(D * y, q)
-            i = bisect_right(e, r)
-            cum = turns * prefix[-1] + prefix[i // 2]
-            if i % 2:
-                cum += r - e[i - 1]
-            total += cum if k % 2 else -cum
-        return Fraction(total, q * D)
-    measures = _markov_pair_measures(map_, A, j)
-    if measures is not None:
-        return measures[-1]
-    return _pairs_by_preimages(map_, A, j, j)[0]
-
-
-def _pairs_by_preimages(map_: FullBranchMap, A: IntervalUnion, j_lo: int,
-                        j_hi: int) -> list:
-    """[m(A intersect f^(-j) A) for j = j_lo..j_hi], from one chain of
-    budgeted preimages f^(-1) A, f^(-2) A, ..., f^(-j_hi) A."""
-    out, P = [], A
-    for j in range(1, j_hi + 1):
-        P = map_.preimage(P)
-        if j >= j_lo:
-            out.append(A.intersect(P).measure())
-    return out
+    return _pair_sum(map_, A, j, j)
 
 
 def dprime_sum(map_: FullBranchMap, A: IntervalUnion, n: int, q: int, k: int,
@@ -304,6 +272,12 @@ def dprime_sum(map_: FullBranchMap, A: IntervalUnion, n: int, q: int, k: int,
     n * P(U) = tau.  ``variant="theorem"`` sums j = q+1 .. floor(n/k) - 1;
     ``variant="corollary"`` sums j = 1 .. floor(n/k) (the two ranges
     stated alongside the two error brackets).  An empty range gives 0.
+
+    On uniform maps the sum is one pass of small-integer residues
+    (``_uniform_pair_sum``), and on the other integer maps one pass over
+    A's Markov partition (``_markov_pair_sum``); each builds a single
+    integer numerator, so a term costs one multiply-add, not a
+    ``Fraction``.  Other affine maps sum iterated preimages.
     """
     if variant == "theorem":
         j_lo, j_hi = q + 1, n // k - 1
@@ -313,34 +287,96 @@ def dprime_sum(map_: FullBranchMap, A: IntervalUnion, n: int, q: int, k: int,
         raise ValueError(f"unknown variant {variant!r}")
     if j_hi < j_lo:
         return Fraction(0)
+    return n * _pair_sum(map_, A, j_lo, j_hi)
+
+
+def _pair_sum(map_: FullBranchMap, A: IntervalUnion, j_lo: int,
+              j_hi: int) -> Fraction:
+    """Sum of m(A intersect f^(-j) A) over j = j_lo..j_hi, 1 <= j_lo <= j_hi."""
     if map_.is_uniform:
-        terms = (pair_correlation_measure(map_, A, j)
-                 for j in range(j_lo, j_hi + 1))
-    elif (measures := _markov_pair_measures(map_, A, j_hi)) is not None:
-        terms = measures[j_lo - 1:]
-    else:
-        terms = _pairs_by_preimages(map_, A, j_lo, j_hi)
-    return n * sum(terms, Fraction(0))
+        return _uniform_pair_sum(map_.d, A, j_lo, j_hi)
+    total = _markov_pair_sum(map_, A, j_lo, j_hi)
+    if total is None:
+        total = _preimage_pair_sum(map_, A, j_lo, j_hi)
+    return total
 
 
-def _markov_pair_measures(map_: FullBranchMap, A: IntervalUnion, j_max: int):
-    """[m(A intersect f^(-j) A) for j = 1..j_max], in one pass over A's
-    Markov partition, or None without one (``_partition``).  Cell i holds
-    m(cell_i intersect f^(-j) A) scaled by den * scale^j; a step pulls
-    the masses back (``_pull_back``), and the sum over A's cells is the
-    j-th measure."""
-    part = _partition(map_, A, j_max)
+def _uniform_pair_sum(d: int, A: IntervalUnion, j_lo: int,
+                      j_hi: int) -> Fraction:
+    """Sum of m(A intersect f^(-j) A) over j = j_lo..j_hi for x -> d*x mod 1.
+
+    f^j is x -> D*x mod 1 with D = d^j.  Over [0, e/q) the periodized
+    indicator of A, magnified by D, integrates to whole turns of
+    P = q*m(A) plus G(r) = q*m(A intersect [0, r/q)) at the remainder
+    r = D*e mod q.  Summed with sign s = -1 at A's left ends e and +1 at
+    its right ends, the turns give D*P^2/q less P times the remainders, so
+
+        m(A intersect f^(-j) A) = P^2/q^2 + c(rho_j) / (q^2 d^j),
+        c(rho) = q * sum s G(rho*e mod q) - P * sum s (rho*e mod q),
+
+    with rho_j = d^j mod q.  c depends on j only through rho_j, which
+    takes at most q values, so each is computed once; the pass advances
+    rho by *d mod q and sums N = sum_j c(rho_j) d^(j_hi - j) by Horner,
+    one small multiply-add per term, into one ``Fraction`` over q^2 d^j_hi.
+    """
+    e, q = A.ends, A.denominator
+    prefix = [0]  # prefix[m]: measure * q of the first m components
+    for i in range(0, len(e), 2):
+        prefix.append(prefix[-1] + e[i + 1] - e[i])
+    P = prefix[-1]
+
+    @cache
+    def c(rho):
+        total = 0
+        for i, y in enumerate(e):
+            r = rho * y % q
+            m = bisect_right(e, r)
+            G = prefix[m // 2] + (r - e[m - 1] if m % 2 else 0)
+            total += q * G - P * r if i % 2 else P * r - q * G
+        return total
+
+    N, rho = 0, pow(d, j_lo, q)
+    for _ in range(j_lo, j_hi + 1):
+        N = N * d + c(rho)
+        rho = rho * d % q
+    D = d ** j_hi
+    return Fraction((j_hi - j_lo + 1) * P * P * D + N, q * q * D)
+
+
+def _markov_pair_sum(map_: FullBranchMap, A: IntervalUnion, j_lo: int,
+                     j_hi: int):
+    """Sum of m(A intersect f^(-j) A) over j = j_lo..j_hi, in one pass
+    over A's Markov partition, or None without one (``_partition``).
+
+    Cell i holds m(cell_i intersect f^(-j) A) scaled by den * scale^j; a
+    step pulls the masses back (``_pull_back``), and their sum S_j over
+    A's cells is the j-th measure over den * scale^j.  The pass sums
+    N = sum_j S_j scale^(j_hi - j) by Horner, one integer over
+    den * scale^j_hi."""
+    part = _partition(map_, A, j_hi)
     if part is None:
         return None
     ends, den, scale, rows = part
     inside = _cells_in(ends, den, A)
     mass = [b - a if i else 0 for a, b, i in zip(ends, ends[1:], inside)]
-    out = []
-    for _ in range(j_max):
+    N = 0
+    for j in range(1, j_hi + 1):
         mass = _pull_back(rows, mass)
-        den *= scale
-        out.append(Fraction(sum(compress(mass, inside)), den))
-    return out
+        if j >= j_lo:
+            N = N * scale + sum(compress(mass, inside))
+    return Fraction(N, den * scale ** j_hi)
+
+
+def _preimage_pair_sum(map_: FullBranchMap, A: IntervalUnion, j_lo: int,
+                       j_hi: int) -> Fraction:
+    """Sum of m(A intersect f^(-j) A) over j = j_lo..j_hi, from one chain
+    of budgeted preimages f^(-1) A, f^(-2) A, ..., f^(-j_hi) A."""
+    total, P = Fraction(0), A
+    for j in range(1, j_hi + 1):
+        P = map_.preimage(P)
+        if j >= j_lo:
+            total += A.intersect(P).measure()
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import json
 import math
@@ -10,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import extremap
-from extremap.cli import (build_parser, main, parse_count, parse_grid,
-                          parse_point, parse_positive)
+from extremap.cli import (build_parser, exact_str, main, parse_count,
+                          parse_grid, parse_point, parse_positive)
+from extremap.events import Observable, annulus_set, dprime_sum, threshold_for
+from extremap.maps import FullBranchMap
 from fractions import Fraction as F
 
 
@@ -224,6 +227,47 @@ def test_check_command(tmp_path):
     assert dvals == sorted(dvals, reverse=True)
     props = [r for r in rows if r["kind"] == "proposition"]
     assert len(props) == 3 and all(r["ok"] == "True" for r in props)
+
+
+@contextlib.contextmanager
+def _no_int_digit_limit():
+    # CPython 3.11 (and 3.10.7 on) refuses str() and int() past 4300
+    # digits; older interpreters have no limit to lift
+    get = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    set_ = getattr(sys, "set_int_max_str_digits", lambda n: None)
+    old = get()
+    set_(0)
+    try:
+        yield
+    finally:
+        set_(old)
+
+
+def test_exact_str_writes_any_size():
+    values = [F(0), F(-3, 7), F(10 ** 1000), F(10 ** 2000 - 1),
+              F(-(10 ** 3000 + 7), 3 ** 5000), F(10 ** 999, 10 ** 4500 + 1)]
+    with _no_int_digit_limit():
+        expected = [str(v) for v in values]
+    assert [exact_str(v) for v in values] == expected
+    assert exact_str(12) == "12"
+
+
+def test_check_at_a_million_writes_the_exact_sum(tmp_path):
+    # n = 1e6: the sum runs j = 3..31248, and its exact value has about
+    # 10^4 digits, past the digit limit of str(int)
+    argv = ["check", "--map", "doubling", "--zeta", "1/3", "--n", "1000000",
+            "--prop-configs", "1", "--seed", "1", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    row = json.loads((tmp_path / "check.json").read_text())["rows"][0]
+    assert row["kind"] == "dprime" and row["k_n"] == 32
+    A = annulus_set(FullBranchMap.doubling(),
+                    threshold_for(Observable(F(1, 3)), 10 ** 6, 1)
+                    .exceedance, 2)
+    value = dprime_sum(FullBranchMap.doubling(), A, 10 ** 6, 2, 32)
+    assert value.denominator.bit_length() > 4300 * math.log2(10)
+    with _no_int_digit_limit():
+        assert F(row["value_exact"]) == value
+    assert float(row["value"]) == float(value)
 
 
 def test_bounds_command_theorems(tmp_path):

@@ -1,5 +1,7 @@
 import math
 import random
+from bisect import bisect_right
+from itertools import compress
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +15,7 @@ from extremap.errors import (
 )
 from extremap.intervals import IntervalUnion, ball
 from extremap.maps import FullBranchMap
+from extremap import events
 from extremap.events import (
     Observable,
     annulus_set,
@@ -264,7 +267,7 @@ def test_pair_correlation_matches_preimage_path():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from([2, 3, 5]), st.integers(1, 4),
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4),
        st.lists(st.integers(0, 90), min_size=2, max_size=8, unique=True))
 def test_pair_correlation_closed_form_on_random_sets(d, j, ends):
     m = FullBranchMap.uniform(d)
@@ -272,6 +275,80 @@ def test_pair_correlation_closed_form_on_random_sets(d, j, ends):
     A = IntervalUnion([(F(a, 90), F(b, 90)) for a, b in zip(ends[::2], ends[1::2])])
     slow = A.intersect(m.preimage_iter(A, j)).measure()
     assert pair_correlation_measure(m, A, j) == slow
+    assert _pair_by_turns(d, A, j) == slow
+
+
+def _pair_by_turns(d, A, j):
+    """m(A intersect f^(-j) A) on x -> d*x mod 1, one big-integer divmod
+    per end: over [0, e/q) the periodized indicator of A, magnified by
+    D = d^j, integrates to whole turns of A's measure plus a prefix of
+    A's components, and the ends' signed sum of these, over D, is the
+    measure."""
+    D = d ** j
+    e, q = A.ends, A.denominator
+    prefix = [0]  # prefix[m]: measure * q of the first m components
+    for k in range(0, len(e), 2):
+        prefix.append(prefix[-1] + e[k + 1] - e[k])
+    total = 0
+    for k, y in enumerate(e):
+        turns, r = divmod(D * y, q)
+        i = bisect_right(e, r)
+        cum = turns * prefix[-1] + prefix[i // 2]
+        if i % 2:
+            cum += r - e[i - 1]
+        total += cum if k % 2 else -cum
+    return F(total, q * D)
+
+
+@st.composite
+def _uniform_sums(draw):
+    # a union with integer ends over q <= 200, 0 and q among them at
+    # times, and a range of j up to about 300, past the period of
+    # d^j mod q (at most q, and preperiodic where q shares a factor with d)
+    d = draw(st.sampled_from([2, 3, 5, 7]))
+    q = draw(st.integers(1, 200))
+    ends = set(draw(st.lists(st.integers(0, q), max_size=10)))
+    if draw(st.booleans()):
+        ends |= {0, q}
+    ends = sorted(ends)
+    ends = ends[:len(ends) // 2 * 2]
+    A = IntervalUnion([(F(a, q), F(b, q))
+                       for a, b in zip(ends[::2], ends[1::2])])
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 300 * k))
+    return d, A, n, draw(st.integers(0, 40)), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(_uniform_sums(), st.sampled_from(["theorem", "corollary"]))
+def test_dprime_sum_on_uniform_maps_is_the_sum_of_its_terms(case, variant):
+    d, A, n, q, k = case
+    if variant == "theorem":
+        js = range(q + 1, n // k)
+    else:
+        js = range(1, n // k + 1)
+    expected = n * sum((_pair_by_turns(d, A, j) for j in js), F(0))
+    assert dprime_sum(FullBranchMap.uniform(d), A, n, q, k, variant) \
+        == expected
+
+
+def test_dprime_sum_on_uniform_maps_at_set_residue_cycles():
+    # q = 200 = 2^3 * 25: doubling's residues d^j mod q are preperiodic
+    # (three steps to reach 0 mod 8) and then cycle with period 20 mod
+    # 25; tripling's cycle has period 20 and uniform:7's period 4.  The
+    # sums run to j = 299 and 300, past both; A has an end at 0 and one
+    # at q; a one-term range and an empty one
+    A = IntervalUnion([(F(0), F(3, 200)), (F(1, 8), F(41, 200)),
+                       (F(199, 200), F(1))])
+    for d in (2, 3, 7):
+        m = FullBranchMap.uniform(d)
+        terms = [_pair_by_turns(d, A, j) for j in range(1, 301)]
+        assert dprime_sum(m, A, 900, 5, 3) == 900 * sum(terms[5:299])
+        assert dprime_sum(m, A, 900, 5, 3, "corollary") == 900 * sum(terms)
+        assert dprime_sum(m, A, 12, 4, 2) == 12 * terms[4]
+        assert dprime_sum(m, A, 12, 5, 2) == 0
+        for j in (1, 3, 20, 23, 299):
+            assert pair_correlation_measure(m, A, j) == terms[j - 1]
 
 
 def test_dprime_sum_examples():
@@ -459,6 +536,36 @@ def test_markov_pair_correlations_equal_preimages_on_widths(zeta):
     assert dprime_sum(WIDTHS, A, 68, q, 4) == 68 * sum(measures[q:])
     assert dprime_sum(WIDTHS, A, 64, q, 4, variant="corollary") == \
         64 * sum(measures)
+
+
+def _markov_pairs(map_, A, j_max):
+    """[m(A intersect f^(-j) A) for j = 1..j_max], one Fraction per j from
+    one pass over A's Markov partition."""
+    ends, den, scale, rows = map_.markov_partition(A)
+    inside = events._cells_in(ends, den, A)
+    mass = [b - a if i else 0 for a, b, i in zip(ends, ends[1:], inside)]
+    out = []
+    for _ in range(j_max):
+        mass = events._pull_back(rows, mass)
+        den *= scale
+        out.append(F(sum(compress(mass, inside)), den))
+    return out
+
+
+@pytest.mark.parametrize("zeta", [F(1, 3), F(0), F(2, 5)])
+@pytest.mark.parametrize("spec", ["widths:1/2,1/4,1/4", DECREASING_SPEC])
+def test_markov_recurrence_sum_is_the_sum_of_its_terms(spec, zeta):
+    # at n = 1000 and k = 4 the sums run to j = 249 and 250; the pass
+    # builds one integer numerator over den * scale^j_hi
+    m = FullBranchMap.from_spec(spec)
+    q, _ = theta_limit(m, zeta)
+    A = annulus_set(m, threshold_for(Observable(zeta), 1000, 1).exceedance, q)
+    terms = _markov_pairs(m, A, 250)
+    assert any(terms)
+    assert dprime_sum(m, A, 1000, q, 4) == 1000 * sum(terms[q:249])
+    assert dprime_sum(m, A, 1000, q, 4, "corollary") == 1000 * sum(terms)
+    for j in (1, 7, 250):
+        assert pair_correlation_measure(m, A, j) == terms[j - 1]
 
 
 def test_a_long_orbit_at_a_short_horizon_takes_interval_algebra():
