@@ -7,21 +7,21 @@ how many workers execute the chunks.
 
 Initial conditions are Lebesgue-distributed via i.i.d. random digits.
 Each map family has one orbit stepper, and the two share one
-interface: the kernels' two reductions ``running_minima(checkpoints)``
-and ``first_entries(level, steps)``, ``level(radius)`` in the stepper's
-own distance units, and ``keep(mask)``.  For uniform maps
-(x -> d*x mod 1) an orbit is held as the unsigned 64-bit window
-floor(2^64*x), refilled from below with base-d digits, so orbits of
-unbounded length never lose digit accuracy; non-uniform affine maps
-use a blockwise backward-Horner reconstruction that stores no
-positions, at fixed digit depth in every block but the last.  The last block starts its fold from a uniform
-row, because the point after its digits is uniform and independent of
-them, so an orbit within one block is exact in law on every affine
-map.  These two steppers are the library's only orbit simulation:
-floating-point forward iteration of an expanding map collapses onto
-the dyadic rationals after roughly 53 steps, so it is never used.
-Each estimator has one chunk kernel, run over whichever stepper the
-map takes:
+interface: ``step()``, ``dist()``, ``level(radius)`` in the stepper's
+own distance units, and ``keep(mask)``, over which the kernels' two
+reductions ``running_minima(checkpoints)`` and ``inside(level)`` are
+written once.  For uniform maps (x -> d*x mod 1) an orbit is held as
+the unsigned 64-bit window floor(2^64*x), refilled from below with
+base-d digits, so orbits of unbounded length never lose digit
+accuracy.  Non-uniform affine maps run time-reversed: the stepper
+starts from a uniform point and each step moves it to its preimage on
+a branch drawn with the branch's width (backward Horner, one digit at
+a time), which builds a stationary orbit last point first, exact in
+law at every horizon.  These two steppers are the library's only
+orbit simulation: floating-point forward iteration of an expanding map
+collapses onto the dyadic rationals after roughly 53 steps, so it is
+never used.  Each estimator has one chunk kernel, run over whichever
+stepper the map takes:
 ``_evl_chunk`` checkpoints the running minimum distance (on
 power-of-two uniform maps through a coarse pass, below),
 ``_entry_chunk`` records first entry times.
@@ -58,28 +58,25 @@ and their exact outcomes replace the coarse ones, so every count is
 the exact stepper's.  The first-entry kernel keeps the exact stepper:
 a first entry would need the band handled at every step.
 
-A chunk's working memory is O(lanes).  A Horner chunk holds one
-integer digit buffer of at most STEP_BLOCK + HORNER_DEPTH rows and
-lane-sized rows, all reused from block to block; a uniform chunk holds
-lane-sized rows only (and word-long blocks over few lanes): the
+A chunk's working memory is O(lanes): lane-sized rows only (and
+word-long blocks over few uniform lanes).  A uniform chunk holds the
 window, the word and its start, and in the coarse pass the uint32
-halves of the stream.  Horner uniforms are drawn one lane-sized row at
-a time: split ``random()`` draws give the same numbers as one
-block-sized draw.
+halves of the stream; a Horner chunk holds the point, one row of
+uniforms and one of digits.
 
 The first-entry kernel retires the lanes that have entered the hole.
-A uniform chunk of more than FEW_LANES lanes steps them one at a time
-(``inside``), adds each step's entries to the histogram, and drops the
-entered lanes once they are half of those stepped.  From FEW_LANES live
-lanes down, where a step costs more in calls than in arithmetic, and
-on every Horner chunk, ``first_entries`` takes each lane's first step
-in the ball from one (steps, lanes) block, the rest of a word or a
-folded block; the kernel bins them and drops the lanes that entered.
-Digits are still drawn for every lane of the chunk, in the same order,
-and the live lanes take their own columns, so each lane sees the stream
-it would have seen and the histograms do not change.  The EVL kernel
-steps every lane: at tau*theta <= 1 most lanes stay undecided up to the
-last checkpoint.
+It steps the lanes one at a time (``inside``), adds each step's
+entries to the histogram, and drops the entered lanes once they are
+half of those stepped.  A uniform chunk does so down to FEW_LANES live
+lanes.  From there, where a step costs more in calls than in
+arithmetic, ``first_entries`` takes each lane's first step in the
+ball from one (steps, lanes) block, the rest of a word; the kernel
+bins them and drops the lanes that entered.  A Horner chunk steps to
+the end.  Digits are still drawn for every lane of the chunk, in the
+same order, and the live lanes take their own columns, so each lane
+sees the stream it would have seen and the histograms do not change.
+The EVL kernel steps every lane: at tau*theta <= 1 most lanes stay
+undecided up to the last checkpoint.
 
 With workers > 1 the chunks run on one process pool, built on first
 use and kept for the life of the process.  A call uses at most one
@@ -96,10 +93,10 @@ the calling thread, never on the pool's result thread.
 An event enters the estimators as the center of its observable and the
 exact radius of its threshold ball.  The numerical settings are module
 constants: the chunk size, the first-entry kernel's switch to blocks,
-the Horner block and depth, the 95% Wilson quantile, the escape fit's
-transient level and survivor floor, and the Ulam oracle's minimum bin
-count.  The estimators only estimate: the ``cli`` commands set them
-against the error brackets of ``brackets``.
+the 95% Wilson quantile, the escape fit's transient level and survivor
+floor, and the Ulam oracle's minimum bin count.  The estimators only
+estimate: the ``cli`` commands set them against the error brackets of
+``brackets``.
 """
 
 from __future__ import annotations
@@ -108,7 +105,6 @@ import atexit
 import functools
 import math
 import os
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
@@ -126,8 +122,6 @@ if TYPE_CHECKING:
 
 CHUNK = 32768
 FEW_LANES = 2048  # live lanes at which first entries are read a word at a time
-STEP_BLOCK = 128
-HORNER_DEPTH = 48
 # the uniform stepper is exact for any d < 2^64; this is the range the
 # CLI documents and its exit-3 tests hold, and the exact oracles and
 # brackets are untested past it
@@ -226,7 +220,9 @@ def _scaled(zeta_or_radius: Fraction, m: int) -> int:
 
 
 class _Lanes:
-    """The lanes a stepper still steps, out of the ``count`` of its chunk.
+    """The lanes a stepper still steps, out of the ``count`` of its chunk,
+    and the two reductions the kernels run over a stepper's ``step()``,
+    ``dist()`` and ``level(radius)``.
 
     ``keep(mask)`` stops stepping the lanes where ``mask`` (over the
     stepped lanes) is false.  Digits are still drawn for all ``count``
@@ -247,6 +243,25 @@ class _Lanes:
     def _lanes(self, drawn: np.ndarray) -> np.ndarray:
         """The stepped lanes' columns of a full-width draw."""
         return drawn if self._cols is None else drawn.take(self._cols, axis=-1)
+
+    def running_minima(self, checkpoints: Tuple[Tuple[int, Fraction], ...]):
+        """At each (n, radius) checkpoint, n increasing, the running
+        minimum of ``dist()`` over the first n points (one buffer, updated
+        in place) and the level of the radius."""
+        runmin = self.dist().copy()
+        k = 0
+        for n, radius in checkpoints:
+            while k < n - 1:
+                self.step()
+                np.minimum(runmin, self.dist(), out=runmin)
+                k += 1
+            yield runmin, self.level(radius)
+
+    def inside(self, level) -> np.ndarray:
+        """Step once and return dist() < level, in a buffer that the next
+        call overwrites."""
+        self.step()
+        return np.less(self.dist(), level, out=self._in)
 
 
 @functools.lru_cache(maxsize=None)
@@ -275,13 +290,13 @@ class _UniformOrbits(_Lanes):
     ``level(radius)``.  The steps come in words of J (``_word_steps``):
     a word draws one uniform integer C in [0, d^J), and i steps into it
     the window is d^i*s0 + C // d^(J-i) mod 2^64, with s0 the window at
-    the word's start.  ``steps`` is not read: a word is one row.
+    the word's start.
     """
 
     m = 1 << 64
 
     def __init__(self, map_: FullBranchMap, zeta: Fraction, count: int,
-                 rng: np.random.Generator, steps: int):
+                 rng: np.random.Generator):
         super().__init__(count, rng)
         self._word = _word_steps(map_.d)
         self._J = len(self._word)
@@ -332,25 +347,6 @@ class _UniformOrbits(_Lanes):
         diff = np.subtract(self.state, self.Z, out=self._d)
         np.abs(diff.view(np.int64), out=diff.view(np.int64))
         return diff
-
-    def running_minima(self, checkpoints: Tuple[Tuple[int, Fraction], ...]):
-        """At each (n, radius) checkpoint, n increasing, the running
-        minimum of ``dist()`` over x_0 .. x_(n-1) (one buffer, updated in
-        place) and the level of the radius."""
-        runmin = self.dist().copy()
-        k = 0
-        for n, radius in checkpoints:
-            while k < n - 1:
-                self.step()
-                np.minimum(runmin, self.dist(), out=runmin)
-                k += 1
-            yield runmin, self.level(radius)
-
-    def inside(self, level) -> np.ndarray:
-        """Step once and return dist() < level, in a buffer that the next
-        call overwrites."""
-        self.step()
-        return np.less(self.dist(), level, out=self._in)
 
     def _dist_block(self, steps: int) -> np.ndarray:
         """dist() at the next min(steps, rest of the word) steps as one
@@ -415,8 +411,8 @@ class _CoarseOrbits(_UniformOrbits):
     """
 
     def __init__(self, map_: FullBranchMap, zeta: Fraction, count: int,
-                 rng: np.random.Generator, steps: int):
-        super().__init__(map_, zeta, count, rng, steps)
+                 rng: np.random.Generator):
+        super().__init__(map_, zeta, count, rng)
         self._tops = _top_steps(map_.d)
         self._pad = np.uint64(64 - (map_.d.bit_length() - 1) * self._J)
         self._Z32 = np.uint32(int(self.Z) >> 32)
@@ -459,149 +455,74 @@ class _CoarseOrbits(_UniformOrbits):
 
 
 class _HornerOrbits(_Lanes):
-    """Orbit stepper for one chunk of trials of a non-uniform affine map.
+    """Orbit stepper for one chunk of trials of a non-uniform affine map,
+    run backwards in time.
 
-    The points x_0 .. x_steps are rebuilt by backward Horner from i.i.d.
-    branch digits, STEP_BLOCK rows at a time (fewer for the last block).
-    A block before the last reaches HORNER_DEPTH digits past its end
-    through the carried digits and starts the fold from y = 0.5.  The
-    last block draws only the digits it needs, keeps every digit it was
-    carried, and starts the fold from a uniform row: Lebesgue measure is
-    invariant under the map, so the point after the last digit is
-    uniform and independent of the digits before it.  An orbit within
-    one block is therefore exact in law.  ``level(radius)`` is a float.
-
-    The fold (``_fold``) carries one lane-sized row back through a
-    block's digits and hands each point, last first, to the kernel's
-    reduction; no position is stored.  A chunk holds one digit buffer of
-    at most STEP_BLOCK + HORNER_DEPTH rows and lane-sized rows, reused
-    from block to block.  The uniforms are drawn one full-width row at a
-    time, the last block's start row too.  Each branch is inverted as
-    x = a + b*y, with a = -intercept/slope and b = 1/slope, so
-    decreasing branches are sampled too.
+    ``state`` starts as a uniform row.  Each step() draws one full-width
+    row of uniforms, takes from it each lane's branch digit a (the number
+    of inner breakpoints at or below the lane's uniform, so a = i with
+    the width of branch i as its probability), and moves the lane to its
+    preimage x = a_a + b_a*x on that branch: a = -intercept/slope and
+    b = 1/slope invert the branch, so decreasing branches are sampled
+    too.  Lebesgue
+    measure is invariant under the map, and the preimage of a uniform
+    point on a branch drawn with its width is uniform again, so the
+    points in build order, read backwards, are a stationary orbit
+    (T(x_(k+1)) = x_k).  The running minimum and the first entry read
+    windows of consecutive points, whose law a stationary orbit keeps
+    when it is read backwards, so they have the laws of M_n and r_B at
+    every horizon.  ``dist()`` is the float circle distance and
+    ``level(radius)`` is a float.
     """
 
     def __init__(self, map_: FullBranchMap, zeta: Fraction, count: int,
-                 rng: np.random.Generator, steps: int):
+                 rng: np.random.Generator):
         super().__init__(count, rng)
         self._zf = float(zeta)
         self._a = np.array([float(-b.intercept / b.slope) for b in map_.branches])
         self._b = np.array([float(1 / b.slope) for b in map_.branches])
-        # the digit of u is the number of inner breakpoints at or below it;
         # the last cumulative width (which may round below 1) is never
         # compared, so digits stay below d
         self._inner = np.cumsum([float(w) for w in map_.widths])[:-1]
+        self._dtype = np.min_scalar_type(map_.d - 1)
         self._u = np.empty(count)  # one full-width row of uniforms
-        self._rows_left = steps + 1  # rows not yet folded, x_0 included
-        self._built = 0  # the time of the next block's first point
-        # the _held digits carried into the next block start at row
-        # _carry of _digits; the first fold, and the first after keep(),
-        # allocates _digits at the live width
-        self._digits = np.empty((0, count),
-                                dtype=np.min_scalar_type(map_.d - 1))
-        self._carry, self._held = 0, 0
+        self.state = rng.random(count)
         self._rows(count)
 
     def _rows(self, lanes: int):
-        self._y, self._d, self._t = (np.empty(lanes) for _ in range(3))
+        self._d, self._t = np.empty(lanes), np.empty(lanes)
+        self._digit = np.empty(lanes, dtype=self._dtype)
+        self._row = np.empty(lanes, dtype=np.intp)  # intp indexes fastest
         self._in = np.empty(lanes, dtype=bool)
 
-    def _draw(self, start: int, stop: int):
-        """Digit rows start..stop-1, drawn one row at a time."""
-        for row in self._digits[start:stop]:
-            self.rng.random(out=self._u)
-            u = self._lanes(self._u)
-            row.fill(0)
-            for c in self._inner:
-                np.add(row, u >= c, out=row)
-
-    def _fold(self, reduce) -> int:
-        """Fold the next block, calling reduce(k, x) on each of its points
-        x_k, last first (x is overwritten next); returns its first k."""
-        B = min(STEP_BLOCK, self._rows_left)
-        self._rows_left -= B
-        last, held = not self._rows_left, self._held
-        # the digits the fold runs through: the last block folds those it
-        # was carried, or those of its points but the last if that is more
-        depth = max(B - 1, held) if last else B + HORNER_DEPTH
-        carry = self._digits[self._carry:self._carry + held]
-        if len(self._digits) < depth:
-            # no later block is deeper than this one
-            self._digits = np.empty((depth, carry.shape[1]), dtype=carry.dtype)
-        digits = self._digits
-        digits[:held] = carry
-        del carry  # a carry from keep() is its own array: free it
-        self._draw(held, depth)
-        k0, y = self._built, self._y
-        if last:
-            self.rng.random(out=self._u)
-            y[...] = self._lanes(self._u)
-            if depth < B:  # the uniform row is the block's last point
-                reduce(k0 + B - 1, y)
-        else:
-            y.fill(0.5)
-        for r in range(depth - 1, -1, -1):
-            row = digits[r].astype(np.intp)  # intp indexes fastest
-            np.multiply(self._b[row], y, out=y)
-            np.add(self._a[row], y, out=y)
-            if r < B:
-                reduce(k0 + r, y)
-        self._built += B
-        self._carry, self._held = B, 0 if last else HORNER_DEPTH
-        return k0
+    def step(self):
+        self.rng.random(out=self._u)
+        u, digit, row, x = self._lanes(self._u), self._digit, self._row, self.state
+        digit.fill(0)
+        for c in self._inner:
+            np.add(digit, u >= c, out=digit)
+        np.copyto(row, digit, casting="unsafe")
+        # the gathers write into a kept row: a new lane-sized row each
+        # time costs more than the arithmetic.  The digits are below d,
+        # so mode="wrap" never wraps; it only skips the bounds check's
+        # buffered copy
+        np.multiply(self._b.take(row, out=self._t, mode="wrap"), x, out=x)
+        np.add(self._a.take(row, out=self._t, mode="wrap"), x, out=x)
 
     def level(self, radius: Fraction) -> float:
         return float(radius)
 
-    def _dist(self, x: np.ndarray) -> np.ndarray:
+    def dist(self) -> np.ndarray:
         """min(|x - zeta|, 1 - |x - zeta|), in a buffer that the next
-        call overwrites."""
-        diff = np.subtract(x, self._zf, out=self._d)
+        step() or dist() overwrites."""
+        diff = np.subtract(self.state, self._zf, out=self._d)
         np.abs(diff, out=diff)
         np.subtract(1.0, diff, out=self._t)
         return np.minimum(diff, self._t, out=diff)
 
-    def running_minima(self, checkpoints: Tuple[Tuple[int, Fraction], ...]):
-        """As ``_UniformOrbits.running_minima``: the checkpoints inside a
-        block cut it into stretches, each folded into one minimum row,
-        and the rows join the running minimum in step order."""
-        runmin = np.full(len(self._y), np.inf)
-        i = 0
-        while self._rows_left:
-            end = self._built + min(STEP_BLOCK, self._rows_left)
-            cuts = sorted({n for n, _ in checkpoints[i:] if n < end})
-            mins = np.full((len(cuts) + 1, len(runmin)), np.inf)
-
-            def reduce(k, x):
-                low = mins[bisect_right(cuts, k)]
-                np.minimum(low, self._dist(x), out=low)
-
-            self._fold(reduce)
-            for cut, low in zip(cuts + [end], mins):
-                np.minimum(runmin, low, out=runmin)
-                while i < len(checkpoints) and checkpoints[i][0] == cut:
-                    yield runmin, self.level(checkpoints[i][1])
-                    i += 1
-
-    def first_entries(self, level: float, steps: int):
-        """As ``_UniformOrbits.first_entries`` over the next folded block,
-        whatever ``steps`` (time 0 untested)."""
-        first = np.zeros(len(self._y), dtype=np.intp)
-        done = max(self._built - 1, 0)  # the steps before this block
-
-        def reduce(k, x):
-            if k:
-                np.less(self._dist(x), level, out=self._in)
-                np.copyto(first, k - done, where=self._in)
-
-        self._fold(reduce)
-        return first, self._built - 1 - done
-
     def keep(self, mask: np.ndarray):
         idx = super().keep(mask)
-        self._digits = self._digits[self._carry:self._carry + self._held].take(
-            idx, axis=1)
-        self._carry = 0
+        self.state = self.state.take(idx)
         self._rows(len(idx))
 
 
@@ -614,10 +535,10 @@ def _check_sampled(map_: FullBranchMap):
 
 
 def _orbits(map_: FullBranchMap, zeta: Fraction, count: int,
-            rng: np.random.Generator, steps: int):
+            rng: np.random.Generator):
     """The stepper of the map's family for one chunk of ``count`` lanes."""
     cls = _UniformOrbits if map_.is_uniform else _HornerOrbits
-    return cls(map_, zeta, count, rng, steps)
+    return cls(map_, zeta, count, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -642,19 +563,18 @@ def _evl_chunk(map_: FullBranchMap, zeta: Fraction,
     were in the band replace the coarse ones, so the counts are exact.
     Other maps run the exact stepper alone.
     """
-    steps = checkpoints[-1][0] - 1
     if not (map_.is_uniform and (map_.d & (map_.d - 1)) == 0):
-        orb = _orbits(map_, zeta, count, _rng(seed, index), steps)
+        orb = _orbits(map_, zeta, count, _rng(seed, index))
         return [int((runmin >= level).sum())
                 for runmin, level in orb.running_minima(checkpoints)]
-    orb = _CoarseOrbits(map_, zeta, count, _rng(seed, index), steps)
+    orb = _CoarseOrbits(map_, zeta, count, _rng(seed, index))
     counts, bands = [], []
     for cmin, L32 in orb.running_minima(checkpoints):
         counts.append(int((cmin >= L32 + 2).sum()))
         bands.append(np.flatnonzero((cmin >= L32) & (cmin <= L32 + 1)))
     lanes = np.unique(np.concatenate(bands))
     if len(lanes):
-        exact = _UniformOrbits(map_, zeta, count, _rng(seed, index), steps)
+        exact = _UniformOrbits(map_, zeta, count, _rng(seed, index))
         exact.keep(np.isin(np.arange(count), lanes))
         runmin, k = exact.dist().copy(), 0
         for j, (n, radius) in enumerate(checkpoints):
@@ -668,27 +588,28 @@ def _evl_chunk(map_: FullBranchMap, zeta: Fraction,
 def _entry_chunk(map_: FullBranchMap, zeta: Fraction, radius: Fraction,
                  horizon: int, index: int, count: int, seed: int):
     """Histogram of first entry times (index 0 = never entered)."""
-    orb = _orbits(map_, zeta, count, _rng(seed, index), steps=horizon)
+    orb = _orbits(map_, zeta, count, _rng(seed, index))
     level = orb.level(radius)
     hist = np.zeros(horizon + 1, dtype=np.int64)
+    # a uniform chunk reads its last FEW_LANES live lanes a word at a time
+    few = FEW_LANES if map_.is_uniform else 0
     j, live = 0, count
-    if map_.is_uniform:
-        alive = np.ones(count, dtype=bool)  # over the stepped lanes
-        hit = np.empty(count, dtype=bool)
-        while j < horizon and live > FEW_LANES:
-            j += 1
-            np.logical_and(orb.inside(level), alive, out=hit)
-            entered = int(np.count_nonzero(hit))
-            if not entered:
-                continue
-            hist[j] = entered
-            live -= entered
-            np.logical_xor(alive, hit, out=alive)
-            # retire the entered lanes once they are half of those
-            # stepped, and before the blocks, which step live lanes only
-            if 2 * live <= len(alive) or live <= FEW_LANES:
-                orb.keep(alive)
-                alive, hit = np.ones(live, dtype=bool), np.empty(live, dtype=bool)
+    alive = np.ones(count, dtype=bool)  # over the stepped lanes
+    hit = np.empty(count, dtype=bool)
+    while j < horizon and live > few:
+        j += 1
+        np.logical_and(orb.inside(level), alive, out=hit)
+        entered = int(np.count_nonzero(hit))
+        if not entered:
+            continue
+        hist[j] = entered
+        live -= entered
+        np.logical_xor(alive, hit, out=alive)
+        # retire the entered lanes once they are half of those stepped,
+        # and before the word blocks, which step live lanes only
+        if 2 * live <= len(alive) or live <= few:
+            orb.keep(alive)
+            alive, hit = np.ones(live, dtype=bool), np.empty(live, dtype=bool)
     while live and j < horizon:
         first, k = orb.first_entries(level, horizon - j)
         counts = np.bincount(first, minlength=k + 1)

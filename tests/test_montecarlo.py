@@ -38,7 +38,7 @@ DECREASING = FullBranchMap.from_spec([
 def _uniform_states(d, steps, count, seed):
     """Windows of one _UniformOrbits chunk at times 0..steps, (steps+1, count)."""
     orb = mc._UniformOrbits(FullBranchMap.uniform(d), F(0), count,
-                            np.random.default_rng(seed), steps)
+                            np.random.default_rng(seed))
     states = [orb.state.copy()]
     for _ in range(steps):
         orb.step()
@@ -46,24 +46,26 @@ def _uniform_states(d, steps, count, seed):
     return orb.m, np.array(states)
 
 
-def _fold_points(orb, pos):
-    """Fold ``orb``'s next block into the rows of ``pos`` at its times,
-    one column per stepped lane; returns the block's first time."""
-    def record(k, x):
-        pos[k, :len(x)] = x
+def _horner_points(map_, steps, count, rng):
+    """Points of one _HornerOrbits chunk in build order, (steps+1, count)."""
+    orb = mc._HornerOrbits(map_, F(0), count, rng)
+    points = [orb.state.copy()]
+    for _ in range(steps):
+        orb.step()
+        points.append(orb.state.copy())
+    return np.array(points)
 
-    return orb._fold(record)
 
-
-def _horner_positions(map_, steps, count, rng):
-    """Points of one _HornerOrbits chunk at times 0..steps, (steps+1, count),
-    as its fold hands them on, and the times at which each block starts.
-    A point the fold never hands on stays NaN."""
-    orb = mc._HornerOrbits(map_, F(0), count, rng, steps)
-    pos, starts = np.full((steps + 1, count), np.nan), []
-    while orb._rows_left:
-        starts.append(_fold_points(orb, pos))
-    return pos, starts
+def _forward_gaps(map_, points):
+    """Circle distance from T(x_(k+1)) to x_k for the rows of ``points``,
+    the map T applied in float branch by branch."""
+    later, earlier = points[1:], points[:-1]
+    image = np.full(later.shape, np.nan)
+    for br in map_.branches:
+        on = (later >= float(br.lo)) & (later < float(br.hi))
+        image[on] = float(br.slope) * later[on] + float(br.intercept)
+    gap = np.abs(image - earlier)
+    return np.minimum(gap, 1 - gap)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -98,32 +100,35 @@ def test_uniform_orbits_occupation_frequency():
         assert abs(((x >= 0.2) & (x < 0.3)).mean() - 0.1) < 0.001
 
 
-def _check_position_coding(f):
-    # widths 1/2, 1/4, 1/4: the reconstructed points step by the map,
-    # also from the last row of one block to the first of the next, and
-    # visit the branches with frequencies equal to their widths
-    horizon = 2 * mc.STEP_BLOCK + 7
-    pos, starts = _horner_positions(f, horizon - 1, 2000,
-                                    np.random.default_rng(9))
-    assert starts == [0, mc.STEP_BLOCK, 2 * mc.STEP_BLOCK]
-    assert pos.shape == (horizon, 2000)
-    for lane in range(20):
-        for k in range(horizon - 1):
-            gap = abs(f.apply(pos[k, lane]) - pos[k + 1, lane])
-            assert min(gap, 1 - gap) < 1e-9
+def _check_horner_coding(f):
+    # widths 1/2, 1/4, 1/4: the points read backwards step by the map,
+    # and visit the branches with frequencies equal to their widths
+    pos = _horner_points(f, 262, 2000, np.random.default_rng(9))
+    assert pos.shape == (263, 2000)
+    assert _forward_gaps(f, pos[:, :20]).max() < 1e-9
     digits = np.searchsorted([0.5, 0.75], pos, side="right")
     for i, w in enumerate((0.5, 0.25, 0.25)):
         assert abs((digits == i).mean() - w) < 0.005
     assert abs(((pos >= 0.2) & (pos < 0.3)).mean() - 0.1) < 0.002
 
 
-def test_position_blocks_coding_across_step_block():
-    _check_position_coding(WIDTHS)
+def test_horner_orbits_coding():
+    _check_horner_coding(WIDTHS)
 
 
-def test_position_blocks_coding_on_a_decreasing_branch():
+def test_horner_orbits_coding_on_a_decreasing_branch():
     # x = a + b*y with b = 1/slope < 0 inverts the decreasing branch
-    _check_position_coding(DECREASING)
+    _check_horner_coding(DECREASING)
+
+
+def test_horner_orbits_step_by_the_map_on_the_skewed_map():
+    # 1,000 steps on widths:49/50,1/50: every consecutive pair is one map
+    # step apart, up to rounding (read 7.2e-15).  Rebuilding the orbit in
+    # 128-point blocks, each folded from y = 1/2 through 48 digits past
+    # its end, read 0.19 at a block edge: the wide branch contracts the
+    # start error only by (49/50)^48
+    pos = _horner_points(SKEWED, 1000, 500, np.random.default_rng(12))
+    assert _forward_gaps(SKEWED, pos).max() <= 1e-12
 
 
 # -- the kernels against references with the plain arithmetic -------------
@@ -170,8 +175,8 @@ def test_uniform_orbits_match_modular_reference(d, steps):
     assert len(mc._word_steps(d)) == WORD[d]
     ref_states, ref_dists = _exact_uniform_windows(d, F(1, 3), lanes, 17, steps)
     f = FullBranchMap.uniform(d)
-    orb = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(17), steps)
-    kept = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(17), steps)
+    orb = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(17))
+    kept = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(17))
     cols = np.arange(lanes)
     for k in range(steps + 1):
         if k:
@@ -193,8 +198,8 @@ def test_uniform_min_dist_matches_the_step_loop(d):
     # mid-word crosses a boundary, and 2J + 3 steps cross two
     J, lanes = WORD[d], 7
     f = FullBranchMap.uniform(d)
-    blocked = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(5), 0)
-    stepped = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(5), 0)
+    blocked = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(5))
+    stepped = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(5))
     for run in (0, 1, 62, J, 2 * J + 3, 1):
         low = np.full(lanes, np.iinfo(np.uint64).max, dtype=np.uint64)
         for _ in range(run):
@@ -211,8 +216,8 @@ def test_uniform_first_entries_match_the_step_loop(d):
     # word's end after keep()
     J, lanes = WORD[d], 400
     f = FullBranchMap.uniform(d)
-    blocked = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(5), 0)
-    stepped = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(5), 0)
+    blocked = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(5))
+    stepped = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(5))
     level, done, seen = blocked.level(F(1, 100)), 0, set()
     for run in (1, J // 2, 2 * J, "keep", 3, J):
         if run == "keep":
@@ -247,8 +252,8 @@ def test_coarse_orbits_read_the_top_bits_of_the_window(d):
     # 300 steps cross several words at every d; at d = 8, 32 and 128 a
     # word fills 63, 60 and 63 bits and is left-justified
     f, lanes = FullBranchMap.uniform(d), 61
-    coarse = mc._CoarseOrbits(f, F(1, 3), lanes, np.random.default_rng(8), 300)
-    exact = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(8), 300)
+    coarse = mc._CoarseOrbits(f, F(1, 3), lanes, np.random.default_rng(8))
+    exact = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(8))
     for k in range(301):
         if k:
             coarse.step()
@@ -261,8 +266,7 @@ def test_coarse_orbits_read_the_top_bits_of_the_window(d):
 def _exact_evl_minima(map_, zeta, checkpoints, index, count, seed):
     """The exact running minimum distance at each checkpoint, by the
     uniform stepper's step loop, and the survivor counts it gives."""
-    orb = mc._UniformOrbits(map_, zeta, count, mc._rng(seed, index),
-                            checkpoints[-1][0] - 1)
+    orb = mc._UniformOrbits(map_, zeta, count, mc._rng(seed, index))
     runmin, k, minima, counts = orb.dist().copy(), 0, [], []
     for n, radius in checkpoints:
         while k < n - 1:
@@ -290,7 +294,7 @@ def test_evl_chunk_coarse_pass_matches_the_exact_stepper(d, count):
     f = FullBranchMap.uniform(d)
     minima, counts = _exact_evl_minima(f, F(1, 3), EDGE_CHECKPOINTS, 2, count, 9)
     assert mc._evl_chunk(f, F(1, 3), EDGE_CHECKPOINTS, 2, count, 9) == counts
-    coarse = mc._CoarseOrbits(f, F(1, 3), count, mc._rng(9, 2), 128)
+    coarse = mc._CoarseOrbits(f, F(1, 3), count, mc._rng(9, 2))
     passes = coarse.running_minima(EDGE_CHECKPOINTS)
     for (cmin, L32), exact, (_, radius) in zip(passes, minima, EDGE_CHECKPOINTS):
         assert _coarse_bounds_hold(cmin, exact)
@@ -312,7 +316,7 @@ def test_evl_chunk_band_lanes_run_again(d, monkeypatch):
                     for delta in (-(1 << 32), -1, 0, 1, 1 << 32))
     cps = tuple((n, F(L, 1 << 64)) for L in levels)
     _, counts = _exact_evl_minima(f, F(1, 3), cps, 4, count, 3)
-    coarse = mc._CoarseOrbits(f, F(1, 3), count, mc._rng(3, 4), n - 1)
+    coarse = mc._CoarseOrbits(f, F(1, 3), count, mc._rng(3, 4))
     band, outcomes = np.zeros(count, dtype=bool), set()
     for (cmin, L32), L in zip(coarse.running_minima(cps), levels):
         here = (cmin >= L32) & (cmin <= L32 + 1)
@@ -327,86 +331,66 @@ def test_evl_chunk_band_lanes_run_again(d, monkeypatch):
     assert len(kept) == 1 and np.array_equal(kept[0], band)
 
 
-def _reference_position_blocks(map_, horizon, count, rng):
-    """(k0, positions) blocks of the backward Horner reconstruction, with
-    searchsorted digits, block-sized draws and a fresh y per row; each
-    branch is inverted as x = a + b*y.  A block before the last folds
-    HORNER_DEPTH digits past its end from y = 1/2.  The last block folds
-    the digits it was carried, or those of all its points but the last
-    if that is more, from a uniform row drawn after them."""
-    D, d = mc.HORNER_DEPTH, map_.d
+def _reference_points(map_, steps, count, rng):
+    """The time-reversed orbit points, (steps+1, count), with plain
+    arithmetic: a uniform start row, then for each step one row of
+    uniforms, their searchsorted branch digits a and the preimages
+    x = a_a + b_a*y, each branch inverted as x = a + b*y."""
+    d = map_.d
     a = np.array([float(-b.intercept / b.slope) for b in map_.branches])
     b = np.array([float(1 / b.slope) for b in map_.branches])
     cum = np.cumsum([float(w) for w in map_.widths])
-
-    def draw(rows):
-        u = rng.random((rows, count))
-        dig = np.searchsorted(cum, u.ravel(), side="right").reshape(rows, count)
-        return np.minimum(dig, d - 1)
-
-    carry, k0 = np.empty((0, count), dtype=np.intp), 0
-    while k0 < horizon:
-        B = min(mc.STEP_BLOCK, horizon - k0)
-        last = k0 + B == horizon
-        depth = max(B - 1, len(carry)) if last else B + D
-        digits = np.concatenate([carry, draw(depth - len(carry))], axis=0)
-        y = rng.random(count) if last else np.full(count, 0.5)
-        pos = np.empty((B, count))
-        pos[depth:] = y  # the uniform row, when it is the last point
-        for r in range(depth - 1, -1, -1):
-            y = a[digits[r]] + b[digits[r]] * y
-            if r < B:
-                pos[r] = y
-        yield k0, pos
-        carry, k0 = digits[B:], k0 + B
+    y = rng.random(count)
+    points = [y]
+    for _ in range(steps):
+        digit = np.minimum(np.searchsorted(cum, rng.random(count), side="right"),
+                           d - 1)
+        y = a[digit] + b[digit] * y
+        points.append(y)
+    return np.array(points)
 
 
-@pytest.mark.parametrize("spec", ["widths:1/2,1/4,1/4", "widths:49/50,1/50",
-                                  "widths:" + ",".join(["1/10"] * 10)])
-def test_position_blocks_match_searchsorted_reference(spec):
-    # the ten widths of 1/10 sum to 0.9999999999999999 in float.  One
-    # block; a last block shorter than the carried digits, which it folds
-    # all of; a last block longer than them
-    f = FullBranchMap.from_spec(spec)
-    for horizon in (9, mc.STEP_BLOCK + 9, 2 * mc.STEP_BLOCK + 60):
-        got, starts = _horner_positions(f, horizon - 1, 500,
-                                        np.random.default_rng(4))
-        ref = list(_reference_position_blocks(f, horizon, 500,
-                                              np.random.default_rng(4)))
-        assert starts == [k0 for k0, _ in ref] == list(
-            range(0, horizon, mc.STEP_BLOCK))
-        assert np.array_equal(got, np.concatenate([q for _, q in ref]))
+def _circle_dist(points, zeta):
+    diff = np.abs(points - float(zeta))
+    return np.minimum(diff, 1.0 - diff)
 
 
-@pytest.mark.parametrize("steps", [0, 7, mc.STEP_BLOCK - 1])
-def test_single_block_chunk_draws_one_row_per_point(steps):
-    # steps digit rows and the uniform row of x_steps: no digit past the
-    # horizon is drawn
+@pytest.mark.parametrize("f", [
+    WIDTHS, SKEWED, DECREASING,
+    # the ten widths of 1/10 sum to 0.9999999999999999 in float, which
+    # the digits must not compare against
+    FullBranchMap.from_spec("widths:" + ",".join(["1/10"] * 10))],
+    ids=["widths", "skewed", "decreasing", "tenths"])
+@pytest.mark.parametrize("steps", [0, 9, 300])
+def test_horner_orbits_match_searchsorted_reference(f, steps):
+    got = _horner_points(f, steps, 500, np.random.default_rng(4))
+    ref = _reference_points(f, steps, 500, np.random.default_rng(4))
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("steps", [0, 7, 300])
+def test_horner_chunk_draws_one_row_per_point(steps):
+    # the start row and one row per step: nothing past the horizon is drawn
     rng, ref = np.random.default_rng(2), np.random.default_rng(2)
-    orb = mc._HornerOrbits(SKEWED, F(1, 3), 61, rng, steps)
+    orb = mc._HornerOrbits(SKEWED, F(1, 3), 61, rng)
     assert len(list(orb.running_minima(((steps + 1, F(1, 10)),)))) == 1
     ref.random((steps + 1, 61))
     assert rng.random() == ref.random()
 
 
 def _reference_entry_histogram(map_, zeta, radius, horizon, index, count, seed):
-    zf, rf = float(zeta), float(radius)
+    """First entry times of the reference points, steps 1..horizon."""
+    dist = _circle_dist(_reference_points(map_, horizon, count,
+                                          mc._rng(seed, index)), zeta)
     entry = np.zeros(count, dtype=np.int64)
-    for k0, pos in _reference_position_blocks(map_, horizon + 1, count,
-                                              mc._rng(seed, index)):
-        d0 = np.abs(pos - zf)
-        d0 = np.minimum(d0, 1.0 - d0)
-        for r in range(pos.shape[0]):
-            if k0 + r > 0:
-                entry[(d0[r] < rf) & (entry == 0)] = k0 + r
-        if not (entry == 0).any():
-            break
+    for k in range(horizon, 0, -1):  # the earliest step is written last
+        entry[dist[k] < float(radius)] = k
     return np.bincount(entry, minlength=horizon + 1)
 
 
 @pytest.mark.parametrize("radius, horizon", [
     (F(1, 64), 150),  # some lanes never enter
-    (F(1, 5), 400),   # every lane enters in the first block: early exit
+    (F(1, 5), 400),   # every lane enters early: lanes retire
 ])
 def test_entry_chunk_horner_matches_row_loop(radius, horizon):
     hist = mc._entry_chunk(WIDTHS, F(1, 3), radius, horizon, 2, 3000, 8)
@@ -417,27 +401,23 @@ def test_entry_chunk_horner_matches_row_loop(radius, horizon):
 
 
 def test_evl_chunk_horner_matches_accumulated_minimum():
-    # checkpoints inside a block, repeated, on a block edge and past it
-    cps = ((1, F(1, 4)), (7, F(1, 50)), (7, F(1, 20)),
-           (mc.STEP_BLOCK, F(1, 500)), (mc.STEP_BLOCK + 1, F(1, 500)),
-           (300, F(1, 2000)))
+    # repeated checkpoints, and one past the 128 points that once made a
+    # block
+    cps = ((1, F(1, 4)), (7, F(1, 50)), (7, F(1, 20)), (128, F(1, 500)),
+           (129, F(1, 500)), (129, F(1, 800)), (300, F(1, 2000)))
     counts = mc._evl_chunk(WIDTHS, F(1, 3), cps, 1, 2000, 6)
-    rng, zf = mc._rng(6, 1), 1 / 3
-    pos = np.concatenate([p for _, p in
-                          _reference_position_blocks(WIDTHS, 300, 2000, rng)])
-    d0 = np.abs(pos - zf)
-    runmin = np.minimum.accumulate(np.minimum(d0, 1.0 - d0), axis=0)
+    pos = _reference_points(WIDTHS, 299, 2000, mc._rng(6, 1))
+    runmin = np.minimum.accumulate(_circle_dist(pos, F(1, 3)), axis=0)
     assert counts == [int((runmin[n - 1] >= float(r)).sum()) for n, r in cps]
 
 
 # -- lane retirement: the entry kernels against full-lane references ------
-# (for Horner maps the reference is the row loop above)
+# (for Horner maps the reference is the plain reversed orbit above)
 
 
 def _full_lane_entry_uniform(map_, zeta, radius, horizon, index, count, seed):
     """The uniform first-entry kernel that steps every lane to the horizon."""
-    orb = mc._UniformOrbits(map_, zeta, count, mc._rng(seed, index),
-                            steps=horizon)
+    orb = mc._UniformOrbits(map_, zeta, count, mc._rng(seed, index))
     rint = orb.level(radius)
     entry = np.zeros(count, dtype=np.int64)
     for j in range(1, horizon + 1):
@@ -450,12 +430,12 @@ def _full_lane_entry_uniform(map_, zeta, radius, horizon, index, count, seed):
 
 ENTRY_MAPS = ["doubling", "tripling", "uniform:5", "widths:1/2,1/4,1/4",
               "widths:49/50,1/50"]
-SPAN = 3 * mc.STEP_BLOCK + 5  # crosses three Horner blocks and 6+ words
+SPAN = 389  # crosses 6+ words
 
 
 @pytest.mark.parametrize("spec", ENTRY_MAPS)
 @pytest.mark.parametrize("radius, horizon, count", [
-    (F(1, 4), SPAN, 61),       # every lane enters in block 0
+    (F(1, 4), SPAN, 61),       # every lane enters in 128 steps
     (F(1, 20), SPAN, 61),      # several retirements, all lanes enter
     (F(1, 1000), SPAN, 61),    # about half the lanes are censored
     (F(1, 200), SPAN, 1000),
@@ -472,7 +452,7 @@ def test_entry_kernels_match_full_lane_reference(spec, radius, horizon, count):
     assert hist.dtype == ref.dtype and np.array_equal(hist, ref)
     assert len(hist) == horizon + 1 and hist.sum() == count
     if radius == F(1, 4):
-        assert hist[0] == 0 and hist[mc.STEP_BLOCK + 1:].sum() == 0
+        assert hist[0] == 0 and hist[129:].sum() == 0
     if radius == F(1, 1000):
         assert 0.25 * count < hist[0] < 0.75 * count
 
@@ -505,33 +485,16 @@ def test_uniform_entry_chunk_matches_full_lane_reference_across_the_switch(
 KEEP_STEPS = (10, 70, 119, 126, 127, 130)
 
 
-def test_uniform_orbits_keep_follows_the_full_width_stream():
+def test_orbits_keep_follows_the_full_width_stream():
     # after keep(), each kept lane steps through the same points as the
     # same lane of an orbit set that keeps every lane.  Uniform: the
     # keeps fall mid-word, and after 120 (tripling) and 128 (doubling)
-    # steps on the last step of a word.  Horner: the keeps after steps
-    # 11, 71, 120, 127 and 128 fall inside the first block, while it is
-    # read, so they take the carried digits into the second block, where
-    # the keep after step 131 falls
+    # steps on the last step of a word
     for spec in ENTRY_MAPS:
         f = FullBranchMap.from_spec(spec)
-        full = mc._orbits(f, F(1, 3), 61, np.random.default_rng(3), 300)
-        kept = mc._orbits(f, F(1, 3), 61, np.random.default_rng(3), 300)
+        full = mc._orbits(f, F(1, 3), 61, np.random.default_rng(3))
+        kept = mc._orbits(f, F(1, 3), 61, np.random.default_rng(3))
         lanes = np.arange(61)
-        if not f.is_uniform:
-            ref = np.full((301, 61), np.nan)
-            got = np.full((301, 61), np.nan)
-            for k0 in range(0, 301, mc.STEP_BLOCK):
-                assert _fold_points(full, ref) == _fold_points(kept, got) == k0
-                block = slice(k0, k0 + mc.STEP_BLOCK)
-                assert np.array_equal(got[block, :len(lanes)],
-                                      ref[block][:, lanes]), (spec, k0)
-                for k in KEEP_STEPS:
-                    if k0 <= k < k0 + mc.STEP_BLOCK:
-                        mask = np.random.default_rng(k).random(len(lanes)) < 0.6
-                        kept.keep(mask)
-                        lanes = lanes[mask]
-            continue
         for k in range(300):
             full.step()
             kept.step()
@@ -543,43 +506,22 @@ def test_uniform_orbits_keep_follows_the_full_width_stream():
             assert np.array_equal(kept.state, full.state[lanes]), (spec, k)
 
 
-@pytest.mark.parametrize("spec", ["widths:1/2,1/4,1/4", "widths:49/50,1/50"])
-def test_horner_first_entries_after_keep_follow_full_width(spec):
-    # the first entries of each block after keep() are the full-width
-    # ones of the kept lanes: keep() takes the carried digits.  300
-    # steps are blocks of 127, 128 and 45 steps
-    f = FullBranchMap.from_spec(spec)
-    full = mc._HornerOrbits(f, F(1, 3), 61, np.random.default_rng(3), 300)
-    kept = mc._HornerOrbits(f, F(1, 3), 61, np.random.default_rng(3), 300)
-    lanes, steps = np.arange(61), []
-    while sum(steps) < 300:
-        ref, k = full.first_entries(1 / 200, 300 - sum(steps))
-        got, k_kept = kept.first_entries(1 / 200, 300 - sum(steps))
-        assert k == k_kept and np.array_equal(got, ref[lanes]), steps
-        assert ref.max() <= k and (ref > 0).any() and (ref == 0).any()
-        steps.append(k)
-        mask = np.random.default_rng(k).random(len(lanes)) < 0.6
-        kept.keep(mask)
-        lanes = lanes[mask]
-    assert steps == [mc.STEP_BLOCK - 1, mc.STEP_BLOCK, 300 - 2 * mc.STEP_BLOCK + 1]
-
-
 # Survivor counts: estimate_evl_grid at n = 1, 7, 129, 300 and
 # estimate_hts survivors at tau = 1/2, 1, 2, 3 (t = 25 .. 150, past
-# STEP_BLOCK and past several digit words), then the censored count;
-# centre 1/3, eps 1/100, seed 5.  The doubling row dates from the parent
-# of the one-kernel-per-estimator change, the tripling and uniform:5 rows
-# from the change to one 2^64 window for every uniform:d, the widths rows
-# from the change that starts the last Horner block from a uniform row.
-# A shifted random stream in any kernel family changes them.
+# several digit words), then the censored count; centre 1/3, eps 1/100,
+# seed 5.  The doubling row dates from the parent of the
+# one-kernel-per-estimator change, the tripling and uniform:5 rows from
+# the change to one 2^64 window for every uniform:d, the widths rows
+# from the change to the time-reversed Horner stepper.  A shifted random
+# stream in any kernel family changes them.
 PINNED = {
     "doubling": ([16985, 20348, 22936, 23093], [22209, 14672, 6379, 2801], 2801),
     "tripling": ([16985, 19018, 20413, 20383], [19874, 11605, 3894, 1348], 1348),
     "uniform:5": ([16985, 19065, 20725, 20957], [20231, 12128, 4328, 1596], 1596),
-    "widths:1/2,1/4,1/4": ([16817, 18451, 20318, 20444],
-                           [19759, 11400, 3784, 1241], 1241),
-    "widths:49/50,1/50": ([16903, 29818, 17813, 21320],
-                          [27438, 21693, 11966, 6683], 6683),
+    "widths:1/2,1/4,1/4": ([16985, 18341, 20333, 20418],
+                           [19658, 11446, 3936, 1356], 1356),
+    "widths:49/50,1/50": ([16985, 29957, 17513, 19245],
+                          [27551, 21634, 11856, 5955], 5955),
 }
 
 
@@ -673,11 +615,10 @@ def test_evl_estimate_past_one_random_word(map_, zeta, n):
     assert abs(est.estimate - exact) <= 3 * est.half_width
 
 
-# The skewed map's orbits below fit one Horner block, folded from a
-# uniform row.  Folding it from y = 1/2 at HORNER_DEPTH digits past the
-# horizon, an error the wide branch contracts by only (49/50)^48 ~ 0.38,
-# read 0.8464 (EVL) and 0.9374 and 0.9364 (t = 4 and 6) against 0.6858,
-# 0.8513 and 0.8354.
+# The skewed map's orbits start from a uniform point.  Starting them
+# from y = 1/2 at 48 digits past the horizon, an error the wide branch
+# contracts by only (49/50)^48 ~ 0.38, read 0.8464 (EVL) and 0.9374 and
+# 0.9364 (t = 4 and 6) against 0.6858, 0.8513 and 0.8354.
 
 
 def test_evl_estimate_on_the_skewed_map():
@@ -694,6 +635,27 @@ def test_hts_estimate_on_the_skewed_map():
     for tau, est, hw in zip(ecdf.grid, ecdf.estimates, ecdf.half_widths):
         exact = float(exact_hts_prob(SKEWED, B, int(F(tau) / B.measure())))
         assert abs(est - exact) <= 3 * hw
+
+
+# Long orbits on widths:1/2,1/4,1/4 against its Markov-partition oracle,
+# past the 128 points at which orbits were once rebuilt in blocks; six
+# and four full chunks
+
+
+def test_evl_estimate_at_n_1000_matches_the_markov_oracle():
+    obs = Observable(center=F(1, 3))
+    est = mc.estimate_evl(WIDTHS, obs, 1000, 1, trials=6 * mc.CHUNK, seed=1)
+    exact = float(exact_evl_prob(WIDTHS, threshold_for(obs, 1000, 1).exceedance,
+                                 1000))
+    assert abs(est.estimate - exact) <= 3 * est.half_width
+
+
+def test_hts_estimate_at_t_300_matches_the_markov_oracle():
+    B = ball(F(1, 3), F(1, 256))  # P(B) = 1/128: t = 300
+    ecdf = mc.estimate_hts(WIDTHS, F(1, 3), F(1, 256), [300 * B.measure()],
+                           trials=4 * mc.CHUNK, seed=1)
+    exact = float(exact_hts_prob(WIDTHS, B, 300))
+    assert abs(ecdf.estimates[0] - exact) <= 3 * ecdf.half_widths[0]
 
 
 # widths with denominators at most 8, each at most 1/2, 2 to 4 of them
@@ -755,7 +717,7 @@ def test_hts_estimate_matches_exact_on_random_affine_maps(f, zeta, eps):
     _check_hts_against_exact(f, zeta, eps)
 
 
-# widths 49/50, 1/50: the orbits drawn here fit one Horner block
+# widths 49/50, 1/50, each branch increasing or decreasing
 SKEWED_MAPS = affine_maps(st.just((F(49, 50), F(1, 50))))
 
 
@@ -801,25 +763,23 @@ def _peak_mib(fn, *args):
             tracemalloc.stop()
 
 
-# a Horner chunk's digit buffer, and 4 MiB for its lane-sized rows
-HORNER_CHUNK_MIB = (mc.STEP_BLOCK + mc.HORNER_DEPTH) * mc.CHUNK / 2 ** 20 + 4
-
-
-def test_horner_evl_chunk_holds_no_position_block():
-    # checkpoints across two block edges at a full chunk: one digit
-    # buffer and lane-sized rows, about 8.3 MiB; with a float position
-    # block beside them it read 40.0 MiB
+def test_horner_evl_chunk_holds_lane_sized_rows_only():
+    # a full chunk to n = 300: the point, the uniforms, the digits and
+    # the running minimum are lane-sized rows, about 2.5 MiB in all.
+    # Rebuilding orbits in 128-point blocks took a 176-row digit buffer
+    # beside them (8.7 MiB), and a float position block 40.0 MiB
     cps = ((100, F(1, 1000)), (300, F(1, 2000)))
     _, peak = _peak_mib(mc._evl_chunk, WIDTHS, F(1, 3), cps, 0, mc.CHUNK, 1)
-    assert peak <= HORNER_CHUNK_MIB
+    assert peak <= 4
 
 
 def test_horner_entry_chunk_memory_with_retired_lanes():
-    # every lane enters, so keep() runs several times mid-block: about
-    # 7.7 MiB; with a float position block it read 49.0 MiB
+    # every lane enters, so keep() runs several times: about 1.6 MiB;
+    # with the block digit buffer it read 7.3 MiB, with a float position
+    # block 49.0 MiB
     hist, peak = _peak_mib(mc._entry_chunk, WIDTHS, F(1, 3), F(1, 20), 300,
                            0, mc.CHUNK, 1)
-    assert hist[0] == 0 and peak <= HORNER_CHUNK_MIB
+    assert hist[0] == 0 and peak <= 4
 
 
 def test_uniform_window_start_is_drawn_row_by_row():
