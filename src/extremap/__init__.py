@@ -23,7 +23,6 @@ from .maps import (
     bv_norm_indicator,
     periodic_points,
     pressure_sequence,
-    ulam_matrix,
     weighted_periodic_sum,
 )
 from .events import (
@@ -34,6 +33,7 @@ from .events import (
     exact_evl_prob,
     exact_hts_prob,
     first_return_time,
+    spectral_escape_rate,
     survivor_set,
     theta_limit,
     theta_n,
@@ -69,7 +69,6 @@ from .montecarlo import (
     estimate_evl,
     estimate_evl_grid,
     estimate_hts,
-    ulam_escape_oracle,
     wilson_halfwidth,
 )
 

@@ -1,8 +1,8 @@
 """numpy, loaded on first use.
 
-Only the Monte Carlo estimators and the Ulam oracle run numpy, so
-``maps`` and ``montecarlo`` hold it as a lazily loaded module: the exact
-commands (``bounds``, ``check``, ``ei``, ``pressure``) never load it.
+Only the Monte Carlo estimators run numpy, so ``montecarlo`` holds it
+as a lazily loaded module: the exact commands (``bounds``, ``check``,
+``ei``, ``pressure``) never load it.
 """
 
 from __future__ import annotations

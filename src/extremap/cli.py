@@ -27,6 +27,7 @@ from .events import (
     Observable,
     annulus_set,
     dprime_sum,
+    spectral_escape_rate,
     survivor_set,
     theta_limit,
     theta_limit_exact,
@@ -78,13 +79,6 @@ def parse_point(s) -> Fraction:
         return Fraction(s)
     except ValueError:
         return Fraction(float(s))
-
-
-def _parse_switch(s) -> bool:
-    """A config-file switch: exactly "true" or "false"."""
-    if s in ("true", "false"):
-        return s == "true"
-    raise argparse.ArgumentTypeError(f"{s!r} is not true or false")
 
 
 def parse_grid(s, item=parse_point):
@@ -198,9 +192,8 @@ def _add_common(p, stochastic=False, budget=False, decay=False):
 
 _CONFIG_CONVERTERS = {
     "trials": parse_positive, "workers": parse_positive, "seed": parse_count,
-    "bins": int, "q": int, "prop_configs": int, "n_max": int, "budget": parse_count,
+    "q": int, "prop_configs": int, "n_max": int, "budget": parse_count,
     "theta": float, "decay_c0": float, "decay_lam": float,
-    "dump_ulam": _parse_switch,
 }
 
 
@@ -351,7 +344,7 @@ def cmd_hts(args) -> int:
 
 
 def cmd_escape(args) -> int:
-    _defaults(args, map="doubling", workers=1, trials=100000, dump_ulam=False)
+    _defaults(args, map="doubling", workers=1, trials=100000)
     map_ = FullBranchMap.from_spec(args.map)
     _require(args, "zeta", "eps")
     _require_seed(args)
@@ -364,33 +357,28 @@ def cmd_escape(args) -> int:
         PB = hole.measure()
         fit = mc.estimate_escape_rate(map_, zeta, eps, args.trials, args.seed,
                                       args.workers)
-        bins = args.bins or mc.aligned_bins(map_, hole)
-        spectral = mc.ulam_escape_oracle(map_, hole, bins)
         inputs = hts_bracket_inputs(map_, hole, q, decay)
         window = escape_window(inputs, theta, float(PB), decay)
         rows.append({
             "scale": float(eps), "PB": float(PB), "rate": fit.slope,
             "rate_over_PB": fit.slope / float(PB),
-            "spectral": spectral, "window_lower": window.lower,
+            "window_lower": window.lower,
             "window_nominal": window.nominal,
             "degenerate_window": window.degenerate,
             "fit_lo": fit.window[0], "fit_hi": fit.window[1],
             "residual": fit.residual_norm, "censored": fit.censored,
             "k": inputs.k, "t": inputs.t, "seed": args.seed,
         })
+        if map_.is_integer:  # the oracle needs a Markov partition
+            rows[-1]["spectral"] = spectral_escape_rate(map_, hole)
     config = dict(_common_config(args, map_, decay), zeta=str(zeta),
                   eps=[str(e) for e in parse_grid(args.eps)],
-                  q=q, theta=theta, bins=args.bins)
+                  q=q, theta=theta)
     write_outputs(_out_dir(args), "escape",
                   ("scale", "PB", "rate", "rate_over_PB", "spectral",
                    "window_lower", "window_nominal", "degenerate_window",
                    "fit_lo", "fit_hi", "residual", "censored", "k", "t",
                    "seed"), rows, config)
-    if args.dump_ulam:
-        from .maps import save_matrix_csv, ulam_matrix
-        bins = args.bins or mc.aligned_bins(
-            map_, ball(zeta, parse_grid(args.eps)[0]))
-        save_matrix_csv(ulam_matrix(map_, bins), _out_dir(args) / "ulam.csv")
     return 0
 
 
@@ -593,10 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, stochastic=True, decay=True)
     p.add_argument("--zeta", default=None)
     p.add_argument("--eps", default=None)
-    p.add_argument("--bins", type=int, default=None,
-                   help="Ulam bins (default: smallest aligned count)")
-    p.add_argument("--dump-ulam", action="store_true", default=None,
-                   help="also write the Ulam matrix as ulam.csv")
     p.set_defaults(func=cmd_escape)
 
     p = sub.add_parser("ei", help="extremal index, exact")

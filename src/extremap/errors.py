@@ -20,10 +20,9 @@ class CapExceededError(ExtremapError):
 
 
 class ComponentBudgetError(ExtremapError):
-    """An exact preimage would exceed its map's component budget.
-
-    Raised only by ``FullBranchMap.preimage``; the caller should fall
-    back to Monte Carlo.
+    """An exact preimage, or the Markov partition of
+    ``events.spectral_escape_rate``, would exceed its map's component
+    budget; the caller should fall back to Monte Carlo.
     """
 
 

@@ -11,14 +11,11 @@ and intercepts also cuts [0, 1) into the finite Markov partition of any
 rational set (``markov_partition``).  Pointwise evaluation uses the
 half-open domains [lo, hi), so a point on an inner branch boundary
 belongs to the branch on its right.  Random orbits are sampled by
-``montecarlo`` from their branch digit streams.  Only the Ulam
-functions use numpy; it is loaded on first use (``_lazy``), so the
-exact routines never load it.
+``montecarlo`` from their branch digit streams.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from bisect import bisect_right
@@ -26,11 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from ._lazy import lazy_numpy
-from .errors import CapExceededError, ComponentBudgetError, ConvergenceError
+from .errors import CapExceededError, ComponentBudgetError
 from .intervals import IntervalUnion, as_exact
-
-np = lazy_numpy()  # loads at the first Ulam matrix
 
 PERIOD_CAP = 20  # longest period the periodic-orbit routines accept
 COMPONENT_BUDGET = 10 ** 6  # most components an exact preimage may have
@@ -481,65 +475,3 @@ def bv_norm_indicator(S: IntervalUnion) -> int:
     if comps[0][0] == 0 and comps[-1][1] == 1:
         c -= 1
     return 2 * c
-
-
-# ---------------------------------------------------------------------------
-# Ulam discretization
-# ---------------------------------------------------------------------------
-
-
-def ulam_matrix(map_: FullBranchMap, bins: int) -> np.ndarray:
-    """Row-stochastic Ulam matrix on the uniform partition into ``bins`` cells.
-
-    Entry (i, j) is m(bin_i intersect f^(-1)(bin_j)) / m(bin_i).  Over
-    1/(M*bins), with ``_pullback_data``, branch b pulls bin j back to the
-    integers between R_b*j + T_b*bins and R_b*(j+1) + T_b*bins, and bin i
-    is [i*M, (i+1)*M), so each branch's overlap of c units adds c/M,
-    rounded once (int/int division rounds correctly).
-    """
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    N = bins
-    rows = [[0.0] * N for _ in range(N)]
-    M, coeffs = map_._pullback
-    for R, T in coeffs:
-        for j in range(N):
-            a, b = R * j + T * N, R * (j + 1) + T * N
-            if a > b:
-                a, b = b, a
-            for i in range(a // M, -(-b // M)):
-                rows[i][j] += (min(b, (i + 1) * M) - max(a, i * M)) / M
-    return np.array(rows)
-
-
-def save_matrix_csv(matrix: np.ndarray, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in matrix:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def open_system_decay_rate(matrix: np.ndarray, keep: np.ndarray) -> float:
-    """-log(spectral radius) of the matrix restricted to ``keep`` indices.
-
-    Power iteration on the left eigenvector (distributions evolve by
-    left multiplication for a row-stochastic matrix), stopped once three
-    successive iterations move the eigenvalue estimate by at most 1e-12
-    relative; 100000 iterations without that raise ConvergenceError.
-    """
-    if keep.size == 0:
-        return math.inf
-    Q = matrix[np.ix_(keep, keep)]
-    v = np.full(len(keep), 1.0 / len(keep))
-    lam, stable = -1.0, 0
-    for _ in range(100000):
-        w = v @ Q
-        new = w.sum()
-        if new <= 0:
-            return math.inf
-        w /= new
-        stable = stable + 1 if abs(new - lam) <= 1e-12 * max(new, 1e-300) else 0
-        if stable >= 3:
-            return -math.log(new)
-        lam, v = new, w
-    raise ConvergenceError("power iteration did not converge; degenerate hole?")

@@ -93,9 +93,9 @@ the calling thread, never on the pool's result thread.
 An event enters the estimators as the center of its observable and the
 exact radius of its threshold ball.  The numerical settings are module
 constants: the chunk size, the first-entry kernel's switch to blocks,
-the 95% Wilson quantile, the escape fit's transient level and survivor
-floor, and the Ulam oracle's minimum bin count.  The estimators only
-estimate: the ``cli`` commands set them against the error brackets of
+the 95% Wilson quantile, and the escape fit's transient level and
+survivor floor.  The estimators only estimate: the ``cli`` commands set
+them against the exact oracles of ``events`` and the error brackets of
 ``brackets``.
 """
 
@@ -111,8 +111,8 @@ from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from ._lazy import lazy_numpy
 from .errors import InfeasibleError
-from .intervals import IntervalUnion, as_exact, ball
-from .maps import FullBranchMap, open_system_decay_rate, ulam_matrix
+from .intervals import as_exact, ball
+from .maps import FullBranchMap
 from .events import Observable, threshold_for
 
 np = lazy_numpy()  # loads at the first chunk, or before the pool forks
@@ -129,7 +129,6 @@ MAX_UNIFORM_D = 256
 Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
 MIN_SURVIVORS = 100  # the escape fit ends at the last t with this many left
 ESCAPE_TRANSIENT = 1e-4  # the escape fit starts once 4*w_max^t is this small
-MIN_BINS = 64  # coarsest Ulam partition the escape oracle accepts
 
 
 def wilson_halfwidth(successes: int, trials: int) -> float:
@@ -797,50 +796,3 @@ def estimate_escape_rate(map_: FullBranchMap, zeta, eps, trials: int,
     return EscapeFit(slope=slope, intercept=intercept,
                      window=(t_start, t_end), residual_norm=residual,
                      trials=trials, seed=seed, censored=int(hist[0]))
-
-
-# ---------------------------------------------------------------------------
-# spectral escape-rate oracle
-# ---------------------------------------------------------------------------
-
-
-def aligned_bins(map_: FullBranchMap, hole: IntervalUnion) -> int:
-    """Smallest bin count of at least MIN_BINS aligning the hole and
-    branch endpoints."""
-    den = 1
-    for lo, hi in hole.components:
-        den = math.lcm(den, lo.denominator, hi.denominator)
-    for br in map_.branches:
-        den = math.lcm(den, br.lo.denominator, br.hi.denominator)
-    bins = den
-    while bins < MIN_BINS:
-        bins += den
-    return bins
-
-
-def ulam_escape_oracle(map_: FullBranchMap, hole: IntervalUnion,
-                       bins: int) -> float:
-    """Escape rate as -log(spectral radius) of the holed Ulam matrix.
-
-    The hole must be aligned to bin boundaries.  The rate is exact only
-    where each bin maps onto whole bins, as on uniform maps; elsewhere it
-    moves with the bin count.  Power iteration runs to 1e-12 relative
-    tolerance.  An empty hole gives 0, a full hole +inf.
-    """
-    if hole.is_empty:
-        return 0.0
-    if hole.measure() >= 1:
-        return math.inf
-    if bins < MIN_BINS:
-        raise ValueError(f"bins must be >= {MIN_BINS}")
-    for lo, hi in hole.components:
-        for endpoint in (lo, hi):
-            if (endpoint * bins).denominator != 1:
-                raise ValueError(
-                    f"hole endpoint {endpoint} not aligned to 1/{bins} grid")
-    M = ulam_matrix(map_, bins)
-    in_hole = np.zeros(bins, dtype=bool)
-    for lo, hi in hole.components:
-        in_hole[int(lo * bins):int(hi * bins)] = True
-    keep = np.nonzero(~in_hole)[0]
-    return open_system_decay_rate(M, keep)

@@ -31,6 +31,7 @@ from extremap.events import (
     dprime_sum,
     exact_evl_prob,
     exact_hts_prob,
+    spectral_escape_rate,
     survivor_set,
     theta_n,
     threshold_for,
@@ -135,8 +136,7 @@ def test_ac5_escape_rates():
     ratio_at_001 = None
     for eps in (F(1, 25), F(1, 50), F(1, 100)):
         hole = ball(F(0), eps)
-        spectral = mc.ulam_escape_oracle(DOUBLING, hole,
-                                         mc.aligned_bins(DOUBLING, hole))
+        spectral = spectral_escape_rate(DOUBLING, hole)
         fit = mc.estimate_escape_rate(DOUBLING, F(0), eps, trials=1000000,
                                       seed=SEED)
         rel = abs(fit.slope - spectral) / spectral

@@ -67,6 +67,7 @@ REMOVED_FLAGS = [
     ("hts", ("--decay-lam", "0.5")),
     ("evl", ("--profile", "power")), ("evl", ("--beta", "2")),
     ("evl", ("--cap", "1")),
+    ("escape", ("--bins", "64")), ("escape", ("--dump-ulam",)),
 ]
 
 
@@ -181,7 +182,18 @@ def test_evl_q_and_theta_skip_period_detection(tmp_path, capsys):
     cfg = json.loads((tmp_path / "evl.json").read_text())["config"]
     assert cfg["q"] == 0 and cfg["theta"] == 1.0
     assert main(args) == 2
-    assert "period of 1/1000003 exceeds cap 64" in capsys.readouterr().err
+    assert "period of 1/1000003 exceeds cap 1000000" in capsys.readouterr().err
+
+
+def test_period_past_64_is_detected(tmp_path):
+    # 2 has order 130 mod 131
+    assert main(["ei", "--zeta", "1/131", "--eps", "1/1000", "--q", "0",
+                 "--out", str(tmp_path)]) == 0
+    row = json.loads((tmp_path / "ei.json").read_text())["rows"][0]
+    assert row["q_limit"] == 130
+    assert main(["hts", "--zeta", "1/131", "--eps", "1/1000", "--tau", "1",
+                 "--trials", "1e4", "--seed", "1", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "hts.json").read_text())["config"]["q"] == 130
 
 
 def test_hts_command_tau_zero_row(tmp_path):
@@ -203,6 +215,16 @@ def test_escape_command(tmp_path):
         / float(row["spectral"]) < 0.15
     assert float(row["window_lower"]) <= float(row["spectral"])
     assert row["degenerate_window"] in ("True", "False")
+
+
+def test_escape_leaves_spectral_blank_without_a_markov_partition(tmp_path):
+    rc = main(["escape", "--map", "widths:2/5,3/5", "--zeta", "0",
+               "--eps", "1/60", "--seed", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "escape.csv")
+    assert rows[0]["spectral"] == "" and float(rows[0]["rate"]) > 0
+    row = json.loads((tmp_path / "escape.json").read_text())["rows"][0]
+    assert "spectral" not in row
 
 
 def test_pressure_command(tmp_path):
@@ -459,33 +481,14 @@ def test_env_var_out_dir(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "ei.csv").exists()
 
 
-def test_escape_dump_ulam(tmp_path):
-    rc = main(["escape", "--zeta", "0", "--eps", "1/25", "--trials", "1e5",
-               "--seed", "7", "--dump-ulam", "--out", str(tmp_path)])
-    assert rc == 0
-    rows = (tmp_path / "ulam.csv").read_text().splitlines()
-    assert len(rows) == 100
-    assert sum(float(v) for v in rows[0].split(",")) == pytest.approx(1.0)
-
-
-@pytest.mark.parametrize("line, written", [
-    ("dump_ulam = true", True), ("dump_ulam = false", False)])
-def test_escape_reads_dump_ulam_from_config_file(tmp_path, line, written):
+@pytest.mark.parametrize("line", ["dump_ulam = true", "bins = 64"])
+def test_escape_rejects_the_removed_ulam_config_keys(tmp_path, capsys, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{line}\n")
     rc = main(["escape", "--config", str(cfg), "--zeta", "0", "--eps", "1/25",
                "--trials", "1e5", "--seed", "7", "--out", str(tmp_path)])
-    assert rc == 0
-    assert (tmp_path / "ulam.csv").exists() == written
-
-
-def test_escape_dump_ulam_config_value_must_be_true_or_false(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("dump_ulam = yes\n")
-    rc = main(["escape", "--config", str(cfg), "--zeta", "0", "--eps", "1/25",
-               "--trials", "1e5", "--seed", "7", "--out", str(tmp_path)])
     assert rc == 2
-    assert "'dump_ulam'" in capsys.readouterr().err
+    assert f"'{line.split()[0]}'" in capsys.readouterr().err
     assert not (tmp_path / "escape.json").exists()
 
 

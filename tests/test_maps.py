@@ -2,7 +2,6 @@ import math
 import random
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,17 +15,12 @@ from extremap.maps import (
     bv_norm_indicator,
     periodic_points,
     pressure_sequence,
-    ulam_matrix,
     weighted_periodic_sum,
 )
 
 DOUBLING = FullBranchMap.doubling()
 TRIPLING = FullBranchMap.tripling()
 WIDTHS = FullBranchMap.from_widths([F(1, 2), F(1, 4), F(1, 4)])
-# a decreasing last branch, which Ulam inverts with each bin's ends swapped
-TENT = FullBranchMap.from_spec([
-    {"lo": 0, "hi": "1/2", "slope": 2, "intercept": 0},
-    {"lo": "1/2", "hi": 1, "slope": -2, "intercept": 2}])
 
 
 def random_union(rnd, max_components=3):
@@ -237,54 +231,6 @@ def test_pressure_sequences():
         assert v == pytest.approx(math.log(2), abs=1e-12)
     for v in pressure_sequence(WIDTHS, Potential.zero(), 5):
         assert v == pytest.approx(math.log(3), abs=1e-12)
-
-
-def test_ulam_doubling_two_bins():
-    M = ulam_matrix(DOUBLING, 2)
-    assert np.allclose(M, 0.5)
-    assert ulam_matrix(DOUBLING, 1).tolist() == [[1.0]]
-
-
-def _ulam_by_fractions(map_, N):
-    """The Ulam matrix with every overlap a Fraction, rounded once."""
-    M = np.zeros((N, N))
-    for br in map_.branches:
-        for j in range(N):
-            a, b = br.inverse(F(j, N)), br.inverse(F(j + 1, N))
-            if a > b:
-                a, b = b, a
-            a, b = max(a, br.lo), min(b, br.hi)
-            for i in range(int(a * N), min(math.ceil(b * N), N)):
-                lo, hi = max(a, F(i, N)), min(b, F(i + 1, N))
-                if lo < hi:
-                    M[i, j] += float((hi - lo) * N)
-    return M
-
-
-# a decreasing first branch: both branches pull bin 0 back into the bin
-# that holds 2/5, and over 1/5 their overlaps there round inexactly
-DECREASING = FullBranchMap.from_spec([
-    {"lo": 0, "hi": "2/5", "slope": "-5/2", "intercept": 1},
-    {"lo": "2/5", "hi": 1, "slope": "5/3", "intercept": "-2/3"}])
-
-
-@pytest.mark.parametrize("m", [DOUBLING, TRIPLING, WIDTHS, TENT, DECREASING,
-                               FullBranchMap.from_spec("widths:49/50,1/50")],
-                         ids=["doubling", "tripling", "widths", "tent",
-                              "decreasing", "skewed"])
-@pytest.mark.parametrize("bins", [1, 2, 7, 60, 64, 126, 195])
-def test_ulam_matrix_is_the_fraction_build_bit_for_bit(m, bins):
-    # some bin counts put a branch end on a bin edge, some inside a bin
-    assert ulam_matrix(m, bins).tobytes() == _ulam_by_fractions(m, bins).tobytes()
-
-
-@pytest.mark.parametrize("m,bins", [(DOUBLING, 64), (TRIPLING, 63), (WIDTHS, 60),
-                                    (TENT, 64)])
-def test_ulam_rows_and_invariant_vector(m, bins):
-    M = ulam_matrix(m, bins)
-    assert np.allclose(M.sum(axis=1), 1.0, atol=1e-12)
-    u = np.full(bins, 1.0 / bins)
-    assert np.allclose(u @ M, u, atol=1e-8)
 
 
 def test_bv_norm_indicator():

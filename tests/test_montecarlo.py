@@ -11,12 +11,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from extremap.errors import InfeasibleError
-from extremap.intervals import IntervalUnion, ball
-from extremap.maps import AffineBranch, FullBranchMap, ulam_matrix
+from extremap.intervals import ball
+from extremap.maps import AffineBranch, FullBranchMap
 from extremap.events import (
     Observable,
     exact_evl_prob,
     exact_hts_prob,
+    spectral_escape_rate,
     threshold_for,
 )
 from extremap import montecarlo as mc
@@ -925,27 +926,15 @@ def test_hts_estimates_and_edges():
         mc.estimate_hts(DOUBLING, F(1, 3), F(3, 10), [1], trials=100, seed=1)
 
 
-def test_hts_matches_open_ulam_system():
-    # the holed Ulam system is exact for bin-aligned holes of the doubling map
+def test_hts_matches_the_open_system():
     eps = F(1, 200)
     hole = ball(F(1, 3), eps)
-    bins = mc.aligned_bins(DOUBLING, hole)
-    P = ulam_matrix(DOUBLING, bins)
-    mask = np.zeros(bins, dtype=bool)
-    for lo, hi in hole.components:
-        mask[int(lo * bins):int(hi * bins)] = True
-    v = np.full(bins, 1.0 / bins)
-    surv = {}
-    for t in range(1, 41):
-        v = v @ P
-        v[mask] = 0.0
-        surv[t] = v.sum()
     PB = hole.measure()
     taus = [F(1, 10), F(1, 5), F(2, 5)]
     ecdf = mc.estimate_hts(DOUBLING, F(1, 3), eps, taus, trials=60000, seed=8)
     for tau, est, hw in zip(ecdf.grid, ecdf.estimates, ecdf.half_widths):
         t_int = int(F(tau) / PB)
-        assert abs(est - surv[t_int]) <= 3 * hw
+        assert abs(est - float(exact_hts_prob(DOUBLING, hole, t_int))) <= 3 * hw
 
 
 def test_escape_rate_trivial_and_small():
@@ -958,8 +947,7 @@ def test_escape_rate_trivial_and_small():
 
 def test_escape_rate_against_oracle():
     eps = F(1, 25)
-    hole = ball(F(0), eps)
-    rate = mc.ulam_escape_oracle(DOUBLING, hole, mc.aligned_bins(DOUBLING, hole))
+    rate = spectral_escape_rate(DOUBLING, ball(F(0), eps))
     fit = mc.estimate_escape_rate(DOUBLING, F(0), eps, trials=300000, seed=7)
     assert abs(fit.slope - rate) / rate < 0.08
     # the first t with 4 * (1/2)^t <= 1e-4
@@ -974,8 +962,7 @@ def test_escape_window_starts_at_the_map_transient():
 def test_escape_rate_on_a_preperiodic_centre():
     # 3/8 is preperiodic under doubling, so theta = 1; a fit window from
     # 5/(theta*P(B)) = 160 read 0.02871 here against the spectral 0.03689
-    hole = ball(F(3, 8), F(1, 64))
-    rate = mc.ulam_escape_oracle(DOUBLING, hole, mc.aligned_bins(DOUBLING, hole))
+    rate = spectral_escape_rate(DOUBLING, ball(F(3, 8), F(1, 64)))
     fit = mc.estimate_escape_rate(DOUBLING, F(3, 8), F(1, 64), trials=200000,
                                   seed=2059379695)
     assert abs(fit.slope - rate) <= 0.006
@@ -984,35 +971,13 @@ def test_escape_rate_on_a_preperiodic_centre():
 @pytest.mark.parametrize("zeta, eps, seed", [
     (F(3, 8), F(1, 64), 2059379695), (F(3, 8), F(1, 64), 2),
     (F(1, 3), F(1, 64), 1), (F(0), F(1, 100), 4), (F(1, 5), F(1, 40), 5)])
-def test_escape_rate_hazard_estimate_within_1e3_of_ulam(zeta, eps, seed):
+def test_escape_rate_hazard_estimate_within_1e3_of_the_spectral_rate(
+        zeta, eps, seed):
     # a least-squares fit from 5/(theta*P(B)) misses each of these by
     # 1.4e-3 to 8.2e-3
-    hole = ball(zeta, eps)
-    rate = mc.ulam_escape_oracle(DOUBLING, hole, mc.aligned_bins(DOUBLING, hole))
+    rate = spectral_escape_rate(DOUBLING, ball(zeta, eps))
     fit = mc.estimate_escape_rate(DOUBLING, zeta, eps, trials=200000, seed=seed)
     assert abs(fit.slope - rate) <= 1e-3
-
-
-def test_ulam_escape_oracle_edges():
-    assert mc.ulam_escape_oracle(DOUBLING, IntervalUnion.empty(), 64) == 0.0
-    assert mc.ulam_escape_oracle(DOUBLING, IntervalUnion.full(), 64) == math.inf
-    with pytest.raises(ValueError):
-        mc.ulam_escape_oracle(DOUBLING, ball(F(1, 3), F(1, 101)), 64)
-    with pytest.raises(ValueError):
-        mc.ulam_escape_oracle(DOUBLING, ball(F(0), F(1, 100)), 32)
-
-
-def test_ulam_escape_oracle_frozen_value():
-    hole = ball(F(0), F(1, 100))
-    bins = mc.aligned_bins(DOUBLING, hole)
-    assert bins == 100
-    rate = mc.ulam_escape_oracle(DOUBLING, hole, bins)
-    assert rate == pytest.approx(0.01066645282166119, rel=1e-9)
-
-
-def test_aligned_bins():
-    assert mc.aligned_bins(DOUBLING, ball(F(0), F(1, 25))) == 100
-    assert mc.aligned_bins(DOUBLING, ball(F(1, 3), F(1, 200))) == 600
 
 
 def test_evl_hts_duality_consistency():
@@ -1036,8 +1001,7 @@ def test_escape_rate_sandwich():
     eps = F(1, 100)
     hole = ball(F(0), eps)
     PB = float(hole.measure())
-    spectral = mc.ulam_escape_oracle(DOUBLING, hole,
-                                     mc.aligned_bins(DOUBLING, hole))
+    spectral = spectral_escape_rate(DOUBLING, hole)
     dm = DecayModel.for_map(DOUBLING)
     window = escape_window(hts_bracket_inputs(DOUBLING, hole, 1, dm),
                            0.5, PB, dm)
