@@ -2,8 +2,11 @@
 
 Every command writes a CSV table and a JSON mirror, both embedding the
 fully resolved configuration, and is deterministic under a fixed seed.
-Exit codes: 0 success, 1 checked-property violation, 2 usage or config
-error, 3 resource budget exceeded.
+Each flag's parser, default and choices are declared once, in its
+``add_argument``; a ``--config`` file's lines are read as flags by the
+same parser, and ``main`` looks the module's ``cmd_<command>`` up at
+call time.  Exit codes: 0 success, 1 checked-property violation, 2 usage
+or config error, 3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -72,8 +75,6 @@ def parse_positive(s) -> int:
 
 def parse_point(s) -> Fraction:
     """Exact point: fraction strings ("1/3") or decimal literals."""
-    if isinstance(s, Fraction):
-        return s
     s = str(s).strip()
     try:
         return Fraction(s)
@@ -82,7 +83,15 @@ def parse_point(s) -> Fraction:
 
 
 def parse_grid(s, item=parse_point):
-    return [item(part) for part in str(s).split(",") if part.strip()]
+    grid = [item(part) for part in str(s).split(",") if part.strip()]
+    if not grid:
+        raise argparse.ArgumentTypeError(f"{s!r} lists no values")
+    return grid
+
+
+def parse_counts(s) -> list:
+    """Comma list of counts, such as 1e3,1e4,1e5."""
+    return parse_grid(s, parse_count)
 
 
 def _fail(msg: str) -> int:
@@ -166,46 +175,43 @@ def write_outputs(out_dir, name: str, columns, rows, config) -> tuple:
 def _add_common(p, stochastic=False, budget=False, decay=False):
     """--map, --config and --out, plus the flag groups the command reads:
     ``stochastic`` adds --workers, --trials and --seed."""
-    p.add_argument("--map", default=None,
+    p.add_argument("--map", default="doubling",
                    help="doubling | tripling | uniform:<d> | widths:w1,w2,... | JSON branches")
     p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--out", default=None,
+    p.add_argument("--out",
                    help="output directory (default $EXTREMAP_OUT or '.')")
     if stochastic:
-        p.add_argument("--workers", type=parse_positive, default=None,
+        p.add_argument("--workers", type=parse_positive, default=1,
                        help="worker processes for the Monte Carlo chunks "
                             "(default 1; at most one per chunk and per CPU)")
-        p.add_argument("--trials", type=parse_positive, default=None,
+        p.add_argument("--trials", type=parse_positive, default=100000,
                        help="trial count (default 1e5)")
-        p.add_argument("--seed", type=parse_count, default=None)
+        p.add_argument("--seed", type=parse_count)
     if budget:
-        p.add_argument("--budget", type=parse_count, default=None,
+        p.add_argument("--budget", type=parse_count, default=COMPONENT_BUDGET,
                        help="most components an exact preimage may have "
                             f"(default {COMPONENT_BUDGET:,}); a command "
                             "whose exact sets need more exits 3")
     if decay:
-        p.add_argument("--decay-c0", type=float, default=None,
+        p.add_argument("--decay-c0", type=float,
                        help="decay prefactor (default 4)")
-        p.add_argument("--decay-lam", type=float, default=None,
+        p.add_argument("--decay-lam", type=float,
                        help="decay base (default: max branch width)")
 
 
-_CONFIG_CONVERTERS = {
-    "trials": parse_positive, "workers": parse_positive, "seed": parse_count,
-    "q": int, "prop_configs": int, "n_max": int, "budget": parse_count,
-    "theta": float, "decay_c0": float, "decay_lam": float,
-}
+def _config_flags(path) -> list:
+    """The ``key = value`` lines of a config file as ``--key=value`` flags;
+    '#' starts a comment, and '_' in a key reads as '-'.
 
-
-def _read_config(path) -> dict:
-    """key=value lines; '#' starts a comment.  Precedence: flags > file > defaults.
-
-    ``main`` rejects a key that names no flag of the command.
+    ``main`` parses them between the parser's defaults and the command
+    line (flags > file > defaults), so a value goes through its flag's
+    own type and choices, a key matches a flag as on the command line (a
+    unique prefix too), and a bad key or value is a usage error, exit 2.
     """
     path = Path(path)
     if not path.exists():
         raise InfeasibleError(f"config file {path} not found")
-    out = {}
+    flags = []
     for line in path.read_text().splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -213,24 +219,14 @@ def _read_config(path) -> dict:
         if "=" not in line:
             raise InfeasibleError(f"bad config line: {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
-        try:
-            out[key] = _CONFIG_CONVERTERS.get(key, str)(value)
-        except argparse.ArgumentTypeError as exc:
-            raise InfeasibleError(f"config key {key!r}: {exc}") from exc
-    return out
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def _require(args, *names):
     for name in names:
         if getattr(args, name, None) is None:
             raise InfeasibleError(f"missing --{name.replace('_', '-')}")
-
-
-def _defaults(args, **values):
-    for name, value in values.items():
-        if getattr(args, name, None) is None:
-            setattr(args, name, value)
 
 
 def _out_dir(args) -> Path:
@@ -241,8 +237,8 @@ def _out_dir(args) -> Path:
 
 def _decay_for(args, map_) -> DecayModel:
     base = DecayModel.for_map(map_)
-    c0 = base.c0 if args.decay_c0 is None else float(args.decay_c0)
-    lam = base.lam if args.decay_lam is None else float(args.decay_lam)
+    c0 = base.c0 if args.decay_c0 is None else args.decay_c0
+    lam = base.lam if args.decay_lam is None else args.decay_lam
     if c0 == 0.0:
         return DecayModel.zero()
     return DecayModel.exponential(c0, lam)
@@ -261,27 +257,18 @@ def _common_config(args, map_, decay=None) -> dict:
     return cfg
 
 
-def _require_seed(args):
-    if args.seed is None:
-        raise InfeasibleError("--seed is required for stochastic commands")
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 
 def cmd_evl(args) -> int:
-    _defaults(args, map="doubling", tau="1", workers=1, trials=100000)
     map_ = FullBranchMap.from_spec(args.map)
-    _require(args, "zeta", "n")
-    _require_seed(args)
-    tau = parse_point(args.tau)
+    _require(args, "zeta", "n", "seed")
+    zeta, tau, n_grid = args.zeta, args.tau, args.n
     if tau <= 0:
         raise InfeasibleError("tau must be positive")
     decay = _decay_for(args, map_)
-    zeta = parse_point(args.zeta)
-    n_grid = [parse_count(n) for n in str(args.n).split(",")]
     q, theta = args.q, args.theta
     if q is None or theta is None:
         q_det, theta_det = theta_limit(map_, zeta)
@@ -315,15 +302,12 @@ def cmd_evl(args) -> int:
 
 
 def cmd_hts(args) -> int:
-    _defaults(args, map="doubling", tau="0.5,1,2", workers=1, trials=100000)
     map_ = FullBranchMap.from_spec(args.map)
-    _require(args, "zeta", "eps")
-    _require_seed(args)
-    zeta = parse_point(args.zeta)
-    taus = parse_grid(args.tau)
+    _require(args, "zeta", "eps", "seed")
+    zeta, taus = args.zeta, args.tau
     q, theta = theta_limit(map_, zeta)
     rows = []
-    for eps in parse_grid(args.eps):
+    for eps in args.eps:
         ecdf = mc.estimate_hts(map_, zeta, eps, taus, args.trials, args.seed,
                                args.workers)
         for tau, est, hw in zip(ecdf.grid, ecdf.estimates, ecdf.half_widths):
@@ -335,7 +319,7 @@ def cmd_hts(args) -> int:
                 "seed": args.seed,
             })
     config = dict(_common_config(args, map_),
-                  zeta=str(zeta), eps=[str(e) for e in parse_grid(args.eps)],
+                  zeta=str(zeta), eps=[str(e) for e in args.eps],
                   tau=[float(t) for t in taus], q=q, theta=theta)
     write_outputs(_out_dir(args), "hts",
                   ("scale", "tau", "estimate", "ci_half", "limit", "deviation",
@@ -344,15 +328,13 @@ def cmd_hts(args) -> int:
 
 
 def cmd_escape(args) -> int:
-    _defaults(args, map="doubling", workers=1, trials=100000)
     map_ = FullBranchMap.from_spec(args.map)
-    _require(args, "zeta", "eps")
-    _require_seed(args)
-    zeta = parse_point(args.zeta)
+    _require(args, "zeta", "eps", "seed")
+    zeta = args.zeta
     q, theta = theta_limit(map_, zeta)
     decay = _decay_for(args, map_)
     rows = []
-    for eps in parse_grid(args.eps):
+    for eps in args.eps:
         hole = ball(zeta, eps)
         PB = hole.measure()
         fit = mc.estimate_escape_rate(map_, zeta, eps, args.trials, args.seed,
@@ -372,8 +354,7 @@ def cmd_escape(args) -> int:
         if map_.is_integer:  # the oracle needs a Markov partition
             rows[-1]["spectral"] = spectral_escape_rate(map_, hole)
     config = dict(_common_config(args, map_, decay), zeta=str(zeta),
-                  eps=[str(e) for e in parse_grid(args.eps)],
-                  q=q, theta=theta)
+                  eps=[str(e) for e in args.eps], q=q, theta=theta)
     write_outputs(_out_dir(args), "escape",
                   ("scale", "PB", "rate", "rate_over_PB", "spectral",
                    "window_lower", "window_nominal", "degenerate_window",
@@ -383,14 +364,13 @@ def cmd_escape(args) -> int:
 
 
 def cmd_ei(args) -> int:
-    _defaults(args, map="doubling")
     map_ = FullBranchMap.from_spec(args.map)
     _require(args, "zeta", "eps")
-    zeta = parse_point(args.zeta)
+    zeta = args.zeta
     q_limit, theta_lim = theta_limit_exact(map_, zeta)
     q = args.q if args.q is not None else q_limit
     rows = []
-    for eps in parse_grid(args.eps):
+    for eps in args.eps:
         U = ball(zeta, eps)
         th = theta_n(map_, U, q)
         rows.append({
@@ -400,7 +380,7 @@ def cmd_ei(args) -> int:
             "theta_limit_exact": exact_str(theta_lim),
         })
     config = dict(_common_config(args, map_), zeta=str(zeta), q=q,
-                  eps=[str(e) for e in parse_grid(args.eps)])
+                  eps=[str(e) for e in args.eps])
     write_outputs(_out_dir(args), "ei",
                   ("scale", "q", "theta_n", "theta_n_exact", "q_limit",
                    "theta_limit", "theta_limit_exact"), rows, config)
@@ -422,22 +402,18 @@ def _budget_rows(scale, k, t, R, budget):
 
 
 def cmd_bounds(args) -> int:
-    _defaults(args, map="doubling", tau="1", bracket="sharp-evl", n="1024",
-              eps="1/100", budget=COMPONENT_BUDGET)
     map_ = FullBranchMap.from_spec(args.map, budget=args.budget)
     _require(args, "zeta")
-    zeta = parse_point(args.zeta)
+    zeta, tau = args.zeta, args.tau
     obs = Observable(center=zeta)
     decay = _decay_for(args, map_)
-    tau = parse_point(args.tau)
     q, theta = theta_limit(map_, zeta)
     if args.q is not None:
         q = args.q
     rows = []
     kind = args.bracket
-    if kind in ("general", "limit", "sharp-evl"):
-        for n_s in str(args.n).split(","):
-            n = parse_count(n_s)
+    if kind != "sharp-hts":
+        for n in args.n:
             U = threshold_for(obs, n, tau).exceedance
             inputs = evl_bracket_inputs(map_, U, q, n, decay)
             k, t, PA = inputs.k, inputs.t, float(inputs.PA)
@@ -453,8 +429,8 @@ def cmd_bounds(args) -> int:
                     inputs.M * decay.gamma(t), dp,
                     theta=None if kind == "general" else theta)
             rows.extend(_budget_rows(n, k, t, inputs.R, budget))
-    elif kind == "sharp-hts":
-        for eps in parse_grid(args.eps):
+    else:
+        for eps in args.eps:
             B = ball(zeta, eps)
             inputs = hts_bracket_inputs(map_, B, q, decay)
             budget = sharp_hts_bracket(float(tau), float(B.measure()),
@@ -463,8 +439,6 @@ def cmd_bounds(args) -> int:
                                        inputs.M, decay)
             rows.extend(_budget_rows(float(eps), inputs.k, inputs.t, inputs.R,
                                      budget))
-    else:
-        raise InfeasibleError(f"unknown bracket kind {kind!r}")
     config = dict(_common_config(args, map_, decay), zeta=str(zeta),
                   tau=str(tau), bracket=kind, q=q, theta=theta)
     write_outputs(_out_dir(args), "bounds",
@@ -474,21 +448,17 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_check(args) -> int:
-    _defaults(args, map="doubling", zeta="1/3", tau="1", prop_configs=10,
-              n="256,512,1024,2048,4096,8192,16384", budget=COMPONENT_BUDGET)
     map_ = FullBranchMap.from_spec(args.map, budget=args.budget)
-    _require_seed(args)
-    zeta = parse_point(args.zeta)
+    _require(args, "seed")
+    zeta, tau = args.zeta, args.tau
     obs = Observable(center=zeta)
     q, _ = theta_limit(map_, zeta)
     if args.q is not None:
         q = args.q
-    tau = parse_point(args.tau)
     rows = []
     violated = False
     previous = None
-    for n_s in str(args.n).split(","):
-        n = parse_count(n_s)
+    for n in args.n:
         k_n = max(1, math.ceil(n ** 0.25))
         A = annulus_set(map_, threshold_for(obs, n, tau).exceedance, q)
         value = dprime_sum(map_, A, n, q, k_n)
@@ -529,14 +499,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_pressure(args) -> int:
-    _defaults(args, map="doubling", potential="geometric", n_max=10)
     map_ = FullBranchMap.from_spec(args.map)
-    if args.potential == "geometric":
-        pot = Potential.geometric()
-    elif args.potential == "zero":
-        pot = Potential.zero()
-    else:
-        raise InfeasibleError(f"unknown potential {args.potential!r}")
+    pot = Potential(args.potential)
     rows = []
     for n in range(1, args.n_max + 1):
         z = float(weighted_periodic_sum(map_, pot, n))
@@ -563,60 +527,55 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evl", help="extreme value law convergence sweep")
     _add_common(p, stochastic=True, decay=True)
-    p.add_argument("--zeta", default=None)
-    p.add_argument("--tau", default=None)
-    p.add_argument("--n", default=None, help="comma list of horizons")
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.set_defaults(func=cmd_evl)
+    p.add_argument("--zeta", type=parse_point)
+    p.add_argument("--tau", type=parse_point, default="1")
+    p.add_argument("--n", type=parse_counts, help="comma list of horizons")
+    p.add_argument("--q", type=int)
+    p.add_argument("--theta", type=float)
 
     p = sub.add_parser("hts", help="hitting-time survival table")
     _add_common(p, stochastic=True)
-    p.add_argument("--zeta", default=None)
-    p.add_argument("--eps", default=None, help="comma list of radii")
-    p.add_argument("--tau", default=None, help="comma list of rescaled times")
-    p.set_defaults(func=cmd_hts)
+    p.add_argument("--zeta", type=parse_point)
+    p.add_argument("--eps", type=parse_grid, help="comma list of radii")
+    p.add_argument("--tau", type=parse_grid, default="0.5,1,2",
+                   help="comma list of rescaled times")
 
     p = sub.add_parser("escape", help="escape rates through a small hole")
     _add_common(p, stochastic=True, decay=True)
-    p.add_argument("--zeta", default=None)
-    p.add_argument("--eps", default=None)
-    p.set_defaults(func=cmd_escape)
+    p.add_argument("--zeta", type=parse_point)
+    p.add_argument("--eps", type=parse_grid)
 
     p = sub.add_parser("ei", help="extremal index, exact")
     _add_common(p)
-    p.add_argument("--zeta", default=None)
-    p.add_argument("--eps", default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.set_defaults(func=cmd_ei)
+    p.add_argument("--zeta", type=parse_point)
+    p.add_argument("--eps", type=parse_grid)
+    p.add_argument("--q", type=int)
 
     p = sub.add_parser("bounds", help="error bracket breakdowns")
     _add_common(p, budget=True, decay=True)
-    p.add_argument("--zeta", default=None)
-    p.add_argument("--tau", default=None)
-    p.add_argument("--bracket", default=None,
+    p.add_argument("--zeta", type=parse_point)
+    p.add_argument("--tau", type=parse_point, default="1")
+    p.add_argument("--bracket", default="sharp-evl",
                    choices=("general", "limit", "sharp-evl", "sharp-hts"))
-    p.add_argument("--n", default=None)
-    p.add_argument("--eps", default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.set_defaults(func=cmd_bounds)
+    p.add_argument("--n", type=parse_counts, default="1024")
+    p.add_argument("--eps", type=parse_grid, default="1/100")
+    p.add_argument("--q", type=int)
 
     p = sub.add_parser("check", help="exact condition checks (exit 1 on violation)")
     _add_common(p, budget=True)
-    p.add_argument("--seed", type=parse_count, default=None)
-    p.add_argument("--zeta", default=None)
-    p.add_argument("--tau", default=None)
-    p.add_argument("--n", default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--prop-configs", type=int, default=None)
-    p.set_defaults(func=cmd_check)
+    p.add_argument("--seed", type=parse_count)
+    p.add_argument("--zeta", type=parse_point, default="1/3")
+    p.add_argument("--tau", type=parse_point, default="1")
+    p.add_argument("--n", type=parse_counts,
+                   default="256,512,1024,2048,4096,8192,16384")
+    p.add_argument("--q", type=int)
+    p.add_argument("--prop-configs", type=int, default=10)
 
     p = sub.add_parser("pressure", help="periodic-orbit sums and pressure")
     _add_common(p)
-    p.add_argument("--potential", default=None,
+    p.add_argument("--potential", default="geometric",
                    choices=("geometric", "zero"))
-    p.add_argument("--n-max", type=int, default=None)
-    p.set_defaults(func=cmd_pressure)
+    p.add_argument("--n-max", type=int, default=10)
 
     return parser
 
@@ -627,14 +586,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            for key, value in _read_config(args.config).items():
-                if key in ("command", "func") or not hasattr(args, key):
-                    raise InfeasibleError(
-                        f"config key {key!r}: {args.command} has no "
-                        f"--{key.replace('_', '-')} flag")
-                if getattr(args, key) is None:
-                    setattr(args, key, value)
-        return args.func(args)
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(
+                argv[:at] + _config_flags(args.config) + argv[at:])
+        return globals()[f"cmd_{args.command}"](args)
     except ComponentBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -12,7 +12,8 @@ import pytest
 
 import extremap
 from extremap.cli import (build_parser, exact_str, main, parse_count,
-                          parse_grid, parse_point, parse_positive)
+                          parse_counts, parse_grid, parse_point,
+                          parse_positive)
 from extremap.events import Observable, annulus_set, dprime_sum, threshold_for
 from extremap.maps import FullBranchMap
 from fractions import Fraction as F
@@ -37,6 +38,10 @@ def test_parsers():
     assert parse_point("1/3") == F(1, 3)
     assert parse_point("0.25") == F(1, 4)
     assert parse_grid("1/3,0.5") == [F(1, 3), F(1, 2)]
+    assert parse_counts("1e3,, 2") == [1000, 2]
+    for bad in ("", ",", " , "):
+        with pytest.raises(Exception):
+            parse_grid(bad)
 
 
 def test_ei_command_exact_values(tmp_path):
@@ -364,18 +369,45 @@ def test_config_file_with_flag_override(tmp_path):
     assert payload["config"]["seed"] == 9
 
 
-@pytest.mark.parametrize("line, named", [
-    ("budgget = 5", "'budgget'"),  # no such flag
-    ("budget = 1.5", "'budget'"),  # not a count
-])
-def test_bad_config_line_is_usage_error(tmp_path, capsys, line, named):
+# arguments each command runs with; a bad config line alone must stop it
+RUNNABLE = {
+    "bounds": ("--zeta", "1/3", "--n", "64"),
+    "pressure": ("--n-max", "3"),
+    "check": ("--seed", "1", "--n", "64", "--prop-configs", "0"),
+    "ei": ("--zeta", "1/3", "--eps", "1/100"),
+    "escape": ("--zeta", "0", "--eps", "1/25", "--trials", "1e5",
+               "--seed", "7"),
+}
+BAD_CONFIG_LINES = [
+    ("bounds", "bracket = foo", "--bracket"),  # not a choice
+    ("pressure", "potential = custom", "--potential"),  # not a choice
+    ("check", "n = 1.5", "--n"),  # not a count
+    ("check", "n = ,", "--n"),  # no counts
+    ("ei", "zeta = x", "--zeta"),  # not a point
+    ("ei", "q = two", "--q"),  # not an int
+    ("check", "budget = 1.5", "--budget"),  # not a count
+    ("check", "budgget = 5", "--budgget"),  # no such flag
+    ("escape", "dump_ulam = true", "--dump-ulam"),  # removed flags
+    ("escape", "bins = 64", "--bins"),
+]
+
+
+@pytest.mark.parametrize("command, line, flag", BAD_CONFIG_LINES,
+                         ids=[line for _, line, _ in BAD_CONFIG_LINES])
+def test_config_values_go_through_their_flags_parser(tmp_path, capsys,
+                                                     command, line, flag):
+    # a config line is read as the flag --key=value, so argparse rejects
+    # a bad one as it rejects a bad flag; the usage lines name every flag,
+    # so the error line must
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"seed = 1\n{line}\n")
-    rc = main(["check", "--config", str(cfg), "--n", "64",
-               "--prop-configs", "0", "--out", str(tmp_path)])
-    assert rc == 2
-    assert named in capsys.readouterr().err
-    assert not (tmp_path / "check.json").exists()
+    cfg.write_text(f"{line}\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), *RUNNABLE[command],
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err.splitlines()[-1]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, line", [
@@ -464,6 +496,26 @@ def test_main_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
     assert build_parser() is build_parser()
 
 
+def test_main_runs_a_command_rebound_after_the_first_call(tmp_path,
+                                                         monkeypatch):
+    # the parser is cached, but main looks cmd_<command> up at call time,
+    # so a wrapper installed after the first call (a tracer's) runs
+    import extremap.cli as cli_mod
+    argv = ["ei", "--zeta", "1/3", "--eps", "1/100", "--q", "2",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    calls = []
+    original = cli_mod.cmd_ei
+
+    def wrapper(args):
+        calls.append(args.command)
+        return original(args)
+
+    monkeypatch.setattr(cli_mod, "cmd_ei", wrapper)
+    assert main(argv) == 0
+    assert calls == ["ei"]
+
+
 def test_check_reads_tau_and_budget_from_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 1\ntau = 2\nbudget = 1e6\n")
@@ -471,7 +523,12 @@ def test_check_reads_tau_and_budget_from_config_file(tmp_path):
                "--prop-configs", "0", "--out", str(tmp_path)])
     assert rc == 0
     payload = json.loads((tmp_path / "check.json").read_text())
-    assert payload["config"]["tau"] == "2"
+    assert payload["config"]["tau"] == "2"  # over the parser's default 1
+    rc = main(["check", "--config", str(cfg), "--n", "64", "--tau", "1/2",
+               "--prop-configs", "0", "--out", str(tmp_path)])
+    assert rc == 0
+    payload = json.loads((tmp_path / "check.json").read_text())
+    assert payload["config"]["tau"] == "1/2"  # the flag over the file
 
 
 def test_env_var_out_dir(tmp_path, monkeypatch):
@@ -479,17 +536,6 @@ def test_env_var_out_dir(tmp_path, monkeypatch):
     rc = main(["ei", "--zeta", "0", "--eps", "1/100"])
     assert rc == 0
     assert (tmp_path / "envout" / "ei.csv").exists()
-
-
-@pytest.mark.parametrize("line", ["dump_ulam = true", "bins = 64"])
-def test_escape_rejects_the_removed_ulam_config_keys(tmp_path, capsys, line):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{line}\n")
-    rc = main(["escape", "--config", str(cfg), "--zeta", "0", "--eps", "1/25",
-               "--trials", "1e5", "--seed", "7", "--out", str(tmp_path)])
-    assert rc == 2
-    assert f"'{line.split()[0]}'" in capsys.readouterr().err
-    assert not (tmp_path / "escape.json").exists()
 
 
 def test_check_budget_bounds_the_proposition_rows(tmp_path):
