@@ -4,8 +4,10 @@ Every command writes a CSV table and a JSON mirror, both embedding the
 fully resolved configuration, and is deterministic under a fixed seed.
 Each flag's parser, default and choices are declared once, in its
 ``add_argument``; a ``--config`` file's lines are read as flags by the
-same parser, and ``main`` looks the module's ``cmd_<command>`` up at
-call time.  Exit codes: 0 success, 1 checked-property violation, 2 usage
+same parser.  A command ``cmd_<command>(args, map_)`` returns a
+``Table`` and writes nothing: ``main`` builds the map, looks the
+command up at call time, adds the common config keys and writes the
+outputs.  Exit codes: 0 success, 1 checked-property violation, 2 usage
 or config error, 3 resource budget exceeded.
 """
 
@@ -21,6 +23,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ComponentBudgetError, ExtremapError, InfeasibleError
 from .intervals import ball
@@ -77,9 +80,12 @@ def parse_point(s) -> Fraction:
     """Exact point: fraction strings ("1/3") or decimal literals."""
     s = str(s).strip()
     try:
-        return Fraction(s)
-    except ValueError:
-        return Fraction(float(s))
+        try:
+            return Fraction(s)
+        except ValueError:
+            return Fraction(float(s))
+    except (ZeroDivisionError, OverflowError):  # "1/0", "inf"
+        raise argparse.ArgumentTypeError(f"{s!r} is not a finite point")
 
 
 def parse_grid(s, item=parse_point):
@@ -92,11 +98,6 @@ def parse_grid(s, item=parse_point):
 def parse_counts(s) -> list:
     """Comma list of counts, such as 1e3,1e4,1e5."""
     return parse_grid(s, parse_count)
-
-
-def _fail(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
 
 
 # ---------------------------------------------------------------------------
@@ -239,22 +240,46 @@ def _decay_for(args, map_) -> DecayModel:
     base = DecayModel.for_map(map_)
     c0 = base.c0 if args.decay_c0 is None else args.decay_c0
     lam = base.lam if args.decay_lam is None else args.decay_lam
-    if c0 == 0.0:
-        return DecayModel.zero()
     return DecayModel.exponential(c0, lam)
 
 
-def _common_config(args, map_, decay=None) -> dict:
+def _decay_config(decay) -> dict:
+    return {"kind": decay.kind, "c0": decay.c0, "lam": decay.lam}
+
+
+def _common_config(args, map_) -> dict:
     cfg = {
         "map": str(args.map),
         "map_name": map_.name,
         "out": str(_out_dir(args)),
     }
-    if decay is not None:
-        cfg["decay"] = {"kind": decay.kind, "c0": decay.c0, "lam": decay.lam}
     if hasattr(args, "trials"):
         cfg.update(workers=args.workers, trials=args.trials, seed=args.seed)
     return cfg
+
+
+def _limit(args, map_, uses_theta=True) -> tuple:
+    """(q, theta) at --zeta: a value given as --q or --theta is kept, and
+    the period is detected only when a value the command uses is missing.
+    A detection fills both missing values; theta stays None when the
+    command does not use it and no detection ran."""
+    q, theta = getattr(args, "q", None), getattr(args, "theta", None)
+    if q is None or (uses_theta and theta is None):
+        q_det, theta_det = theta_limit(map_, args.zeta)
+        q = q_det if q is None else q
+        theta = theta_det if theta is None else theta
+    return q, theta
+
+
+class Table(NamedTuple):
+    """A command's result, for ``main`` to write: the CSV columns, the
+    rows, the config keys the command adds to the common ones, and the
+    exit code."""
+
+    columns: tuple
+    rows: list
+    config: dict
+    code: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -262,18 +287,13 @@ def _common_config(args, map_, decay=None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_evl(args) -> int:
-    map_ = FullBranchMap.from_spec(args.map)
+def cmd_evl(args, map_) -> Table:
     _require(args, "zeta", "n", "seed")
     zeta, tau, n_grid = args.zeta, args.tau, args.n
     if tau <= 0:
         raise InfeasibleError("tau must be positive")
     decay = _decay_for(args, map_)
-    q, theta = args.q, args.theta
-    if q is None or theta is None:
-        q_det, theta_det = theta_limit(map_, zeta)
-        q = q_det if q is None else q
-        theta = theta_det if theta is None else theta
+    q, theta = _limit(args, map_)
     obs = Observable(center=zeta)
     limit = math.exp(-theta * float(tau))
     rows = []
@@ -291,21 +311,18 @@ def cmd_evl(args) -> int:
             "seed": args.seed, "k": inputs.k, "t": inputs.t, "R": inputs.R,
             "q": q, "theta": theta, "PA": float(inputs.PA),
         })
-    config = _common_config(args, map_, decay)
-    config["decay"]["table"] = list(decay.table)
-    config.update(zeta=str(zeta), tau=str(tau), n_grid=n_grid,
-                  q=args.q, theta=args.theta, chunk=mc.CHUNK)
-    write_outputs(_out_dir(args), "evl",
-                  ("scale", "estimate", "ci_half", "limit", "deviation",
-                   "bracket", "ratio", "seed"), rows, config)
-    return 0
+    return Table(("scale", "estimate", "ci_half", "limit", "deviation",
+                  "bracket", "ratio", "seed"), rows,
+                 dict(decay=dict(_decay_config(decay),
+                                 table=list(decay.table)),
+                      zeta=str(zeta), tau=str(tau), n_grid=n_grid,
+                      q=args.q, theta=args.theta, chunk=mc.CHUNK))
 
 
-def cmd_hts(args) -> int:
-    map_ = FullBranchMap.from_spec(args.map)
+def cmd_hts(args, map_) -> Table:
     _require(args, "zeta", "eps", "seed")
     zeta, taus = args.zeta, args.tau
-    q, theta = theta_limit(map_, zeta)
+    q, theta = _limit(args, map_)
     rows = []
     for eps in args.eps:
         ecdf = mc.estimate_hts(map_, zeta, eps, taus, args.trials, args.seed,
@@ -318,20 +335,16 @@ def cmd_hts(args) -> int:
                 "deviation": abs(est - limit), "censored": ecdf.censored,
                 "seed": args.seed,
             })
-    config = dict(_common_config(args, map_),
-                  zeta=str(zeta), eps=[str(e) for e in args.eps],
-                  tau=[float(t) for t in taus], q=q, theta=theta)
-    write_outputs(_out_dir(args), "hts",
-                  ("scale", "tau", "estimate", "ci_half", "limit", "deviation",
-                   "censored", "seed"), rows, config)
-    return 0
+    return Table(("scale", "tau", "estimate", "ci_half", "limit", "deviation",
+                  "censored", "seed"), rows,
+                 dict(zeta=str(zeta), eps=[str(e) for e in args.eps],
+                      tau=[float(t) for t in taus], q=q, theta=theta))
 
 
-def cmd_escape(args) -> int:
-    map_ = FullBranchMap.from_spec(args.map)
+def cmd_escape(args, map_) -> Table:
     _require(args, "zeta", "eps", "seed")
     zeta = args.zeta
-    q, theta = theta_limit(map_, zeta)
+    q, theta = _limit(args, map_)
     decay = _decay_for(args, map_)
     rows = []
     for eps in args.eps:
@@ -353,18 +366,15 @@ def cmd_escape(args) -> int:
         })
         if map_.is_integer:  # the oracle needs a Markov partition
             rows[-1]["spectral"] = spectral_escape_rate(map_, hole)
-    config = dict(_common_config(args, map_, decay), zeta=str(zeta),
-                  eps=[str(e) for e in args.eps], q=q, theta=theta)
-    write_outputs(_out_dir(args), "escape",
-                  ("scale", "PB", "rate", "rate_over_PB", "spectral",
-                   "window_lower", "window_nominal", "degenerate_window",
-                   "fit_lo", "fit_hi", "residual", "censored", "k", "t",
-                   "seed"), rows, config)
-    return 0
+    return Table(("scale", "PB", "rate", "rate_over_PB", "spectral",
+                  "window_lower", "window_nominal", "degenerate_window",
+                  "fit_lo", "fit_hi", "residual", "censored", "k", "t",
+                  "seed"), rows,
+                 dict(decay=_decay_config(decay), zeta=str(zeta),
+                      eps=[str(e) for e in args.eps], q=q, theta=theta))
 
 
-def cmd_ei(args) -> int:
-    map_ = FullBranchMap.from_spec(args.map)
+def cmd_ei(args, map_) -> Table:
     _require(args, "zeta", "eps")
     zeta = args.zeta
     q_limit, theta_lim = theta_limit_exact(map_, zeta)
@@ -379,12 +389,9 @@ def cmd_ei(args) -> int:
             "theta_limit": float(theta_lim),
             "theta_limit_exact": exact_str(theta_lim),
         })
-    config = dict(_common_config(args, map_), zeta=str(zeta), q=q,
-                  eps=[str(e) for e in args.eps])
-    write_outputs(_out_dir(args), "ei",
-                  ("scale", "q", "theta_n", "theta_n_exact", "q_limit",
-                   "theta_limit", "theta_limit_exact"), rows, config)
-    return 0
+    return Table(("scale", "q", "theta_n", "theta_n_exact", "q_limit",
+                  "theta_limit", "theta_limit_exact"), rows,
+                 dict(zeta=str(zeta), q=q, eps=[str(e) for e in args.eps]))
 
 
 def _budget_rows(scale, k, t, R, budget):
@@ -401,17 +408,14 @@ def _budget_rows(scale, k, t, R, budget):
     return rows
 
 
-def cmd_bounds(args) -> int:
-    map_ = FullBranchMap.from_spec(args.map, budget=args.budget)
+def cmd_bounds(args, map_) -> Table:
     _require(args, "zeta")
     zeta, tau = args.zeta, args.tau
     obs = Observable(center=zeta)
     decay = _decay_for(args, map_)
-    q, theta = theta_limit(map_, zeta)
-    if args.q is not None:
-        q = args.q
-    rows = []
     kind = args.bracket
+    q, theta = _limit(args, map_, uses_theta=kind != "general")
+    rows = []
     if kind != "sharp-hts":
         for n in args.n:
             U = threshold_for(obs, n, tau).exceedance
@@ -439,22 +443,17 @@ def cmd_bounds(args) -> int:
                                        inputs.M, decay)
             rows.extend(_budget_rows(float(eps), inputs.k, inputs.t, inputs.R,
                                      budget))
-    config = dict(_common_config(args, map_, decay), zeta=str(zeta),
-                  tau=str(tau), bracket=kind, q=q, theta=theta)
-    write_outputs(_out_dir(args), "bounds",
-                  ("scale", "term", "value", "k", "t", "R", "flags"),
-                  rows, config)
-    return 0
+    return Table(("scale", "term", "value", "k", "t", "R", "flags"), rows,
+                 dict(decay=_decay_config(decay), zeta=str(zeta),
+                      tau=str(tau), bracket=kind, q=q, theta=theta, n=args.n,
+                      eps=[str(e) for e in args.eps], budget=args.budget))
 
 
-def cmd_check(args) -> int:
-    map_ = FullBranchMap.from_spec(args.map, budget=args.budget)
+def cmd_check(args, map_) -> Table:
     _require(args, "seed")
     zeta, tau = args.zeta, args.tau
     obs = Observable(center=zeta)
-    q, _ = theta_limit(map_, zeta)
-    if args.q is not None:
-        q = args.q
+    q, _ = _limit(args, map_, uses_theta=False)
     rows = []
     violated = False
     previous = None
@@ -487,29 +486,23 @@ def cmd_check(args) -> int:
                      "eps": str(eps), "q": q_i, "lhs": float(lhs),
                      "rhs": float(rhs), "lhs_exact": exact_str(lhs),
                      "rhs_exact": exact_str(rhs), "ok": ok})
-    config = dict(_common_config(args, map_), zeta=str(zeta), q=q,
-                  tau=str(tau), seed=args.seed, prop_configs=args.prop_configs)
-    write_outputs(_out_dir(args), "check",
-                  ("kind", "scale", "k_n", "value", "zeta", "eps", "q",
-                   "lhs", "rhs", "ok"), rows, config)
     if violated:
         print("check: exact inequality violated", file=sys.stderr)
-        return 1
-    return 0
+    return Table(("kind", "scale", "k_n", "value", "zeta", "eps", "q", "lhs",
+                  "rhs", "ok"), rows,
+                 dict(zeta=str(zeta), q=q, tau=str(tau), seed=args.seed,
+                      prop_configs=args.prop_configs, n=args.n,
+                      budget=args.budget), 1 if violated else 0)
 
 
-def cmd_pressure(args) -> int:
-    map_ = FullBranchMap.from_spec(args.map)
+def cmd_pressure(args, map_) -> Table:
     pot = Potential(args.potential)
     rows = []
     for n in range(1, args.n_max + 1):
         z = float(weighted_periodic_sum(map_, pot, n))
         rows.append({"scale": n, "Z_n": z, "pressure": math.log(z) / n})
-    config = dict(_common_config(args, map_), potential=args.potential,
-                  n_max=args.n_max)
-    write_outputs(_out_dir(args), "pressure", ("scale", "Z_n", "pressure"),
-                  rows, config)
-    return 0
+    return Table(("scale", "Z_n", "pressure"), rows,
+                 dict(potential=args.potential, n_max=args.n_max))
 
 
 # ---------------------------------------------------------------------------
@@ -589,12 +582,15 @@ def main(argv=None) -> int:
             at = argv.index(args.command) + 1
             args = parser.parse_args(
                 argv[:at] + _config_flags(args.config) + argv[at:])
-        return globals()[f"cmd_{args.command}"](args)
-    except ComponentBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        map_ = FullBranchMap.from_spec(
+            args.map, budget=getattr(args, "budget", COMPONENT_BUDGET))
+        table = globals()[f"cmd_{args.command}"](args, map_)
+        write_outputs(_out_dir(args), args.command, table.columns, table.rows,
+                      dict(_common_config(args, map_), **table.config))
+        return table.code
     except (ExtremapError, ValueError) as exc:
-        return _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, ComponentBudgetError) else 2
 
 
 if __name__ == "__main__":  # pragma: no cover

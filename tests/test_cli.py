@@ -44,6 +44,25 @@ def test_parsers():
             parse_grid(bad)
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["ei", "--zeta", "1/0", "--eps", "1/100"], "--zeta"),
+    (["ei", "--zeta", "inf", "--eps", "1/100"], "--zeta"),
+    (["ei", "--zeta", "1/3", "--eps", "1/0"], "--eps"),
+    (["evl", "--zeta", "1/3", "--n", "100", "--seed", "1", "--tau", "1/0"],
+     "--tau"),
+], ids=["zeta-1/0", "zeta-inf", "eps-1/0", "tau-1/0"])
+def test_point_with_no_finite_value_is_usage_error(tmp_path, capsys, argv,
+                                                   flag):
+    # Fraction raises ZeroDivisionError on "1/0" and OverflowError on
+    # float("inf"), which argparse would let through as a traceback
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ei_command_exact_values(tmp_path):
     rc = main(["ei", "--zeta", "1/3", "--eps", "1/100,1/50", "--q", "2",
                "--out", str(tmp_path)])
@@ -190,6 +209,51 @@ def test_evl_q_and_theta_skip_period_detection(tmp_path, capsys):
     assert "period of 1/1000003 exceeds cap 1000000" in capsys.readouterr().err
 
 
+def _no_detection(*args):
+    raise AssertionError("period detection ran")
+
+
+@pytest.mark.parametrize("argv", [
+    ["evl", "--zeta", "1/3", "--n", "100", "--trials", "1000", "--seed", "1",
+     "--q", "2", "--theta", "0.75"],
+    ["check", "--zeta", "1/3", "--q", "2", "--n", "64", "--prop-configs", "1",
+     "--seed", "1"],
+], ids=["evl", "check"])
+def test_given_values_skip_period_detection(tmp_path, monkeypatch, argv):
+    import extremap.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "theta_limit", _no_detection)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+
+
+def test_hts_detects_the_period_once(tmp_path, monkeypatch):
+    import extremap.cli as cli_mod
+    calls = []
+    original = cli_mod.theta_limit
+
+    def counted(map_, zeta):
+        calls.append(zeta)
+        return original(map_, zeta)
+
+    monkeypatch.setattr(cli_mod, "theta_limit", counted)
+    assert main(["hts", "--zeta", "1/3", "--eps", "1/16,1/32", "--tau", "1",
+                 "--trials", "1000", "--seed", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert calls == [F(1, 3)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--prop-configs", "0", "--seed", "1"],
+    ["bounds", "--bracket", "general"],
+], ids=["check", "bounds-general"])
+def test_q_alone_suffices_where_theta_is_unused(tmp_path, argv):
+    # the period of 1/1000003 under doubling is beyond the detection cap,
+    # and neither run reads theta
+    assert main([*argv, "--zeta", "1/1000003", "--q", "2", "--n", "64",
+                 "--out", str(tmp_path)]) == 0
+    cfg = json.loads((tmp_path / f"{argv[0]}.json").read_text())["config"]
+    assert cfg["q"] == 2 and cfg.get("theta") is None
+
+
 def test_period_past_64_is_detected(tmp_path):
     # 2 has order 130 mod 131
     assert main(["ei", "--zeta", "1/131", "--eps", "1/1000", "--q", "0",
@@ -317,6 +381,35 @@ def test_bounds_command_theorems(tmp_path):
     by_term = {r["term"]: float(r["value"]) for r in rows}
     assert by_term["mixing"] == 0.0
     assert by_term["recurrence"] == 0.0
+
+
+def test_bounds_zero_decay_records_the_lam_in_force(tmp_path):
+    # at c0 = 0 every decay term is 0 whatever lam is, so the values agree
+    payloads = []
+    for lam in ("0.3", "0.5"):
+        assert main(["bounds", "--zeta", "1/3", "--n", "512",
+                     "--decay-c0", "0", "--decay-lam", lam, "--out", str(tmp_path / lam)]) == 0
+        payloads.append(json.loads((tmp_path / lam / "bounds.json")
+                                   .read_text()))
+    assert payloads[0]["config"]["decay"] == {
+        "kind": "exponential", "c0": 0.0, "lam": 0.3}
+    assert ([r["value"] for r in payloads[0]["rows"]]
+            == [r["value"] for r in payloads[1]["rows"]])
+
+
+def test_bounds_and_check_record_horizons_radii_and_budget(tmp_path):
+    assert main(["bounds", "--zeta", "1/3", "--n", "64,128", "--eps", "1/50",
+                 "--budget", "1e5", "--out", str(tmp_path)]) == 0
+    assert main(["check", "--n", "64,128", "--prop-configs", "0",
+                 "--seed", "1", "--budget", "1e5", "--out", str(tmp_path)]) == 0
+    for name, keys in (("bounds", {"n": [64, 128], "eps": ["1/50"]}),
+                       ("check", {"n": [64, 128]})):
+        comments, _ = read_csv(tmp_path / f"{name}.csv")
+        cfg = json.loads(comments[1].split("config: ", 1)[1])
+        assert cfg == json.loads((tmp_path / f"{name}.json").read_text())[
+            "config"]
+        assert {k: cfg[k] for k in keys} == keys
+        assert cfg["budget"] == 100000
 
 
 @pytest.mark.parametrize("bracket", ["sharp-evl", "sharp-hts", "general",
@@ -507,9 +600,9 @@ def test_main_runs_a_command_rebound_after_the_first_call(tmp_path,
     calls = []
     original = cli_mod.cmd_ei
 
-    def wrapper(args):
+    def wrapper(args, map_):
         calls.append(args.command)
-        return original(args)
+        return original(args, map_)
 
     monkeypatch.setattr(cli_mod, "cmd_ei", wrapper)
     assert main(argv) == 0
