@@ -7,6 +7,9 @@ unknown factor.  Tests and sweeps treat domination as a bounded-ratio
 property (empirical deviation divided by bracket stays bounded), never
 as absolute domination.
 
+Correlations decay at the exponential rate gamma(t) = c0 * lam**t of
+``DecayModel``, whose tail sums have a closed form.
+
 Blocking notation, used throughout: the time horizon splits into k
 blocks separated by gaps of length t; ell is the effective block length
 and L = 1 - ell * P(A) the one-block survival weight.  The inputs every
@@ -20,7 +23,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .errors import InfeasibleError
 from .intervals import IntervalUnion
@@ -35,70 +38,34 @@ from .events import annulus_set, recurrence_start, survivor_set
 
 @dataclass(frozen=True)
 class DecayModel:
-    """Non-increasing correlation decay rate gamma(t).
+    """Correlation decay rate gamma(t) = c0 * lam**t; c0 = 0 switches it off.
 
-    ``exponential``: gamma(t) = c0 * lam**t with closed-form tail sums.
-    ``table``: finitely many values gamma(1), gamma(2), ...; zero beyond.
+    ``for_map`` sets lam to the largest branch width, the factor by which
+    the transfer operator of a full-branch affine map contracts variation.
     """
 
-    kind: str = "exponential"
-    c0: float = 4.0
-    lam: float = 0.5
-    table: Tuple[float, ...] = ()
+    c0: float
+    lam: float
 
     def __post_init__(self):
-        if self.kind not in ("exponential", "table"):
-            raise ValueError(f"unknown decay kind {self.kind!r}")
-        if self.kind == "exponential":
-            if self.c0 < 0:
-                raise ValueError("c0 must be nonnegative")
-            if not (0 < self.lam < 1):
-                raise ValueError("lam must be in (0, 1)")
-        else:
-            vals = list(self.table)
-            if any(b > a for a, b in zip(vals, vals[1:], strict=False)):
-                raise ValueError("tabulated decay must be non-increasing")
-
-    @classmethod
-    def zero(cls) -> "DecayModel":
-        return cls(kind="exponential", c0=0.0, lam=0.5)
-
-    @classmethod
-    def exponential(cls, c0: float, lam: float) -> "DecayModel":
-        return cls(kind="exponential", c0=c0, lam=lam)
-
-    @classmethod
-    def from_table(cls, values: Sequence[float]) -> "DecayModel":
-        return cls(kind="table", table=tuple(float(v) for v in values))
+        if self.c0 < 0:
+            raise ValueError("c0 must be nonnegative")
+        if not (0 < self.lam < 1):
+            raise ValueError("lam must be in (0, 1)")
 
     @classmethod
     def for_map(cls, map_: FullBranchMap) -> "DecayModel":
         """Transfer-operator contraction heuristic: lam = max branch width."""
-        lam = float(max(map_.widths))
-        return cls(kind="exponential", c0=4.0, lam=lam)
+        return cls(c0=4.0, lam=float(max(map_.widths)))
 
     def gamma(self, t: float) -> float:
-        t = max(int(t), 0)
-        if self.kind == "exponential":
-            return self.c0 * self.lam ** t
-        if t == 0:
-            return self.table[0] if self.table else 0.0
-        return self.table[t - 1] if t <= len(self.table) else 0.0
+        return self.c0 * self.lam ** max(int(t), 0)
 
     def partial_sum(self, lo: int, hi: int) -> float:
         """sum of gamma(j) for j = lo, ..., hi - 1 (empty range -> 0)."""
         if hi <= lo:
             return 0.0
-        if self.kind == "exponential":
-            if self.c0 == 0.0:
-                return 0.0
-            return self.c0 * (self.lam ** lo - self.lam ** hi) / (1.0 - self.lam)
-        return sum(self.gamma(j) for j in range(lo, hi))
-
-    def tail_sum(self, lo: int) -> float:
-        if self.kind == "exponential":
-            return self.c0 * self.lam ** lo / (1.0 - self.lam)
-        return self.partial_sum(lo, len(self.table) + 1)
+        return self.c0 * (self.lam ** lo - self.lam ** hi) / (1.0 - self.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +89,6 @@ class ErrorBudget:
     exponent_shift: Optional[float] = None
     flags: Tuple[str, ...] = ()
     extras: Tuple[Tuple[str, float], ...] = ()
-    constant_policy: str = "modulo-constant"
 
     @property
     def total(self) -> float:
@@ -139,18 +105,6 @@ class ErrorBudget:
             if n == name:
                 return v
         raise KeyError(name)
-
-    def as_dict(self) -> dict:
-        out = {name: value for name, value in self.terms}
-        out["total"] = self.total
-        if self.exponent_shift is not None:
-            out["exponent_shift"] = self.exponent_shift
-        for name, value in self.extras:
-            out[name] = value
-        if self.flags:
-            out["flags"] = list(self.flags)
-        out["constant_policy"] = self.constant_policy
-        return out
 
 
 # ---------------------------------------------------------------------------

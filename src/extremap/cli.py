@@ -240,11 +240,11 @@ def _decay_for(args, map_) -> DecayModel:
     base = DecayModel.for_map(map_)
     c0 = base.c0 if args.decay_c0 is None else args.decay_c0
     lam = base.lam if args.decay_lam is None else args.decay_lam
-    return DecayModel.exponential(c0, lam)
+    return DecayModel(c0, lam)
 
 
 def _decay_config(decay) -> dict:
-    return {"kind": decay.kind, "c0": decay.c0, "lam": decay.lam}
+    return {"c0": decay.c0, "lam": decay.lam}
 
 
 def _common_config(args, map_) -> dict:
@@ -313,10 +313,9 @@ def cmd_evl(args, map_) -> Table:
         })
     return Table(("scale", "estimate", "ci_half", "limit", "deviation",
                   "bracket", "ratio", "seed"), rows,
-                 dict(decay=dict(_decay_config(decay),
-                                 table=list(decay.table)),
-                      zeta=str(zeta), tau=str(tau), n_grid=n_grid,
-                      q=args.q, theta=args.theta, chunk=mc.CHUNK))
+                 dict(decay=_decay_config(decay), zeta=str(zeta), tau=str(tau),
+                      n_grid=n_grid, q=args.q, theta=args.theta,
+                      chunk=mc.CHUNK))
 
 
 def cmd_hts(args, map_) -> Table:
@@ -450,7 +449,8 @@ def cmd_bounds(args, map_) -> Table:
 
 
 def cmd_check(args, map_) -> Table:
-    _require(args, "seed")
+    if args.prop_configs:  # only the proposition rows are drawn
+        _require(args, "seed")
     zeta, tau = args.zeta, args.tau
     obs = Observable(center=zeta)
     q, _ = _limit(args, map_, uses_theta=False)
@@ -562,13 +562,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=parse_counts,
                    default="256,512,1024,2048,4096,8192,16384")
     p.add_argument("--q", type=int)
-    p.add_argument("--prop-configs", type=int, default=10)
+    p.add_argument("--prop-configs", type=parse_count, default=10)
 
     p = sub.add_parser("pressure", help="periodic-orbit sums and pressure")
     _add_common(p)
     p.add_argument("--potential", default="geometric",
                    choices=("geometric", "zero"))
-    p.add_argument("--n-max", type=int, default=10)
+    p.add_argument("--n-max", type=parse_positive, default=10)
 
     return parser
 

@@ -33,33 +33,43 @@ from extremap.brackets import (
 )
 
 DOUBLING = FullBranchMap.doubling()
-GAMMA_HALF = DecayModel.exponential(1.0, 0.5)
+GAMMA_HALF = DecayModel(1.0, 0.5)
+GAMMA_ZERO = DecayModel(0.0, 0.5)
 
 
 # -- decay models ------------------------------------------------------------
 
 
 def test_decay_model_tail_sums():
-    g = DecayModel.exponential(4.0, 0.5)
-    assert g.gamma(3) == 0.5
+    g = DecayModel(4.0, 0.5)
+    assert g.gamma(3) == 0.5 and g.gamma(-2) == 4.0
     assert g.partial_sum(2, 5) == pytest.approx(4 * (0.25 + 0.125 + 0.0625))
     assert g.partial_sum(5, 5) == 0.0
-    assert g.tail_sum(3) == pytest.approx(4 * 0.125 * 2)
-    t = DecayModel.from_table([0.5, 0.2, 0.1])
-    assert t.gamma(2) == 0.2 and t.gamma(9) == 0.0
-    assert t.partial_sum(1, 10) == pytest.approx(0.8)
-    with pytest.raises(ValueError):
-        DecayModel.from_table([0.1, 0.5])
-    assert DecayModel.for_map(DOUBLING).lam == 0.5
+    for c0, lam in ((-1.0, 0.5), (1.0, 0.0), (1.0, 1.0)):
+        with pytest.raises(ValueError):
+            DecayModel(c0, lam)
+    assert DecayModel.for_map(DOUBLING) == DecayModel(4.0, 0.5)
     assert DecayModel.for_map(
         FullBranchMap.from_widths([F(1, 2), F(1, 4), F(1, 4)])).lam == 0.5
+
+
+def test_decay_partial_sum_is_the_sum_of_gammas():
+    rnd = random.Random(41)
+    for _ in range(200):
+        g = DecayModel(10 ** rnd.uniform(-3, 12), rnd.uniform(0.01, 0.999))
+        lo = rnd.randrange(0, 300)
+        hi = lo + rnd.randrange(1, 300)
+        assert g.partial_sum(lo, hi) == pytest.approx(
+            sum(g.gamma(j) for j in range(lo, hi)), rel=1e-12)
+    assert GAMMA_ZERO.partial_sum(0, 10 ** 6) == 0.0
+    assert DecayModel(0.0, 0.999).partial_sum(3, 7) == 0.0
 
 
 # -- block-estimate quantities ------------------------------------------------
 
 
 def test_xi_reductions():
-    assert xi(1e-3, 4, 100, 20, 5, DecayModel.zero()) == pytest.approx(
+    assert xi(1e-3, 4, 100, 20, 5, GAMMA_ZERO) == pytest.approx(
         100 * 95 * 1e-6)
     v = xi(0.0, 4, 100, 20, 5, GAMMA_HALF)
     g = 0.5 ** 20
@@ -83,8 +93,8 @@ def test_upsilon_additivity():
     b = xi(1e-3, 4, 100, 20, 5, GAMMA_HALF)
     assert a - b == pytest.approx(20 * (1e-3 + 4 * 0.5 ** 20))
     assert a == pytest.approx(0.05383460235595704, rel=1e-12)
-    assert upsilon(1e-3, 4, 100, 0, 5, DecayModel.zero()) == pytest.approx(
-        xi(1e-3, 4, 100, 0, 5, DecayModel.zero()))
+    assert upsilon(1e-3, 4, 100, 0, 5, GAMMA_ZERO) == pytest.approx(
+        xi(1e-3, 4, 100, 0, 5, GAMMA_ZERO))
 
 
 # -- optimizers ---------------------------------------------------------------
@@ -125,9 +135,9 @@ def _scan_hts(PB, g):
 
 
 def test_optimizer_evl_gamma_zero():
-    bp = optimize_kt_evl(500, 0.01, DecayModel.zero())
+    bp = optimize_kt_evl(500, 0.01, GAMMA_ZERO)
     assert bp.t == 1
-    assert (bp.objective, bp.t, bp.k) == _scan_evl(500, 0.01, DecayModel.zero())
+    assert (bp.objective, bp.t, bp.k) == _scan_evl(500, 0.01, GAMMA_ZERO)
 
 
 def test_optimizer_evl_matches_scan_randomized():
@@ -136,16 +146,16 @@ def test_optimizer_evl_matches_scan_randomized():
         n = rnd.randrange(20, 400)
         PA = rnd.uniform(1e-4, 0.2)
         g = rnd.choice([
-            DecayModel.zero(),
-            DecayModel.exponential(rnd.uniform(0.5, 4.0), rnd.uniform(0.3, 0.9)),
-            DecayModel.from_table([0.5, 0.3, 0.2, 0.1, 0.05]),
+            GAMMA_ZERO,
+            DecayModel(rnd.uniform(0.5, 4.0), rnd.uniform(0.3, 0.9)),
+            DecayModel(10 ** rnd.uniform(0, 12), rnd.uniform(0.9, 0.999)),
         ])
         bp = optimize_kt_evl(n, PA, g)
         assert (bp.objective, bp.t, bp.k) == _scan_evl(n, PA, g)
 
 
 def test_optimizer_evl_spec_instance():
-    g = DecayModel.exponential(1.0, 0.5)
+    g = DecayModel(1.0, 0.5)
     bp = optimize_kt_evl(10 ** 4, 1e-4, g)
     assert (bp.objective, bp.t, bp.k) == _scan_evl(10 ** 4, 1e-4, g)
 
@@ -153,7 +163,7 @@ def test_optimizer_evl_spec_instance():
 def test_optimizer_beats_reference_schedule():
     delta = 1.0
     n, PA = 4096, 2e-4
-    g = DecayModel.exponential(4.0, 0.5)
+    g = DecayModel(4.0, 0.5)
     bp = optimize_kt_evl(n, PA, g)
     t_ref = max(1, int(n ** (1 / (1 + delta))))
     k_ref = max(1, int(n ** (delta / (2 + 2 * delta))))
@@ -163,21 +173,21 @@ def test_optimizer_beats_reference_schedule():
 
 
 def test_optimizer_hts_matches_scan():
-    for PB, g in [(0.01, DecayModel.zero()),
-                  (0.01, DecayModel.exponential(4, 0.5)),
-                  (0.04, DecayModel.exponential(1, 0.7)),
-                  (0.3, DecayModel.exponential(2, 0.5))]:
+    for PB, g in [(0.01, GAMMA_ZERO),
+                  (0.01, DecayModel(4, 0.5)),
+                  (0.04, DecayModel(1, 0.7)),
+                  (0.3, DecayModel(2, 0.5))]:
         bp = optimize_kt_hts(PB, g)
         assert (bp.objective, bp.t, bp.k) == _scan_hts(PB, g)
 
 
 def _random_decay(rnd):
+    # light decays, and heavy ones whose gap term stays large up to the
+    # largest feasible t
     return rnd.choice([
-        DecayModel.zero(),
-        DecayModel.exponential(rnd.uniform(0.1, 8.0), rnd.uniform(0.05, 0.99)),
-        DecayModel.from_table(sorted(
-            (rnd.uniform(0.0, 2.0) for _ in range(rnd.randrange(0, 30))),
-            reverse=True)),
+        GAMMA_ZERO,
+        DecayModel(rnd.uniform(0.1, 8.0), rnd.uniform(0.05, 0.99)),
+        DecayModel(10 ** rnd.uniform(0, 12), rnd.uniform(0.9, 0.999)),
     ])
 
 
@@ -198,11 +208,15 @@ def test_optimizer_hts_matches_scan_wide_range():
     cases = [(math.exp(rnd.uniform(math.log(7e-4), math.log(0.9))),
               _random_decay(rnd)) for _ in range(110)]
     # 1/PB an integer m (up to float rounding of 1.0 / PB) sits on the
-    # boundary of the strict k*t < 1/PB constraint; a table vanishing
-    # from t = m on makes the excluded gap the cheapest one
+    # boundary of the strict k*t < 1/PB constraint; a decay this heavy
+    # makes the largest gap the cheapest, so the first excluded one
+    # (k = 1, t = m) would win if the constraint let it in
+    heavy = DecayModel(1e12, 0.99)
     for m in (2, 3, 7, 49, 64, 100, 255, 256, 1000, 1023):
-        cases += [(1 / m, _random_decay(rnd)),
-                  (1 / m, DecayModel.from_table([1.0] * (m - 1)))]
+        cases += [(1 / m, _random_decay(rnd)), (1 / m, heavy)]
+        bp = optimize_kt_hts(1 / m, heavy)
+        # the largest t below 1.0 / PB, which rounds above 49 at m = 49
+        assert (bp.k, bp.t) == (1, math.ceil(1.0 / (1 / m)) - 1)
     for PB, g in cases:
         bp = optimize_kt_hts(PB, g)
         assert (bp.objective, bp.t, bp.k) == _scan_hts(PB, g)
@@ -212,7 +226,7 @@ def test_optimizer_hts_matches_scan_wide_range():
 
 def test_optimizer_large_n_is_fast():
     import time
-    g = DecayModel.exponential(4, 0.5)
+    g = DecayModel(4, 0.5)
     start = time.perf_counter()
     bp = optimize_kt_evl(10 ** 6, 1e-6, g)
     assert time.perf_counter() - start < 0.1
@@ -224,7 +238,7 @@ def test_optimizer_large_n_is_fast():
 
 
 def test_optimizer_hts_monotone_in_PB():
-    g = DecayModel.exponential(4, 0.5)
+    g = DecayModel(4, 0.5)
     objectives = [optimize_kt_hts(pb, g).objective
                   for pb in (0.2, 0.1, 0.05, 0.02, 0.01, 0.005)]
     assert objectives == sorted(objectives, reverse=True)
@@ -232,9 +246,9 @@ def test_optimizer_hts_monotone_in_PB():
 
 def test_optimizer_infeasible():
     with pytest.raises(InfeasibleError):
-        optimize_kt_evl(2, 0.1, DecayModel.zero())
+        optimize_kt_evl(2, 0.1, GAMMA_ZERO)
     with pytest.raises(InfeasibleError):
-        optimize_kt_hts(1.5, DecayModel.zero())
+        optimize_kt_hts(1.5, GAMMA_ZERO)
 
 
 # -- theorem brackets ----------------------------------------------------------
@@ -271,13 +285,13 @@ def test_limit_bracket_reductions():
 
 def test_sharp_evl_bracket_reductions():
     b = sharp_evl_bracket(1.0, 4096, 0.75, 0.75 / 4096, 16, 8, 6,
-                      DecayModel.zero())
+                      GAMMA_ZERO)
     w = math.exp(-0.75)
     assert b.term("threshold_defect") == 0.0
     assert b.term("mixing") == 0.0
     assert b.total == pytest.approx(w * (16 * 8 * 0.75 / 4096 + 0.75 ** 2 / 16))
     with pytest.raises(InfeasibleError):
-        sharp_evl_bracket(1.0, 64, 0.75, 1e-3, 8, 8, 3, DecayModel.zero())
+        sharp_evl_bracket(1.0, 64, 0.75, 1e-3, 8, 8, 3, GAMMA_ZERO)
 
 
 def test_sharp_evl_bracket_frozen_regression():
@@ -288,7 +302,7 @@ def test_sharp_evl_bracket_frozen_regression():
 
 def test_sharp_hts_bracket_alpha_vanishes():
     b = sharp_hts_bracket(1.0, 0.02, 0.015, 0.75, 1, 0, 7, 12, 4,
-                      DecayModel.zero())
+                      GAMMA_ZERO)
     assert b.extra("alpha") == pytest.approx(0.0)
     assert b.term("alpha_gamma") == 0.0 and b.term("cubic") == 0.0
 
@@ -324,16 +338,16 @@ def test_brackets_nonnegative_and_vanishing():
     # every term nonnegative; all error sources off -> bracket -> 0 with k
     for k in (10, 100, 1000):
         b = sharp_evl_bracket(1.0, 10 ** 6, 0.75, 0.75 / 10 ** 6, k, 1, 5,
-                          DecayModel.zero())
+                          GAMMA_ZERO)
         assert all(v >= 0 for _, v in b.terms)
     big = sharp_evl_bracket(1.0, 10 ** 6, 0.75, 0.75 / 10 ** 6, 1000, 1, 5,
-                        DecayModel.zero())
+                        GAMMA_ZERO)
     assert big.total < 1e-3
 
 
 def test_brackets_monotone_under_gamma_decrease():
-    strong = DecayModel.exponential(4.0, 0.5)
-    weak = DecayModel.exponential(2.0, 0.5)
+    strong = DecayModel(4.0, 0.5)
+    weak = DecayModel(2.0, 0.5)
     b_strong = sharp_evl_bracket(1.0, 4096, 0.75, 0.75 / 4096, 12, 10, 6, strong)
     b_weak = sharp_evl_bracket(1.0, 4096, 0.75, 0.75 / 4096, 12, 10, 6, weak)
     assert b_weak.total <= b_strong.total
@@ -345,15 +359,15 @@ def test_brackets_monotone_under_gamma_decrease():
 # -- escape window and exponential approximation -------------------------------
 
 
-def test_error_budget_serialization():
-    import json
-    b = sharp_hts_bracket(1.0, 0.02, 0.015, 0.75, 2, 13, 7, 12, 4,
-                      DecayModel.for_map(DOUBLING))
-    d = b.as_dict()
-    json.dumps(d)
-    assert d["total"] == pytest.approx(b.total)
-    assert d["constant_policy"] == "modulo-constant"
-    assert "exponent_shift" in d and "Gamma" in d
+def test_error_budget_shift_and_extras():
+    g = DecayModel.for_map(DOUBLING)
+    b = sharp_hts_bracket(1.0, 0.02, 0.015, 0.75, 2, 13, 7, 12, 4, g)
+    assert b.exponent_shift == 2 * b.extra("upsilon") / b.extra("L")
+    assert b.extra("Gamma") == pytest.approx(
+        2 * 13 * 0.015 + g.gamma(13) / 0.02 + 1 / 2 + g.partial_sum(7, 12),
+        rel=1e-12)
+    with pytest.raises(KeyError):
+        b.extra("total")
 
 
 def test_escape_window():
@@ -422,7 +436,7 @@ def test_survivor_block_estimate_dominates_exact_error():
     # model that really dominates the doubling map (c0 = 4, lam = 1/2)
     # they must bound the exact survivor defect outright
     from extremap.brackets import survivor_block_estimate
-    gamma = DecayModel.exponential(4.0, 0.5)
+    gamma = DecayModel(4.0, 0.5)
     for zeta, den, k, t in [(F(1, 3), 60, 3, 1), (F(1, 3), 200, 2, 2),
                             (F(0), 100, 4, 1), (F(1, 7), 150, 3, 2)]:
         B = ball(zeta, F(1, den))
@@ -440,7 +454,7 @@ def test_survivor_block_estimate_dominates_exact_error():
 
 def test_survivor_block_estimate_fractional():
     from extremap.brackets import survivor_block_estimate
-    gamma = DecayModel.exponential(4.0, 0.5)
+    gamma = DecayModel(4.0, 0.5)
     B = ball(F(1, 3), F(1, 120))
     A = annulus_set(DOUBLING, B, 2)
     PA = float(A.measure())

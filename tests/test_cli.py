@@ -109,6 +109,21 @@ def test_missing_seed_is_usage_error(tmp_path):
     assert rc == 2
 
 
+def test_check_without_draws_needs_no_seed(tmp_path, capsys):
+    # only the proposition rows are drawn, so --seed is required with them
+    assert main(["check", "--n", "64", "--prop-configs", "0",
+                 "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "check.json").read_text())
+    assert (tmp_path / "check.csv").exists()
+    assert payload["config"]["seed"] is None
+    assert [r["kind"] for r in payload["rows"]] == ["dprime"]
+    out = tmp_path / "drawn"
+    assert main(["check", "--n", "64", "--prop-configs", "1",
+                 "--out", str(out)]) == 2
+    assert "missing --seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tau_zero_rejected(tmp_path):
     rc = main(["evl", "--zeta", "1/3", "--n", "100", "--tau", "0",
                "--seed", "1", "--out", str(tmp_path)])
@@ -169,7 +184,7 @@ def test_evl_sweep_deterministic(tmp_path):
     cfg = t1["config"]
     assert cfg["map"] == "doubling" and cfg["n_grid"] == [200, 800]
     assert cfg["q"] is None and cfg["theta"] is None
-    assert cfg["decay"]["table"] == [] and cfg["chunk"] > 0
+    assert cfg["decay"] == {"c0": 4.0, "lam": 0.5} and cfg["chunk"] > 0
 
 
 @pytest.mark.parametrize("spec, name", [
@@ -391,8 +406,7 @@ def test_bounds_zero_decay_records_the_lam_in_force(tmp_path):
                      "--decay-c0", "0", "--decay-lam", lam, "--out", str(tmp_path / lam)]) == 0
         payloads.append(json.loads((tmp_path / lam / "bounds.json")
                                    .read_text()))
-    assert payloads[0]["config"]["decay"] == {
-        "kind": "exponential", "c0": 0.0, "lam": 0.3}
+    assert payloads[0]["config"]["decay"] == {"c0": 0.0, "lam": 0.3}
     assert ([r["value"] for r in payloads[0]["rows"]]
             == [r["value"] for r in payloads[1]["rows"]])
 
@@ -480,6 +494,8 @@ BAD_CONFIG_LINES = [
     ("ei", "q = two", "--q"),  # not an int
     ("check", "budget = 1.5", "--budget"),  # not a count
     ("check", "budgget = 5", "--budgget"),  # no such flag
+    ("check", "prop_configs = -1", "--prop-configs"),  # not a count
+    ("pressure", "n_max = -2", "--n-max"),  # not positive
     ("escape", "dump_ulam = true", "--dump-ulam"),  # removed flags
     ("escape", "bins = 64", "--bins"),
 ]
