@@ -65,6 +65,8 @@ class DecayModel:
         """sum of gamma(j) for j = lo, ..., hi - 1 (empty range -> 0)."""
         if hi <= lo:
             return 0.0
+        if lo < 0:  # gamma(j) = c0 for every j <= 0
+            return self.c0 * min(-lo, hi - lo) + self.partial_sum(0, hi)
         return self.c0 * (self.lam ** lo - self.lam ** hi) / (1.0 - self.lam)
 
 

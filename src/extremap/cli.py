@@ -69,7 +69,7 @@ def parse_count(s) -> int:
 
 
 def parse_positive(s) -> int:
-    """Count of at least 1 (trials, workers), accepting 1e5."""
+    """Count of at least 1 (trials, workers, horizons), accepting 1e5."""
     v = float(s)
     if not v.is_integer() or v < 1:
         raise argparse.ArgumentTypeError(f"{s!r} is not a positive integer")
@@ -96,8 +96,8 @@ def parse_grid(s, item=parse_point):
 
 
 def parse_counts(s) -> list:
-    """Comma list of counts, such as 1e3,1e4,1e5."""
-    return parse_grid(s, parse_count)
+    """Comma list of horizons n >= 1, such as 1e3,1e4,1e5."""
+    return parse_grid(s, parse_positive)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ collapses onto the dyadic rationals after roughly 53 steps, so it is
 never used.  Each estimator has one chunk kernel, run over whichever
 stepper the map takes:
 ``_evl_chunk`` checkpoints the running minimum distance (on
-power-of-two uniform maps through a coarse pass, below),
+power-of-two uniform maps through prefix masks, below),
 ``_entry_chunk`` records first entry times.
 
 The uniform stepper draws one uniform word C in [0, d^J) per J steps,
@@ -38,31 +38,19 @@ window that brings in the next bit.  The circle distance is the wrapped
 difference to the target read as int64, then its absolute value.
 Horner digits are counted against the inner branch breakpoints.
 
-On ``uniform:d`` with d = 2^k the EVL kernel first runs a coarse pass
-(``_CoarseOrbits``).  It makes the exact stepper's draws, so a chunk
-sees the same orbits, but each step reads only the top 32 bits of the
-window, a shift-or of two uint32 halves of the stream s0 || C (C
-left-justified when k*J < 64), and the coarse distance c: the wrapped
-difference to the target's top 32 bits read as int32, then its
-absolute value.  That is six uint32 passes per step where the exact
-step and distance take six uint64 passes.  The low 32 bits of the
-window and of the target move the exact distance by less than 2^32
-either way, so it lies strictly between (c - 1)*2^32 and (c + 1)*2^32,
-and so does a running minimum.  With L32 the radius's level shifted
-right by 32 bits, a lane whose coarse minimum is at least L32 + 2
-surely survives and one at most L32 - 1 surely entered.  The rare
-lanes at L32 or L32 + 1 at some checkpoint (the band) run again
-through the exact stepper on the same generator, keeping only their
-columns and building each word's steps as one block (``min_dist``),
-and their exact outcomes replace the coarse ones, so every count is
-the exact stepper's.  The first-entry kernel keeps the exact stepper:
-a first entry would need the band handled at every step.
+On ``uniform:d`` with d = 2^k the EVL kernel reads whole words by
+bit-parallel matching (Baeza-Yates & Gonnet 1992): the windows within
+the largest radius still ahead share one of two m-bit prefixes, and one
+row operation per prefix bit tests every step of a word for them
+(``prefix_mask``).  Only the flagged steps take their exact distance,
+on the exact stepper's draws, so the counts are exact.  Wide balls and
+short horizons step instead (``_UniformOrbits.running_minima``).  The
+first-entry kernel keeps the stepper: it needs each first entry.
 
 A chunk's working memory is O(lanes): lane-sized rows only (and
 word-long blocks over few uniform lanes).  A uniform chunk holds the
-window, the word and its start, and in the coarse pass the uint32
-halves of the stream; a Horner chunk holds the point, one row of
-uniforms and one of digits.
+window, the word and its start, and for prefix masks six more rows; a
+Horner chunk holds the point, one row of uniforms and one of digits.
 
 The first-entry kernel retires the lanes that have entered the hole.
 It steps the lanes one at a time (``inside``), adds each step's
@@ -93,16 +81,17 @@ the calling thread, never on the pool's result thread.
 An event enters the estimators as the center of its observable and the
 exact radius of its threshold ball.  The numerical settings are module
 constants: the chunk size, the first-entry kernel's switch to blocks,
-the 95% Wilson quantile, and the escape fit's transient level and
-survivor floor.  The estimators only estimate: the ``cli`` commands set
-them against the exact oracles of ``events`` and the error brackets of
-``brackets``.
+the prefix masks' candidate cost, the 95% Wilson quantile, and the
+escape fit's transient level and survivor floor.  The estimators only
+estimate: the ``cli`` commands set them against the exact oracles of
+``events`` and the error brackets of ``brackets``.
 """
 
 from __future__ import annotations
 
 import atexit
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -129,6 +118,7 @@ MAX_UNIFORM_D = 256
 Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
 MIN_SURVIVORS = 100  # the escape fit ends at the last t with this many left
 ESCAPE_TRANSIENT = 1e-4  # the escape fit starts once 4*w_max^t is this small
+CANDIDATE_COST = 150  # row operations per prefix-mask candidate (_evl_chunk)
 
 
 def wilson_halfwidth(successes: int, trials: int) -> float:
@@ -299,7 +289,7 @@ class _UniformOrbits(_Lanes):
         super().__init__(count, rng)
         self._word = _word_steps(map_.d)
         self._J = len(self._word)
-        # the word's powers and divisors as columns, for _dist_block
+        # the word's powers and divisors as columns, for word blocks and masks
         self._powers = np.array([p for p, _, _ in self._word])[:, None]
         self._q = np.array([q for _, _, q in self._word])[:, None]
         self._top = map_.d ** self._J
@@ -310,6 +300,8 @@ class _UniformOrbits(_Lanes):
         self._i = self._J  # the first step draws a word
         self._d = np.empty(count, dtype=np.uint64)
         self._in = np.empty(count, dtype=bool)
+        self._k = map_.d.bit_length() - 1 if map_.d & (map_.d - 1) == 0 else None
+        self._rows = None  # prefix_mask's, for d = 2^k, made at its first call
 
     def level(self, radius: Fraction) -> np.uint64:
         """The exact radius in 1/m units: dist() < level iff inside."""
@@ -347,10 +339,11 @@ class _UniformOrbits(_Lanes):
         np.abs(diff.view(np.int64), out=diff.view(np.int64))
         return diff
 
-    def _dist_block(self, steps: int) -> np.ndarray:
-        """dist() at the next min(steps, rest of the word) steps as one
-        new (steps, lanes) block, in a fraction of a call per step; the
-        stepper moves past them."""
+    def first_entries(self, level, steps: int):
+        """Each lane's first step in the ball, from 1 (0 for none), over
+        the rest of the word or ``steps`` steps if fewer, read from one
+        new (steps, lanes) block of dist(); and the steps.  The stepper
+        moves past them."""
         if self._i == self._J:
             self._next_word()
         i, self._i = self._i, min(self._J, self._i + steps)
@@ -358,99 +351,120 @@ class _UniformOrbits(_Lanes):
         block += self._word[0][1](self._C, self._q[i:self._i])
         self.state[...] = block[-1]
         block -= self.Z
-        np.abs(block.view(np.int64), out=block.view(np.int64))
-        return block
-
-    def min_dist(self, steps: int) -> np.ndarray:
-        """Step ``steps`` times and return the minimum of dist() over
-        those steps (2^64 - 1 when there are none), one block per word."""
-        low = np.full(len(self.state), np.iinfo(np.uint64).max, dtype=np.uint64)
-        while steps:
-            block = self._dist_block(steps)
-            np.minimum(low, block.min(axis=0), out=low)
-            steps -= len(block)
-        return low
-
-    def first_entries(self, level, steps: int):
-        """Each lane's first step in the ball, from 1 (0 for none), over
-        the rest of the word or ``steps`` steps if fewer; and the steps."""
-        inside = self._dist_block(steps) < level
+        dist = np.abs(block.view(np.int64), out=block.view(np.int64))
+        inside = dist.view(np.uint64) < level
         first = inside.argmax(axis=0) + 1
         first *= inside.any(axis=0)
         return first, len(inside)
 
+    def running_minima(self, checkpoints: Tuple[Tuple[int, Fraction], ...]):
+        """As ``_Lanes.running_minima``; for d = 2^k a word may instead be
+        read by ``prefix_mask``, with (m, p) the prefix pair of L, the
+        largest level ahead: a step outside the mask is at distance L or
+        more, so only the candidates take their exact distance, and each
+        minimum is exact where it is below L, all that is compared.  Per
+        lane, for the s steps of a word still needed, stepping costs 6 row
+        operations a step, and the mask about 4 per prefix bit, 24 a word
+        and CANDIDATE_COST a candidate (a step is one with chance
+        2^(1-m)).  A word is masked when 4*m + 24 + CANDIDATE_COST*s*
+        2^(1-m) < 6*s: never at n <= 12 with radius >= 1/48 (m <= 5), nor
+        in a short last word."""
+        if self._k is None:
+            yield from super().running_minima(checkpoints)
+            return
+        levels = [self.level(radius) for _, radius in checkpoints]
+        ahead = list(itertools.accumulate(reversed(levels), max))[::-1]
+        pairs = [_prefix_pair(int(self.Z), int(L)) for L in ahead]
+        last, J = checkpoints[-1][0] - 1, self._J
+        runmin, t, i, masked = self.dist().copy(), 0, self._i, False
+        for (n, _), level, (m, p) in zip(checkpoints, levels, pairs):
+            while t < n - 1:
+                if i == J:  # a new word: by mask, or step by step
+                    s, i = min(J, last - t), 0
+                    masked = m and (4 * m + 24 + CANDIDATE_COST * s
+                                    * 2.0 ** (1 - m) < 6 * s)
+                    if masked:
+                        self.prefix_mask(m, p)
+                upto = min(J, i + n - 1 - t)
+                if masked:
+                    self.fold_candidates(runmin, i, upto)
+                else:
+                    for _ in range(i, upto):
+                        self.step()
+                        np.minimum(runmin, self.dist(), out=runmin)
+                t, i = t + upto - i, upto
+            yield runmin, level
 
-@functools.lru_cache(maxsize=None)
-def _top_steps(d: int):
-    """For d = 2^k, where the J steps of one word read the top 32 bits of
-    the window: i steps in they are bits k*i .. k*i + 31 of the stream
-    s0 || C' split into uint32 halves h[0..3], C' the word shifted left by
-    64 - k*J bits.  The triple (q, r, 32 - r), (q, r) = divmod(k*i, 32),
-    reads them as (h[q] << r) | (h[q+1] >> (32 - r)), or h[q] when r = 0."""
-    k = d.bit_length() - 1
-    return tuple((q, np.uint32(r), np.uint32(32 - r))
-                 for q, r in (divmod(k * i, 32)
-                              for i in range(1, len(_word_steps(d)) + 1)))
+    def prefix_mask(self, m: int, p: int) -> np.ndarray:
+        """For d = 2^k and 0 < m < 64: draw the next word, move to its
+        end, and return each lane's candidates, in a row that the next
+        call overwrites: bit 64 - k*i is set where the window i steps in
+        has top m bits p or p + 1 (mod 2^m).  Its bit j from the top is
+        bit k*i + j of the stream s0 || C' (C' the word left-justified),
+        so bit 64 - k*i of T_j = (s0 << (j+1)) | (C' >> (63 - j)).  The
+        T_j are ANDed where p and p + 1 share a 1, ORed where they share
+        a 0; below those bits p reads 0 1...1 and p + 1 reads 1 0...0
+        (1...1 and 0...0 when p + 1 wraps to 0)."""
+        k, J = self._k, self._J
+        if self._rows is None:  # once per chunk
+            self._rows = np.empty((6, len(self.state)), dtype=np.uint64)
+            self._steps = np.uint64(sum(1 << (64 - k * i) for i in range(1, J + 1)))
+        T, U, ones, zeros, p1, q0 = self._rows
+        self._next_word()
+        np.multiply(self._s0, self._word[-1][0], out=self.state)
+        np.add(self.state, self._C, out=self.state)
+        self._i = J
+        C = np.left_shift(self._C, np.uint64(64 - k * J), out=self._d)
 
+        def window_bit(j):  # T_j, in T
+            np.left_shift(self._s0, np.uint64(j + 1), out=T)
+            return np.bitwise_or(T, np.right_shift(C, np.uint64(63 - j), out=U),
+                                 out=T)
 
-class _CoarseOrbits(_UniformOrbits):
-    """The top 32 bits of the ``_UniformOrbits`` window, for d = 2^k.
+        ones.fill(self._steps)
+        zeros.fill(0)
+        r = min(m, (p ^ (p + 1)).bit_length() - 1)  # p ends in r ones
+        for j in range(m - r - 1):  # the bits p and p + 1 share
+            if p >> (m - 1 - j) & 1:
+                np.bitwise_and(ones, window_bit(j), out=ones)
+            else:
+                np.bitwise_or(zeros, window_bit(j), out=zeros)
+        if r:  # below them, p reads (0) 1...1 and p + 1 reads (1) 0...0
+            p1.fill(self._steps)
+            q0.fill(0)
+            for j in range(m - r, m):
+                np.bitwise_and(p1, window_bit(j), out=p1)
+                np.bitwise_or(q0, T, out=q0)
+            np.invert(q0, out=q0)
+            if r < m:  # p + 1 holds where x is 1, p where x is 0
+                x = window_bit(m - r - 1)
+                np.bitwise_and(q0, x, out=q0)
+                np.bitwise_and(p1, np.invert(x, out=x), out=p1)
+            np.bitwise_and(ones, np.bitwise_or(p1, q0, out=p1), out=ones)
+        self._mask = np.bitwise_and(ones, np.invert(zeros, out=zeros), out=ones)
+        return self._mask
 
-    The draws are the exact stepper's: the start row, then one word per
-    J steps, so a chunk sees the same orbits.  Once per word the 64-bit
-    window jumps to the word's end, the next word's s0, and the stream
-    s0 || C' is split into four uint32 halves (C' is C left-justified: when
-    k*J < 64 its low bits are zero); each step reads the window's top 32
-    bits from two of them (``_top_steps``).  ``dist()`` is the coarse
-    distance c, the wrapped difference of those bits to the target's
-    top 32 bits read as int32, then its absolute value, read back as
-    uint32 (2^31 stays 2^31); ``level(radius)`` is floor(radius*2^64)
-    >> 32.  ``_evl_chunk`` says how c brackets the exact distance.  The
-    coarse pass steps every lane: it is never kept.
-    """
-
-    def __init__(self, map_: FullBranchMap, zeta: Fraction, count: int,
-                 rng: np.random.Generator):
-        super().__init__(map_, zeta, count, rng)
-        self._tops = _top_steps(map_.d)
-        self._pad = np.uint64(64 - (map_.d.bit_length() - 1) * self._J)
-        self._Z32 = np.uint32(int(self.Z) >> 32)
-        self._h = np.empty((4, count), dtype=np.uint32)
-        self._t = np.empty(count, dtype=np.uint32)  # the top 32 bits
-        self._c = np.empty(count, dtype=np.uint32)
-        self._top32 = np.right_shift(self.state, np.uint64(32), out=self._t,
-                                     casting="unsafe")
-
-    def level(self, radius: Fraction) -> int:
-        return _scaled(radius, self.m) >> 32
-
-    def step(self):
-        h = self._h
-        if self._i == self._J:
-            self._next_word()
-            np.multiply(self._s0, self._word[-1][0], out=self.state)
-            np.add(self.state, self._C, out=self.state)
-            np.right_shift(self._s0, np.uint64(32), out=h[0], casting="unsafe")
-            np.copyto(h[1], self._s0, casting="unsafe")
-            np.right_shift(self._C, np.uint64(32) - self._pad, out=h[2],
-                           casting="unsafe")
-            np.left_shift(self._C, self._pad, out=h[3], casting="unsafe")
-        q, r, rest = self._tops[self._i]
-        self._i += 1
-        if r:
-            np.left_shift(h[q], r, out=self._t)
-            np.bitwise_or(self._t, np.right_shift(h[q + 1], rest, out=self._c),
-                          out=self._t)
-            self._top32 = self._t
-        else:
-            self._top32 = h[q]
-
-    def dist(self) -> np.ndarray:
-        """The coarse distance c of the current points to the target, in
-        a buffer that the next step() or dist() overwrites."""
-        diff = np.subtract(self._top32, self._Z32, out=self._c)
-        np.abs(diff.view(np.int32), out=diff.view(np.int32))
-        return diff
+    def fold_candidates(self, runmin: np.ndarray, lo: int, hi: int):
+        """Fold into ``runmin`` the exact dist() at the candidates of the
+        last ``prefix_mask`` that lie lo < i <= hi steps into its word."""
+        k = self._k
+        span = np.uint64((1 << (64 - k * lo)) - (1 << (64 - k * hi)))
+        mask = np.bitwise_and(self._mask, span, out=self._rows[1])
+        lanes = np.flatnonzero(np.not_equal(mask, 0, out=self._in))
+        w = mask.take(lanes)
+        while len(lanes):  # each lane's lowest candidate, until none is left
+            rest = np.bitwise_and(w, w - np.uint64(1))
+            # the lowest set bit, read as a float: its exponent is its place
+            bit = np.bitwise_xor(w, rest, out=w).astype(np.float64)
+            place = (bit.view(np.int64) >> 52) - 1023
+            i = (64 - place) // k - 1  # the step, from 0
+            win = np.multiply(self._s0.take(lanes), self._powers[i, 0])
+            win += np.right_shift(self._C.take(lanes), self._q[i, 0])
+            win -= self.Z
+            dist = np.abs(win.view(np.int64), out=win.view(np.int64)).view(np.uint64)
+            runmin[lanes] = np.minimum(runmin.take(lanes), dist, out=dist)
+            more = rest != 0
+            lanes, w = lanes[more], rest[more]
 
 
 class _HornerOrbits(_Lanes):
@@ -545,43 +559,27 @@ def _orbits(map_: FullBranchMap, zeta: Fraction, count: int,
 # ---------------------------------------------------------------------------
 
 
+def _prefix_pair(Z: int, level: int) -> Tuple[int, int]:
+    """(m, p): the widest m <= 63 at which the top m bits of every window
+    w with |w - Z| < max(level, 1) on the circle of 2^64 read p or p + 1
+    (mod 2^m); (0, 0) when no m does."""
+    lo, hi = Z - max(level, 1) + 1, Z + max(level, 1) - 1
+    for m in range(63, 0, -1):
+        if (hi >> (64 - m)) - (lo >> (64 - m)) <= 1:
+            return m, (lo >> (64 - m)) % (1 << m)
+    return 0, 0
+
+
 def _evl_chunk(map_: FullBranchMap, zeta: Fraction,
                checkpoints: Tuple[Tuple[int, Fraction], ...],
                index: int, count: int, seed: int):
-    """Survivor counts at each (n, radius) checkpoint for one chunk.
-
-    A lane survives a checkpoint when its running minimum distance is at
-    least the radius's level.  On ``uniform:d`` with d a power of two
-    the chunk runs the coarse pass (``_CoarseOrbits``): its running
-    minimum c of the top-32-bit distance brackets the exact one strictly
-    between (c - 1)*2^32 and (c + 1)*2^32, so with L32 = level >> 32 a
-    lane surely survives when c >= L32 + 2 and surely entered when
-    c <= L32 - 1.  The lanes with c in {L32, L32 + 1} at some checkpoint
-    (the band) run again through the exact stepper, on the same
-    generator, and their exact outcomes at the checkpoints where they
-    were in the band replace the coarse ones, so the counts are exact.
-    Other maps run the exact stepper alone.
-    """
-    if not (map_.is_uniform and (map_.d & (map_.d - 1)) == 0):
-        orb = _orbits(map_, zeta, count, _rng(seed, index))
-        return [int((runmin >= level).sum())
-                for runmin, level in orb.running_minima(checkpoints)]
-    orb = _CoarseOrbits(map_, zeta, count, _rng(seed, index))
-    counts, bands = [], []
-    for cmin, L32 in orb.running_minima(checkpoints):
-        counts.append(int((cmin >= L32 + 2).sum()))
-        bands.append(np.flatnonzero((cmin >= L32) & (cmin <= L32 + 1)))
-    lanes = np.unique(np.concatenate(bands))
-    if len(lanes):
-        exact = _UniformOrbits(map_, zeta, count, _rng(seed, index))
-        exact.keep(np.isin(np.arange(count), lanes))
-        runmin, k = exact.dist().copy(), 0
-        for j, (n, radius) in enumerate(checkpoints):
-            np.minimum(runmin, exact.min_dist(n - 1 - k), out=runmin)
-            k = n - 1
-            band = runmin[np.searchsorted(lanes, bands[j])]
-            counts[j] += int((band >= exact.level(radius)).sum())
-    return counts
+    """Survivor counts at each (n, radius) checkpoint for one chunk: a
+    lane survives when its running minimum distance is at least the
+    radius's level.  Power-of-two uniform maps read whole words by prefix
+    mask where that is cheaper (``_UniformOrbits.running_minima``)."""
+    orb = _orbits(map_, zeta, count, _rng(seed, index))
+    return [int((runmin >= level).sum())
+            for runmin, level in orb.running_minima(checkpoints)]
 
 
 def _entry_chunk(map_: FullBranchMap, zeta: Fraction, radius: Fraction,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -63,6 +64,16 @@ def test_decay_partial_sum_is_the_sum_of_gammas():
             sum(g.gamma(j) for j in range(lo, hi)), rel=1e-12)
     assert GAMMA_ZERO.partial_sum(0, 10 ** 6) == 0.0
     assert DecayModel(0.0, 0.999).partial_sum(3, 7) == 0.0
+
+
+def test_decay_partial_sum_clamps_negative_times_as_gamma_does():
+    # gamma(j) = c0 for j <= 0, so a range that starts below 0 sums c0
+    # once per such j; ranges with hi <= lo are empty
+    for g in (DecayModel(1.0, 0.5), DecayModel(3.5, 0.9), GAMMA_ZERO):
+        for lo, hi in itertools.product(range(-6, 7), repeat=2):
+            assert g.partial_sum(lo, hi) == pytest.approx(
+                sum(g.gamma(j) for j in range(lo, hi)), rel=1e-12, abs=1e-12)
+    assert DecayModel(1.0, 0.5).partial_sum(-2, 3) == 3.75
 
 
 # -- block-estimate quantities ------------------------------------------------

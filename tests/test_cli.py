@@ -39,6 +39,8 @@ def test_parsers():
     assert parse_point("0.25") == F(1, 4)
     assert parse_grid("1/3,0.5") == [F(1, 3), F(1, 2)]
     assert parse_counts("1e3,, 2") == [1000, 2]
+    with pytest.raises(Exception):
+        parse_counts("1e3,0")
     for bad in ("", ",", " , "):
         with pytest.raises(Exception):
             parse_grid(bad)
@@ -60,6 +62,19 @@ def test_point_with_no_finite_value_is_usage_error(tmp_path, capsys, argv,
         main([*argv, "--out", str(out)])
     assert exc.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evl", "bounds", "check"])
+def test_horizon_zero_is_usage_error(tmp_path, capsys, command):
+    # --n lists horizons; n = 0 has no threshold (u_n needs 1/n), and used
+    # to end in a ZeroDivisionError with exit 1
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--zeta", "1/3", "--n", "100,0", "--seed", "1",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --n:" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -194,23 +194,6 @@ def test_uniform_orbits_match_modular_reference(d, steps):
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 256])
-def test_uniform_min_dist_matches_the_step_loop(d):
-    # runs of 0, 1 and 62 steps end mid-word, a run of J steps from
-    # mid-word crosses a boundary, and 2J + 3 steps cross two
-    J, lanes = WORD[d], 7
-    f = FullBranchMap.uniform(d)
-    blocked = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(5))
-    stepped = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(5))
-    for run in (0, 1, 62, J, 2 * J + 3, 1):
-        low = np.full(lanes, np.iinfo(np.uint64).max, dtype=np.uint64)
-        for _ in range(run):
-            stepped.step()
-            low = np.minimum(low, stepped.dist())
-        assert blocked.min_dist(run).tolist() == low.tolist(), run
-        assert blocked.state.tolist() == stepped.state.tolist(), run
-
-
-@pytest.mark.parametrize("d", [2, 3, 5, 8, 256])
 def test_uniform_first_entries_match_the_step_loop(d):
     # a run of 1 step, one that ends mid-word, one asked past the word's
     # end (the block stops there), then a run of 3 steps and one to the
@@ -239,29 +222,53 @@ def test_uniform_first_entries_match_the_step_loop(d):
     assert 0 in seen and len(seen) > 2
 
 
-# -- the coarse EVL pass of power-of-two uniform maps against the exact one
+# -- prefix masks of power-of-two uniform maps against the exact stepper
 
 
-def _coarse_bounds_hold(c, exact):
-    """(c - 1)*2^32 < D < (c + 1)*2^32 for every lane, in Python ints."""
-    return all((ci - 1) << 32 < di < (ci + 1) << 32
-               for ci, di in zip(c.tolist(), exact.tolist()))
+def _forced(monkeypatch, path):
+    """Make the EVL kernel read every word of a power-of-two uniform map
+    by prefix mask (path "mask") or step it (path "step"); "rule" leaves
+    the operation count to choose.  Returns the (m, p) of each mask."""
+    if path != "rule":
+        monkeypatch.setattr(mc, "CANDIDATE_COST",
+                            -math.inf if path == "mask" else math.inf)
+    pairs, build = [], mc._UniformOrbits.prefix_mask
+    monkeypatch.setattr(mc._UniformOrbits, "prefix_mask",
+                        lambda orb, m, p: pairs.append((m, p)) or build(orb, m, p))
+    return pairs
 
 
 @pytest.mark.parametrize("d", [2, 4, 8, 32, 128, 256])
-def test_coarse_orbits_read_the_top_bits_of_the_window(d):
+def test_prefix_mask_flags_the_windows_with_the_prefix_pair(d):
     # 300 steps cross several words at every d; at d = 8, 32 and 128 a
-    # word fills 63, 60 and 63 bits and is left-justified
+    # word fills 63, 60 and 63 bits and is left-justified.  The pairs:
+    # p even (p and p + 1 differ in the last bit alone), p ending in
+    # ones, p = 2^m - 1 (p + 1 wraps to 0), and at m = 12, 40 and 63 the
+    # prefix of a window 7 steps in, as p and as p + 1
     f, lanes = FullBranchMap.uniform(d), 61
-    coarse = mc._CoarseOrbits(f, F(1, 3), lanes, np.random.default_rng(8))
-    exact = mc._UniformOrbits(f, F(1, 3), lanes, np.random.default_rng(8))
-    for k in range(301):
-        if k:
-            coarse.step()
-            exact.step()
-        top = (exact.state >> np.uint64(32)).astype(np.uint32)
-        assert coarse._top32.tolist() == top.tolist(), k
-        assert _coarse_bounds_hold(coarse.dist(), exact.dist()), k
+    k, J = d.bit_length() - 1, len(mc._word_steps(d))
+    words = -(-300 // J)
+    _, windows = _uniform_states(d, words * J, lanes, seed=8)
+    pairs = [(1, 0), (1, 1), (3, 0b100), (3, 0b011), (3, 0b111), (5, 0b01011),
+             (5, 0b11111), (12, 4095)]
+    for m in (12, 40, 63):
+        top = int(windows[7][3]) >> (64 - m)
+        pairs += [(m, top), (m, (top - 1) % (1 << m))]
+    steps = sum(1 << (64 - k * i) for i in range(1, J + 1))
+    hits = 0
+    for m, p in pairs:
+        orb = mc._UniformOrbits(f, F(0), lanes, np.random.default_rng(8))
+        pair = {p, (p + 1) % (1 << m)}
+        for w in range(words):
+            mask = [int(v) for v in orb.prefix_mask(m, p)]
+            assert all(v & ~steps == 0 for v in mask), (m, p)
+            for i in range(1, J + 1):
+                tops = [int(v) >> (64 - m) for v in windows[w * J + i]]
+                flags = [v >> (64 - k * i) & 1 == 1 for v in mask]
+                assert flags == [t in pair for t in tops], (m, p, w, i)
+                hits += sum(flags)
+            assert orb.state.tolist() == windows[(w + 1) * J].tolist()
+    assert hits > 0
 
 
 def _exact_evl_minima(map_, zeta, checkpoints, index, count, seed):
@@ -286,50 +293,77 @@ EDGE_CHECKPOINTS = ((1, F(1, 5)), (63, F(1, 200)), (64, F(1, 200)),
                     (129, F(1, 400)), (129, F(1, 250)))
 
 
+@pytest.mark.parametrize("path", ["rule", "mask"])
 @pytest.mark.parametrize("d", [2, 4, 8, 256])
 @pytest.mark.parametrize("count", [61, 1001])
-def test_evl_chunk_coarse_pass_matches_the_exact_stepper(d, count):
-    # lane for lane: each coarse minimum brackets the exact one, the sure
-    # survivors survive and the sure entries entered; and the chunk's
-    # counts are the exact loop's
+def test_evl_chunk_matches_the_exact_stepper(d, count, path, monkeypatch):
     f = FullBranchMap.uniform(d)
-    minima, counts = _exact_evl_minima(f, F(1, 3), EDGE_CHECKPOINTS, 2, count, 9)
+    _, counts = _exact_evl_minima(f, F(1, 3), EDGE_CHECKPOINTS, 2, count, 9)
+    masks = _forced(monkeypatch, path)
     assert mc._evl_chunk(f, F(1, 3), EDGE_CHECKPOINTS, 2, count, 9) == counts
-    coarse = mc._CoarseOrbits(f, F(1, 3), count, mc._rng(9, 2))
-    passes = coarse.running_minima(EDGE_CHECKPOINTS)
-    for (cmin, L32), exact, (_, radius) in zip(passes, minima, EDGE_CHECKPOINTS):
-        assert _coarse_bounds_hold(cmin, exact)
-        L = (radius.numerator << 64) // radius.denominator
-        assert L32 == L >> 32
-        survives = exact >= np.uint64(L)
-        assert survives[cmin >= L32 + 2].all()
-        assert not survives[cmin <= L32 - 1].any()
+    assert masks or path == "rule"
 
 
+@pytest.mark.parametrize("path", ["rule", "mask"])
 @pytest.mark.parametrize("d", [2, 8])
-def test_evl_chunk_band_lanes_run_again(d, monkeypatch):
-    # radii at the exact minima of eight lanes, +-1 and +-2^32 units, all
-    # at n = 129: the band holds lanes that survive and lanes that
-    # entered, and only the re-run of the band gets their counts right
+def test_evl_chunk_at_radii_on_the_exact_minima(d, path, monkeypatch):
+    # radii at the exact minima of eight lanes at n = 129, and 1 unit
+    # either side: a lane survives at its own minimum and enters 1 unit
+    # above it, so a candidate missed or misread moves a count
     f, count, n = FullBranchMap.uniform(d), 61, 129
     minima, _ = _exact_evl_minima(f, F(1, 3), ((n, F(1, 4)),), 4, count, 3)
     levels = sorted(int(minima[0][lane]) + delta for lane in range(8)
-                    for delta in (-(1 << 32), -1, 0, 1, 1 << 32))
+                    for delta in (-1, 0, 1))
     cps = tuple((n, F(L, 1 << 64)) for L in levels)
     _, counts = _exact_evl_minima(f, F(1, 3), cps, 4, count, 3)
-    coarse = mc._CoarseOrbits(f, F(1, 3), count, mc._rng(3, 4))
-    band, outcomes = np.zeros(count, dtype=bool), set()
-    for (cmin, L32), L in zip(coarse.running_minima(cps), levels):
-        here = (cmin >= L32) & (cmin <= L32 + 1)
-        band |= here
-        outcomes |= set((minima[0][here] >= np.uint64(L)).tolist())
-    assert outcomes == {False, True}
-    kept = []
-    keep = mc._UniformOrbits.keep
-    monkeypatch.setattr(mc._UniformOrbits, "keep",
-                        lambda orb, mask: kept.append(mask.copy()) or keep(orb, mask))
+    masks = _forced(monkeypatch, path)
     assert mc._evl_chunk(f, F(1, 3), cps, 4, count, 3) == counts
-    assert len(kept) == 1 and np.array_equal(kept[0], band)
+    assert masks or path == "rule"
+
+
+@pytest.mark.parametrize("path", ["rule", "mask"])
+@pytest.mark.parametrize("d", [2, 8, 32])
+def test_evl_chunk_with_checkpoints_inside_words(d, path, monkeypatch):
+    # several radii at one n, and checkpoints a few steps into a word
+    # and one step short of its end, over three words
+    f, J = FullBranchMap.uniform(d), len(mc._word_steps(d))
+    cps = ((3, F(1, 100)), (J // 2, F(1, 700)), (J // 2, F(1, 90)),
+           (J // 2, F(1, 300)), (J - 1, F(1, 500)), (J + 5, F(1, 900)),
+           (2 * J + 2, F(1, 600)), (2 * J + 2, F(1, 2000)), (3 * J, F(1, 800)))
+    _, counts = _exact_evl_minima(f, F(2, 7), cps, 1, 1001, 5)
+    masks = _forced(monkeypatch, path)
+    assert mc._evl_chunk(f, F(2, 7), cps, 1, 1001, 5) == counts
+    assert masks or path == "rule"
+
+
+@pytest.mark.parametrize("path", ["rule", "mask"])
+@pytest.mark.parametrize("zeta", [F(0), 1 - F(1, 2 ** 41)])
+@pytest.mark.parametrize("d", [2, 4, 128])
+def test_evl_chunk_where_the_prefix_pair_wraps(d, zeta, path, monkeypatch):
+    # at 0, and within 2^-40 of 1, the ball covers both ends of the
+    # circle: its prefix pair is 2^m - 1 and 0
+    f = FullBranchMap.uniform(d)
+    cps = ((200, F(1, 1000)), (300, F(1, 3000)))
+    _, counts = _exact_evl_minima(f, zeta, cps, 0, 1001, 7)
+    masks = _forced(monkeypatch, path)
+    assert mc._evl_chunk(f, zeta, cps, 0, 1001, 7) == counts
+    assert masks or path == "rule"
+    assert all(p == (1 << m) - 1 for m, p in masks)
+
+
+def test_evl_chunk_steps_and_masks_to_the_same_counts(monkeypatch):
+    # one chunk of the doubling sweeps' shape: every word stepped, every
+    # word masked, and the operation count's mix of the two
+    obs = Observable(center=F(3, 7))
+    cps = tuple((n, threshold_for(obs, n, tau).radius)
+                for n, tau in ((8, 2), (300, 1), (1000, F(1, 2)), (1000, 1)))
+    runs = []
+    for path in ("step", "mask", "rule"):
+        with monkeypatch.context() as patch:
+            masks = _forced(patch, path)
+            runs.append(mc._evl_chunk(DOUBLING, F(3, 7), cps, 0, 2000, 11))
+            assert bool(masks) == (path != "step")
+    assert runs[0] == runs[1] == runs[2]
 
 
 def _reference_points(map_, steps, count, rng):
@@ -607,9 +641,9 @@ def test_hts_estimate_past_one_random_word(zeta):
 @pytest.mark.parametrize("map_, zeta, n", [(TRIPLING, F(1, 4), 120),
                                            (DOUBLING, F(1, 3), 192)])
 def test_evl_estimate_past_one_random_word(map_, zeta, n):
-    # the divisor fault above does not show here: the doubling EVL coarse
-    # pass reads the random stream, not the divided word, and on d = 3
-    # it moves only the last steps of each word
+    # the divisor fault above shows here on doubling, where the prefix
+    # masks take each candidate's window from the divided word; on d = 3
+    # it moves only the last steps of each word and does not show
     obs = Observable(center=zeta)
     est = mc.estimate_evl(map_, obs, n, 1, trials=100000, seed=3)
     exact = float(exact_evl_prob(map_, threshold_for(obs, n, 1).exceedance, n))
