@@ -143,9 +143,12 @@ def _jsonable(v):
 
 
 def write_outputs(out_dir, name: str, columns, rows, config) -> tuple:
+    """Write ``<name>.csv`` and its JSON mirror, each in one pass over
+    the rows made JSON-ready once."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _jsonable(dict(config, schema_version=SCHEMA_VERSION, command=name))
+    rows = [_jsonable(r) for r in rows]
     csv_path = out_dir / f"{name}.csv"
     json_path = out_dir / f"{name}.json"
     with open(csv_path, "w", newline="") as fh:
@@ -153,18 +156,16 @@ def write_outputs(out_dir, name: str, columns, rows, config) -> tuple:
         fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_jsonable(row.get(c, "")) for c in columns])
+        writer.writerows([r.get(c, "") for c in columns] for r in rows)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": name,
         "config": config,
         "columns": list(columns),
-        "rows": [_jsonable(r) for r in rows],
+        "rows": rows,
     }
     with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return csv_path, json_path
 
 

@@ -6,7 +6,11 @@ Every branch is affine with exact rational data, which keeps preimages,
 periodic points and annulus constructions exactly computable.  A map
 puts its branch data over common denominators once, at construction, so
 ``preimage`` and ``image`` act on the integer numerators of an
-``IntervalUnion`` with integer arithmetic.  A map with integer slopes
+``IntervalUnion`` with integer arithmetic.  Maps are immutable: their
+attributes are set once, at construction, so one map can be shared, and
+``FullBranchMap.from_spec`` builds the map of a string spec once per
+process and returns that same map to every later call with the same
+spec and budget.  A map with integer slopes
 and intercepts also cuts [0, 1) into the finite Markov partition of any
 rational set (``markov_partition``).  Pointwise evaluation uses the
 half-open domains [lo, hi), so a point on an inner branch boundary
@@ -16,6 +20,7 @@ belongs to the branch on its right.  Random orbits are sampled by
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from bisect import bisect_right
@@ -70,7 +75,7 @@ class AffineBranch:
 class FullBranchMap:
     """Expanding interval map with finitely many full affine branches;
     ``budget`` caps the components of every exact preimage (see
-    ``preimage``)."""
+    ``preimage``).  Immutable: assigning to a map raises AttributeError."""
 
     def __init__(self, branches: Sequence[AffineBranch], name: str = "",
                  budget: int = COMPONENT_BUDGET):
@@ -86,14 +91,22 @@ class FullBranchMap:
                 raise ValueError("branch domains must tile [0, 1)")
         if branches[-1].hi != 1:
             raise ValueError("branch domains must end at 1")
-        self.branches = branches
-        self.name = name or f"{len(branches)}-branch"
-        self.budget = budget
-        self._los = [b.lo for b in branches]
-        self._uniform = all(
-            b.width == branches[0].width and b.slope > 0 for b in branches)
-        self._pullback = _pullback_data(branches)
-        self._pushforward = _pushforward_data(branches)
+        # set once, past __setattr__; pickle restores __dict__ the same way
+        vars(self).update(
+            branches=branches,
+            name=name or f"{len(branches)}-branch",
+            budget=budget,
+            _los=tuple(b.lo for b in branches),
+            _uniform=all(b.width == branches[0].width and b.slope > 0
+                         for b in branches),
+            _pullback=_pullback_data(branches),
+            _pushforward=_pushforward_data(branches))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FullBranchMap is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"FullBranchMap is immutable: cannot delete {name!r}")
 
     # -- structure ---------------------------------------------------------
 
@@ -141,8 +154,12 @@ class FullBranchMap:
 
     @classmethod
     def from_widths(cls, widths, budget=COMPONENT_BUDGET) -> "FullBranchMap":
-        """Increasing affine branches with the given (rational) widths."""
-        ws = [as_exact(w) for w in widths]
+        """Increasing affine branches with the given (rational) widths, each
+        positive."""
+        ws = [_spec_exact(w, "width") for w in widths]
+        for w in ws:
+            if w <= 0:
+                raise ValueError(f"width {w} is not positive")
         if sum(ws) != 1:
             raise ValueError("widths must sum to 1")
         branches, lo = [], Fraction(0)
@@ -159,27 +176,16 @@ class FullBranchMap:
 
         Accepts "doubling", "tripling", "uniform:<d>",
         "widths:w1,w2,..." or a JSON list of
-        {"lo":..., "hi":..., "slope":..., "intercept":...} dicts.
+        {"lo":..., "hi":..., "slope":..., "intercept":...} objects,
+        parsed or as a string.  A string spec's map is built once per
+        process and shared: every call with the same string and budget
+        returns that one (immutable) map.  A parsed list builds a new map.
+        A malformed spec raises ValueError, on every call.
         """
         if isinstance(spec, (list, tuple)):
-            branches = [
-                AffineBranch(as_exact(b["lo"]), as_exact(b["hi"]),
-                             as_exact(b["slope"]), as_exact(b["intercept"]))
-                for b in spec
-            ]
-            return cls(branches, name="custom", budget=budget)
-        s = str(spec).strip()
-        if s.startswith("["):
-            return cls.from_spec(json.loads(s), budget)
-        if s == "doubling":
-            return cls.uniform(2, budget)
-        if s == "tripling":
-            return cls.uniform(3, budget)
-        if s.startswith("uniform:"):
-            return cls.uniform(int(s.split(":", 1)[1]), budget)
-        if s.startswith("widths:"):
-            return cls.from_widths(s.split(":", 1)[1].split(","), budget)
-        raise ValueError(f"unknown map spec {spec!r}")
+            return cls([_spec_branch(b) for b in spec], name="custom",
+                       budget=budget)
+        return _interned(cls, str(spec).strip(), budget)
 
     def __repr__(self):
         return f"FullBranchMap({self.name}, d={self.d})"
@@ -327,6 +333,46 @@ class FullBranchMap:
             j0, j1 = (index[u], index[v]) if A > 0 else (index[v], index[u])
             rows.append((scale // abs(A), j0, j1))
         return ends, D, scale, rows
+
+
+@functools.lru_cache(maxsize=64)
+def _interned(cls, s: str, budget) -> FullBranchMap:
+    """The map of the string spec ``s``, built on the first call for
+    (s, budget), as ``re.compile`` caches patterns; an exception is not
+    cached, so a malformed spec raises again on the next call."""
+    if s.startswith("["):
+        return cls.from_spec(json.loads(s), budget)
+    if s == "doubling":
+        return cls.uniform(2, budget)
+    if s == "tripling":
+        return cls.uniform(3, budget)
+    if s.startswith("uniform:"):
+        return cls.uniform(int(s.split(":", 1)[1]), budget)
+    if s.startswith("widths:"):
+        return cls.from_widths(s.split(":", 1)[1].split(","), budget)
+    raise ValueError(f"unknown map spec {s!r}")
+
+
+_BRANCH_KEYS = ("lo", "hi", "slope", "intercept")
+
+
+def _spec_branch(entry) -> AffineBranch:
+    """The branch of one entry of a JSON map spec, which must be an
+    object holding lo, hi, slope and intercept."""
+    if not isinstance(entry, dict) or not all(k in entry for k in _BRANCH_KEYS):
+        raise ValueError(f"map branch {entry!r} is not an object with "
+                         "lo, hi, slope and intercept")
+    return AffineBranch(*(_spec_exact(entry[k], f"map branch {entry!r}: {k}")
+                          for k in _BRANCH_KEYS))
+
+
+def _spec_exact(x, what: str) -> Fraction:
+    """``as_exact`` for an item of a map spec: a value it cannot read as
+    a finite rational ("1/0", null, Infinity) is a ValueError naming it."""
+    try:
+        return as_exact(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"{what} {x!r} is not a finite rational") from None
 
 
 def _pullback_data(branches):

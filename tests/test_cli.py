@@ -139,6 +139,21 @@ def test_check_without_draws_needs_no_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", [
+    "widths:1/2,0,1/2", "[1,2]", '[{"lo":0}]',
+    '[{"lo": 0, "hi": "1/2", "slope": 2, "intercept": null},'
+    ' {"lo": "1/2", "hi": 1, "slope": 2, "intercept": -1}]',
+], ids=["zero-width", "not-objects", "missing-keys", "null-intercept"])
+def test_malformed_map_spec_is_usage_error(tmp_path, capsys, spec):
+    # each ended in a traceback (ZeroDivisionError, TypeError, KeyError)
+    out = tmp_path / "out"
+    for _ in range(2):
+        assert main(["ei", "--map", spec, "--zeta", "1/3", "--eps", "1/100",
+                     "--q", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_tau_zero_rejected(tmp_path):
     rc = main(["evl", "--zeta", "1/3", "--n", "100", "--tau", "0",
                "--seed", "1", "--out", str(tmp_path)])

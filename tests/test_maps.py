@@ -1,5 +1,7 @@
 import math
+import pickle
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -93,7 +95,7 @@ def test_budget_trips_before_the_preimage_is_built(monkeypatch):
         FullBranchMap.uniform(2, budget=5).preimage(s)
     tight = FullBranchMap.uniform(2, budget=4)
     # 2*3 - 1 = 5 > 4: neither the pullback loop nor the merge may run
-    monkeypatch.setattr(tight, "_pullback", None)
+    monkeypatch.setitem(vars(tight), "_pullback", None)  # maps refuse setattr
     monkeypatch.setattr(IntervalUnion, "_from_ends", classmethod(
         lambda cls, ends, den: pytest.fail("preimage was built")))
     with pytest.raises(ComponentBudgetError, match="budget of 4"):
@@ -108,6 +110,60 @@ def test_from_spec_carries_the_budget():
                  ' {"lo": "1/2", "hi": 1, "slope": 2, "intercept": -1}]'):
         assert FullBranchMap.from_spec(spec, budget=7).budget == 7
         assert FullBranchMap.from_spec(spec).budget == COMPONENT_BUDGET
+
+
+def test_from_spec_interns_one_map_per_spec_and_budget():
+    for spec in ("doubling", "uniform:5", "widths:1/2,1/4,1/4",
+                 '[{"lo": 0, "hi": "1/2", "slope": 2, "intercept": 0},'
+                 ' {"lo": "1/2", "hi": 1, "slope": 2, "intercept": -1}]'):
+        m = FullBranchMap.from_spec(spec)
+        assert FullBranchMap.from_spec(spec) is m
+        assert FullBranchMap.from_spec(f" {spec} ") is m
+        tight = FullBranchMap.from_spec(spec, budget=7)
+        assert tight is not m and FullBranchMap.from_spec(spec, budget=7) is tight
+        assert (tight.budget, m.budget) == (7, COMPONENT_BUDGET)
+        assert tight.widths == m.widths
+
+
+def test_from_spec_builds_a_parsed_list_afresh():
+    spec = [{"lo": 0, "hi": "1/2", "slope": 2, "intercept": 0},
+            {"lo": "1/2", "hi": 1, "slope": 2, "intercept": -1}]
+    m = FullBranchMap.from_spec(spec)
+    assert m.widths == (F(1, 2), F(1, 2)) and m.name == "custom"
+    assert FullBranchMap.from_spec(spec) is not m
+
+
+def test_maps_are_immutable_and_pickle():
+    m = FullBranchMap.from_spec("widths:1/2,1/4,1/4", budget=9)
+    for name, value in (("budget", 5), ("name", "x"), ("_los", [])):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(m, name, value)
+    with pytest.raises(AttributeError, match="immutable"):
+        del m.budget
+    assert (m.budget, m.name) == (9, "widths-1/2,1/4,1/4")
+    back = pickle.loads(pickle.dumps(m))
+    assert (back.widths, back.budget, back.is_integer) == (
+        m.widths, m.budget, m.is_integer)
+    assert back.branch_index(F(3, 5)) == m.branch_index(F(3, 5)) == 1
+
+
+MALFORMED_SPECS = [
+    ("widths:1/2,0,1/2", "width 0 is not positive"),
+    ("widths:1/2,1/0", "width '1/0'"),
+    ("[1,2]", "map branch 1 is not an object"),
+    ('[{"lo":0}]', "map branch {'lo': 0} is not an object"),
+    ('[{"lo": 0, "hi": "1/2", "slope": 2, "intercept": null},'
+     ' {"lo": "1/2", "hi": 1, "slope": 2, "intercept": -1}]',
+     "intercept None is not a finite rational"),
+]
+
+
+@pytest.mark.parametrize("spec, message", MALFORMED_SPECS)
+def test_malformed_spec_raises_value_error_on_every_call(spec, message):
+    # nothing is cached on failure, so the second call raises as well
+    for _ in range(2):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FullBranchMap.from_spec(spec)
 
 
 def test_image_examples():
