@@ -48,8 +48,8 @@ class DecayModel:
     lam: float
 
     def __post_init__(self):
-        if self.c0 < 0:
-            raise ValueError("c0 must be nonnegative")
+        if not 0 <= self.c0 < math.inf:  # NaN included
+            raise ValueError(f"c0 must be finite and nonnegative (got {self.c0})")
         if not (0 < self.lam < 1):
             raise ValueError("lam must be in (0, 1)")
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import ComponentBudgetError, ExtremapError, InfeasibleError
+from .errors import ExtremapError, InfeasibleError, ResourceBudgetError
 from .intervals import ball
 from .maps import (COMPONENT_BUDGET, FullBranchMap, Potential,
                    weighted_periodic_sum)
@@ -265,6 +265,8 @@ def _limit(args, map_, uses_theta=True) -> tuple:
     A detection fills both missing values; theta stays None when the
     command does not use it and no detection ran."""
     q, theta = getattr(args, "q", None), getattr(args, "theta", None)
+    if theta is not None and not 0 <= theta <= 1:  # NaN included
+        raise InfeasibleError(f"--theta {theta} is outside [0, 1]")
     if q is None or (uses_theta and theta is None):
         q_det, theta_det = theta_limit(map_, args.zeta)
         q = q_det if q is None else q
@@ -591,7 +593,7 @@ def main(argv=None) -> int:
         return table.code
     except (ExtremapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, ComponentBudgetError) else 2
+        return 3 if isinstance(exc, ResourceBudgetError) else 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,7 +19,11 @@ class CapExceededError(ExtremapError):
     """Requested iteration depth exceeds the configured cap."""
 
 
-class ComponentBudgetError(ExtremapError):
+class ResourceBudgetError(ExtremapError):
+    """A computation would exceed a resource budget (exit 3)."""
+
+
+class ComponentBudgetError(ResourceBudgetError):
     """An exact preimage, or the Markov partition of
     ``events.spectral_escape_rate``, would exceed its map's component
     budget; the caller should fall back to Monte Carlo.

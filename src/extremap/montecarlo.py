@@ -21,10 +21,13 @@ law at every horizon.  These two steppers are the library's only
 orbit simulation: floating-point forward iteration of an expanding map
 collapses onto the dyadic rationals after roughly 53 steps, so it is
 never used.  Each estimator has one chunk kernel, run over whichever
-stepper the map takes:
-``_evl_chunk`` checkpoints the running minimum distance (on
-power-of-two uniform maps through prefix masks, below),
-``_entry_chunk`` records first entry times.
+stepper the map takes: ``_evl_chunk`` checkpoints the running minimum
+distance (on power-of-two uniform maps through prefix masks, below),
+``_entry_chunk`` records first entry times.  Every estimator reaches
+its chunks through one pipeline, ``_run_chunks``, which refuses a map
+no stepper samples, and a run past the lane-step budget, before any
+chunk runs.  ``estimate_hts`` reads the one survival curve
+``_survivors`` at its cutoffs, and ``estimate_escape_rate`` fits it.
 
 The uniform stepper draws one uniform word C in [0, d^J) per J steps,
 J the largest exponent with d^J <= 2^64.  If x = (s0 + t)/2^64 with t
@@ -81,10 +84,10 @@ the calling thread, never on the pool's result thread.
 An event enters the estimators as the center of its observable and the
 exact radius of its threshold ball.  The numerical settings are module
 constants: the chunk size, the first-entry kernel's switch to blocks,
-the prefix masks' candidate cost, the 95% Wilson quantile, and the
-escape fit's transient level and survivor floor.  The estimators only
-estimate: the ``cli`` commands set them against the exact oracles of
-``events`` and the error brackets of ``brackets``.
+the prefix masks' candidate cost, the 95% Wilson quantile, the escape
+fit's transient level and survivor floor, and a run's lane-step budget.
+The estimators only estimate: the ``cli`` commands set them against the
+exact oracles of ``events`` and the error brackets of ``brackets``.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from ._lazy import lazy_numpy
-from .errors import InfeasibleError
+from .errors import InfeasibleError, ResourceBudgetError
 from .intervals import as_exact, ball
 from .maps import FullBranchMap
 from .events import Observable, threshold_for
@@ -119,6 +122,7 @@ Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
 MIN_SURVIVORS = 100  # the escape fit ends at the last t with this many left
 ESCAPE_TRANSIENT = 1e-4  # the escape fit starts once 4*w_max^t is this small
 CANDIDATE_COST = 150  # row operations per prefix-mask candidate (_evl_chunk)
+MC_STEP_BUDGET = 10 ** 12  # most lane-steps a run may ask for (_run_chunks)
 
 
 def wilson_halfwidth(successes: int, trials: int) -> float:
@@ -129,11 +133,6 @@ def wilson_halfwidth(successes: int, trials: int) -> float:
     z = Z95
     denom = 1.0 + z * z / trials
     return z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
-
-
-def _chunks(trials: int):
-    return [(i, min(CHUNK, trials - i * CHUNK))
-            for i in range((trials + CHUNK - 1) // CHUNK)]
 
 
 def _rng(seed: int, index: int) -> np.random.Generator:
@@ -196,6 +195,24 @@ def _map_tasks(fn, args_list, workers: int):
         # arguments, so they run again on a fresh pool
         _drop_pool()
         return list(_shared_pool(workers).map(fn, *zip(*args_list)))
+
+
+def _run_chunks(kernel, map_: FullBranchMap, head: tuple, horizon: int,
+                trials: int, seed: int, workers: int) -> list:
+    """``kernel(map_, *head, index, count, seed)`` on each chunk, in chunk
+    order.  Raises before any chunk runs unless a stepper samples the map
+    and horizon steps of at least a chunk of lanes fit MC_STEP_BUDGET."""
+    if map_.is_uniform and map_.d > MAX_UNIFORM_D:
+        raise InfeasibleError(
+            f"Monte Carlo on uniform:d supports d <= {MAX_UNIFORM_D} "
+            f"(got d = {map_.d})")
+    if max(trials, CHUNK) * horizon > MC_STEP_BUDGET:
+        raise ResourceBudgetError(
+            f"Monte Carlo of {trials} trials to step {horizon} exceeds the "
+            f"budget of {MC_STEP_BUDGET:.0e} lane-steps")
+    args = [(map_, *head, i, min(CHUNK, trials - i * CHUNK), seed)
+            for i in range((trials + CHUNK - 1) // CHUNK)]
+    return _map_tasks(kernel, args, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -539,14 +556,6 @@ class _HornerOrbits(_Lanes):
         self._rows(len(idx))
 
 
-def _check_sampled(map_: FullBranchMap):
-    """Raise unless one of the steppers samples the map's orbits."""
-    if map_.is_uniform and map_.d > MAX_UNIFORM_D:
-        raise InfeasibleError(
-            f"Monte Carlo on uniform:d supports d <= {MAX_UNIFORM_D} "
-            f"(got d = {map_.d})")
-
-
 def _orbits(map_: FullBranchMap, zeta: Fraction, count: int,
             rng: np.random.Generator):
     """The stepper of the map's family for one chunk of ``count`` lanes."""
@@ -667,28 +676,21 @@ def estimate_evl_points(map_: FullBranchMap, obs: Observable,
     Degenerate tau = 0 pairs return the exact estimate 1.
     """
     _check_trials(trials)
-    order = sorted(range(len(pairs)), key=lambda i: int(pairs[i][0]))
-    live = [(i, int(pairs[i][0]), as_exact(pairs[i][1])) for i in order
-            if as_exact(pairs[i][1]) != 0]
-    checkpoints = tuple((n, threshold_for(obs, n, tau).radius)
-                        for _, n, tau in live)
-    if checkpoints:
-        _check_sampled(map_)
-        args = [(map_, obs.center, checkpoints, i, c, seed)
-                for i, c in _chunks(trials)]
-        per_chunk = _map_tasks(_evl_chunk, args, workers)
-        totals = [sum(row[j] for row in per_chunk) for j in range(len(live))]
-    else:
-        totals = []
-    out: list = [None] * len(pairs)
-    for (i, n, tau), s in zip(live, totals):
-        out[i] = EvlEstimate(n, float(tau), s / trials,
-                             wilson_halfwidth(s, trials), trials, seed)
-    for i, (n, tau) in enumerate(pairs):
-        if out[i] is None:
-            out[i] = EvlEstimate(int(n), 0.0, 1.0,
-                                 wilson_halfwidth(trials, trials), trials, seed)
-    return out
+    pairs = [(int(n), as_exact(tau)) for n, tau in pairs]
+    live = sorted((i for i, (_, tau) in enumerate(pairs) if tau != 0),
+                  key=lambda i: pairs[i][0])
+    checkpoints = tuple((pairs[i][0], threshold_for(obs, *pairs[i]).radius)
+                        for i in live)
+    # pair index -> trials that stayed out of its ball: all of them at tau = 0
+    survivors = dict.fromkeys(range(len(pairs)), trials)
+    if live:
+        per_chunk = _run_chunks(_evl_chunk, map_, (obs.center, checkpoints),
+                                checkpoints[-1][0], trials, seed, workers)
+        for j, i in enumerate(live):
+            survivors[i] = sum(row[j] for row in per_chunk)
+    return [EvlEstimate(n, float(tau), survivors[i] / trials,
+                        wilson_halfwidth(survivors[i], trials), trials, seed)
+            for i, (n, tau) in enumerate(pairs)]
 
 
 def estimate_evl_grid(map_: FullBranchMap, obs: Observable, n_grid: Sequence[int],
@@ -705,15 +707,15 @@ def estimate_evl(map_: FullBranchMap, obs: Observable, n: int, tau,
     return estimate_evl_grid(map_, obs, [n], tau, trials, seed, workers)[0]
 
 
-def _entry_histogram(map_: FullBranchMap, zeta, radius, horizon: int,
-                     trials: int, seed: int, workers: int):
-    _check_sampled(map_)
-    args = [(map_, as_exact(zeta), radius, horizon, i, c, seed)
-            for i, c in _chunks(trials)]
-    out = np.zeros(horizon + 1, dtype=np.int64)
-    for h in _map_tasks(_entry_chunk, args, workers):
-        out += h
-    return out
+def _survivors(map_: FullBranchMap, zeta, radius, horizon: int,
+               trials: int, seed: int, workers: int):
+    """(S, censored): S[t] the trials that have not entered the radius
+    ball at zeta by step t, for t = 0..horizon, and the trials that never
+    entered."""
+    hist = sum(_run_chunks(_entry_chunk, map_, (as_exact(zeta), radius, horizon),
+                           horizon, trials, seed, workers))
+    censored, hist[0] = int(hist[0]), 0
+    return trials - np.cumsum(hist), censored
 
 
 def estimate_hts(map_: FullBranchMap, zeta, eps, tau_grid: Sequence,
@@ -730,18 +732,16 @@ def estimate_hts(map_: FullBranchMap, zeta, eps, tau_grid: Sequence,
     B = ball(as_exact(zeta), eps)
     PB = B.measure()
     taus = [as_exact(t) for t in tau_grid]
+    if min(taus, default=0) < 0:  # S would be read from its end
+        raise ValueError(f"tau must be >= 0 (got {float(min(taus))})")
     cutoffs = [int(t / PB) for t in taus]
     horizon = max(cutoffs) if cutoffs else 0
-    hist = _entry_histogram(map_, zeta, eps, horizon, trials, seed, workers)
-    entered_by = np.cumsum(hist[1:])  # entered at step <= t
-    estimates, halves = [], []
-    for t_int in cutoffs:
-        surv = trials - int(entered_by[t_int - 1]) if t_int >= 1 else trials
-        estimates.append(surv / trials)
-        halves.append(wilson_halfwidth(surv, trials))
+    S, censored = _survivors(map_, zeta, eps, horizon, trials, seed, workers)
+    surv = [int(S[t]) for t in cutoffs]
     return ECDF(grid=tuple(float(t) for t in taus),
-                estimates=tuple(estimates), half_widths=tuple(halves),
-                trials=trials, seed=seed, censored=int(hist[0]))
+                estimates=tuple(s / trials for s in surv),
+                half_widths=tuple(wilson_halfwidth(s, trials) for s in surv),
+                trials=trials, seed=seed, censored=censored)
 
 
 def _transient(map_: FullBranchMap) -> int:
@@ -775,22 +775,20 @@ def estimate_escape_rate(map_: FullBranchMap, zeta, eps, trials: int,
         return EscapeFit(0.0, 0.0, (0, 0), 0.0, trials, seed, trials)
     PB = ball(as_exact(zeta), eps).measure()
     horizon = int(50 / float(PB))
-    hist = _entry_histogram(map_, zeta, eps, horizon, trials, seed, workers)
-    # survivors[t] = S(t), the trials not entered by step t
-    survivors = trials - np.concatenate(([0], np.cumsum(hist[1:])))
+    S, censored = _survivors(map_, zeta, eps, horizon, trials, seed, workers)
     t_start = _transient(map_)
-    alive = np.nonzero(survivors >= MIN_SURVIVORS)[0]
+    alive = np.nonzero(S >= MIN_SURVIVORS)[0]
     t_end = int(alive[-1]) if alive.size else 0
     if t_end - t_start < 8:
         raise InfeasibleError(
             "survival window too short for a fit; increase trials")
-    exits = int(survivors[t_start] - survivors[t_end])
-    exposure = int(survivors[t_start:t_end].sum())
+    exits = int(S[t_start] - S[t_end])
+    exposure = int(S[t_start:t_end].sum())
     slope = -math.log1p(-exits / exposure)
-    logs = -np.log(survivors[t_start:t_end + 1] / trials)
+    logs = -np.log(S[t_start:t_end + 1] / trials)
     intercept = float(logs[0]) - slope * t_start
     line = slope * np.arange(t_start, t_end + 1) + intercept
     residual = float(np.sqrt(np.mean((logs - line) ** 2)))
     return EscapeFit(slope=slope, intercept=intercept,
                      window=(t_start, t_end), residual_norm=residual,
-                     trials=trials, seed=seed, censored=int(hist[0]))
+                     trials=trials, seed=seed, censored=censored)

@@ -46,7 +46,8 @@ def test_decay_model_tail_sums():
     assert g.gamma(3) == 0.5 and g.gamma(-2) == 4.0
     assert g.partial_sum(2, 5) == pytest.approx(4 * (0.25 + 0.125 + 0.0625))
     assert g.partial_sum(5, 5) == 0.0
-    for c0, lam in ((-1.0, 0.5), (1.0, 0.0), (1.0, 1.0)):
+    for c0, lam in ((-1.0, 0.5), (math.inf, 0.5), (math.nan, 0.5), (1.0, 0.0),
+                    (1.0, 1.0)):
         with pytest.raises(ValueError):
             DecayModel(c0, lam)
     assert DecayModel.for_map(DOUBLING) == DecayModel(4.0, 0.5)

@@ -817,3 +817,41 @@ def test_monte_carlo_digit_limit_of_uniform_maps(tmp_path, capsys):
         rc = main([cmd[0], "--map", "uniform:256", "--zeta", "1/3", *cmd[1:],
                    "--trials", "100", "--seed", "1", "--out", str(tmp_path)])
         assert rc == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["evl", "--n", "100", "--trials", "1e20"],  # a list of 3e15 chunks
+    ["escape", "--eps", "1e-12", "--trials", "1000"],  # a 182 TiB histogram
+    ["hts", "--eps", "1/16", "--tau", "1e9", "--trials", "10"],  # 59.6 GiB
+], ids=["evl", "escape", "hts"])
+def test_monte_carlo_past_the_lane_step_budget_exits_3(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    rc = main([argv[0], "--zeta", "1/3", *argv[1:], "--seed", "1",
+               "--out", str(out)])
+    assert rc == 3
+    assert time.perf_counter() - start < 1
+    assert "lane-steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["evl", "--n", "100", "--theta", "nan", "--trials", "1000", "--seed", "1"],
+     "--theta nan"),
+    (["evl", "--n", "100", "--theta=-1", "--trials", "1000", "--seed", "1"],
+     "--theta -1.0"),
+    (["bounds", "--n", "100", "--decay-c0", "inf"], "c0 must be finite"),
+    (["bounds", "--n", "100", "--decay-c0", "nan"], "(got nan)"),
+    (["hts", "--eps", "1/16", "--tau=-1", "--trials", "1000", "--seed", "1"],
+     "tau must be >= 0"),
+    (["hts", "--eps", "1/16", "--tau=-1,1", "--trials", "1000", "--seed", "1"],
+     "tau must be >= 0"),
+], ids=["theta-nan", "theta-negative", "c0-inf", "c0-nan", "tau-negative",
+        "tau-negative-first"])
+def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv, named):
+    # theta NaN and -1 wrote NaN and e^tau limits, c0 = inf an infinite
+    # total, and tau = -1,1 a table: each exited 0
+    out = tmp_path / "out"
+    assert main([argv[0], "--zeta", "1/3", *argv[1:], "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from extremap.errors import InfeasibleError
+from extremap.errors import InfeasibleError, ResourceBudgetError
 from extremap.intervals import ball
 from extremap.maps import AffineBranch, FullBranchMap
 from extremap.events import (
@@ -873,6 +873,62 @@ def test_unsampled_maps_fail_before_any_chunk_is_scheduled(monkeypatch):
     with pytest.raises(InfeasibleError):
         mc.estimate_hts(f, F(1, 3), F(1, 40), [1], trials=100, seed=1,
                         workers=2)
+
+
+def test_lane_step_budget_is_checked_before_any_chunk_runs(monkeypatch):
+    # at least a chunk of lanes is counted: 100 trials to n = 100 is
+    # CHUNK * 100 lane-steps, exactly the budget
+    monkeypatch.setattr(mc, "MC_STEP_BUDGET", mc.CHUNK * 100)
+    obs = Observable(center=F(1, 3))
+    assert mc.estimate_evl(DOUBLING, obs, 100, 1, trials=100, seed=1).trials == 100
+    monkeypatch.setattr(mc, "_map_tasks",
+                        lambda *args: pytest.fail("a chunk was scheduled"))
+    for n, trials in ((101, 100), (100, mc.CHUNK + 1)):
+        with pytest.raises(ResourceBudgetError, match="lane-steps"):
+            mc.estimate_evl(DOUBLING, obs, n, 1, trials=trials, seed=1)
+    with pytest.raises(ResourceBudgetError):
+        mc.estimate_hts(DOUBLING, F(1, 3), F(1, 16), [13], trials=10, seed=1)
+    with pytest.raises(ResourceBudgetError):
+        mc.estimate_escape_rate(DOUBLING, F(1, 3), F(1, 16), trials=10, seed=1)
+
+
+@pytest.mark.parametrize("taus", [[-1], [-1, 1], [F(1, 2), F(-1, 100)]])
+def test_hts_rejects_negative_times(taus):
+    # a negative cutoff would read the survival curve from its end
+    with pytest.raises(ValueError, match="tau must be >= 0"):
+        mc.estimate_hts(DOUBLING, F(1, 3), F(1, 16), taus, trials=100, seed=1)
+
+
+@pytest.mark.parametrize("spec", ["doubling", "tripling", "uniform:5",
+                                  "widths:1/2,1/4,1/4"])
+def test_survivors_at_a_shorter_horizon_are_a_prefix(spec, monkeypatch):
+    # hts cutoffs and the escape fit read one curve whatever horizon each
+    # asks for.  Chunks of 2500 lanes cross FEW_LANES, and the short
+    # horizons end before, at and after a word boundary
+    monkeypatch.setattr(mc, "CHUNK", 2500)
+    f = FullBranchMap.from_spec(spec)
+    J = WORD[f.d] if f.is_uniform else 64
+    args = (f, F(1, 3), F(1, 200))
+    S, censored = mc._survivors(*args, 3 * J + 5, 6000, 4, 1)
+    assert S[0] == 6000 and censored == S[-1] > 0
+    assert np.all(np.diff(S) <= 0)
+    for h0 in (J - 1, J, J + 1):
+        short, _ = mc._survivors(*args, h0, 6000, 4, 1)
+        assert np.array_equal(short, S[:h0 + 1]), h0
+
+
+@pytest.mark.parametrize("spec", ["doubling", "tripling", "uniform:8",
+                                  "widths:1/2,1/4,1/4"])
+def test_evl_points_equal_one_call_per_pair(spec):
+    # out of order, a repeated n, and a tau = 0 pair among them
+    f = FullBranchMap.from_spec(spec)
+    obs = Observable(center=F(2, 7))
+    pairs = [(200, F(1)), (30, F(1, 2)), (200, F(1, 2)), (75, 0), (30, F(2)),
+             (5, F(1, 3))]
+    pts = mc.estimate_evl_points(f, obs, pairs, trials=3000, seed=9)
+    assert pts == [mc.estimate_evl(f, obs, n, tau, trials=3000, seed=9)
+                   for n, tau in pairs]
+    assert pts[3].estimate == 1.0 and pts[3].n == 75
 
 
 def test_evl_determinism_and_grid_consistency():
