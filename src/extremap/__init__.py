@@ -22,7 +22,6 @@ from .maps import (
     Potential,
     bv_norm_indicator,
     periodic_points,
-    pressure_sequence,
     weighted_periodic_sum,
 )
 from .events import (
@@ -35,7 +34,7 @@ from .events import (
     first_return_time,
     spectral_escape_rate,
     survivor_set,
-    theta_limit,
+    theta_limit_exact,
     theta_n,
     threshold_for,
 )
@@ -47,7 +46,6 @@ from .brackets import (
     ErrorBudget,
     EscapeWindow,
     annuli_gap_bound,
-    escape_rate_window,
     escape_window,
     evl_bracket_inputs,
     exp_approx_error,
@@ -67,7 +65,7 @@ from .montecarlo import (
     EvlEstimate,
     estimate_escape_rate,
     estimate_evl,
-    estimate_evl_grid,
+    estimate_evl_points,
     estimate_hts,
     wilson_halfwidth,
 )

@@ -320,7 +320,7 @@ def hts_bracket_inputs(map_: FullBranchMap, B: IntervalUnion, q: int,
 def _bracket_inputs(map_, A, PA, params: BlockingParams,
                     ell: int) -> BracketInputs:
     return BracketInputs(A=A, PA=PA, k=params.k, t=params.t, ell=ell,
-                         R=recurrence_start(map_, A, ell),
+                         R=recurrence_start(map_, A),
                          M=bv_norm_indicator(A))
 
 
@@ -386,6 +386,17 @@ def sharp_evl_bracket(tau: float, n: int, theta: float, PA: float, k: int, t: in
     return ErrorBudget(terms=terms, extras=(("ell", float(ell)),))
 
 
+def _hts_shift(PA: float, k: int, t: int, R: int, ell: int, M: float,
+               gamma: DecayModel) -> Tuple[float, float, float]:
+    """(k*Y/L, Y, L): the exponent shift of the sharp hitting-time bound,
+    from the per-block error rate Y and the block survival L = 1 - ell*PA."""
+    L = 1.0 - ell * PA
+    if not (0 < L <= 1):
+        raise InfeasibleError(f"L = {L} outside (0, 1]")
+    Y = upsilon(PA, M, ell, t, R, gamma)
+    return k * Y / L, Y, L
+
+
 def sharp_hts_bracket(tau: float, PB: float, PA: float, theta: float, k: int,
                   t: int, R: int, ell: int, M: float,
                   gamma: DecayModel) -> ErrorBudget:
@@ -396,25 +407,27 @@ def sharp_hts_bracket(tau: float, PB: float, PA: float, theta: float, k: int,
     threshold/annulus defect.  The weight is exp(-(theta - k*Y/L) tau)
     where Y is the per-block error rate, so the shift k*Y/L is reported
     separately; a shift at or above theta makes the bound vacuous and is
-    flagged, not failed.
+    flagged, not failed.  Where the weight or tau**3 overflows, each term
+    is inf, or 0.0 where its alpha factor is 0.
     """
-    L = 1.0 - ell * PA
-    if not (0 < L <= 1):
-        raise InfeasibleError(f"L = {L} outside (0, 1]")
+    shift, Y, L = _hts_shift(PA, k, t, R, ell, M, gamma)
     Gamma = (k * t * PA + gamma.gamma(t) / PB + 1.0 / k
              + gamma.partial_sum(R, ell))
     alpha = abs(theta - PA / PB + t * k * PA)
-    Y = upsilon(PA, M, ell, t, R, gamma)
-    shift = k * Y / L
     flags = ()
     if shift >= theta:
         flags = ("vacuous-exponent",)
-    w = math.exp(-(theta - shift) * tau)
-    terms = (
-        ("alpha_gamma", w * tau * tau * alpha * Gamma),
-        ("poisson_gamma", w * tau * tau * Gamma / k),
-        ("cubic", w * tau ** 3 * alpha * Gamma / k),
-    )
+    try:
+        w = math.exp(-(theta - shift) * tau)
+        terms = (
+            ("alpha_gamma", w * tau * tau * alpha * Gamma),
+            ("poisson_gamma", w * tau * tau * Gamma / k),
+            ("cubic", w * tau ** 3 * alpha * Gamma / k),
+        )
+    except OverflowError:
+        alpha_term = math.inf if alpha else 0.0
+        terms = (("alpha_gamma", alpha_term), ("poisson_gamma", math.inf),
+                 ("cubic", alpha_term))
     extras = (
         ("Gamma", Gamma),
         ("alpha", alpha),
@@ -437,30 +450,18 @@ class EscapeWindow:
     degenerate: bool
 
 
-def escape_rate_window(theta: float, k: int, Y: float, L: float,
-                       PB: float) -> EscapeWindow:
-    """Guaranteed lower bound and nominal value for the escape rate.
-
-    lower = (theta - k*Y/L) * PB, nominal = theta * PB.  When the
-    exponent shift swallows theta the window is degenerate (flagged).
-    """
-    shift = k * Y / L
-    lower = (theta - shift) * PB
-    return EscapeWindow(lower=lower, nominal=theta * PB,
-                        degenerate=shift >= theta)
-
-
 def escape_window(inputs: BracketInputs, theta: float, PB: float,
                   gamma: DecayModel) -> EscapeWindow:
     """Escape-rate window of a hole with measure PB from its bracket inputs.
 
-    Y is the per-block error rate ``upsilon`` of the inputs and
-    L = max(1 - ell*PA, 1e-12) the block survival floor.
+    lower = (theta - k*Y/L) * PB, with k*Y/L the exponent shift of the
+    sharp hitting-time bracket, and nominal = theta * PB.  When the shift
+    swallows theta the window is degenerate (flagged).
     """
-    PA = float(inputs.PA)
-    Y = upsilon(PA, inputs.M, inputs.ell, inputs.t, inputs.R, gamma)
-    L = max(1.0 - inputs.ell * PA, 1e-12)
-    return escape_rate_window(theta, inputs.k, Y, L, PB)
+    shift, _, _ = _hts_shift(float(inputs.PA), inputs.k, inputs.t, inputs.R,
+                             inputs.ell, inputs.M, gamma)
+    return EscapeWindow(lower=(theta - shift) * PB, nominal=theta * PB,
+                        degenerate=shift >= theta)
 
 
 def exp_approx_error(x: float, n: int) -> Tuple[float, float]:

@@ -35,7 +35,6 @@ from .events import (
     dprime_sum,
     spectral_escape_rate,
     survivor_set,
-    theta_limit,
     theta_limit_exact,
     theta_n,
     threshold_for,
@@ -268,9 +267,9 @@ def _limit(args, map_, uses_theta=True) -> tuple:
     if theta is not None and not 0 <= theta <= 1:  # NaN included
         raise InfeasibleError(f"--theta {theta} is outside [0, 1]")
     if q is None or (uses_theta and theta is None):
-        q_det, theta_det = theta_limit(map_, args.zeta)
+        q_det, theta_det = theta_limit_exact(map_, args.zeta)
         q = q_det if q is None else q
-        theta = theta_det if theta is None else theta
+        theta = float(theta_det) if theta is None else theta
     return q, theta
 
 
@@ -300,8 +299,9 @@ def cmd_evl(args, map_) -> Table:
     obs = Observable(center=zeta)
     limit = math.exp(-theta * float(tau))
     rows = []
-    for pt in mc.estimate_evl_grid(map_, obs, n_grid, tau, args.trials,
-                                   args.seed, args.workers):
+    for pt in mc.estimate_evl_points(map_, obs,
+                                     [(n, tau) for n in sorted(n_grid)],
+                                     args.trials, args.seed, args.workers):
         U = threshold_for(obs, pt.n, tau).exceedance
         inputs = evl_bracket_inputs(map_, U, q, pt.n, decay)
         bracket = sharp_evl_bracket(float(tau), pt.n, theta, float(inputs.PA),

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, compress
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional
 
 from .errors import (ComponentBudgetError, ConvergenceError, InfeasibleError,
                      PeriodUndecidedError)
@@ -160,22 +160,20 @@ def _uniform_period(map_: FullBranchMap, zeta: Fraction, cap: int):
     raise PeriodUndecidedError(f"period of {zeta} exceeds cap {cap}")
 
 
-def detect_period(map_: FullBranchMap, zeta,
-                  cap: Optional[int] = None) -> Optional[int]:
+def detect_period(map_: FullBranchMap, zeta) -> Optional[int]:
     """Prime period of ``zeta`` under the map, or None if not periodic.
 
     Exact for rational points.  For non-uniform maps the orbit is
-    iterated up to ``cap``: a return to the start gives the period, any
+    iterated up to a cap: a return to the start gives the period, any
     other repeat certifies non-periodicity, and otherwise the detection
     is inconclusive and raises.  On an integer map the orbit of a/den
     stays among the den points k/den, so it repeats within den steps,
-    and ``cap`` defaults to den, at most the map's budget or 64 if that
-    is larger; elsewhere to 64.
+    and the cap is den, at most the map's budget or 64 if that is
+    larger; elsewhere it is 64.
     """
     zeta = as_exact(zeta)
-    if cap is None:
-        cap = (min(zeta.denominator, max(map_.budget, 64))
-               if map_.is_integer else 64)
+    cap = (min(zeta.denominator, max(map_.budget, 64))
+           if map_.is_integer else 64)
     if map_.is_uniform:
         return _uniform_period(map_, zeta, cap)
     seen = {zeta: 0}
@@ -188,12 +186,6 @@ def detect_period(map_: FullBranchMap, zeta,
             return None
         seen[z] = j
     raise PeriodUndecidedError(f"period of {zeta} undecided after {cap} steps")
-
-
-def theta_limit(map_: FullBranchMap, zeta) -> Tuple[int, float]:
-    """(q, theta) in the limit of small events, theta as a float."""
-    q, theta = theta_limit_exact(map_, zeta)
-    return q, float(theta)
 
 
 def theta_limit_exact(map_: FullBranchMap, zeta):
@@ -240,7 +232,7 @@ def first_return_time(map_: FullBranchMap, A: IntervalUnion,
 RETURN_HORIZON = 256
 
 
-def recurrence_start(map_: FullBranchMap, A: IntervalUnion, ell: int) -> int:
+def recurrence_start(map_: FullBranchMap, A: IntervalUnion) -> int:
     """First return time of A, or RETURN_HORIZON + 1 without a return.
 
     The brackets sum the decay tail from this time to the block length

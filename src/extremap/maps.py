@@ -493,15 +493,6 @@ def weighted_periodic_sum(map_: FullBranchMap, potential: Potential, n: int):
     return sum(map_.widths) ** n
 
 
-def pressure_sequence(map_: FullBranchMap, potential: Potential, n_max: int):
-    """Finite-n pressure approximants (1/n) log Z_n for n = 1..n_max."""
-    out = []
-    for n in range(1, n_max + 1):
-        z = float(weighted_periodic_sum(map_, potential, n))
-        out.append(math.log(z) / n)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # indicator BV norm
 # ---------------------------------------------------------------------------

@@ -693,18 +693,10 @@ def estimate_evl_points(map_: FullBranchMap, obs: Observable,
             for i, (n, tau) in enumerate(pairs)]
 
 
-def estimate_evl_grid(map_: FullBranchMap, obs: Observable, n_grid: Sequence[int],
-                      tau, trials: int, seed: int, workers: int = 1):
-    """P(M_n <= u_n) estimates for every n in the grid at one time scale."""
-    n_grid = sorted(int(n) for n in n_grid)
-    return estimate_evl_points(map_, obs, [(n, tau) for n in n_grid],
-                               trials, seed, workers)
-
-
 def estimate_evl(map_: FullBranchMap, obs: Observable, n: int, tau,
                  trials: int, seed: int, workers: int = 1) -> EvlEstimate:
     """Fraction of trials whose maximum over n steps stays at or below u_n."""
-    return estimate_evl_grid(map_, obs, [n], tau, trials, seed, workers)[0]
+    return estimate_evl_points(map_, obs, [(n, tau)], trials, seed, workers)[0]
 
 
 def _survivors(map_: FullBranchMap, zeta, radius, horizon: int,

@@ -9,6 +9,7 @@ defect scaled by n^k must stay within a factor 10 over the n grid and
 match the leading coefficient to 1e-3 at n = 10^4.
 """
 
+import csv
 import json
 import math
 import random
@@ -19,12 +20,7 @@ import numpy as np
 import pytest
 
 from extremap.intervals import IntervalUnion, ball
-from extremap.maps import (
-    FullBranchMap,
-    Potential,
-    pressure_sequence,
-    weighted_periodic_sum,
-)
+from extremap.maps import FullBranchMap
 from extremap.events import (
     Observable,
     annulus_set,
@@ -208,22 +204,31 @@ def test_ac7_exact_inequalities():
     assert elapsed < 120
 
 
-def test_ac8_thermodynamics():
+def test_ac8_thermodynamics(tmp_path):
+    # the CSV of the pressure command: Z_n and (1/n) log Z_n for n <= 10
     start = time.time()
     ok = True
-    for m in (DOUBLING, TRIPLING, WIDTHS):
-        for n in range(1, 11):
-            ok = ok and abs(float(weighted_periodic_sum(
-                m, Potential.geometric(), n)) - 1.0) <= 1e-12
-        ok = ok and all(abs(p) <= 1e-12 for p in
-                        pressure_sequence(m, Potential.geometric(), 10))
-        logd = math.log(m.d)
-        ok = ok and all(abs(p - logd) <= 1e-12 for p in
-                        pressure_sequence(m, Potential.zero(), 10))
+    for spec, m in (("doubling", DOUBLING), ("tripling", TRIPLING),
+                    ("widths:1/2,1/4,1/4", WIDTHS)):
+        for potential, pressure in (("geometric", 0.0),
+                                    ("zero", math.log(m.d))):
+            out = tmp_path / f"{spec}-{potential}"
+            ok = ok and main(["pressure", "--map", spec, "--potential",
+                              potential, "--n-max", "10",
+                              "--out", str(out)]) == 0
+            with open(out / "pressure.csv") as fh:
+                rows = list(csv.DictReader(
+                    line for line in fh if not line.startswith("#")))
+            ok = ok and [int(r["scale"]) for r in rows] == list(range(1, 11))
+            ok = ok and all(abs(float(r["pressure"]) - pressure) <= 1e-12
+                            for r in rows)
+            if potential == "geometric":
+                ok = ok and all(abs(float(r["Z_n"]) - 1.0) <= 1e-12
+                                for r in rows)
     elapsed = time.time() - start
     report("AC-8", ok and elapsed < 1,
-           f"Z_n(geometric) = 1 +- 1e-12 and pressure columns exact on 3 maps "
-           f"for n <= 10, {elapsed:.2f}s")
+           f"pressure command: Z_n(geometric) = 1 +- 1e-12 and pressure "
+           f"columns exact on 3 maps for n <= 10, {elapsed:.2f}s")
     assert ok
     assert elapsed < 1
 

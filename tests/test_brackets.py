@@ -20,7 +20,7 @@ from extremap.events import (
 from extremap.brackets import (
     DecayModel,
     annuli_gap_bound,
-    escape_rate_window,
+    escape_window,
     evl_bracket_inputs,
     exp_approx_error,
     hts_bracket_inputs,
@@ -319,6 +319,16 @@ def test_sharp_hts_bracket_alpha_vanishes():
     assert b.term("alpha_gamma") == 0.0 and b.term("cubic") == 0.0
 
 
+def test_sharp_hts_bracket_overflowing_weight_is_inf():
+    # a shift of about 1.5e12 overflows exp((shift - theta) * tau): the
+    # terms with a vanishing alpha factor stay 0.0, the others are inf
+    b = sharp_hts_bracket(1.0, 0.02, 0.015, 0.75, 1, 0, 7, 12, 4,
+                          DecayModel(1e6, 0.5))
+    assert b.flags == ("vacuous-exponent",)
+    assert b.term("alpha_gamma") == 0.0 and b.term("cubic") == 0.0
+    assert b.term("poisson_gamma") == math.inf and b.total == math.inf
+
+
 def test_sharp_hts_bracket_frozen_regression():
     b = sharp_hts_bracket(1.0, 0.02, 0.015, 0.75, 2, 13, 7, 12, 4,
                       DecayModel.for_map(DOUBLING))
@@ -382,15 +392,23 @@ def test_error_budget_shift_and_extras():
         b.extra("total")
 
 
-def test_escape_window():
-    w = escape_rate_window(0.5, 4, 0.0, 1.0, 0.02)
-    assert w.lower == w.nominal == 0.01
-    assert not w.degenerate
-    v = escape_rate_window(0.5, 4, 0.2, 0.9, 0.02)
-    assert v.lower <= v.nominal
-    assert v.degenerate
-    ok = escape_rate_window(0.5, 2, 0.01, 0.95, 0.02)
-    assert not ok.degenerate and 0 < ok.lower < ok.nominal
+def test_escape_window_is_the_sharp_hts_shift():
+    # lower = (theta - k*Y/L) * P(B) with the shift of the sharp HTS
+    # bracket of the same inputs; the 1/16 hole's shift swallows theta
+    dm = DecayModel.for_map(DOUBLING)
+    degenerate = []
+    for den in (16, 200):
+        B = ball(F(1, 3), F(1, den))
+        PB = float(B.measure())
+        inputs = hts_bracket_inputs(DOUBLING, B, 2, dm)
+        b = sharp_hts_bracket(1.0, PB, float(inputs.PA), 0.75, inputs.k,
+                              inputs.t, inputs.R, inputs.ell, inputs.M, dm)
+        w = escape_window(inputs, 0.75, PB, dm)
+        assert w.lower == (0.75 - b.exponent_shift) * PB
+        assert w.nominal == 0.75 * PB
+        assert w.degenerate == ("vacuous-exponent" in b.flags)
+        degenerate.append(w.degenerate)
+    assert degenerate == [True, False]
 
 
 def test_exp_approx_error():

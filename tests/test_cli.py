@@ -266,20 +266,20 @@ def _no_detection(*args):
 ], ids=["evl", "check"])
 def test_given_values_skip_period_detection(tmp_path, monkeypatch, argv):
     import extremap.cli as cli_mod
-    monkeypatch.setattr(cli_mod, "theta_limit", _no_detection)
+    monkeypatch.setattr(cli_mod, "theta_limit_exact", _no_detection)
     assert main(argv + ["--out", str(tmp_path)]) == 0
 
 
 def test_hts_detects_the_period_once(tmp_path, monkeypatch):
     import extremap.cli as cli_mod
     calls = []
-    original = cli_mod.theta_limit
+    original = cli_mod.theta_limit_exact
 
     def counted(map_, zeta):
         calls.append(zeta)
         return original(map_, zeta)
 
-    monkeypatch.setattr(cli_mod, "theta_limit", counted)
+    monkeypatch.setattr(cli_mod, "theta_limit_exact", counted)
     assert main(["hts", "--zeta", "1/3", "--eps", "1/16,1/32", "--tau", "1",
                  "--trials", "1000", "--seed", "1",
                  "--out", str(tmp_path)]) == 0
@@ -439,6 +439,20 @@ def test_bounds_zero_decay_records_the_lam_in_force(tmp_path):
     assert payloads[0]["config"]["decay"] == {"c0": 0.0, "lam": 0.3}
     assert ([r["value"] for r in payloads[0]["rows"]]
             == [r["value"] for r in payloads[1]["rows"]])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--map", "tripling", "--zeta", "1/7", "--tau", "30"],
+    ["--map", "doubling", "--zeta", "1/3", "--tau", "700"],
+], ids=["tripling-tau30", "doubling-tau700"])
+def test_sharp_hts_overflowing_weight_is_flagged_not_failed(tmp_path, argv):
+    # the vacuous exponent times tau overflows exp: the bound is inf
+    assert main(["bounds", *argv, "--bracket", "sharp-hts", "--eps", "1/16",
+                 "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "bounds.csv")
+    total = next(r for r in rows if r["term"] == "total")
+    assert float(total["value"]) == math.inf
+    assert total["flags"] == "vacuous-exponent"
 
 
 def test_bounds_and_check_record_horizons_radii_and_budget(tmp_path):
@@ -779,11 +793,18 @@ def test_sweep_and_bounds_share_bracket_inputs(tmp_path):
                  "--out", str(tmp_path / "hts")]) == 0
     assert main(["bounds", *common, "--bracket", "sharp-hts",
                  "--out", str(tmp_path / "hts")]) == 0
-    escape = json.loads((tmp_path / "hts" / "escape.json").read_text())["rows"]
+    escape = json.loads((tmp_path / "hts" / "escape.json").read_text())
     bounds = json.loads((tmp_path / "hts" / "bounds.json").read_text())["rows"]
     kt = {(r["scale"], r["k"], r["t"]) for r in bounds}
     assert len(kt) == 2
-    assert {(r["scale"], r["k"], r["t"]) for r in escape} == kt
+    assert {(r["scale"], r["k"], r["t"]) for r in escape["rows"]} == kt
+    # the escape window's lower end is the sharp-hts exponent shift
+    theta = escape["config"]["theta"]
+    shift = {r["scale"]: r["value"] for r in bounds
+             if r["term"] == "exponent_shift"}
+    assert sorted(shift) == sorted(r["scale"] for r in escape["rows"])
+    for r in escape["rows"]:
+        assert r["window_lower"] == (theta - shift[r["scale"]]) * r["PB"]
 
 
 def test_oversized_annulus_fails_fast(tmp_path):

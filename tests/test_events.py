@@ -31,7 +31,6 @@ from extremap.events import (
     recurrence_start,
     spectral_escape_rate,
     survivor_set,
-    theta_limit,
     theta_limit_exact,
     theta_n,
     threshold_for,
@@ -104,11 +103,11 @@ def test_theta_n_values():
 
 
 def test_theta_limit_cases():
-    assert theta_limit(DOUBLING, F(1, 3)) == (2, 0.75)
-    assert theta_limit(DOUBLING, F(0)) == (1, 0.5)
+    assert theta_limit_exact(DOUBLING, F(1, 3)) == (2, F(3, 4))
+    assert theta_limit_exact(DOUBLING, F(0)) == (1, F(1, 2))
     assert theta_limit_exact(TRIPLING, 0) == (1, F(2, 3))
-    q, th = theta_limit(DOUBLING, F(982451653, 2 ** 40))
-    assert (q, th) == (0, 1.0)
+    q, th = theta_limit_exact(DOUBLING, F(982451653, 2 ** 40))
+    assert (q, th) == (0, 1)
     # 1/3 under tripling falls onto the fixed point but is not itself periodic
     assert detect_period(TRIPLING, F(1, 3)) is None
 
@@ -116,9 +115,11 @@ def test_theta_limit_cases():
 def test_theta_limit_widths_map():
     # 0 is fixed on the first branch (slope 2) from the right and on the
     # last (slope 4) from the left: theta = 1 - (1/2 + 1/4)/2
-    assert theta_limit(WIDTHS, F(0)) == (1, 0.625)
+    assert theta_limit_exact(WIDTHS, F(0)) == (1, F(5, 8))
+    # a budget of 4 leaves the cap at 64, below the period 2223 of 1/9973
     with pytest.raises(PeriodUndecidedError):
-        detect_period(WIDTHS, F(1, 9973), cap=4)
+        detect_period(FullBranchMap.from_spec("widths:1/2,1/4,1/4", budget=4),
+                      F(1, 9973))
 
 
 def test_period_past_64_on_an_integer_map():
@@ -266,15 +267,14 @@ def test_first_return_horizon_exhausted():
 def test_recurrence_start_fallback_without_return():
     # on the slope-50/49 branch a tiny ball drifts away for hundreds of
     # steps; its images do not meet it within the 256-step horizon, so
-    # the tail starts at the first step not searched, whatever ell is
+    # the tail starts at the first step not searched, 257, not at ell
     skewed = FullBranchMap.from_spec("widths:49/50,1/50")
     A = ball(F(1, 2), F(1, 10 ** 15))
     assert first_return_time(skewed, A, horizon=256) is None
-    assert recurrence_start(skewed, A, 10) == 257
-    assert recurrence_start(skewed, A, 300) == 257
+    assert recurrence_start(skewed, A) == 257
     returning = annulus_set(DOUBLING, ball(F(1, 3), F(1, 100)), 2)
     R = first_return_time(DOUBLING, returning)
-    assert recurrence_start(DOUBLING, returning, 1000) == R < 256
+    assert recurrence_start(DOUBLING, returning) == R < 256
 
 
 def test_pair_correlation_matches_preimage_path():
@@ -546,7 +546,7 @@ def _pair_by_preimages(map_, A, j):
 
 @pytest.mark.parametrize("zeta", [F(2, 5), F(1, 3), F(0), F(1, 7)])
 def test_markov_pair_correlations_equal_preimages_on_widths(zeta):
-    q, _ = theta_limit(WIDTHS, zeta)
+    q, _ = theta_limit_exact(WIDTHS, zeta)
     A = annulus_set(WIDTHS, ball(zeta, F(1, 10000)), q)
     measures = [pair_correlation_measure(WIDTHS, A, j) for j in range(1, 17)]
     assert any(measures)
@@ -580,7 +580,7 @@ def test_markov_recurrence_sum_is_the_sum_of_its_terms(spec, zeta):
     # at n = 1000 and k = 4 the sums run to j = 249 and 250; the pass
     # builds one integer numerator over den * scale^j_hi
     m = FullBranchMap.from_spec(spec)
-    q, _ = theta_limit(m, zeta)
+    q, _ = theta_limit_exact(m, zeta)
     A = annulus_set(m, threshold_for(Observable(zeta), 1000, 1).exceedance, q)
     terms = _markov_pairs(m, A, 250)
     assert any(terms)

@@ -1,4 +1,3 @@
-import math
 import pickle
 import random
 import re
@@ -16,7 +15,6 @@ from extremap.maps import (
     Potential,
     bv_norm_indicator,
     periodic_points,
-    pressure_sequence,
     weighted_periodic_sum,
 )
 
@@ -279,14 +277,6 @@ def test_weighted_sum_closed_form_matches_enumeration(spec, monkeypatch):
     assert weighted_periodic_sum(TRIPLING, Potential.zero(), 20) == 3 ** 20
     with pytest.raises(CapExceededError):
         weighted_periodic_sum(TRIPLING, Potential.zero(), 21)
-
-
-def test_pressure_sequences():
-    assert pressure_sequence(DOUBLING, Potential.geometric(), 6) == [0.0] * 6
-    for v in pressure_sequence(DOUBLING, Potential.zero(), 6):
-        assert v == pytest.approx(math.log(2), abs=1e-12)
-    for v in pressure_sequence(WIDTHS, Potential.zero(), 5):
-        assert v == pytest.approx(math.log(3), abs=1e-12)
 
 
 def test_bv_norm_indicator():

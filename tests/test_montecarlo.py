@@ -541,7 +541,7 @@ def test_orbits_keep_follows_the_full_width_stream():
             assert np.array_equal(kept.state, full.state[lanes]), (spec, k)
 
 
-# Survivor counts: estimate_evl_grid at n = 1, 7, 129, 300 and
+# Survivor counts: estimate_evl_points at n = 1, 7, 129, 300 and
 # estimate_hts survivors at tau = 1/2, 1, 2, 3 (t = 25 .. 150, past
 # several digit words), then the censored count; centre 1/3, eps 1/100,
 # seed 5.  The doubling row dates from the parent of the
@@ -565,8 +565,9 @@ def test_estimates_are_pinned_per_kernel_family(spec):
     # CHUNK + 1000 trials: a full chunk and a short last one
     f, trials = FullBranchMap.from_spec(spec), mc.CHUNK + 1000
     evl, hts, censored = PINNED[spec]
-    pts = mc.estimate_evl_grid(f, Observable(F(1, 3)), [1, 7, 129, 300],
-                               F(1, 2), trials, seed=5)
+    pts = mc.estimate_evl_points(f, Observable(F(1, 3)),
+                                 [(n, F(1, 2)) for n in (1, 7, 129, 300)],
+                                 trials, seed=5)
     assert [p.estimate for p in pts] == [c / trials for c in evl]
     ecdf = mc.estimate_hts(f, F(1, 3), F(1, 100), [F(1, 2), 1, 2, 3],
                            trials, seed=5)
@@ -933,19 +934,20 @@ def test_evl_points_equal_one_call_per_pair(spec):
 
 def test_evl_determinism_and_grid_consistency():
     obs = Observable(center=F(1, 3))
-    a = mc.estimate_evl_grid(DOUBLING, obs, [50, 200], 1, trials=70000, seed=11)
-    b = mc.estimate_evl_grid(DOUBLING, obs, [50, 200], 1, trials=70000, seed=11)
+    pairs = [(50, 1), (200, 1)]
+    a = mc.estimate_evl_points(DOUBLING, obs, pairs, trials=70000, seed=11)
+    b = mc.estimate_evl_points(DOUBLING, obs, pairs, trials=70000, seed=11)
     assert a == b
-    c = mc.estimate_evl_grid(DOUBLING, obs, [50, 200], 1, trials=70000, seed=12)
+    c = mc.estimate_evl_points(DOUBLING, obs, pairs, trials=70000, seed=12)
     assert c != a
 
 
 def test_evl_worker_invariance():
     obs = Observable(center=F(1, 3))
-    a = mc.estimate_evl_grid(DOUBLING, obs, [64], 1, trials=70000, seed=2,
-                             workers=1)
-    b = mc.estimate_evl_grid(DOUBLING, obs, [64], 1, trials=70000, seed=2,
-                             workers=2)
+    a = mc.estimate_evl_points(DOUBLING, obs, [(64, 1)], trials=70000, seed=2,
+                               workers=1)
+    b = mc.estimate_evl_points(DOUBLING, obs, [(64, 1)], trials=70000, seed=2,
+                               workers=2)
     assert a == b
 
 
