@@ -19,7 +19,6 @@ from .intervals import IntervalUnion, ball
 from .maps import (
     AffineBranch,
     FullBranchMap,
-    Potential,
     bv_norm_indicator,
     periodic_points,
     weighted_periodic_sum,

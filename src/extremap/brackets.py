@@ -97,16 +97,10 @@ class ErrorBudget:
         return sum(v for _, v in self.terms)
 
     def term(self, name: str) -> float:
-        for n, v in self.terms:
-            if n == name:
-                return v
-        raise KeyError(name)
+        return dict(self.terms)[name]
 
     def extra(self, name: str) -> float:
-        for n, v in self.extras:
-            if n == name:
-                return v
-        raise KeyError(name)
+        return dict(self.extras)[name]
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +167,7 @@ def survivor_block_estimate(PA: float, M: float, k: int, t: int, ell: int,
     """
     if ell < 1 or k < 1 or t < 0:
         raise InfeasibleError("need ell >= 1, k >= 1, t >= 0")
-    L = 1.0 - ell * PA
-    if not (0 < L <= 1):
-        raise InfeasibleError(f"L = {L} outside (0, 1]")
-    Y = upsilon(PA, M, ell, t, R, gamma)
+    _, Y, L = _hts_shift(PA, k, t, R, ell, M, gamma)
     if tau is None:
         bound = k * Y * (L + Y) ** (k - 1) * (1 + L + Y)
         tight = 5 * k * Y * L ** (k - 1) if k * Y < L / 2 else None

@@ -27,8 +27,7 @@ from typing import NamedTuple
 
 from .errors import ExtremapError, InfeasibleError, ResourceBudgetError
 from .intervals import ball
-from .maps import (COMPONENT_BUDGET, FullBranchMap, Potential,
-                   weighted_periodic_sum)
+from .maps import COMPONENT_BUDGET, FullBranchMap, weighted_periodic_sum
 from .events import (
     Observable,
     annulus_set,
@@ -80,10 +79,12 @@ def parse_point(s) -> Fraction:
     s = str(s).strip()
     try:
         try:
-            return Fraction(s)
+            point = Fraction(s)
         except ValueError:
             return Fraction(float(s))
-    except (ZeroDivisionError, OverflowError):  # "1/0", "inf"
+        float(point)  # "1e400" is exact, but no command's float can hold it
+        return point
+    except (ZeroDivisionError, OverflowError):  # "1/0", "inf", "1e400"
         raise argparse.ArgumentTypeError(f"{s!r} is not a finite point")
 
 
@@ -243,10 +244,6 @@ def _decay_for(args, map_) -> DecayModel:
     return DecayModel(c0, lam)
 
 
-def _decay_config(decay) -> dict:
-    return {"c0": decay.c0, "lam": decay.lam}
-
-
 def _common_config(args, map_) -> dict:
     cfg = {
         "map": str(args.map),
@@ -292,17 +289,15 @@ class Table(NamedTuple):
 def cmd_evl(args, map_) -> Table:
     _require(args, "zeta", "n", "seed")
     zeta, tau, n_grid = args.zeta, args.tau, args.n
-    if tau <= 0:
-        raise InfeasibleError("tau must be positive")
     decay = _decay_for(args, map_)
     q, theta = _limit(args, map_)
     obs = Observable(center=zeta)
-    limit = math.exp(-theta * float(tau))
     rows = []
     for pt in mc.estimate_evl_points(map_, obs,
                                      [(n, tau) for n in sorted(n_grid)],
                                      args.trials, args.seed, args.workers):
         U = threshold_for(obs, pt.n, tau).exceedance
+        limit = math.exp(-theta * float(tau))  # tau > 0 here: no overflow
         inputs = evl_bracket_inputs(map_, U, q, pt.n, decay)
         bracket = sharp_evl_bracket(float(tau), pt.n, theta, float(inputs.PA),
                                     inputs.k, inputs.t, inputs.R, decay).total
@@ -316,7 +311,7 @@ def cmd_evl(args, map_) -> Table:
         })
     return Table(("scale", "estimate", "ci_half", "limit", "deviation",
                   "bracket", "ratio", "seed"), rows,
-                 dict(decay=_decay_config(decay), zeta=str(zeta), tau=str(tau),
+                 dict(decay=vars(decay), zeta=str(zeta), tau=str(tau),
                       n_grid=n_grid, q=args.q, theta=args.theta,
                       chunk=mc.CHUNK))
 
@@ -372,7 +367,7 @@ def cmd_escape(args, map_) -> Table:
                   "window_lower", "window_nominal", "degenerate_window",
                   "fit_lo", "fit_hi", "residual", "censored", "k", "t",
                   "seed"), rows,
-                 dict(decay=_decay_config(decay), zeta=str(zeta),
+                 dict(decay=vars(decay), zeta=str(zeta),
                       eps=[str(e) for e in args.eps], q=q, theta=theta))
 
 
@@ -446,7 +441,7 @@ def cmd_bounds(args, map_) -> Table:
             rows.extend(_budget_rows(float(eps), inputs.k, inputs.t, inputs.R,
                                      budget))
     return Table(("scale", "term", "value", "k", "t", "R", "flags"), rows,
-                 dict(decay=_decay_config(decay), zeta=str(zeta),
+                 dict(decay=vars(decay), zeta=str(zeta),
                       tau=str(tau), bracket=kind, q=q, theta=theta, n=args.n,
                       eps=[str(e) for e in args.eps], budget=args.budget))
 
@@ -499,10 +494,10 @@ def cmd_check(args, map_) -> Table:
 
 
 def cmd_pressure(args, map_) -> Table:
-    pot = Potential(args.potential)
+    s = {"zero": 0, "geometric": 1}[args.potential]
     rows = []
     for n in range(1, args.n_max + 1):
-        z = float(weighted_periodic_sum(map_, pot, n))
+        z = float(weighted_periodic_sum(map_, s, n))
         rows.append({"scale": n, "Z_n": z, "pressure": math.log(z) / n})
     return Table(("scale", "Z_n", "pressure"), rows,
                  dict(potential=args.potential, n_max=args.n_max))

@@ -14,8 +14,10 @@ spec and budget.  A map with integer slopes
 and intercepts also cuts [0, 1) into the finite Markov partition of any
 rational set (``markov_partition``).  Pointwise evaluation uses the
 half-open domains [lo, hi), so a point on an inner branch boundary
-belongs to the branch on its right.  Random orbits are sampled by
-``montecarlo`` from their branch digit streams.
+belongs to the branch on its right.  A potential -s log|DF| is named
+by its exponent s: ``weighted_periodic_sum`` sums it over periodic
+points in closed form.  Random orbits are sampled by ``montecarlo``
+from their branch digit streams.
 """
 
 from __future__ import annotations
@@ -398,28 +400,8 @@ def _pushforward_data(branches):
 
 
 # ---------------------------------------------------------------------------
-# potentials and thermodynamic sums
+# periodic points and thermodynamic sums
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Potential:
-    """Observable weighting periodic-orbit sums: ``geometric`` is
-    -log|DF|, ``zero`` the constant 0."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("geometric", "zero"):
-            raise ValueError(f"unknown potential {self.kind!r}")
-
-    @classmethod
-    def geometric(cls) -> "Potential":
-        return cls(kind="geometric")
-
-    @classmethod
-    def zero(cls) -> "Potential":
-        return cls(kind="zero")
 
 
 class PeriodicPoint(NamedTuple):
@@ -476,21 +458,18 @@ def periodic_points(map_: FullBranchMap, n: int):
     return tuple(out)
 
 
-def weighted_periodic_sum(map_: FullBranchMap, potential: Potential, n: int):
-    """Z_n: sum of exp(Birkhoff sum) over period-n symbolic points.
+def weighted_periodic_sum(map_: FullBranchMap, s, n: int):
+    """Z_n: sum of |DF^n|^-s over the period-n symbolic points.
 
     Each n-cylinder of an affine full-branch map holds exactly one
     symbolic period-n point, whose expansion is the product of the
-    slopes along its word.  For the potentials -s log|DF| the sum
+    slopes along its word.  For the potential -s log|DF| the sum
     therefore factorizes as Z_n = (sum_i w_i^s)^n over the branch widths
-    w_i, returned as an exact Fraction without enumeration: d^n for the
-    zero potential (s = 0) and (sum_i w_i)^n = 1 for the geometric one
-    (s = 1).
+    w_i, returned without enumeration: the exact Fraction d^n for s = 0
+    (the zero potential) and 1 for s = 1 (the geometric one).
     """
     _require_period(n)
-    if potential.kind == "zero":
-        return Fraction(map_.d) ** n
-    return sum(map_.widths) ** n
+    return sum(w ** s for w in map_.widths) ** n
 
 
 # ---------------------------------------------------------------------------

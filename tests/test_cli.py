@@ -52,11 +52,17 @@ def test_parsers():
     (["ei", "--zeta", "1/3", "--eps", "1/0"], "--eps"),
     (["evl", "--zeta", "1/3", "--n", "100", "--seed", "1", "--tau", "1/0"],
      "--tau"),
-], ids=["zeta-1/0", "zeta-inf", "eps-1/0", "tau-1/0"])
+    (["evl", "--zeta", "1/3", "--tau", "1e400", "--n", "100", "--trials",
+      "100", "--seed", "1"], "--tau"),
+    (["bounds", "--zeta", "1/3", "--bracket", "sharp-hts", "--eps", "1/100",
+      "--tau", "1e400"], "--tau"),
+], ids=["zeta-1/0", "zeta-inf", "eps-1/0", "tau-1/0", "evl-tau-1e400",
+        "sharp-hts-tau-1e400"])
 def test_point_with_no_finite_value_is_usage_error(tmp_path, capsys, argv,
                                                    flag):
     # Fraction raises ZeroDivisionError on "1/0" and OverflowError on
-    # float("inf"), which argparse would let through as a traceback
+    # float("inf"), which argparse would let through as a traceback; an
+    # exact 1e400 has no float value, and the commands need one of tau
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(out)])

@@ -132,6 +132,11 @@ def test_period_past_64_on_an_integer_map():
     assert detect_period(FullBranchMap.uniform(2, budget=1), F(1, 3)) == 2
     with pytest.raises(PeriodUndecidedError):
         detect_period(FullBranchMap.uniform(2, budget=100), F(1, 131))
+    # 1/262 -> 1/131 is strictly preperiodic: the gcd of 262 and d = 2
+    # says so at once, where iterating would meet no repeat within the
+    # cap of 64 (the cycle has length 130)
+    assert detect_period(FullBranchMap.from_spec("doubling", budget=4),
+                         F(1, 262)) is None
 
 
 @pytest.mark.parametrize("spec", [

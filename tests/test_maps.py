@@ -12,7 +12,6 @@ from extremap.maps import (
     COMPONENT_BUDGET,
     AffineBranch,
     FullBranchMap,
-    Potential,
     bv_norm_indicator,
     periodic_points,
     weighted_periodic_sum,
@@ -248,14 +247,12 @@ def test_periodic_cap():
 @pytest.mark.parametrize("m", [DOUBLING, TRIPLING, WIDTHS])
 def test_weighted_sum_geometric_is_one(m):
     for n in range(1, 8):
-        assert weighted_periodic_sum(m, Potential.geometric(), n) == 1
+        assert weighted_periodic_sum(m, 1, n) == 1
 
 
 def test_weighted_sum_zero_potential_counts_points():
-    assert weighted_periodic_sum(DOUBLING, Potential.zero(), 3) == 8.0
-    assert weighted_periodic_sum(WIDTHS, Potential.zero(), 1) == 3.0
-    with pytest.raises(ValueError):
-        Potential("custom")
+    assert weighted_periodic_sum(DOUBLING, 0, 3) == 8.0
+    assert weighted_periodic_sum(WIDTHS, 0, 1) == 3.0
 
 
 @pytest.mark.parametrize("spec", ["doubling", "tripling",
@@ -264,19 +261,23 @@ def test_weighted_sum_closed_form_matches_enumeration(spec, monkeypatch):
     m = FullBranchMap.from_spec(spec)
     for n in range(1, 7):
         pts = periodic_points(m, n)
-        zero = weighted_periodic_sum(m, Potential.zero(), n)
-        geometric = weighted_periodic_sum(m, Potential.geometric(), n)
+        zero = weighted_periodic_sum(m, 0, n)
+        geometric = weighted_periodic_sum(m, 1, n)
         assert type(zero) is F and zero == len(pts)
         assert type(geometric) is F
         assert geometric == sum(1 / p.multiplier for p in pts)
+        # any exponent s: the potential -2 log|DF| weighs each point by
+        # its multiplier**-2
+        assert weighted_periodic_sum(m, 2, n) == sum(
+            p.multiplier ** -2 for p in pts)
 
     def no_enumeration(*args, **kwargs):
         raise AssertionError("closed form must not enumerate")
 
     monkeypatch.setattr("extremap.maps.periodic_points", no_enumeration)
-    assert weighted_periodic_sum(TRIPLING, Potential.zero(), 20) == 3 ** 20
+    assert weighted_periodic_sum(TRIPLING, 0, 20) == 3 ** 20
     with pytest.raises(CapExceededError):
-        weighted_periodic_sum(TRIPLING, Potential.zero(), 21)
+        weighted_periodic_sum(TRIPLING, 0, 21)
 
 
 def test_bv_norm_indicator():
