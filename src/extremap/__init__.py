@@ -44,7 +44,7 @@ from .brackets import (
     DecayModel,
     ErrorBudget,
     EscapeWindow,
-    annuli_gap_bound,
+    annulus_replacement,
     escape_window,
     evl_bracket_inputs,
     exp_approx_error,

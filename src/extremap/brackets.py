@@ -487,33 +487,25 @@ def exp_approx_error(x: float, n: int) -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def annuli_gap_bound(map_: FullBranchMap, B: IntervalUnion, A: IntervalUnion,
-                     q: int, n: int):
-    """Exact right-hand side of the ball/annulus replacement bound.
+def annulus_replacement(map_: FullBranchMap, B: IntervalUnion, q: int,
+                        n: int) -> Tuple[Fraction, Fraction]:
+    """What swapping the ball B for its q-annulus A costs over n steps.
 
-    RHS = sum over j = 1..q of measure(W intersect f^-(n-j)(B - A)) with
-    W the length-n survivor set of A.  Requires A to be exactly the
-    q-annulus of B.
+    Returns (gap, bound): gap = |m(W(B)) - m(W(A))| and bound = the sum
+    over j = 1..q of m(W(A) intersect f^-(n-j)(B - A)), with W(.) the
+    length-n survivor set, exact.  The bound dominates the gap.
     """
     if q < 0 or n <= q:
         raise ValueError("need 0 <= q < n")
-    expected = annulus_set(map_, B, q)
-    if expected != A:
-        raise ValueError("A is not the q-step annulus of B")
-    return _annuli_gap(map_, B, A, q, n)
-
-
-def _annuli_gap(map_: FullBranchMap, B: IntervalUnion, A: IntervalUnion,
-                q: int, n: int, W: Optional[IntervalUnion] = None):
-    """``annuli_gap_bound`` without its checks, for A the q-annulus of B
-    and 0 <= q < n; W, when given, is A's length-n survivor set."""
-    if q == 0:
-        return Fraction(0)
-    if W is None:
-        W = survivor_set(map_, A, n)
-    total, P = Fraction(0), B.difference(A)
+    A = annulus_set(map_, B, q)
+    W = survivor_set(map_, A, n)
+    gap = abs(survivor_set(map_, B, n).measure() - W.measure())
+    bound = Fraction(0)
+    if q == 0:  # A is B
+        return gap, bound
+    P = B.difference(A)
     for i in range(1, n):
         P = map_.preimage(P)
         if n - i <= q:
-            total += W.intersect(P).measure()
-    return total
+            bound += W.intersect(P).measure()
+    return gap, bound

@@ -33,14 +33,13 @@ from .events import (
     annulus_set,
     dprime_sum,
     spectral_escape_rate,
-    survivor_set,
     theta_limit_exact,
     theta_n,
     threshold_for,
 )
 from .brackets import (
     DecayModel,
-    _annuli_gap,
+    annulus_replacement,
     evl_bracket_inputs,
     hts_bracket_inputs,
     escape_window,
@@ -471,13 +470,7 @@ def cmd_check(args, map_) -> Table:
         eps = Fraction(1, rng.choice([40, 64, 100, 128, 200]))
         q_i = rng.randrange(0, 4)
         n_i = rng.randrange(q_i + 2, 13)
-        B = ball(zeta_i, eps)
-        # A is B's annulus by construction: the bound takes it and its
-        # survivor set as they are
-        A = annulus_set(map_, B, q_i)
-        W = survivor_set(map_, A, n_i)
-        lhs = abs(survivor_set(map_, B, n_i).measure() - W.measure())
-        rhs = _annuli_gap(map_, B, A, q_i, n_i, W)
+        lhs, rhs = annulus_replacement(map_, ball(zeta_i, eps), q_i, n_i)
         ok = lhs <= rhs
         violated = violated or not ok
         rows.append({"kind": "proposition", "scale": n_i, "zeta": str(zeta_i),

@@ -33,15 +33,7 @@ def as_exact(x) -> Fraction:
     Floats convert exactly (binary value), so dyadic literals like 0.25
     stay exact; prefer strings such as "1/3" for non-dyadic rationals.
     """
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to Fraction")
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _merged_ends(pairs) -> list:

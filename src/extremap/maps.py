@@ -6,13 +6,14 @@ Every branch is affine with exact rational data, which keeps preimages,
 periodic points and annulus constructions exactly computable.  A map
 puts its branch data over common denominators once, at construction, so
 ``preimage`` and ``image`` act on the integer numerators of an
-``IntervalUnion`` with integer arithmetic.  Maps are immutable: their
-attributes are set once, at construction, so one map can be shared, and
+``IntervalUnion`` with integer arithmetic, and it stores its branch
+widths once, as ``widths``.  Maps are immutable: their attributes are
+set once, at construction, so one map can be shared, and
 ``FullBranchMap.from_spec`` builds the map of a string spec once per
 process and returns that same map to every later call with the same
-spec and budget.  A map with integer slopes
-and intercepts also cuts [0, 1) into the finite Markov partition of any
-rational set (``markov_partition``).  Pointwise evaluation uses the
+spec and budget.  A map with integer slopes and intercepts also cuts
+[0, 1) into the finite Markov partition of any rational set
+(``markov_partition``).  Pointwise evaluation uses the
 half-open domains [lo, hi), so a point on an inner branch boundary
 belongs to the branch on its right.  A potential -s log|DF| is named
 by its exponent s: ``weighted_periodic_sum`` sums it over periodic
@@ -98,6 +99,7 @@ class FullBranchMap:
             branches=branches,
             name=name or f"{len(branches)}-branch",
             budget=budget,
+            widths=tuple(b.width for b in branches),
             _los=tuple(b.lo for b in branches),
             _uniform=all(b.width == branches[0].width and b.slope > 0
                          for b in branches),
@@ -127,10 +129,6 @@ class FullBranchMap:
         keeps the denominator of every rational point, which is what
         ``markov_partition`` needs."""
         return self._pushforward[1] == 1
-
-    @property
-    def widths(self):
-        return tuple(b.width for b in self.branches)
 
     # -- constructors ------------------------------------------------------
 

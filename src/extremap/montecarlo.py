@@ -24,9 +24,9 @@ never used.  Each estimator has one chunk kernel, run over whichever
 stepper the map takes: ``_evl_chunk`` checkpoints the running minimum
 distance (on power-of-two uniform maps through prefix masks, below),
 ``_entry_chunk`` records first entry times.  Every estimator reaches
-its chunks through one pipeline, ``_run_chunks``, which refuses a map
-no stepper samples, and a run past the lane-step budget, before any
-chunk runs.  ``estimate_hts`` reads the one survival curve
+its chunks through one pipeline, ``_run_chunks``, which refuses fewer
+than one trial, a map no stepper samples, and a run past the lane-step
+budget, before any chunk runs.  ``estimate_hts`` reads the one survival curve
 ``_survivors`` at its cutoffs, and ``estimate_escape_rate`` fits it.
 
 The uniform stepper draws one uniform word C in [0, d^J) per J steps,
@@ -74,7 +74,7 @@ use and kept for the life of the process.  A call uses at most one
 worker per chunk and per CPU; at one it runs in-process.  The pool is
 rebuilt only to grow, or after a worker has died.
 
-numpy is loaded on first use (``_lazy``): importing this module does
+numpy is loaded on first use (``_lazy_numpy``): importing this module does
 not run it, and no name here reads it at import, so the exact commands
 never pay for it.  An estimate loads it at its first chunk.  The pool
 loads it before it is built, so that the workers it forks inherit
@@ -94,20 +94,39 @@ from __future__ import annotations
 
 import atexit
 import functools
+import importlib.util
 import itertools
 import math
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-from ._lazy import lazy_numpy
 from .errors import InfeasibleError, ResourceBudgetError
 from .intervals import as_exact, ball
 from .maps import FullBranchMap
 from .events import Observable, threshold_for
 
-np = lazy_numpy()  # loads at the first chunk, or before the pool forks
+
+def _lazy_numpy():
+    """numpy as a module that runs on the first read of one of its
+    attributes (the ``LazyLoader`` recipe of the importlib docs), or the
+    module itself when numpy is already imported."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()  # loads at the first chunk, or before the pool forks
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -138,11 +157,6 @@ def wilson_halfwidth(successes: int, trials: int) -> float:
 def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(seed, spawn_key=(index,))))
-
-
-def _check_trials(trials: int):
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1 (got {trials})")
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -200,8 +214,11 @@ def _map_tasks(fn, args_list, workers: int):
 def _run_chunks(kernel, map_: FullBranchMap, head: tuple, horizon: int,
                 trials: int, seed: int, workers: int) -> list:
     """``kernel(map_, *head, index, count, seed)`` on each chunk, in chunk
-    order.  Raises before any chunk runs unless a stepper samples the map
-    and horizon steps of at least a chunk of lanes fit MC_STEP_BUDGET."""
+    order.  Raises before any chunk runs unless trials >= 1, a stepper
+    samples the map and horizon steps of at least a chunk of lanes fit
+    MC_STEP_BUDGET."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1 (got {trials})")
     if map_.is_uniform and map_.d > MAX_UNIFORM_D:
         raise InfeasibleError(
             f"Monte Carlo on uniform:d supports d <= {MAX_UNIFORM_D} "
@@ -673,21 +690,17 @@ def estimate_evl_points(map_: FullBranchMap, obs: Observable,
 
     The running minimum distance to the center is checkpointed at each n
     and compared against the exact threshold radius of that (n, tau).
-    Degenerate tau = 0 pairs return the exact estimate 1.
     """
-    _check_trials(trials)
     pairs = [(int(n), as_exact(tau)) for n, tau in pairs]
-    live = sorted((i for i, (_, tau) in enumerate(pairs) if tau != 0),
-                  key=lambda i: pairs[i][0])
+    order = sorted(range(len(pairs)), key=lambda i: pairs[i][0])
     checkpoints = tuple((pairs[i][0], threshold_for(obs, *pairs[i]).radius)
-                        for i in live)
-    # pair index -> trials that stayed out of its ball: all of them at tau = 0
-    survivors = dict.fromkeys(range(len(pairs)), trials)
-    if live:
-        per_chunk = _run_chunks(_evl_chunk, map_, (obs.center, checkpoints),
-                                checkpoints[-1][0], trials, seed, workers)
-        for j, i in enumerate(live):
-            survivors[i] = sum(row[j] for row in per_chunk)
+                        for i in order)
+    if not checkpoints:
+        return []
+    per_chunk = _run_chunks(_evl_chunk, map_, (obs.center, checkpoints),
+                            checkpoints[-1][0], trials, seed, workers)
+    # pair index -> trials that stayed out of its ball, summed over chunks
+    survivors = dict(zip(order, map(sum, zip(*per_chunk))))
     return [EvlEstimate(n, float(tau), survivors[i] / trials,
                         wilson_halfwidth(survivors[i], trials), trials, seed)
             for i, (n, tau) in enumerate(pairs)]
@@ -717,7 +730,6 @@ def estimate_hts(map_: FullBranchMap, zeta, eps, tau_grid: Sequence,
     B is the radius-eps ball at zeta; each trial runs to the horizon
     max(tau_grid)/P(B) and records its first entry time.
     """
-    _check_trials(trials)
     eps = as_exact(eps)
     if eps >= Fraction(1, 4):
         raise InfeasibleError("eps must be < 1/4")
@@ -761,10 +773,7 @@ def estimate_escape_rate(map_: FullBranchMap, zeta, eps, trials: int,
     ``residual_norm`` is the root mean square of -log(S(t)/trials) about
     that line over the window.
     """
-    _check_trials(trials)
     eps = as_exact(eps)
-    if eps == 0:
-        return EscapeFit(0.0, 0.0, (0, 0), 0.0, trials, seed, trials)
     PB = ball(as_exact(zeta), eps).measure()
     horizon = int(50 / float(PB))
     S, censored = _survivors(map_, zeta, eps, horizon, trials, seed, workers)

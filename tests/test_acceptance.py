@@ -32,7 +32,7 @@ from extremap.events import (
     theta_n,
     threshold_for,
 )
-from extremap.brackets import annuli_gap_bound, exp_approx_error
+from extremap.brackets import annulus_replacement, exp_approx_error
 from extremap.cli import main
 from extremap import montecarlo as mc
 
@@ -185,8 +185,8 @@ def test_ac7_exact_inequalities():
         A = annulus_set(DOUBLING, B, q)
         lhs = abs(survivor_set(DOUBLING, B, n).measure()
                   - survivor_set(DOUBLING, A, n).measure())
-        rhs = annuli_gap_bound(DOUBLING, B, A, q, n)
-        assert lhs <= rhs, (i, zeta, eps, q, n)
+        gap, rhs = annulus_replacement(DOUBLING, B, q, n)
+        assert lhs == gap and lhs <= rhs, (i, zeta, eps, q, n)
     obs = Observable(center=F(1, 3))
     values = []
     for e in range(8, 15):

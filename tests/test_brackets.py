@@ -19,7 +19,7 @@ from extremap.events import (
 )
 from extremap.brackets import (
     DecayModel,
-    annuli_gap_bound,
+    annulus_replacement,
     escape_window,
     evl_bracket_inputs,
     exp_approx_error,
@@ -435,30 +435,27 @@ def test_exp_approx_error():
 # -- ball/annulus domination ----------------------------------------------------
 
 
-def test_annuli_gap_bound_trivial_cases():
+def test_annulus_replacement_trivial_cases():
     B = ball(F(1, 3), F(1, 50))
-    assert annuli_gap_bound(DOUBLING, B, B, 0, 8) == 0
+    assert annulus_replacement(DOUBLING, B, 0, 8) == (0, 0)
     # non-recurrent center: annulus equals the ball, so B - A is empty
     B2 = ball(F(1, 5), F(1, 1000))
-    A2 = annulus_set(DOUBLING, B2, 2)
-    assert A2 == B2
-    assert annuli_gap_bound(DOUBLING, B2, A2, 2, 9) == 0
+    assert annulus_set(DOUBLING, B2, 2) == B2
+    assert annulus_replacement(DOUBLING, B2, 2, 9) == (0, 0)
+    for q, n in ((-1, 8), (2, 2)):
+        with pytest.raises(ValueError):
+            annulus_replacement(DOUBLING, B, q, n)
 
 
-def test_annuli_gap_bound_dominates_exactly():
+def test_annulus_replacement_dominates_exactly():
     B = ball(F(1, 3), F(1, 50))
     A = annulus_set(DOUBLING, B, 2)
     lhs = abs(survivor_set(DOUBLING, B, 10).measure()
               - survivor_set(DOUBLING, A, 10).measure())
-    rhs = annuli_gap_bound(DOUBLING, B, A, 2, 10)
-    assert rhs > 0
-    assert lhs <= rhs
-
-
-def test_annuli_gap_bound_validates_annulus():
-    B = ball(F(1, 3), F(1, 50))
-    with pytest.raises(ValueError):
-        annuli_gap_bound(DOUBLING, B, B, 2, 10)
+    gap, bound = annulus_replacement(DOUBLING, B, 2, 10)
+    assert gap == lhs <= bound
+    # sharp here: the bound is the gap itself
+    assert bound == gap == F(881, 51200)
 
 
 def test_survivor_block_estimate_dominates_exact_error():

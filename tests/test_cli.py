@@ -710,10 +710,10 @@ def test_check_violation_exits_one(tmp_path, monkeypatch):
     # fault injection: force the domination bound below the true gap
     import extremap.cli as cli_mod
 
-    def broken_bound(map_, B, A, q, n, W):
-        return -1
+    def broken_bound(map_, B, q, n):
+        return 0, -1
 
-    monkeypatch.setattr(cli_mod, "_annuli_gap", broken_bound)
+    monkeypatch.setattr(cli_mod, "annulus_replacement", broken_bound)
     rc = main(["check", "--zeta", "1/3", "--q", "2", "--n", "256",
                "--seed", "5", "--prop-configs", "2", "--out", str(tmp_path)])
     assert rc == 1
@@ -721,18 +721,18 @@ def test_check_violation_exits_one(tmp_path, monkeypatch):
 
 def test_check_builds_each_set_of_a_proposition_row_once(tmp_path,
                                                         monkeypatch):
-    # the dprime rows build one annulus each; a proposition row builds
-    # one annulus A and the survivor sets of B and A, and the bound takes
-    # A and its survivor set from the row (it built both again before)
+    # the dprime rows build one annulus each; a proposition row is one
+    # annulus_replacement call, which builds one annulus A and the
+    # survivor sets of B and A
     import extremap.brackets as brackets_mod
     import extremap.cli as cli_mod
     built = []
-    for mod in (cli_mod, brackets_mod):
-        for name in ("annulus_set", "survivor_set"):
-            monkeypatch.setattr(
-                mod, name,
-                lambda *args, _fn=getattr(mod, name), _name=name:
-                    built.append(_name) or _fn(*args))
+    for mod, name in ((cli_mod, "annulus_set"), (brackets_mod, "annulus_set"),
+                      (brackets_mod, "survivor_set")):
+        monkeypatch.setattr(
+            mod, name,
+            lambda *args, _fn=getattr(mod, name), _name=name:
+                built.append(_name) or _fn(*args))
     rc = main(["check", "--map", "tripling", "--zeta", "1/4",
                "--n", "256,1024,4096", "--prop-configs", "2", "--seed", "1",
                "--out", str(tmp_path)])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from extremap.brackets import annuli_gap_bound
+from extremap.brackets import annulus_replacement
 from extremap.errors import (
     ComponentBudgetError,
     ConvergenceError,
@@ -445,8 +445,8 @@ HOLE = ball(F(1, 3), F(1, 100))
 BUDGET_ENTRY_POINTS = {
     "survivor_set": lambda: survivor_set(SMALL_TRIPLING, HOLE, 12),
     "annulus_set": lambda: annulus_set(SMALL_TRIPLING, HOLE, 8),
-    "annuli_gap_bound": lambda: annuli_gap_bound(
-        SMALL_TRIPLING, HOLE, annulus_set(SMALL_TRIPLING, HOLE, 1), 1, 12),
+    "annulus_replacement": lambda: annulus_replacement(
+        SMALL_TRIPLING, HOLE, 1, 12),
     "exact_hts_prob": lambda: exact_hts_prob(SMALL_SPLIT, HOLE, 12),
     "pair_correlation_measure": lambda: pair_correlation_measure(
         SMALL_SPLIT, HOLE, 8),

@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from extremap.errors import InfeasibleError, ResourceBudgetError
+from extremap.errors import (
+    InfeasibleError,
+    RadiusRangeError,
+    ResourceBudgetError,
+)
 from extremap.intervals import ball
 from extremap.maps import AffineBranch, FullBranchMap
 from extremap.events import (
@@ -783,6 +787,31 @@ def test_hts_estimate_matches_exact_on_uniform_maps(d, zeta, eps):
     _check_hts_against_exact(FullBranchMap.uniform(d), zeta, eps)
 
 
+# orbits past two digit words (J = 64, 40, 27 steps on d = 2, 3, 5), where
+# the property tests above see at most the first dozen steps.  With
+# eps = 1/(2t), the EVL threshold ball at tau = 1 is the eps-ball at zeta,
+# and the HTS cutoff at tau = 1 is t
+@pytest.mark.parametrize("estimator", ["evl", "hts"])
+@pytest.mark.parametrize("spec, zeta, t", [("doubling", F(1, 3), 200),
+                                           ("doubling", F(1, 5), 200),
+                                           ("tripling", F(1, 4), 120),
+                                           ("uniform:5", F(1, 6), 80)])
+def test_long_orbits_match_the_exact_oracles(estimator, spec, zeta, t):
+    f = FullBranchMap.from_spec(spec)
+    B = ball(zeta, F(1, 2 * t))
+    if estimator == "evl":
+        obs = Observable(center=zeta)
+        assert threshold_for(obs, t, 1).exceedance == B
+        est = mc.estimate_evl(f, obs, t, 1, trials=4 * mc.CHUNK, seed=1)
+        p, hw, exact = est.estimate, est.half_width, exact_evl_prob(f, B, t)
+    else:
+        ecdf = mc.estimate_hts(f, zeta, F(1, 2 * t), [1],
+                               trials=4 * mc.CHUNK, seed=1)
+        p, hw = ecdf.estimates[0], ecdf.half_widths[0]
+        exact = exact_hts_prob(f, B, t)
+    assert abs(p - float(exact)) <= 4 * hw
+
+
 def _peak_mib(fn, *args):
     """fn(*args), and the peak memory traced during the call (numpy
     buffers included) in MiB."""
@@ -838,9 +867,10 @@ def test_evl_points_multiple_tau_single_pass():
 
 
 def test_evl_tau_zero_degenerate():
+    # threshold_for refuses tau = 0, and so does the estimator
     obs = Observable(center=F(1, 3))
-    est = mc.estimate_evl(DOUBLING, obs, 100, 0, trials=1000, seed=1)
-    assert est.estimate == 1.0
+    with pytest.raises(InfeasibleError):
+        mc.estimate_evl(DOUBLING, obs, 100, 0, trials=1000, seed=1)
 
 
 def test_evl_infeasible_threshold():
@@ -854,8 +884,6 @@ def test_estimators_reject_trials_below_one(trials):
     obs = Observable(center=F(1, 3))
     with pytest.raises(ValueError, match="trials"):
         mc.estimate_evl(DOUBLING, obs, 10, 1, trials=trials, seed=1)
-    with pytest.raises(ValueError, match="trials"):
-        mc.estimate_evl(DOUBLING, obs, 10, 0, trials=trials, seed=1)
     with pytest.raises(ValueError, match="trials"):
         mc.estimate_hts(DOUBLING, F(1, 3), F(1, 16), [1], trials=trials, seed=1)
     with pytest.raises(ValueError, match="trials"):
@@ -921,15 +949,15 @@ def test_survivors_at_a_shorter_horizon_are_a_prefix(spec, monkeypatch):
 @pytest.mark.parametrize("spec", ["doubling", "tripling", "uniform:8",
                                   "widths:1/2,1/4,1/4"])
 def test_evl_points_equal_one_call_per_pair(spec):
-    # out of order, a repeated n, and a tau = 0 pair among them
+    # out of order and a repeated n; no pairs give no estimates
     f = FullBranchMap.from_spec(spec)
     obs = Observable(center=F(2, 7))
-    pairs = [(200, F(1)), (30, F(1, 2)), (200, F(1, 2)), (75, 0), (30, F(2)),
+    pairs = [(200, F(1)), (30, F(1, 2)), (200, F(1, 2)), (30, F(2)),
              (5, F(1, 3))]
     pts = mc.estimate_evl_points(f, obs, pairs, trials=3000, seed=9)
     assert pts == [mc.estimate_evl(f, obs, n, tau, trials=3000, seed=9)
                    for n, tau in pairs]
-    assert pts[3].estimate == 1.0 and pts[3].n == 75
+    assert mc.estimate_evl_points(f, obs, [], trials=3000, seed=9) == []
 
 
 def test_evl_determinism_and_grid_consistency():
@@ -1030,8 +1058,9 @@ def test_hts_matches_the_open_system():
 
 
 def test_escape_rate_trivial_and_small():
-    fit = mc.estimate_escape_rate(DOUBLING, F(0), 0, trials=100, seed=1)
-    assert fit.slope == 0.0
+    # ball refuses a radius of 0, and so does the estimator
+    with pytest.raises(RadiusRangeError):
+        mc.estimate_escape_rate(DOUBLING, F(0), 0, trials=100, seed=1)
     with pytest.raises(InfeasibleError):
         # far too few trials for the tail window
         mc.estimate_escape_rate(DOUBLING, F(0), F(1, 25), trials=300, seed=1)
