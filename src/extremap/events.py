@@ -196,7 +196,7 @@ def theta_limit_exact(map_: FullBranchMap, zeta):
     non-periodic center gives q = 0 and theta = 1.  The center 0 is an
     end of both end branches, and each maps its side of 0 back onto 0:
     the share of the ball that returns at once is the mean width of
-    the two end branches.
+    the two end branches.  |DF^p| is one power per visited branch.
     """
     zeta = as_exact(zeta)
     if zeta == 0:
@@ -204,11 +204,13 @@ def theta_limit_exact(map_: FullBranchMap, zeta):
     p = detect_period(map_, zeta)
     if p is None:
         return 0, Fraction(1)
-    mult = Fraction(1)
-    z = zeta
+    if map_.is_uniform:
+        return p, 1 - Fraction(1, map_.d ** p)
+    visits, z = [0] * map_.d, zeta
     for _ in range(p):
-        mult *= abs(map_.branches[map_.branch_index(z)].slope)
+        visits[map_.branch_index(z)] += 1
         z = map_.apply(z)
+    mult = math.prod(abs(b.slope) ** v for b, v in zip(map_.branches, visits))
     return p, 1 - Fraction(1) / mult
 
 
@@ -389,7 +391,7 @@ def _preimage_pair_sum(map_: FullBranchMap, A: IntervalUnion, j_lo: int,
 
 def exact_evl_prob(map_: FullBranchMap, U: IntervalUnion, n: int):
     """P(max of the first n observations <= u) for U = {X_0 > u}, exact."""
-    return _survivor_measure(map_, U, n)
+    return exact_hts_prob(map_, U, n)
 
 
 def exact_hts_prob(map_: FullBranchMap, B: IntervalUnion, t: int):
@@ -397,28 +399,21 @@ def exact_hts_prob(map_: FullBranchMap, B: IntervalUnion, t: int):
 
     The event is the preimage of the length-t survivor set W, and a
     full-branch affine map preserves Lebesgue measure (each branch has
-    width * |slope| = 1), so its probability is m(W): 1 at t = 0.
-    """
-    return _survivor_measure(map_, B, t)
-
-
-def _survivor_measure(map_: FullBranchMap, B: IntervalUnion, ell: int):
-    """m(survivor_set(map_, B, ell)), exact: from B's Markov partition
-    where there is one (``_partition``), in O(cells) integer operations
-    per step, and otherwise from the survivor set itself.
-
-    Cell i holds the mass of the survivor set on it, scaled by
+    width * |slope| = 1), so its probability is m(W): 1 at t = 0.  It
+    comes from B's Markov partition where there is one (``_partition``),
+    in O(cells) integer operations per step, and otherwise from the
+    survivor set itself.  Cell i holds the mass of W on it, scaled by
     den * scale^k after k steps (``_open_system``).
     """
-    ell = _window_length(ell)
-    part = _partition(map_, B, ell)
+    t = _window_length(t)
+    part = _partition(map_, B, t)
     if part is None:
-        return survivor_set(map_, B, ell).measure()
+        return survivor_set(map_, B, t).measure()
     rows, mass = _open_system(part, B)
-    for _ in range(ell):
+    for _ in range(t):
         mass = _pull_back(rows, mass)
     _, den, scale, _ = part
-    return Fraction(sum(mass), den * scale ** ell)
+    return Fraction(sum(mass), den * scale ** t)
 
 
 def spectral_escape_rate(map_: FullBranchMap, hole: IntervalUnion) -> float:
@@ -427,7 +422,7 @@ def spectral_escape_rate(map_: FullBranchMap, hole: IntervalUnion) -> float:
     partition (ValueError on a map that is not integer,
     ComponentBudgetError past the map's budget).
 
-    The masses step as in ``_survivor_measure``, and the iteration stops
+    The masses step as in ``exact_hts_prob``, and the iteration stops
     once three successive ratios of their totals, S(k+1) / (scale * S(k)),
     agree to 1e-12 relative; 100000 steps without that raise
     ConvergenceError.  Past 512 bits the masses are shifted down to 256,

@@ -13,8 +13,11 @@ from extremap.events import (
     Observable,
     annulus_set,
     dprime_sum,
+    exact_evl_prob,
+    exact_hts_prob,
     first_return_time,
     survivor_set,
+    theta_limit_exact,
     threshold_for,
 )
 from extremap.brackets import (
@@ -376,6 +379,62 @@ def test_brackets_monotone_under_gamma_decrease():
     s32 = sharp_hts_bracket(1.0, 0.002, 0.0015, 0.75, 5, 13, 9, 90, 4, strong)
     w32 = sharp_hts_bracket(1.0, 0.002, 0.0015, 0.75, 5, 13, 9, 90, 4, weak)
     assert w32.total <= s32.total
+
+
+BRACKET_GRID = [("doubling", F(1, 3)), ("doubling", F(0)),
+                ("doubling", F(1, 7)), ("tripling", F(1, 4)),
+                ("widths:1/2,1/4,1/4", F(2, 5)), ("uniform:5", F(1, 6))]
+
+
+def test_theorem_brackets_dominate_the_exact_error():
+    # each bracket's computable terms against the exact error, with (q,
+    # theta) from theta_limit_exact and the decay of DecayModel.for_map;
+    # a bracket flagged or at least 1 says nothing and counts as vacuous
+    rows = {}
+
+    def hold(kind, error, budget):
+        counts = rows.setdefault(kind, [0, 0])
+        counts[0] += 1
+        if budget.flags or budget.total >= 1:
+            counts[1] += 1
+        else:
+            assert error <= budget.total, (kind, error, budget)
+
+    for spec, zeta in BRACKET_GRID:
+        m = FullBranchMap.from_spec(spec)
+        q, theta = theta_limit_exact(m, zeta)
+        theta = float(theta)
+        gamma = DecayModel.for_map(m)
+        for tau in (F(1, 2), F(1), F(2)):
+            limit = math.exp(-theta * float(tau))
+            for n in (100, 300, 1000):
+                U = threshold_for(Observable(zeta), n, tau).exceedance
+                P = float(exact_evl_prob(m, U, n))
+                inputs = evl_bracket_inputs(m, U, q, n, gamma)
+                k, t, PA = inputs.k, inputs.t, float(inputs.PA)
+                hold("sharp-evl", abs(P - limit), sharp_evl_bracket(
+                    float(tau), n, theta, PA, k, t, inputs.R, gamma))
+                for kind, variant, th in (("general", "theorem", None),
+                                          ("limit", "corollary", theta)):
+                    dp = float(dprime_sum(m, inputs.A, n, q, k, variant))
+                    b = general_evl_bracket(float(tau), n, q, k, t,
+                                            float(U.measure()), PA,
+                                            inputs.M * gamma.gamma(t), dp,
+                                            theta=th)
+                    centre = math.exp(-(b.extra("theta_n") if th is None
+                                        else th) * float(tau))
+                    hold(kind, abs(P - centre), b)
+            for eps in (F(1, 64), F(1, 256), F(1, 1024)):
+                B = ball(zeta, eps)
+                P = float(exact_hts_prob(m, B, math.floor(tau / B.measure())))
+                inputs = hts_bracket_inputs(m, B, q, gamma)
+                hold("sharp-hts", abs(P - limit), sharp_hts_bracket(
+                    float(tau), float(B.measure()), float(inputs.PA), theta,
+                    inputs.k, inputs.t, inputs.R, inputs.ell, inputs.M,
+                    gamma))
+    # [rows, vacuous rows]
+    assert rows == {"sharp-evl": [54, 0], "general": [54, 11],
+                    "limit": [54, 11], "sharp-hts": [54, 22]}
 
 
 # -- escape window and exponential approximation -------------------------------

@@ -722,23 +722,30 @@ def test_check_violation_exits_one(tmp_path, monkeypatch):
 def test_check_builds_each_set_of_a_proposition_row_once(tmp_path,
                                                         monkeypatch):
     # the dprime rows build one annulus each; a proposition row is one
-    # annulus_replacement call, which builds one annulus A and the
-    # survivor sets of B and A
+    # annulus_replacement call, which builds one annulus A and, where A is
+    # not the ball B, the survivor set of A and the measure of B's.
+    # Seed 8 draws (2/5, 1/128, q = 1, n = 6), where A = B, then
+    # (0, 1/40, q = 1, n = 6), where A is not B
     import extremap.brackets as brackets_mod
     import extremap.cli as cli_mod
     built = []
     for mod, name in ((cli_mod, "annulus_set"), (brackets_mod, "annulus_set"),
-                      (brackets_mod, "survivor_set")):
+                      (brackets_mod, "survivor_set"),
+                      (brackets_mod, "exact_hts_prob")):
         monkeypatch.setattr(
             mod, name,
             lambda *args, _fn=getattr(mod, name), _name=name:
                 built.append(_name) or _fn(*args))
     rc = main(["check", "--map", "tripling", "--zeta", "1/4",
-               "--n", "256,1024,4096", "--prop-configs", "2", "--seed", "1",
+               "--n", "256,1024,4096", "--prop-configs", "2", "--seed", "8",
                "--out", str(tmp_path)])
     assert rc == 0
-    assert built.count("annulus_set") == 3 + 2
-    assert built.count("survivor_set") == 2 * 2
+    assert built == ["annulus_set"] * (3 + 2) + ["survivor_set",
+                                                 "exact_hts_prob"]
+    rows = json.loads((tmp_path / "check.json").read_text())["rows"]
+    assert [(r["zeta"], r["eps"], r["q"], r["scale"]) for r in rows[3:]] == [
+        ("2/5", "1/128", 1, 6), ("0", "1/40", 1, 6)]
+    assert rows[3]["lhs_exact"] == rows[3]["rhs_exact"] == "0"
 
 
 def test_budget_exceeded_exit_code(tmp_path):
@@ -825,14 +832,19 @@ def test_oversized_annulus_fails_fast(tmp_path):
 
 def test_oversized_survivor_set_fails_fast(tmp_path, capsys):
     # the proposition row's survivor set on uniform:256 grows 256-fold per
-    # step; its next preimage is refused before it is built, not after
-    start = time.perf_counter()
-    rc = main(["check", "--map", "uniform:256", "--zeta", "1/3", "--n", "256",
-               "--seed", "2", "--prop-configs", "1", "--out", str(tmp_path)])
-    assert rc == 3
-    assert time.perf_counter() - start < 10
-    assert "component budget of 1000000" in capsys.readouterr().err
-    assert not (tmp_path / "check.json").exists()
+    # step; its next preimage is refused before it is built, not after.
+    # Seeds 1 and 3 draw rows whose annulus is not the ball: (4/5, 1/40,
+    # q = 2, n = 5) and (4/5, 1/200, q = 1, n = 8)
+    for seed in ("1", "3"):
+        out = tmp_path / seed
+        start = time.perf_counter()
+        rc = main(["check", "--map", "uniform:256", "--zeta", "1/3",
+                   "--n", "256", "--seed", seed, "--prop-configs", "1",
+                   "--out", str(out)])
+        assert rc == 3
+        assert time.perf_counter() - start < 10
+        assert "component budget of 1000000" in capsys.readouterr().err
+        assert not (out / "check.json").exists()
 
 
 def test_monte_carlo_digit_limit_of_uniform_maps(tmp_path, capsys):

@@ -139,6 +139,21 @@ def test_period_past_64_on_an_integer_map():
                          F(1, 262)) is None
 
 
+def test_theta_limit_is_linear_in_the_period():
+    # 2 has order 499991 mod 999983; a running product of slopes costs
+    # O(p^2) bit operations (52 s), d^p once costs one power
+    start = time.perf_counter()
+    assert theta_limit_exact(FullBranchMap.doubling(), F(1, 999983)) == \
+        (499991, 1 - F(1, 2 ** 499991))
+    assert time.perf_counter() - start < 10
+    # off the uniform maps the multiplier is |slope|^visits per branch
+    z, mult = F(1, 9973), 1
+    for _ in range(2223):
+        mult *= abs(WIDTHS.branches[WIDTHS.branch_index(z)].slope)
+        z = WIDTHS.apply(z)
+    assert theta_limit_exact(WIDTHS, F(1, 9973)) == (2223, 1 - F(1, mult))
+
+
 @pytest.mark.parametrize("spec", [
     "widths:1/2,1/4,1/4", "widths:1/3,2/3", "uniform:5",
     '[{"lo": 0, "hi": "1/2", "slope": -2, "intercept": 1},'
@@ -445,8 +460,9 @@ HOLE = ball(F(1, 3), F(1, 100))
 BUDGET_ENTRY_POINTS = {
     "survivor_set": lambda: survivor_set(SMALL_TRIPLING, HOLE, 12),
     "annulus_set": lambda: annulus_set(SMALL_TRIPLING, HOLE, 8),
+    # 1/2 is fixed under tripling, so its annulus is not the ball
     "annulus_replacement": lambda: annulus_replacement(
-        SMALL_TRIPLING, HOLE, 1, 12),
+        SMALL_TRIPLING, ball(F(1, 2), F(1, 100)), 1, 12),
     "exact_hts_prob": lambda: exact_hts_prob(SMALL_SPLIT, HOLE, 12),
     "pair_correlation_measure": lambda: pair_correlation_measure(
         SMALL_SPLIT, HOLE, 8),
