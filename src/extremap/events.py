@@ -28,7 +28,8 @@ numerator.  Every other affine map (``widths:2/5,3/5``, say) takes
 interval algebra: survivor sets and iterated preimages, within the
 map's component budget; it has no escape-rate oracle.  The sets
 themselves (``survivor_set``, ``annulus_set``) are always built by
-interval algebra.
+interval algebra.  The limit extremal index (``theta_limit_exact``)
+walks the centre's orbit once, in O(1) memory.
 
 The time conventions follow the max/hitting duality: the survivor set
 of length ell is the set of points whose orbit avoids B at times
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import accumulate, compress
 from fractions import Fraction
 from typing import Optional
@@ -139,55 +140,6 @@ def theta_n(map_: FullBranchMap, B: IntervalUnion, q: int):
     return annulus_set(map_, B, q).measure() / mB
 
 
-def _uniform_period(map_: FullBranchMap, zeta: Fraction, cap: int):
-    """Closed-form period detection for x -> d*x mod 1 at a rational point.
-
-    Returns the prime period, or None when the point is strictly
-    preperiodic (denominator shares a factor with d).
-    """
-    d = map_.d
-    den = zeta.denominator
-    if den == 1:
-        return 1  # zeta = 0
-    if math.gcd(den, d) > 1:
-        return None
-    # prime period = multiplicative order of d modulo den
-    acc = d % den
-    for p in range(1, cap + 1):
-        if acc == 1:
-            return p
-        acc = (acc * d) % den
-    raise PeriodUndecidedError(f"period of {zeta} exceeds cap {cap}")
-
-
-def detect_period(map_: FullBranchMap, zeta) -> Optional[int]:
-    """Prime period of ``zeta`` under the map, or None if not periodic.
-
-    Exact for rational points.  For non-uniform maps the orbit is
-    iterated up to a cap: a return to the start gives the period, any
-    other repeat certifies non-periodicity, and otherwise the detection
-    is inconclusive and raises.  On an integer map the orbit of a/den
-    stays among the den points k/den, so it repeats within den steps,
-    and the cap is den, at most the map's budget or 64 if that is
-    larger; elsewhere it is 64.
-    """
-    zeta = as_exact(zeta)
-    cap = (min(zeta.denominator, max(map_.budget, 64))
-           if map_.is_integer else 64)
-    if map_.is_uniform:
-        return _uniform_period(map_, zeta, cap)
-    seen = {zeta: 0}
-    z = zeta
-    for j in range(1, cap + 1):
-        z = map_.apply(z)
-        if z == zeta:
-            return j
-        if z in seen:
-            return None
-        seen[z] = j
-    raise PeriodUndecidedError(f"period of {zeta} undecided after {cap} steps")
-
-
 def theta_limit_exact(map_: FullBranchMap, zeta):
     """(q, theta) in the limit of small events, theta an exact Fraction.
 
@@ -196,22 +148,69 @@ def theta_limit_exact(map_: FullBranchMap, zeta):
     non-periodic center gives q = 0 and theta = 1.  The center 0 is an
     end of both end branches, and each maps its side of 0 back onto 0:
     the share of the ball that returns at once is the mean width of
-    the two end branches.  |DF^p| is one power per visited branch.
+    the two end branches.  |DF^p| is one power per branch visited in
+    ``_cycle``.  A center outside [0, 1) raises ValueError.
     """
     zeta = as_exact(zeta)
+    if not 0 <= zeta < 1:
+        raise ValueError(f"center {zeta} outside [0, 1)")
     if zeta == 0:
         return 1, 1 - (map_.branches[0].width + map_.branches[-1].width) / 2
-    p = detect_period(map_, zeta)
-    if p is None:
+    visits = _cycle(map_, zeta)
+    if visits is None:
         return 0, Fraction(1)
-    if map_.is_uniform:
-        return p, 1 - Fraction(1, map_.d ** p)
-    visits, z = [0] * map_.d, zeta
-    for _ in range(p):
-        visits[map_.branch_index(z)] += 1
-        z = map_.apply(z)
     mult = math.prod(abs(b.slope) ** v for b, v in zip(map_.branches, visits))
-    return p, 1 - Fraction(1) / mult
+    return sum(visits), 1 - Fraction(1) / mult
+
+
+def _cycle(map_: FullBranchMap, zeta: Fraction):
+    """The branch visits of a periodic center's cycle, visits[b] on
+    branch b, which sum to its period; None if it is not periodic.
+
+    One walk in O(1) memory, one step (``FullBranchMap._numerators``).
+    On an integer map the orbit stays among the den points k/den, so the
+    cap is den, at most max(budget, 64), and a slope sharing a factor
+    with den shrinks the denominator for good: not periodic.  Elsewhere
+    the cap is 64.  A return to the start within the cap gives the
+    period.  Brent's cycle detection (BIT 1980) finds any other repeat,
+    mu steps into a cycle of lam, in 3 * cap + 1 steps if mu + lam <=
+    cap: not periodic either.  Past the cap the walk raises.
+    """
+    den = zeta.denominator
+    D, los, affine = map_._numerators(den)
+    if map_.is_integer:
+        cap, start = min(den, max(map_.budget, 64)), zeta.numerator * D // den
+        shrinks = [math.gcd(A, den) > 1 for A, _ in affine]
+    else:
+        cap, start, shrinks = 64, zeta, [False] * map_.d
+
+    def step(x):
+        b = bisect_right(los, x) - 1
+        A, CD = affine[b]
+        return b, (A * x + CD) % D
+    visits, x = [0] * map_.d, start
+    tortoise, t = start, 0  # the tortoise and its step: 0, then powers of 2
+    for j in range(1, 3 * cap + 2):
+        b, x = step(x)
+        if shrinks[b]:
+            return None
+        visits[b] += 1
+        if x == start:
+            if j <= cap:
+                return visits
+            break
+        if x == tortoise:
+            # the tortoise lies on a cycle of lam = j - t, so mu + lam <= j;
+            # mu + lam <= cap iff the point cap - lam steps out does too
+            if j <= cap:
+                return None
+            y = reduce(lambda z, _: step(z)[1], range(cap - j + t), start)
+            if reduce(lambda z, _: step(z)[1], range(j - t), y) == y:
+                return None
+            break
+        if j & (j - 1) == 0:
+            tortoise, t = x, j
+    raise PeriodUndecidedError(f"period of {zeta} exceeds cap {cap}")
 
 
 def first_return_time(map_: FullBranchMap, A: IntervalUnion,

@@ -213,14 +213,6 @@ class FullBranchMap:
             y = zero  # float rounding guard
         return y
 
-    def orbit(self, x, n: int):
-        """[x, f(x), ..., f^(n-1)(x)]."""
-        out = [x]
-        for _ in range(n - 1):
-            x = self.apply(x)
-            out.append(x)
-        return out
-
     # -- set dynamics --------------------------------------------------------
 
     def preimage(self, S: IntervalUnion) -> IntervalUnion:
@@ -306,11 +298,8 @@ class FullBranchMap:
         """
         if not self.is_integer:
             raise ValueError("a Markov partition requires an integer map")
-        K, _, coeffs = self._pushforward
-        D = math.lcm(S.denominator, K)
+        D, los, affine = self._numerators(S.denominator)
         up = D // S.denominator
-        los = [LO * (D // K) for LO, _, _, _ in coeffs]
-        affine = [(A, C * D) for _, _, A, C in coeffs]
         stop = self.budget if limit is None else min(limit, self.budget)
         cuts, todo = set(), [*los, *(e * up % D for e in S.ends)]
         while todo:
@@ -333,6 +322,17 @@ class FullBranchMap:
             j0, j1 = (index[u], index[v]) if A > 0 else (index[v], index[u])
             rows.append((scale // abs(A), j0, j1))
         return ends, D, scale, rows
+
+    def _numerators(self, den: int):
+        """(D, los, affine): branch b starts at los[b] / D and sends x/D
+        to ((A*x + CD) % D) / D, (A, CD) = affine[b].  On an integer map
+        D = lcm(den, K) and all are ints; elsewhere D = 1, all Fractions."""
+        if not self.is_integer:
+            return 1, self._los, [(b.slope, b.intercept) for b in self.branches]
+        K, _, coeffs = self._pushforward
+        D = math.lcm(den, K)
+        return (D, [LO * (D // K) for LO, _, _, _ in coeffs],
+                [(A, C * D) for _, _, A, C in coeffs])
 
 
 @functools.lru_cache(maxsize=64)

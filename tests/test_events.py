@@ -1,7 +1,9 @@
 import math
 import random
 import time
+import tracemalloc
 from bisect import bisect_right
+from functools import cache
 from itertools import compress, product
 from fractions import Fraction as F
 
@@ -22,7 +24,6 @@ from extremap import events
 from extremap.events import (
     Observable,
     annulus_set,
-    detect_period,
     dprime_sum,
     exact_evl_prob,
     exact_hts_prob,
@@ -39,10 +40,11 @@ from extremap.events import (
 DOUBLING = FullBranchMap.doubling()
 # x -> 1 - 2x, 4x - 2, 4 - 4x: some holes' survivors alternate between
 # two pieces under it
-ALTERNATING = FullBranchMap.from_spec(
+ALTERNATING_SPEC = (
     '[{"lo": 0, "hi": "1/2", "slope": -2, "intercept": 1},'
     ' {"lo": "1/2", "hi": "3/4", "slope": 4, "intercept": -2},'
     ' {"lo": "3/4", "hi": 1, "slope": -4, "intercept": 4}]')
+ALTERNATING = FullBranchMap.from_spec(ALTERNATING_SPEC)
 TRIPLING = FullBranchMap.tripling()
 WIDTHS = FullBranchMap.from_widths([F(1, 2), F(1, 4), F(1, 4)])
 
@@ -109,7 +111,14 @@ def test_theta_limit_cases():
     q, th = theta_limit_exact(DOUBLING, F(982451653, 2 ** 40))
     assert (q, th) == (0, 1)
     # 1/3 under tripling falls onto the fixed point but is not itself periodic
-    assert detect_period(TRIPLING, F(1, 3)) is None
+    assert theta_limit_exact(TRIPLING, F(1, 3))[0] == 0
+
+
+@pytest.mark.parametrize("spec", ["doubling", "widths:1/2,1/4,1/4"])
+@pytest.mark.parametrize("zeta", [F(3, 2), F(1), F(-1, 3)])
+def test_theta_limit_refuses_a_center_outside_the_circle(spec, zeta):
+    with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+        theta_limit_exact(FullBranchMap.from_spec(spec), zeta)
 
 
 def test_theta_limit_widths_map():
@@ -118,8 +127,9 @@ def test_theta_limit_widths_map():
     assert theta_limit_exact(WIDTHS, F(0)) == (1, F(5, 8))
     # a budget of 4 leaves the cap at 64, below the period 2223 of 1/9973
     with pytest.raises(PeriodUndecidedError):
-        detect_period(FullBranchMap.from_spec("widths:1/2,1/4,1/4", budget=4),
-                      F(1, 9973))
+        theta_limit_exact(
+            FullBranchMap.from_spec("widths:1/2,1/4,1/4", budget=4),
+            F(1, 9973))
 
 
 def test_period_past_64_on_an_integer_map():
@@ -127,21 +137,23 @@ def test_period_past_64_on_an_integer_map():
     # among the den points k/den, so the default cap is den within the
     # budget
     assert theta_limit_exact(DOUBLING, F(1, 131)) == (130, 1 - F(1, 2 ** 130))
-    assert detect_period(WIDTHS, F(1, 9973)) == 2223
+    assert theta_limit_exact(WIDTHS, F(1, 9973))[0] == 2223
     # a budget below 64 leaves the cap at 64
-    assert detect_period(FullBranchMap.uniform(2, budget=1), F(1, 3)) == 2
+    assert theta_limit_exact(FullBranchMap.uniform(2, budget=1),
+                             F(1, 3))[0] == 2
     with pytest.raises(PeriodUndecidedError):
-        detect_period(FullBranchMap.uniform(2, budget=100), F(1, 131))
+        theta_limit_exact(FullBranchMap.uniform(2, budget=100), F(1, 131))
     # 1/262 -> 1/131 is strictly preperiodic: the gcd of 262 and d = 2
     # says so at once, where iterating would meet no repeat within the
     # cap of 64 (the cycle has length 130)
-    assert detect_period(FullBranchMap.from_spec("doubling", budget=4),
-                         F(1, 262)) is None
+    assert theta_limit_exact(FullBranchMap.from_spec("doubling", budget=4),
+                             F(1, 262))[0] == 0
 
 
 def test_theta_limit_is_linear_in_the_period():
-    # 2 has order 499991 mod 999983; a running product of slopes costs
-    # O(p^2) bit operations (52 s), d^p once costs one power
+    # 2 has order 499991 mod 999983; the walk counts branch visits and
+    # takes one power per branch, where a running product of slopes
+    # costs O(p^2) bit operations (52 s)
     start = time.perf_counter()
     assert theta_limit_exact(FullBranchMap.doubling(), F(1, 999983)) == \
         (499991, 1 - F(1, 2 ** 499991))
@@ -152,6 +164,85 @@ def test_theta_limit_is_linear_in_the_period():
         mult *= abs(WIDTHS.branches[WIDTHS.branch_index(z)].slope)
         z = WIDTHS.apply(z)
     assert theta_limit_exact(WIDTHS, F(1, 9973)) == (2223, 1 - F(1, mult))
+
+
+def _reference_theta_limit(m, step, zeta, cap):
+    """(q, theta) from a set of every orbit point, ``step`` sending z
+    to (|slope| at z, ``m.apply(z)``): a return to the start within cap
+    steps gives the period, any other repeat says not periodic, and no
+    repeat within cap steps raises."""
+    if zeta == 0:
+        return 1, 1 - (m.widths[0] + m.widths[-1]) / 2
+    seen, z, mult = {zeta}, zeta, F(1)
+    for j in range(1, cap + 1):
+        slope, z = step(z)
+        mult *= slope
+        if z == zeta:
+            return j, 1 - 1 / mult
+        if z in seen:
+            return 0, F(1)
+        seen.add(z)
+    raise PeriodUndecidedError(f"period of {zeta} exceeds cap {cap}")
+
+
+INTEGER_SPECS = [
+    "doubling", "tripling", "uniform:5", "widths:1/2,1/4,1/4",
+    "widths:1/4,1/4,1/2",
+    '[{"lo": 0, "hi": "1/2", "slope": -2, "intercept": 1},'
+    ' {"lo": "1/2", "hi": "3/4", "slope": 4, "intercept": -2},'
+    ' {"lo": "3/4", "hi": 1, "slope": 4, "intercept": -3}]',
+    '[{"lo": 0, "hi": "1/2", "slope": 2, "intercept": 0},'
+    ' {"lo": "1/2", "hi": 1, "slope": -2, "intercept": 2}]',
+]
+
+
+def test_theta_limit_equals_a_reference_walk():
+    # below den = 60 the cap is den, and an orbit among den points
+    # repeats within den steps, so the reference never raises
+    for spec in INTEGER_SPECS:
+        m = FullBranchMap.from_spec(spec)
+        step = cache(lambda z: (abs(m.branches[m.branch_index(z)].slope),
+                                m.apply(z)))
+        for den in range(1, 60):
+            for a in filter(lambda a: math.gcd(a, den) == 1, range(den)):
+                zeta = F(a, den)
+                got = theta_limit_exact(m, zeta)
+                assert got == _reference_theta_limit(m, step, zeta, den), \
+                    (spec, zeta)
+                assert type(got[0]) is int and type(got[1]) is F
+
+
+@pytest.mark.parametrize("spec, budget, zeta, expected", [
+    # 1/134 -> 1/67 halves the denominator for good: no repeat within
+    # the cap of 64, yet not periodic
+    ("doubling", 4, F(1, 134), (0, 1)),
+    # a tail and a cycle within the cap of 64
+    ("widths:1/2,1/4,1/4", 4, F(3, 65), (0, 1)),
+    # a tail of 1 into a cycle of 63, then of 64: at and past the cap
+    ("widths:1/2,1/4,1/4", 4, F(9, 209), (0, 1)),
+    ("widths:1/2,1/4,1/4", 4, F(3, 193), PeriodUndecidedError),
+    # 1/142 -> 70/71 on the first branch, of slope -2
+    (ALTERNATING_SPEC, 4, F(1, 142), (0, 1)),
+])
+def test_theta_limit_past_the_cap(spec, budget, zeta, expected):
+    m = FullBranchMap.from_spec(spec, budget=budget)
+    if expected is PeriodUndecidedError:
+        with pytest.raises(PeriodUndecidedError):
+            theta_limit_exact(m, zeta)
+    else:
+        assert theta_limit_exact(m, zeta) == expected
+
+
+def test_theta_limit_walks_in_constant_memory():
+    # 1/99991 is not periodic under widths:1/2,1/4,1/4; a dict of its
+    # orbit points peaks at 2.34 MiB, the walk keeps a few integers
+    tracemalloc.start()
+    try:
+        assert theta_limit_exact(WIDTHS, F(1, 99991)) == (0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 19
 
 
 @pytest.mark.parametrize("spec", [
@@ -186,9 +277,11 @@ def test_survivor_membership_matches_orbit_max():
     sched = threshold_for(Observable(center=F(1, 3)), n, 1)
     W = survivor_set(DOUBLING, sched.exceedance, n)
     for _ in range(10000):
-        x = F(rnd.randrange(1, 99991), 99991)
-        exceeded = any(sched.exceedance.contains(y)
-                       for y in DOUBLING.orbit(x, n))
+        x = y = F(rnd.randrange(1, 99991), 99991)
+        exceeded = False
+        for _ in range(n):
+            exceeded |= sched.exceedance.contains(y)
+            y = DOUBLING.apply(y)
         assert W.contains(x) == (not exceeded)
 
 
