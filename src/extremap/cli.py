@@ -6,9 +6,12 @@ Each flag's parser, default and choices are declared once, in its
 ``add_argument``; a ``--config`` file's lines are read as flags by the
 same parser.  A command ``cmd_<command>(args, map_)`` returns a
 ``Table`` and writes nothing: ``main`` builds the map, looks the
-command up at call time, adds the common config keys and writes the
-outputs.  Exit codes: 0 success, 1 checked-property violation, 2 usage
-or config error, 3 resource budget exceeded.
+command up at call time and writes the outputs.  Their config is
+written once, by ``main``: every parsed flag under its dest, with its
+exact value (``--config`` included), the map's name, the output
+directory in use, and what the command resolved (q, theta where it is
+read, the decay model).  Exit codes: 0 success, 1 checked-property
+violation, 2 usage or config error, 3 resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -230,12 +233,6 @@ def _require(args, *names):
             raise InfeasibleError(f"missing --{name.replace('_', '-')}")
 
 
-def _out_dir(args) -> Path:
-    if args.out:
-        return Path(args.out)
-    return Path(os.environ.get("EXTREMAP_OUT", "."))
-
-
 def _decay_for(args, map_) -> DecayModel:
     base = DecayModel.for_map(map_)
     c0 = base.c0 if args.decay_c0 is None else args.decay_c0
@@ -243,22 +240,10 @@ def _decay_for(args, map_) -> DecayModel:
     return DecayModel(c0, lam)
 
 
-def _common_config(args, map_) -> dict:
-    cfg = {
-        "map": str(args.map),
-        "map_name": map_.name,
-        "out": str(_out_dir(args)),
-    }
-    if hasattr(args, "trials"):
-        cfg.update(workers=args.workers, trials=args.trials, seed=args.seed)
-    return cfg
-
-
 def _limit(args, map_, uses_theta=True) -> tuple:
     """(q, theta) at --zeta: a value given as --q or --theta is kept, and
     the period is detected only when a value the command uses is missing.
-    A detection fills both missing values; theta stays None when the
-    command does not use it and no detection ran."""
+    theta is None when the command does not use it."""
     q, theta = getattr(args, "q", None), getattr(args, "theta", None)
     if theta is not None and not 0 <= theta <= 1:  # NaN included
         raise InfeasibleError(f"--theta {theta} is outside [0, 1]")
@@ -266,13 +251,15 @@ def _limit(args, map_, uses_theta=True) -> tuple:
         q_det, theta_det = theta_limit_exact(map_, args.zeta)
         q = q_det if q is None else q
         theta = float(theta_det) if theta is None else theta
-    return q, theta
+    return q, theta if uses_theta else None
 
 
 class Table(NamedTuple):
     """A command's result, for ``main`` to write: the CSV columns, the
-    rows, the config keys the command adds to the common ones, and the
-    exit code."""
+    rows, what the command resolved beyond its flags (q, and theta where
+    it is read, at their values used; the decay model; ``evl``'s chunk
+    size), which ``main`` records over the parsed flags, and the exit
+    code."""
 
     columns: tuple
     rows: list
@@ -287,13 +274,13 @@ class Table(NamedTuple):
 
 def cmd_evl(args, map_) -> Table:
     _require(args, "zeta", "n", "seed")
-    zeta, tau, n_grid = args.zeta, args.tau, args.n
+    tau = args.tau
     decay = _decay_for(args, map_)
     q, theta = _limit(args, map_)
-    obs = Observable(center=zeta)
+    obs = Observable(center=args.zeta)
     rows = []
     for pt in mc.estimate_evl_points(map_, obs,
-                                     [(n, tau) for n in sorted(n_grid)],
+                                     [(n, tau) for n in sorted(args.n)],
                                      args.trials, args.seed, args.workers):
         U = threshold_for(obs, pt.n, tau).exceedance
         limit = math.exp(-theta * float(tau))  # tau > 0 here: no overflow
@@ -310,19 +297,16 @@ def cmd_evl(args, map_) -> Table:
         })
     return Table(("scale", "estimate", "ci_half", "limit", "deviation",
                   "bracket", "ratio", "seed"), rows,
-                 dict(decay=vars(decay), zeta=str(zeta), tau=str(tau),
-                      n_grid=n_grid, q=args.q, theta=args.theta,
-                      chunk=mc.CHUNK))
+                 dict(q=q, theta=theta, decay=vars(decay), chunk=mc.CHUNK))
 
 
 def cmd_hts(args, map_) -> Table:
     _require(args, "zeta", "eps", "seed")
-    zeta, taus = args.zeta, args.tau
     q, theta = _limit(args, map_)
     rows = []
     for eps in args.eps:
-        ecdf = mc.estimate_hts(map_, zeta, eps, taus, args.trials, args.seed,
-                               args.workers)
+        ecdf = mc.estimate_hts(map_, args.zeta, eps, args.tau, args.trials,
+                               args.seed, args.workers)
         for tau, est, hw in zip(ecdf.grid, ecdf.estimates, ecdf.half_widths):
             limit = math.exp(-theta * tau)
             rows.append({
@@ -332,22 +316,19 @@ def cmd_hts(args, map_) -> Table:
                 "seed": args.seed,
             })
     return Table(("scale", "tau", "estimate", "ci_half", "limit", "deviation",
-                  "censored", "seed"), rows,
-                 dict(zeta=str(zeta), eps=[str(e) for e in args.eps],
-                      tau=[float(t) for t in taus], q=q, theta=theta))
+                  "censored", "seed"), rows, dict(q=q, theta=theta))
 
 
 def cmd_escape(args, map_) -> Table:
     _require(args, "zeta", "eps", "seed")
-    zeta = args.zeta
     q, theta = _limit(args, map_)
     decay = _decay_for(args, map_)
     rows = []
     for eps in args.eps:
-        hole = ball(zeta, eps)
+        hole = ball(args.zeta, eps)
         PB = hole.measure()
-        fit = mc.estimate_escape_rate(map_, zeta, eps, args.trials, args.seed,
-                                      args.workers)
+        fit = mc.estimate_escape_rate(map_, args.zeta, eps, args.trials,
+                                      args.seed, args.workers)
         inputs = hts_bracket_inputs(map_, hole, q, decay)
         window = escape_window(inputs, theta, float(PB), decay)
         rows.append({
@@ -366,18 +347,16 @@ def cmd_escape(args, map_) -> Table:
                   "window_lower", "window_nominal", "degenerate_window",
                   "fit_lo", "fit_hi", "residual", "censored", "k", "t",
                   "seed"), rows,
-                 dict(decay=vars(decay), zeta=str(zeta),
-                      eps=[str(e) for e in args.eps], q=q, theta=theta))
+                 dict(q=q, theta=theta, decay=vars(decay)))
 
 
 def cmd_ei(args, map_) -> Table:
     _require(args, "zeta", "eps")
-    zeta = args.zeta
-    q_limit, theta_lim = theta_limit_exact(map_, zeta)
+    q_limit, theta_lim = theta_limit_exact(map_, args.zeta)
     q = args.q if args.q is not None else q_limit
     rows = []
     for eps in args.eps:
-        U = ball(zeta, eps)
+        U = ball(args.zeta, eps)
         th = theta_n(map_, U, q)
         rows.append({
             "scale": float(eps), "q": q, "theta_n": float(th),
@@ -386,8 +365,7 @@ def cmd_ei(args, map_) -> Table:
             "theta_limit_exact": exact_str(theta_lim),
         })
     return Table(("scale", "q", "theta_n", "theta_n_exact", "q_limit",
-                  "theta_limit", "theta_limit_exact"), rows,
-                 dict(zeta=str(zeta), q=q, eps=[str(e) for e in args.eps]))
+                  "theta_limit", "theta_limit_exact"), rows, dict(q=q))
 
 
 def _budget_rows(scale, k, t, R, budget):
@@ -406,10 +384,9 @@ def _budget_rows(scale, k, t, R, budget):
 
 def cmd_bounds(args, map_) -> Table:
     _require(args, "zeta")
-    zeta, tau = args.zeta, args.tau
-    obs = Observable(center=zeta)
+    tau, kind = args.tau, args.bracket
+    obs = Observable(center=args.zeta)
     decay = _decay_for(args, map_)
-    kind = args.bracket
     q, theta = _limit(args, map_, uses_theta=kind != "general")
     rows = []
     if kind != "sharp-hts":
@@ -426,12 +403,11 @@ def cmd_bounds(args, map_) -> Table:
                                       else "corollary"))
                 budget = general_evl_bracket(
                     float(tau), n, q, k, t, float(U.measure()), PA,
-                    inputs.M * decay.gamma(t), dp,
-                    theta=None if kind == "general" else theta)
+                    inputs.M * decay.gamma(t), dp, theta=theta)
             rows.extend(_budget_rows(n, k, t, inputs.R, budget))
     else:
         for eps in args.eps:
-            B = ball(zeta, eps)
+            B = ball(args.zeta, eps)
             inputs = hts_bracket_inputs(map_, B, q, decay)
             budget = sharp_hts_bracket(float(tau), float(B.measure()),
                                        float(inputs.PA), theta, inputs.k,
@@ -439,24 +415,24 @@ def cmd_bounds(args, map_) -> Table:
                                        inputs.M, decay)
             rows.extend(_budget_rows(float(eps), inputs.k, inputs.t, inputs.R,
                                      budget))
+    config = dict(q=q, decay=vars(decay))
+    if theta is not None:  # the general bracket never reads theta
+        config["theta"] = theta
     return Table(("scale", "term", "value", "k", "t", "R", "flags"), rows,
-                 dict(decay=vars(decay), zeta=str(zeta),
-                      tau=str(tau), bracket=kind, q=q, theta=theta, n=args.n,
-                      eps=[str(e) for e in args.eps], budget=args.budget))
+                 config)
 
 
 def cmd_check(args, map_) -> Table:
     if args.prop_configs:  # only the proposition rows are drawn
         _require(args, "seed")
-    zeta, tau = args.zeta, args.tau
-    obs = Observable(center=zeta)
+    obs = Observable(center=args.zeta)
     q, _ = _limit(args, map_, uses_theta=False)
     rows = []
     violated = False
     previous = None
     for n in args.n:
         k_n = max(1, math.ceil(n ** 0.25))
-        A = annulus_set(map_, threshold_for(obs, n, tau).exceedance, q)
+        A = annulus_set(map_, threshold_for(obs, n, args.tau).exceedance, q)
         value = dprime_sum(map_, A, n, q, k_n)
         decreasing = previous is None or value < previous
         rows.append({"kind": "dprime", "scale": n, "k_n": k_n,
@@ -480,10 +456,7 @@ def cmd_check(args, map_) -> Table:
     if violated:
         print("check: exact inequality violated", file=sys.stderr)
     return Table(("kind", "scale", "k_n", "value", "zeta", "eps", "q", "lhs",
-                  "rhs", "ok"), rows,
-                 dict(zeta=str(zeta), q=q, tau=str(tau), seed=args.seed,
-                      prop_configs=args.prop_configs, n=args.n,
-                      budget=args.budget), 1 if violated else 0)
+                  "rhs", "ok"), rows, dict(q=q), 1 if violated else 0)
 
 
 def cmd_pressure(args, map_) -> Table:
@@ -492,8 +465,7 @@ def cmd_pressure(args, map_) -> Table:
     for n in range(1, args.n_max + 1):
         z = float(weighted_periodic_sum(map_, s, n))
         rows.append({"scale": n, "Z_n": z, "pressure": math.log(z) / n})
-    return Table(("scale", "Z_n", "pressure"), rows,
-                 dict(potential=args.potential, n_max=args.n_max))
+    return Table(("scale", "Z_n", "pressure"), rows, {})
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +548,10 @@ def main(argv=None) -> int:
         map_ = FullBranchMap.from_spec(
             args.map, budget=getattr(args, "budget", COMPONENT_BUDGET))
         table = globals()[f"cmd_{args.command}"](args, map_)
-        write_outputs(_out_dir(args), args.command, table.columns, table.rows,
-                      dict(_common_config(args, map_), **table.config))
+        out = Path(args.out or os.environ.get("EXTREMAP_OUT", "."))
+        config = {**vars(args), "map_name": map_.name, "out": str(out),
+                  **table.config}
+        write_outputs(out, args.command, table.columns, table.rows, config)
         return table.code
     except (ExtremapError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -347,7 +347,12 @@ def _interned(cls, s: str, budget) -> FullBranchMap:
     if s == "tripling":
         return cls.uniform(3, budget)
     if s.startswith("uniform:"):
-        return cls.uniform(int(s.split(":", 1)[1]), budget)
+        d = int(s.split(":", 1)[1])
+        if d > budget:  # checked before d branches are built
+            raise ComponentBudgetError(
+                f"uniform:{d} exceeds the component budget of {budget}: the "
+                f"preimage of a ball has at least {d} components")
+        return cls.uniform(d, budget)
     if s.startswith("widths:"):
         return cls.from_widths(s.split(":", 1)[1].split(","), budget)
     raise ValueError(f"unknown map spec {s!r}")

@@ -28,6 +28,8 @@ its chunks through one pipeline, ``_run_chunks``, which refuses fewer
 than one trial, a map no stepper samples, and a run past the lane-step
 budget, before any chunk runs.  ``estimate_hts`` reads the one survival curve
 ``_survivors`` at its cutoffs, and ``estimate_escape_rate`` fits it.
+The curve ends at the last first entry, however far the horizon, so
+its memory follows the entries, not the horizon.
 
 The uniform stepper draws one uniform word C in [0, d^J) per J steps,
 J the largest exponent with d^J <= 2^64.  If x = (s0 + t)/2^64 with t
@@ -610,7 +612,9 @@ def _evl_chunk(map_: FullBranchMap, zeta: Fraction,
 
 def _entry_chunk(map_: FullBranchMap, zeta: Fraction, radius: Fraction,
                  horizon: int, index: int, count: int, seed: int):
-    """Histogram of first entry times (index 0 = never entered)."""
+    """Histogram of first entry times (index 0 = never entered), cut
+    after the last step at which a lane entered.  Its pages past the
+    steps stepped are never written, so they take no memory."""
     orb = _orbits(map_, zeta, count, _rng(seed, index))
     level = orb.level(radius)
     hist = np.zeros(horizon + 1, dtype=np.int64)
@@ -642,7 +646,8 @@ def _entry_chunk(map_: FullBranchMap, zeta: Fraction, radius: Fraction,
             live = int(counts[0])
             orb.keep(first == 0)
     hist[0] = live
-    return hist
+    entries = np.flatnonzero(hist[1:j + 1])
+    return hist[:entries[-1] + 2 if entries.size else 1].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -715,10 +720,14 @@ def estimate_evl(map_: FullBranchMap, obs: Observable, n: int, tau,
 def _survivors(map_: FullBranchMap, zeta, radius, horizon: int,
                trials: int, seed: int, workers: int):
     """(S, censored): S[t] the trials that have not entered the radius
-    ball at zeta by step t, for t = 0..horizon, and the trials that never
-    entered."""
-    hist = sum(_run_chunks(_entry_chunk, map_, (as_exact(zeta), radius, horizon),
-                           horizon, trials, seed, workers))
+    ball at zeta by step t, and the trials that never entered by the
+    horizon.  S ends at the last step at which a trial entered: past
+    it, up to the horizon, S stays at the censored count."""
+    chunks = _run_chunks(_entry_chunk, map_, (as_exact(zeta), radius, horizon),
+                         horizon, trials, seed, workers)
+    hist = np.zeros(max(map(len, chunks)), dtype=np.int64)
+    for chunk in chunks:
+        hist[:len(chunk)] += chunk
     censored, hist[0] = int(hist[0]), 0
     return trials - np.cumsum(hist), censored
 
@@ -741,7 +750,7 @@ def estimate_hts(map_: FullBranchMap, zeta, eps, tau_grid: Sequence,
     cutoffs = [int(t / PB) for t in taus]
     horizon = max(cutoffs) if cutoffs else 0
     S, censored = _survivors(map_, zeta, eps, horizon, trials, seed, workers)
-    surv = [int(S[t]) for t in cutoffs]
+    surv = [int(S[t]) if t < len(S) else censored for t in cutoffs]
     return ECDF(grid=tuple(float(t) for t in taus),
                 estimates=tuple(s / trials for s in surv),
                 half_widths=tuple(wilson_halfwidth(s, trials) for s in surv),
@@ -777,6 +786,8 @@ def estimate_escape_rate(map_: FullBranchMap, zeta, eps, trials: int,
     PB = ball(as_exact(zeta), eps).measure()
     horizon = int(50 / float(PB))
     S, censored = _survivors(map_, zeta, eps, horizon, trials, seed, workers)
+    if censored >= MIN_SURVIVORS:  # the window runs past the last entry
+        S = np.concatenate((S, np.full(horizon + 1 - len(S), censored)))
     t_start = _transient(map_)
     alive = np.nonzero(S >= MIN_SURVIVORS)[0]
     t_end = int(alive[-1]) if alive.size else 0

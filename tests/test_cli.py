@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import json
@@ -216,10 +217,10 @@ def test_evl_sweep_deterministic(tmp_path):
         assert col in t1["rows"][0]
     assert t1["rows"][0]["q"] == 2 and t1["rows"][0]["theta"] == 0.75
     assert all(r["bracket"] > 0 for r in t1["rows"])
-    # the config records the map name and q, theta as requested
+    # the config records the map, the horizons and q, theta as used
     cfg = t1["config"]
-    assert cfg["map"] == "doubling" and cfg["n_grid"] == [200, 800]
-    assert cfg["q"] is None and cfg["theta"] is None
+    assert cfg["map"] == "doubling" and cfg["n"] == [200, 800]
+    assert cfg["q"] == 2 and cfg["theta"] == 0.75
     assert cfg["decay"] == {"c0": 4.0, "lam": 0.5} and cfg["chunk"] > 0
 
 
@@ -476,6 +477,57 @@ def test_bounds_and_check_record_horizons_radii_and_budget(tmp_path):
         assert cfg["budget"] == 100000
 
 
+# a run of each command at zeta = 1/3, where q = 2 and theta = 3/4, and
+# the (q, theta) each one uses: ei and check read no theta, pressure
+# neither
+RECORDED = {
+    "evl": (("--zeta", "1/3", "--n", "100", "--trials", "1000", "--seed",
+             "1"), (2, 0.75)),
+    "hts": (("--zeta", "1/3", "--eps", "1/16", "--tau", "1/2,1", "--trials",
+             "1000", "--seed", "1"), (2, 0.75)),
+    "escape": (("--zeta", "1/3", "--eps", "1/16", "--trials", "1e4",
+                "--seed", "1"), (2, 0.75)),
+    "ei": (("--zeta", "1/3", "--eps", "1/100"), (2, None)),
+    "bounds": (("--zeta", "1/3", "--n", "512"), (2, 0.75)),
+    "check": (("--zeta", "1/3", "--n", "64", "--prop-configs", "0"),
+              (2, None)),
+    "pressure": (("--n-max", "3"), (None, None)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RECORDED))
+def test_config_records_every_flag_and_the_values_used(tmp_path, command):
+    argv, (q, theta) = RECORDED[command]
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("map = doubling\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_file), *argv,
+                 "--out", str(out)]) == 0
+    comments, _ = read_csv(out / f"{command}.csv")
+    payload = json.loads((out / f"{command}.json").read_text())
+    cfg = payload["config"]
+    assert json.loads(comments[1].split("config: ", 1)[1]) == cfg
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    dests = {a.dest for a in sub._actions if a.dest != "help"}
+    # every flag under its dest, and beside them only what was resolved
+    assert dests <= set(cfg)
+    assert set(cfg) - dests <= {"command", "schema_version", "map_name", "q",
+                                "theta", "decay", "chunk"}
+    assert cfg["command"] == command and cfg["config"] == str(cfg_file)
+    assert cfg["map"] == "doubling" == cfg["map_name"]
+    assert cfg["out"] == str(out)
+    assert cfg.get("q") == q and cfg.get("theta") == theta
+    for row in payload["rows"]:
+        assert all(row[k] == cfg[k] for k in ("q", "theta") if k in row)
+    # exact values, as given
+    assert cfg.get("zeta", "1/3") == "1/3"
+    assert cfg.get("tau") == {"evl": "1", "hts": ["1/2", "1"],
+                              "bounds": "1", "check": "1"}.get(command)
+    decay = {"c0": 4.0, "lam": 0.5} if "decay_c0" in dests else None
+    assert cfg.get("decay") == decay
+
+
 @pytest.mark.parametrize("bracket", ["sharp-evl", "sharp-hts", "general",
                                      "limit"])
 def test_bounds_budget_reaches_every_annulus(tmp_path, bracket):
@@ -614,13 +666,35 @@ def test_trials_below_one_is_usage_error(tmp_path, capsys, command, args,
     assert not (tmp_path / f"{command}.json").exists()
 
 
-def _fresh_process(argv):
-    """Run the CLI in a new interpreter."""
+def _fresh_env() -> dict:
+    """The environment of a new interpreter that imports this extremap."""
     src = str(Path(extremap.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _fresh_process(argv):
+    """Run the CLI in a new interpreter."""
     return subprocess.run([sys.executable, "-m", "extremap.cli", *argv],
-                          env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=300)
+                          env=_fresh_env(), capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_hts_memory_does_not_follow_the_horizon(tmp_path):
+    # tau = 3e6 at P(B) = 1/8 is a horizon of 2.4e7 steps, but all 10
+    # trials have entered by step 12: the first-entry histogram is cut
+    # there (36 MB peak; a histogram to the horizon peaked at 585 MB)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "extremap.cli", "hts", "--zeta", "1/3",
+         "--eps", "1/16", "--tau", "3e6", "--trials", "10", "--seed", "1",
+         "--out", str(tmp_path)], env=_fresh_env(),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert usage.ru_maxrss < 100 * 1024  # KiB on Linux
+    _, rows = read_csv(tmp_path / "hts.csv")
+    assert [(r["estimate"], r["censored"]) for r in rows] == [("0.0", "0")]
 
 
 def test_main_calls_in_one_process_match_fresh_processes(tmp_path, capsys):

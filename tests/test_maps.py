@@ -109,6 +109,19 @@ def test_from_spec_carries_the_budget():
         assert FullBranchMap.from_spec(spec).budget == COMPONENT_BUDGET
 
 
+def test_uniform_spec_past_the_budget_raises_before_any_branch_is_built(
+        monkeypatch):
+    # a ball pulls back to at least d components on uniform:d, so no
+    # exact set fits past the budget; uniform:10^7 once took minutes
+    assert FullBranchMap.from_spec("uniform:7", budget=7).d == 7
+    monkeypatch.setattr(FullBranchMap, "uniform", classmethod(
+        lambda cls, d, budget: pytest.fail("branches were built")))
+    with pytest.raises(ComponentBudgetError, match="budget of 7"):
+        FullBranchMap.from_spec("uniform:8", budget=7)
+    with pytest.raises(ComponentBudgetError, match="budget of 1000000"):
+        FullBranchMap.from_spec("uniform:10000000")
+
+
 def test_from_spec_interns_one_map_per_spec_and_budget():
     for spec in ("doubling", "uniform:5", "widths:1/2,1/4,1/4",
                  '[{"lo": 0, "hi": "1/2", "slope": 2, "intercept": 0},'

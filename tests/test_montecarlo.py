@@ -427,6 +427,14 @@ def _reference_entry_histogram(map_, zeta, radius, horizon, index, count, seed):
     return np.bincount(entry, minlength=horizon + 1)
 
 
+def assert_cut_at_last_entry(hist, ref):
+    """The kernel's histogram is the reference's, cut after its last
+    entry: equal up to that length, and the reference is zero past it."""
+    assert hist.dtype == ref.dtype and np.array_equal(hist, ref[:len(hist)])
+    assert len(hist) == 1 or hist[-1] > 0
+    assert not ref[len(hist):].any()
+
+
 @pytest.mark.parametrize("radius, horizon", [
     (F(1, 64), 150),  # some lanes never enter
     (F(1, 5), 400),   # every lane enters early: lanes retire
@@ -435,7 +443,7 @@ def test_entry_chunk_horner_matches_row_loop(radius, horizon):
     hist = mc._entry_chunk(WIDTHS, F(1, 3), radius, horizon, 2, 3000, 8)
     ref = _reference_entry_histogram(WIDTHS, F(1, 3), radius, horizon, 2,
                                      3000, 8)
-    assert np.array_equal(hist, ref)
+    assert_cut_at_last_entry(hist, ref)
     assert (hist[0] > 0) == (radius == F(1, 64))
 
 
@@ -488,8 +496,8 @@ def test_entry_kernels_match_full_lane_reference(spec, radius, horizon, count):
                  else _reference_entry_histogram)
     hist = mc._entry_chunk(f, F(1, 3), radius, horizon, 3, count, 21)
     ref = reference(f, F(1, 3), radius, horizon, 3, count, 21)
-    assert hist.dtype == ref.dtype and np.array_equal(hist, ref)
-    assert len(hist) == horizon + 1 and hist.sum() == count
+    assert_cut_at_last_entry(hist, ref)
+    assert len(hist) <= horizon + 1 and hist.sum() == count
     if radius == F(1, 4):
         assert hist[0] == 0 and hist[129:].sum() == 0
     if radius == F(1, 1000):
@@ -509,7 +517,7 @@ def test_uniform_entry_chunk_matches_full_lane_reference_across_the_switch(
     f = FullBranchMap.from_spec(spec)
     hist = mc._entry_chunk(f, F(1, 3), radius, horizon, 3, count, 21)
     ref = _full_lane_entry_uniform(f, F(1, 3), radius, horizon, 3, count, 21)
-    assert hist.dtype == ref.dtype and np.array_equal(hist, ref)
+    assert_cut_at_last_entry(hist, ref)
     assert horizon % len(mc._word_steps(f.d))
     live = count - np.cumsum(hist[1:])
     if count == 5000:
