@@ -65,11 +65,11 @@ lanes.  From there, where a step costs more in calls than in
 arithmetic, ``first_entries`` takes each lane's first step in the
 ball from one (steps, lanes) block, the rest of a word; the kernel
 bins them and drops the lanes that entered.  A Horner chunk steps to
-the end.  Digits are still drawn for every lane of the chunk, in the
-same order, and the live lanes take their own columns, so each lane
-sees the stream it would have seen and the histograms do not change.
-The EVL kernel steps every lane: at tau*theta <= 1 most lanes stay
-undecided up to the last checkpoint.
+the end.  A dropped lane draws nothing more: each draw takes one value
+per lane the kernel still steps, in lane order (a word per lane at a
+word's start, a uniform per lane at a Horner step).  The EVL kernel
+steps every lane: at tau*theta <= 1 most lanes stay undecided up to
+the last checkpoint, and it draws for all of them.
 
 With workers > 1 the chunks run on one process pool, built on first
 use and kept for the life of the process.  A call uses at most one
@@ -245,29 +245,14 @@ def _scaled(zeta_or_radius: Fraction, m: int) -> int:
 
 
 class _Lanes:
-    """The lanes a stepper still steps, out of the ``count`` of its chunk,
-    and the two reductions the kernels run over a stepper's ``step()``,
+    """The two reductions the kernels run over a stepper's ``step()``,
     ``dist()`` and ``level(radius)``.
 
-    ``keep(mask)`` stops stepping the lanes where ``mask`` (over the
-    stepped lanes) is false.  Digits are still drawn for all ``count``
-    lanes, in the same order, and the kept lanes take their own columns
-    (``_lanes``), so each sees the stream it would have seen.
+    A stepper's ``keep(mask)`` stops stepping the lanes where ``mask``
+    (over the stepped lanes) is false.  A dropped lane draws nothing
+    more: every draw of the stepper's ``rng`` takes one value per lane
+    still stepped, in lane order.
     """
-
-    def __init__(self, count: int, rng: np.random.Generator):
-        self.count, self.rng = count, rng
-        self._cols = None  # chunk lanes still stepped; None while all are
-
-    def keep(self, mask: np.ndarray) -> np.ndarray:
-        """The kept lanes' indices, by which the steppers take rows."""
-        idx = np.flatnonzero(mask)
-        self._cols = idx if self._cols is None else self._cols.take(idx)
-        return idx
-
-    def _lanes(self, drawn: np.ndarray) -> np.ndarray:
-        """The stepped lanes' columns of a full-width draw."""
-        return drawn if self._cols is None else drawn.take(self._cols, axis=-1)
 
     def running_minima(self, checkpoints: Tuple[Tuple[int, Fraction], ...]):
         """At each (n, radius) checkpoint, n increasing, the running
@@ -322,7 +307,7 @@ class _UniformOrbits(_Lanes):
 
     def __init__(self, map_: FullBranchMap, zeta: Fraction, count: int,
                  rng: np.random.Generator):
-        super().__init__(count, rng)
+        self.rng = rng
         self._word = _word_steps(map_.d)
         self._J = len(self._word)
         # the word's powers and divisors as columns, for word blocks and masks
@@ -344,7 +329,7 @@ class _UniformOrbits(_Lanes):
         return np.uint64(_scaled(radius, self.m))
 
     def keep(self, mask: np.ndarray):
-        idx = super().keep(mask)
+        idx = np.flatnonzero(mask)
         self.state, self._s0, self._C = (
             self.state.take(idx), self._s0.take(idx), self._C.take(idx))
         self._d = np.empty(len(idx), dtype=np.uint64)
@@ -353,8 +338,8 @@ class _UniformOrbits(_Lanes):
     def _next_word(self):
         # the window becomes the next word's s0; its buffer is free
         self._s0, self.state = self.state, self._s0
-        self._C = self._lanes(self.rng.integers(
-            0, self._top, size=self.count, dtype=np.uint64))
+        self._C = self.rng.integers(0, self._top, size=len(self.state),
+                                    dtype=np.uint64)
         self._i = 0
 
     def step(self):
@@ -507,26 +492,25 @@ class _HornerOrbits(_Lanes):
     """Orbit stepper for one chunk of trials of a non-uniform affine map,
     run backwards in time.
 
-    ``state`` starts as a uniform row.  Each step() draws one full-width
-    row of uniforms, takes from it each lane's branch digit a (the number
-    of inner breakpoints at or below the lane's uniform, so a = i with
-    the width of branch i as its probability), and moves the lane to its
-    preimage x = a_a + b_a*x on that branch: a = -intercept/slope and
-    b = 1/slope invert the branch, so decreasing branches are sampled
-    too.  Lebesgue
-    measure is invariant under the map, and the preimage of a uniform
-    point on a branch drawn with its width is uniform again, so the
-    points in build order, read backwards, are a stationary orbit
-    (T(x_(k+1)) = x_k).  The running minimum and the first entry read
-    windows of consecutive points, whose law a stationary orbit keeps
-    when it is read backwards, so they have the laws of M_n and r_B at
-    every horizon.  ``dist()`` is the float circle distance and
-    ``level(radius)`` is a float.
+    ``state`` starts as a uniform row.  Each step() draws one row of
+    uniforms, one per stepped lane, takes from it each lane's branch
+    digit a (the number of inner breakpoints at or below the lane's
+    uniform, so a = i with the width of branch i as its probability),
+    and moves the lane to its preimage x = a_a + b_a*x on that branch:
+    a = -intercept/slope and b = 1/slope invert the branch, so
+    decreasing branches are sampled too.  Lebesgue measure is invariant
+    under the map, and the preimage of a uniform point on a branch drawn
+    with its width is uniform again, so the points in build order, read
+    backwards, are a stationary orbit (T(x_(k+1)) = x_k).  The running
+    minimum and the first entry read windows of consecutive points,
+    whose law a stationary orbit keeps when it is read backwards, so
+    they have the laws of M_n and r_B at every horizon.  ``dist()`` is
+    the float circle distance and ``level(radius)`` is a float.
     """
 
     def __init__(self, map_: FullBranchMap, zeta: Fraction, count: int,
                  rng: np.random.Generator):
-        super().__init__(count, rng)
+        self.rng = rng
         self._zf = float(zeta)
         self._a = np.array([float(-b.intercept / b.slope) for b in map_.branches])
         self._b = np.array([float(1 / b.slope) for b in map_.branches])
@@ -534,19 +518,19 @@ class _HornerOrbits(_Lanes):
         # compared, so digits stay below d
         self._inner = np.cumsum([float(w) for w in map_.widths])[:-1]
         self._dtype = np.min_scalar_type(map_.d - 1)
-        self._u = np.empty(count)  # one full-width row of uniforms
         self.state = rng.random(count)
         self._rows(count)
 
     def _rows(self, lanes: int):
+        self._u = np.empty(lanes)  # the step's uniforms, one per lane
         self._d, self._t = np.empty(lanes), np.empty(lanes)
         self._digit = np.empty(lanes, dtype=self._dtype)
         self._row = np.empty(lanes, dtype=np.intp)  # intp indexes fastest
         self._in = np.empty(lanes, dtype=bool)
 
     def step(self):
-        self.rng.random(out=self._u)
-        u, digit, row, x = self._lanes(self._u), self._digit, self._row, self.state
+        u = self.rng.random(out=self._u)
+        digit, row, x = self._digit, self._row, self.state
         digit.fill(0)
         for c in self._inner:
             np.add(digit, u >= c, out=digit)
@@ -570,7 +554,7 @@ class _HornerOrbits(_Lanes):
         return np.minimum(diff, self._t, out=diff)
 
     def keep(self, mask: np.ndarray):
-        idx = super().keep(mask)
+        idx = np.flatnonzero(mask)
         self.state = self.state.take(idx)
         self._rows(len(idx))
 
