@@ -71,17 +71,16 @@ word's start, a uniform per lane at a Horner step).  The EVL kernel
 steps every lane: at tau*theta <= 1 most lanes stay undecided up to
 the last checkpoint, and it draws for all of them.
 
-With workers > 1 the chunks run on one process pool, built on first
-use and kept for the life of the process.  A call uses at most one
-worker per chunk and per CPU; at one it runs in-process.  The pool is
-rebuilt only to grow, or after a worker has died.
+With workers > 1 the chunks go to forked workers, one pipe each, with
+no thread in the caller; they are kept for the life of the process.
+A call uses at most one worker per chunk and per CPU; at one it runs
+in-process.  A dead worker is replaced by running the call once more.
 
 numpy is loaded on first use (``_lazy_numpy``): importing this module does
 not run it, and no name here reads it at import, so the exact commands
 never pay for it.  An estimate loads it at its first chunk.  The pool
-loads it before it is built, so that the workers it forks inherit
-numpy instead of each importing it again, and so that it is loaded on
-the calling thread, never on the pool's result thread.
+loads it before it forks, so that the workers inherit numpy instead of
+each importing it again.
 
 An event enters the estimators as the center of its observable and the
 exact radius of its threshold ball.  The numerical settings are module
@@ -103,7 +102,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import InfeasibleError, ResourceBudgetError
 from .intervals import as_exact, ball
@@ -129,9 +128,6 @@ def _lazy_numpy():
 
 
 np = _lazy_numpy()  # loads at the first chunk, or before the pool forks
-
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
 
 CHUNK = 32768
 FEW_LANES = 2048  # live lanes at which first entries are read a word at a time
@@ -169,48 +165,89 @@ def _pool_size(workers: int, tasks: int) -> int:
     return max(1, min(workers, tasks, os.cpu_count() or 1))
 
 
-# the process's worker pool and its size: built on first use, then kept
-_pool: Optional[ProcessPoolExecutor] = None
-_pool_workers = 0
+_pool: list = []  # the process's workers: (process, connection) pairs
 
 
-def _shared_pool(workers: int) -> ProcessPoolExecutor:
-    """The process's pool, rebuilt only when a call needs more workers."""
-    global _pool, _pool_workers
+def _worker(conn, inherited):
+    """Run each (fn, args) that ``conn`` receives, and send back (True,
+    result) or (False, exception); return when the caller's end closes."""
+    # the caller's ends of this pipe and of the older workers' pipes:
+    # held here, they would keep a pipe open that the caller has closed
+    for end in inherited:
+        end.close()
+    try:
+        while True:
+            fn, args = conn.recv()
+            try:
+                conn.send((True, fn(*args)))
+            except Exception as exc:  # raised by fn, or a result not pickled
+                conn.send((False, exc))
+    except (EOFError, OSError):
+        return
+
+
+def _shared_pool(workers: int) -> list:
+    """The process's workers, forked on first use and grown to ``workers``.
+    Forking is safe here: this module starts no thread in the caller."""
     # imported here: only runs with workers > 1 need a pool
-    from concurrent.futures import ProcessPoolExecutor
+    import multiprocessing
     np.ndarray  # loads numpy before the workers fork (module docstring)
-    if _pool is None or _pool_workers < workers:
-        _drop_pool()
-        _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
+    ctx = multiprocessing.get_context("fork")
+    while len(_pool) < workers:
+        end, child = ctx.Pipe()
+        proc = ctx.Process(target=_worker, daemon=True,
+                           args=(child, [c for _, c in _pool] + [end]))
+        proc.start()
+        child.close()
+        _pool.append((proc, end))
     return _pool
 
 
+@atexit.register
 def _drop_pool():
-    global _pool, _pool_workers
-    if _pool is not None:
-        _pool.shutdown(wait=True)
-    _pool, _pool_workers = None, 0
+    """Close each worker's pipe, which ends it, and wait for it."""
+    for proc, conn in _pool:
+        conn.close()
+        proc.join()
+    _pool.clear()
 
 
-# shut the pool down before the interpreter clears the modules at exit:
-# concurrent.futures, imported after this module, is cleared before it,
-# and a pool collected after that raises in its own weakref callback
-atexit.register(_drop_pool)
+def _dispatch(fn, args_list, workers: int) -> list:
+    """(ok, value) for each task, in order.  Any exception drops the pool
+    before it propagates, so that no later call reads a reply in flight."""
+    from multiprocessing.connection import wait
+    replies = [None] * len(args_list)
+    tasks = enumerate(args_list)
+    busy = {}  # connection -> index of the task it holds
+    try:
+        ready = [conn for _, conn in _shared_pool(workers)[:workers]]
+        while ready:
+            for conn, (i, args) in zip(ready, tasks):
+                conn.send((fn, args))
+                busy[conn] = i
+            ready = wait(list(busy)) if busy else []
+            for conn in ready:
+                replies[busy.pop(conn)] = conn.recv()
+    except BaseException:
+        _drop_pool()
+        raise
+    return replies
 
 
 def _map_tasks(fn, args_list, workers: int):
     workers = _pool_size(workers, len(args_list))
     if workers == 1:
         return [fn(*args) for args in args_list]
-    from concurrent.futures.process import BrokenProcessPool
     try:
-        return list(_shared_pool(workers).map(fn, *zip(*args_list)))
-    except BrokenProcessPool:
+        replies = _dispatch(fn, args_list, workers)
+    except (EOFError, ConnectionError):
         # a worker died; the chunks are pure functions of their
-        # arguments, so they run again on a fresh pool
-        _drop_pool()
-        return list(_shared_pool(workers).map(fn, *zip(*args_list)))
+        # arguments, so they run again on fresh workers
+        replies = _dispatch(fn, args_list, workers)
+    for ok, value in replies:
+        if not ok:
+            raise value  # the task's own exception: never retried
+    return [value for _, value in replies]
 
 
 def _run_chunks(kernel, map_: FullBranchMap, head: tuple, horizon: int,

@@ -1,8 +1,10 @@
 import itertools
 import math
 import os
+import pickle
 import random
 import signal
+import threading
 import tracemalloc
 from fractions import Fraction as F
 from multiprocessing.connection import wait
@@ -1191,34 +1193,130 @@ def two_cpu_pool(monkeypatch):
     mc._drop_pool()
 
 
-def _hts(workers):
+def _hts(workers, seed=9):
     # three chunks, so workers = 2 runs on the pool
     return mc.estimate_hts(TRIPLING, F(1, 3), F(1, 40), [F(1, 2), 1],
-                           trials=70000, seed=9, workers=workers)
+                           trials=70000, seed=seed, workers=workers)
+
+
+def _pids():
+    return [proc.pid for proc, _ in mc._pool]
 
 
 def test_pool_is_reused_across_calls(two_cpu_pool):
     serial = _hts(1)
-    assert mc._pool is None
+    assert mc._pool == []
     assert _hts(2) == serial
-    pool = mc._pool
-    pids = set(pool._processes)
-    assert 1 <= len(pids) <= 2
+    pids = _pids()
+    assert len(pids) == 2
     assert _hts(2) == serial
-    assert mc._pool is pool and pids <= set(pool._processes)
+    assert _pids() == pids
 
 
 def test_broken_pool_is_replaced_on_the_next_call(two_cpu_pool):
     serial = _hts(1)
     assert _hts(2) == serial
-    pool = mc._pool
-    pid, proc = next(iter(pool._processes.items()))
-    os.kill(pid, signal.SIGKILL)
-    # the executor's own thread may reap the worker first, and a join
-    # after that cannot tell that it ended; its sentinel can
+    proc = mc._pool[0][0]
+    os.kill(proc.pid, signal.SIGKILL)
     assert wait([proc.sentinel], timeout=30) == [proc.sentinel]
     assert _hts(2) == serial
-    assert mc._pool is not pool and pid not in mc._pool._processes
+    assert proc.pid not in _pids() and len(_pids()) == 2
+
+
+def test_a_call_uses_at_most_its_workers(monkeypatch, two_cpu_pool):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    first = [proc.pid for proc, _ in mc._shared_pool(3)][:2]
+    assert set(mc._map_tasks(os.getpid, [()] * 6, 2)) <= set(first)
+
+
+def _logged_failure(path, exc_type, i):
+    with open(path, "a") as log:
+        log.write(f"{i}\n")
+    raise exc_type(f"chunk {i} failed")
+
+
+# a ConnectionError is what a dead worker's pipe raises in the caller;
+# raised by the task itself, it must not read as one
+@pytest.mark.parametrize("exc_type", [ValueError, OSError,
+                                      ConnectionResetError])
+def test_a_task_exception_reaches_the_caller_once(two_cpu_pool, tmp_path,
+                                                 exc_type):
+    serial = _hts(1)
+    assert _hts(2) == serial
+    pids = _pids()
+    log = tmp_path / "calls"
+    with pytest.raises(exc_type, match="^chunk 0 failed$") as raised:
+        mc._map_tasks(_logged_failure,
+                      [(str(log), exc_type, i) for i in range(3)], 2)
+    assert type(raised.value) is exc_type
+    assert sorted(log.read_text().split()) == ["0", "1", "2"]
+    assert _hts(2) == serial
+    assert _pids() == pids
+
+
+def _unpicklable_result(i):
+    return lambda: i
+
+
+def test_a_result_that_cannot_be_pickled_is_raised_in_the_caller(
+        two_cpu_pool):
+    # the worker reports the failed pickling and lives on
+    with pytest.raises((AttributeError, TypeError, pickle.PicklingError)):
+        mc._map_tasks(_unpicklable_result, [(i,) for i in range(3)], 2)
+    assert len(_pids()) == 2
+    assert _hts(2) == _hts(1)
+
+
+def _exit_in_worker(i):
+    os._exit(3)
+
+
+def test_a_worker_that_exits_fails_the_call_and_leaves_no_pool(two_cpu_pool):
+    # the call runs once more on fresh workers, which exit too
+    with pytest.raises((EOFError, ConnectionError)):
+        mc._map_tasks(_exit_in_worker, [(i,) for i in range(3)], 2)
+    assert mc._pool == []
+    assert _hts(2) == _hts(1)
+
+
+def test_dropping_the_pool_ends_every_worker(two_cpu_pool):
+    # each worker ends when its pipe closes, which it does only if no
+    # younger worker holds the caller's end of it
+    procs = [proc for proc, _ in mc._shared_pool(2)]
+    dropper = threading.Thread(target=mc._drop_pool, daemon=True)
+    dropper.start()
+    dropper.join(timeout=5)
+    try:
+        assert not dropper.is_alive()
+        assert mc._pool == []
+        assert [proc.exitcode for proc in procs] == [0, 0]
+    finally:
+        for proc in procs:
+            proc.kill()
+        dropper.join(timeout=30)
+
+
+def test_an_interrupt_with_replies_in_flight_drops_the_pool(monkeypatch,
+                                                           two_cpu_pool):
+    # the replies of the interrupted call must not reach a later one
+    import multiprocessing.connection as connection
+    wait_for_replies = connection.wait
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(connection, "wait", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        _hts(2)
+    assert mc._pool == []
+    monkeypatch.setattr(connection, "wait", wait_for_replies)
+    assert _hts(2, seed=10) == _hts(1, seed=10)
+
+
+def test_a_pool_run_starts_no_thread(two_cpu_pool):
+    threads = threading.active_count()
+    assert _hts(2) == _hts(1)
+    assert threading.active_count() == threads
 
 
 def test_hts_estimates_and_edges():
