@@ -5,7 +5,7 @@ Subpackage map:
 
 * ``intervals``  exact set algebra on finite unions of arcs of the
                  circle [0, 1), with Fraction endpoints
-* ``maps``       full-branch maps, preimages, periodic points, pressure
+* ``maps``       full-branch maps, preimages, pressure
 * ``events``     exceedance balls, annuli, extremal indices, exact oracles
 * ``brackets``   closed-form error brackets, blocking optimizers and the
                  bracket inputs they share
@@ -20,7 +20,6 @@ from .maps import (
     AffineBranch,
     FullBranchMap,
     bv_norm_indicator,
-    periodic_points,
     weighted_periodic_sum,
 )
 from .events import (
@@ -38,7 +37,6 @@ from .events import (
     threshold_for,
 )
 from .brackets import (
-    BlockEstimate,
     BracketInputs,
     BlockingParams,
     DecayModel,
@@ -51,7 +49,6 @@ from .brackets import (
     hts_bracket_inputs,
     optimize_kt_evl,
     optimize_kt_hts,
-    survivor_block_estimate,
     general_evl_bracket,
     sharp_evl_bracket,
     sharp_hts_bracket,

@@ -29,7 +29,7 @@ from typing import Optional, Tuple
 from .errors import InfeasibleError
 from .intervals import IntervalUnion
 from .maps import FullBranchMap, bv_norm_indicator
-from .events import (annulus_set, exact_hts_prob, recurrence_start,
+from .events import (annulus_set, exact_hts_prob, first_return_time,
                      survivor_set)
 
 
@@ -135,56 +135,6 @@ def upsilon(PA: float, M: float, ell: int, t: int, R_A: int,
     return t * (PA + M * g) + xi(PA, M, ell, t, R_A, gamma)
 
 
-@dataclass(frozen=True)
-class BlockEstimate:
-    """Explicit-constant recursive block bound on a survivor probability.
-
-    ``center`` is the product approximation (a power of L = 1 - ell*PA)
-    and ``bound`` the fully explicit error radius: unlike the theorem
-    brackets these carry no hidden constant, so
-    |P(survivor) - center| <= bound holds outright whenever gamma really
-    dominates the correlations.  ``tight_bound`` is the sharper
-    5*k*Y*L^(k-1) form, available only while k*Y < L/2.
-    """
-
-    center: float
-    bound: float
-    variant: str
-    L: float
-    Y: float
-    tight_bound: Optional[float] = None
-
-
-def survivor_block_estimate(PA: float, M: float, k: int, t: int, ell: int,
-                            R: int, gamma: DecayModel,
-                            tau: Optional[float] = None) -> BlockEstimate:
-    """Block estimate for the window [0, n) survivor probability of A.
-
-    With n = k*(ell+t) + b the integer-time form (tau None) bounds
-    |P(W_{0,n}(A)) - L^k| by k*Y*(L+Y)^(k-1)*(1+L+Y).  A fractional time
-    scale tau compares P(W_{0, tau*n}) against L^floor(tau*k) with the
-    (3+Y)*ceil(tau*k)*Y*(L+Y)^(floor(tau*k)-1) radius, degrading to the
-    single-block estimate when floor(tau*k) = 0.  Time indices are
-    floor-rounded exactly as in the fractional-block statement.
-    """
-    if ell < 1 or k < 1 or t < 0:
-        raise InfeasibleError("need ell >= 1, k >= 1, t >= 0")
-    _, Y, L = _hts_shift(PA, k, t, R, ell, M, gamma)
-    if tau is None:
-        bound = k * Y * (L + Y) ** (k - 1) * (1 + L + Y)
-        tight = 5 * k * Y * L ** (k - 1) if k * Y < L / 2 else None
-        return BlockEstimate(center=L ** k, bound=bound, variant="integer",
-                             L=L, Y=Y, tight_bound=tight)
-    tk = math.floor(tau * k)
-    if tk > 0:
-        bound = (3 + Y) * math.ceil(tau * k) * Y * (L + Y) ** (tk - 1)
-        return BlockEstimate(center=L ** tk, bound=bound, variant="fractional",
-                             L=L, Y=Y)
-    center = 1.0 - math.floor(tau * k * ell) * PA
-    return BlockEstimate(center=center, bound=Y, variant="sub-block",
-                         L=L, Y=Y)
-
-
 # ---------------------------------------------------------------------------
 # blocking-parameter optimizers
 # ---------------------------------------------------------------------------
@@ -276,7 +226,7 @@ class BracketInputs:
 
     The event's q-annulus A and its exact measure PA, the optimizer's
     blocking parameters (k, t, ell), the first return time R of A
-    (``recurrence_start``) and the BV norm M of its indicator.
+    (``first_return_time``) and the BV norm M of its indicator.
     """
 
     A: IntervalUnion
@@ -313,7 +263,7 @@ def hts_bracket_inputs(map_: FullBranchMap, B: IntervalUnion, q: int,
 def _bracket_inputs(map_, A, PA, params: BlockingParams,
                     ell: int) -> BracketInputs:
     return BracketInputs(A=A, PA=PA, k=params.k, t=params.t, ell=ell,
-                         R=recurrence_start(map_, A),
+                         R=first_return_time(map_, A),
                          M=bv_norm_indicator(A))
 
 

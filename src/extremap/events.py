@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate, compress
 from fractions import Fraction
-from typing import Optional
 
 from .errors import (ComponentBudgetError, ConvergenceError, InfeasibleError,
                      PeriodUndecidedError)
@@ -78,8 +77,6 @@ class ThresholdSchedule:
     normalization is realized with zero defect: radius = tau / (2n).
     """
 
-    tau: Fraction
-    n: int
     radius: Fraction
     exceedance: IntervalUnion
 
@@ -91,7 +88,7 @@ def threshold_for(obs: Observable, n: int, tau) -> ThresholdSchedule:
     if tau / n >= 1:
         raise InfeasibleError(f"tau/n = {tau}/{n} >= 1: ball radius would reach 1/2")
     radius = tau / (2 * n)
-    return ThresholdSchedule(tau=tau, n=n, radius=radius,
+    return ThresholdSchedule(radius=radius,
                              exceedance=ball(obs.center, radius))
 
 
@@ -213,28 +210,12 @@ def _cycle(map_: FullBranchMap, zeta: Fraction):
     raise PeriodUndecidedError(f"period of {zeta} exceeds cap {cap}")
 
 
-def first_return_time(map_: FullBranchMap, A: IntervalUnion,
-                      horizon: int = 4096) -> Optional[int]:
-    """Smallest j in [1, horizon] with f^j(A) meeting A, else None.
-
-    Computed by an exact forward-image sweep; None is the distinguished
-    "exceeds horizon" value, not a failure.
-    """
-    if A.measure() <= 0:
-        raise ValueError("A must have positive measure")
-    S = A
-    for j in range(1, horizon + 1):
-        S = map_.image(S)
-        if S.intersects(A):
-            return j
-    return None
-
-
 RETURN_HORIZON = 256
 
 
-def recurrence_start(map_: FullBranchMap, A: IntervalUnion) -> int:
-    """First return time of A, or RETURN_HORIZON + 1 without a return.
+def first_return_time(map_: FullBranchMap, A: IntervalUnion) -> int:
+    """Smallest j in [1, RETURN_HORIZON] with f^j(A) meeting A, by an
+    exact forward-image sweep, or RETURN_HORIZON + 1 without a return.
 
     The brackets sum the decay tail from this time to the block length
     ell.  A set that does not return within RETURN_HORIZON steps may
@@ -242,29 +223,19 @@ def recurrence_start(map_: FullBranchMap, A: IntervalUnion) -> int:
     the first step not searched.  That is bound-safe: the tail sum only
     shrinks as its start grows, and it is empty when ell <= RETURN_HORIZON.
     """
-    R = first_return_time(map_, A, horizon=RETURN_HORIZON)
-    return R if R is not None else RETURN_HORIZON + 1
+    if A.measure() <= 0:
+        raise ValueError("A must have positive measure")
+    S = A
+    for j in range(1, RETURN_HORIZON + 1):
+        S = map_.image(S)
+        if S.intersects(A):
+            return j
+    return RETURN_HORIZON + 1
 
 
 # ---------------------------------------------------------------------------
 # pair correlations and the short-range recurrence sum
 # ---------------------------------------------------------------------------
-
-
-def pair_correlation_measure(map_: FullBranchMap, A: IntervalUnion,
-                             j: int) -> Fraction:
-    """Exact measure(A intersect f^(-j)(A)).
-
-    The one-term case of the recurrence sum (``_pair_sum``): on uniform
-    maps a closed form in A's integer ends and d^j mod q
-    (``_uniform_pair_sum``), exact at any j with no component blowup; on
-    the other integer maps A's Markov partition (``_markov_pair_sum``);
-    on the remaining affine maps iterated preimages, within the map's
-    component budget.
-    """
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    return _pair_sum(map_, A, j, j)
 
 
 def dprime_sum(map_: FullBranchMap, A: IntervalUnion, n: int, q: int, k: int,

@@ -29,7 +29,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import CapExceededError, ComponentBudgetError
 from .intervals import IntervalUnion, as_exact
@@ -272,13 +272,6 @@ class FullBranchMap:
                     pairs.append((u, v) if u < v else (v, u))
         return IntervalUnion._from_pairs(pairs, Q * q * K)
 
-    def preimage_iter(self, S: IntervalUnion, j: int) -> IntervalUnion:
-        """f^(-j)(S), one budgeted preimage at a time: the reference that
-        the Markov-partition and pair-correlation tests compare against."""
-        for _ in range(j):
-            S = self.preimage(S)
-        return S
-
     def markov_partition(self, S: IntervalUnion, limit=None):
         """Cells of [0, 1) that each map onto a run of cells, cut at the
         forward orbits of 0, the branch ends and the ends of S.
@@ -407,58 +400,11 @@ def _pushforward_data(branches):
 # ---------------------------------------------------------------------------
 
 
-class PeriodicPoint(NamedTuple):
-    word: tuple
-    point: Fraction
-    multiplier: Fraction
-    boundary_degenerate: bool
-
-
 def _require_period(n: int):
     if n < 1:
         raise ValueError("period must be >= 1")
     if n > PERIOD_CAP:
         raise CapExceededError(f"period {n} exceeds cap {PERIOD_CAP}")
-
-
-def periodic_points(map_: FullBranchMap, n: int):
-    """All period-n symbolic fixed points of the map.
-
-    One point per n-cylinder (d^n in total), each solved in closed form
-    from the composed affine branch; composition prefixes are shared via
-    depth-first traversal.  The compositions whose fixed point lands on 1
-    are canonicalized to 0 and flagged boundary-degenerate.  This
-    enumeration is the oracle ``weighted_periodic_sum`` is tested against.
-    """
-    _require_period(n)
-    d = map_.d
-    slopes = [br.slope for br in map_.branches]
-    intercepts = [br.intercept for br in map_.branches]
-    out = []
-    # DFS over words, stack of partial affine compositions (A, B)
-    word = [0] * n
-    stack = [(Fraction(1), Fraction(0))]
-    while True:
-        while len(stack) <= n:
-            digit = word[len(stack) - 1]
-            A, B = stack[-1]
-            stack.append((slopes[digit] * A,
-                          slopes[digit] * B + intercepts[digit]))
-        A, B = stack[-1]
-        x = B / (1 - A)
-        degenerate = x == 1
-        canonical = Fraction(0) if degenerate else x
-        out.append(PeriodicPoint(tuple(word), canonical,
-                                 Fraction(abs(A)), degenerate))
-        i = n - 1
-        while i >= 0 and word[i] == d - 1:
-            word[i] = 0
-            i -= 1
-        if i < 0:
-            break
-        word[i] += 1
-        del stack[i + 1:]
-    return tuple(out)
 
 
 def weighted_periodic_sum(map_: FullBranchMap, s, n: int):

@@ -170,7 +170,9 @@ _pool: list = []  # the process's workers: (process, connection) pairs
 
 def _worker(conn, inherited):
     """Run each (fn, args) that ``conn`` receives, and send back (True,
-    result) or (False, exception); return when the caller's end closes."""
+    result) or (False, exception), with the pickling error in place of a
+    result or exception that cannot be pickled; return when the caller's
+    end closes."""
     # the caller's ends of this pipe and of the older workers' pipes:
     # held here, they would keep a pipe open that the caller has closed
     for end in inherited:
@@ -181,7 +183,10 @@ def _worker(conn, inherited):
             try:
                 conn.send((True, fn(*args)))
             except Exception as exc:  # raised by fn, or a result not pickled
-                conn.send((False, exc))
+                try:
+                    conn.send((False, exc))
+                except Exception as err:  # an exception not pickled
+                    conn.send((False, err))
     except (EOFError, OSError):
         return
 

@@ -22,6 +22,7 @@ from extremap.events import (
 )
 from extremap.brackets import (
     DecayModel,
+    _hts_shift,
     annulus_replacement,
     escape_window,
     evl_bracket_inputs,
@@ -350,7 +351,7 @@ def test_sharp_hts_gamma_alpha_shrink_along_eps_sweep():
         dm = DecayModel.for_map(DOUBLING)
         bp = optimize_kt_hts(PB, dm)
         ell = max(bp.ell, 1)
-        R = first_return_time(DOUBLING, A, horizon=64) or ell
+        R = first_return_time(DOUBLING, A)
         b = sharp_hts_bracket(1.0, PB, PA, 0.75, bp.k, bp.t, R, ell, 4, dm)
         gammas.append(b.extra("Gamma"))
         alphas.append(b.extra("alpha"))
@@ -518,10 +519,12 @@ def test_annulus_replacement_dominates_exactly():
 
 
 def test_survivor_block_estimate_dominates_exact_error():
-    # the block bounds carry explicit constants, so for a correlation
-    # model that really dominates the doubling map (c0 = 4, lam = 1/2)
-    # they must bound the exact survivor defect outright
-    from extremap.brackets import survivor_block_estimate
+    # the recursive block bound on the survivor probability of the window
+    # [0, n), n = k*(ell + t), carries explicit constants: with Y the
+    # per-block error rate and L = 1 - ell*P(A) the block survival,
+    # |P(W_{0,n}(A)) - L^k| <= k*Y*(L+Y)^(k-1)*(1+L+Y), and <= 5*k*Y*L^(k-1)
+    # while k*Y < L/2.  For a correlation model that really dominates the
+    # doubling map (c0 = 4, lam = 1/2) they must bound the exact defect
     gamma = DecayModel(4.0, 0.5)
     for zeta, den, k, t in [(F(1, 3), 60, 3, 1), (F(1, 3), 200, 2, 2),
                             (F(0), 100, 4, 1), (F(1, 7), 150, 3, 2)]:
@@ -529,33 +532,36 @@ def test_survivor_block_estimate_dominates_exact_error():
         A = annulus_set(DOUBLING, B, 2)
         PA = float(A.measure())
         ell = 12 // k - t
-        R = first_return_time(DOUBLING, A, horizon=64) or ell
-        est = survivor_block_estimate(PA, 4, k, t, ell, R, gamma)
+        R = first_return_time(DOUBLING, A)
+        _, Y, L = _hts_shift(PA, k, t, R, ell, 4, gamma)
         n = k * (ell + t)
-        exact = float(survivor_set(DOUBLING, A, n).measure())
-        assert abs(exact - est.center) <= est.bound + 1e-12
-        if est.tight_bound is not None:
-            assert abs(exact - est.center) <= est.tight_bound + 1e-12
+        defect = abs(float(survivor_set(DOUBLING, A, n).measure()) - L ** k)
+        assert defect <= k * Y * (L + Y) ** (k - 1) * (1 + L + Y) + 1e-12
+        if k * Y < L / 2:
+            assert defect <= 5 * k * Y * L ** (k - 1) + 1e-12
 
 
 def test_survivor_block_estimate_fractional():
-    from extremap.brackets import survivor_block_estimate
+    # at a fraction tau of the n = k*(ell + t) steps, with tk = floor(tau*k)
+    # blocks, P(W_{0, tau*n}) is within (3+Y)*ceil(tau*k)*Y*(L+Y)^(tk-1)
+    # of L^tk; with no whole block, within Y of 1 - floor(tau*k*ell)*P(A)
     gamma = DecayModel(4.0, 0.5)
     B = ball(F(1, 3), F(1, 120))
     A = annulus_set(DOUBLING, B, 2)
     PA = float(A.measure())
     k, t, ell = 3, 1, 3
-    R = first_return_time(DOUBLING, A, horizon=64) or ell
+    R = first_return_time(DOUBLING, A)
+    _, Y, L = _hts_shift(PA, k, t, R, ell, 4, gamma)
     n = k * (ell + t)
     for tau in (0.5, 0.75, 1.0):
-        est = survivor_block_estimate(PA, 4, k, t, ell, R, gamma, tau=tau)
+        tk = math.floor(tau * k)
+        assert tk > 0
         exact = float(survivor_set(DOUBLING, A, int(tau * n)).measure())
-        assert est.variant == "fractional"
-        assert abs(exact - est.center) <= est.bound + 1e-12
-    tiny = survivor_block_estimate(PA, 4, k, t, ell, R, gamma, tau=0.1)
-    assert tiny.variant == "sub-block"
+        assert abs(exact - L ** tk) <= \
+            (3 + Y) * math.ceil(tau * k) * Y * (L + Y) ** (tk - 1) + 1e-12
+    assert math.floor(0.1 * k) == 0
     exact = float(survivor_set(DOUBLING, A, int(0.1 * n)).measure())
-    assert abs(exact - tiny.center) <= tiny.bound + 1e-12
+    assert abs(exact - (1.0 - math.floor(0.1 * k * ell) * PA)) <= Y + 1e-12
 
 
 def test_bracket_inputs_builder():
@@ -575,7 +581,7 @@ def test_bracket_inputs_builder():
         A = annulus_set(DOUBLING, event, 2)
         assert inputs.A == A and A.intersect(event) == A
         assert inputs.PA == A.measure() == F(3, 4) * event.measure()
-        assert inputs.R == first_return_time(DOUBLING, A, 256) >= 3
+        assert inputs.R == first_return_time(DOUBLING, A) >= 3
         assert inputs.M == bv_norm_indicator(A)
 
 
@@ -587,8 +593,8 @@ def test_sharp_evl_bracket_counts_the_tail_past_the_return_horizon():
     gamma = DecayModel.for_map(skewed)
     U = ball(F(1, 2), F(1, 10 ** 15))
     inputs = evl_bracket_inputs(skewed, U, 2, 10 ** 4, gamma)
-    assert first_return_time(skewed, inputs.A, RETURN_HORIZON) is None
-    assert inputs.R == RETURN_HORIZON + 1 < inputs.ell
+    assert inputs.R == first_return_time(skewed, inputs.A) \
+        == RETURN_HORIZON + 1 < inputs.ell
     b = sharp_evl_bracket(1.0, 10 ** 4, 1.0, float(inputs.PA), inputs.k,
                           inputs.t, inputs.R, gamma)
     tail = gamma.partial_sum(RETURN_HORIZON + 1, inputs.ell)

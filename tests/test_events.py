@@ -3,7 +3,7 @@ import random
 import time
 import tracemalloc
 from bisect import bisect_right
-from functools import cache
+from functools import cache, reduce
 from itertools import compress, product
 from fractions import Fraction as F
 
@@ -22,14 +22,13 @@ from extremap.intervals import IntervalUnion, ball
 from extremap.maps import FullBranchMap
 from extremap import events
 from extremap.events import (
+    RETURN_HORIZON,
     Observable,
     annulus_set,
     dprime_sum,
     exact_evl_prob,
     exact_hts_prob,
     first_return_time,
-    pair_correlation_measure,
-    recurrence_start,
     spectral_escape_rate,
     survivor_set,
     theta_limit_exact,
@@ -373,32 +372,28 @@ def test_first_return_examples():
 
 
 def test_first_return_horizon_exhausted():
-    A = annulus_set(DOUBLING, ball(F(1, 3), F(1, 10000)), 2)
-    assert first_return_time(DOUBLING, A, horizon=2) is None
-
-
-def test_recurrence_start_fallback_without_return():
     # on the slope-50/49 branch a tiny ball drifts away for hundreds of
     # steps; its images do not meet it within the 256-step horizon, so
     # the tail starts at the first step not searched, 257, not at ell
     skewed = FullBranchMap.from_spec("widths:49/50,1/50")
     A = ball(F(1, 2), F(1, 10 ** 15))
-    assert first_return_time(skewed, A, horizon=256) is None
-    assert recurrence_start(skewed, A) == 257
-    returning = annulus_set(DOUBLING, ball(F(1, 3), F(1, 100)), 2)
-    R = first_return_time(DOUBLING, returning)
-    assert recurrence_start(DOUBLING, returning) == R < 256
+    assert first_return_time(skewed, A) == RETURN_HORIZON + 1 == 257
+
+
+def _preimage(map_, S, j):
+    """f^(-j)(S), one budgeted preimage at a time."""
+    return reduce(lambda P, _: map_.preimage(P), range(j), S)
 
 
 def test_pair_correlation_matches_preimage_path():
     A = annulus_set(DOUBLING, ball(F(1, 3), F(1, 512)), 2)
     for j in (1, 2, 3, 6, 9, 12):
-        slow = A.intersect(DOUBLING.preimage_iter(A, j)).measure()
-        assert pair_correlation_measure(DOUBLING, A, j) == slow
+        slow = A.intersect(_preimage(DOUBLING, A, j)).measure()
+        assert events._pair_sum(DOUBLING, A, j, j) == slow
     B = ball(F(1, 8), F(1, 200))
     for j in (1, 3, 5, 8):
-        slow = B.intersect(TRIPLING.preimage_iter(B, j)).measure()
-        assert pair_correlation_measure(TRIPLING, B, j) == slow
+        slow = B.intersect(_preimage(TRIPLING, B, j)).measure()
+        assert events._pair_sum(TRIPLING, B, j, j) == slow
 
 
 @settings(max_examples=80, deadline=None)
@@ -408,8 +403,8 @@ def test_pair_correlation_closed_form_on_random_sets(d, j, ends):
     m = FullBranchMap.uniform(d)
     ends = sorted(ends)[:len(ends) // 2 * 2]
     A = IntervalUnion([(F(a, 90), F(b, 90)) for a, b in zip(ends[::2], ends[1::2])])
-    slow = A.intersect(m.preimage_iter(A, j)).measure()
-    assert pair_correlation_measure(m, A, j) == slow
+    slow = A.intersect(_preimage(m, A, j)).measure()
+    assert events._pair_sum(m, A, j, j) == slow
     assert _pair_by_turns(d, A, j) == slow
 
 
@@ -483,7 +478,7 @@ def test_dprime_sum_on_uniform_maps_at_set_residue_cycles():
         assert dprime_sum(m, A, 12, 4, 2) == 12 * terms[4]
         assert dprime_sum(m, A, 12, 5, 2) == 0
         for j in (1, 3, 20, 23, 299):
-            assert pair_correlation_measure(m, A, j) == terms[j - 1]
+            assert events._pair_sum(m, A, j, j) == terms[j - 1]
 
 
 def test_dprime_sum_examples():
@@ -519,7 +514,7 @@ def test_dprime_nonuniform_budgeted_path():
         A = annulus_set(m, U, 1)
         v = dprime_sum(m, A, 32, 1, 4)
         assert v > 0
-        assert v == 32 * sum(A.intersect(m.preimage_iter(A, j)).measure()
+        assert v == 32 * sum(A.intersect(_preimage(m, A, j)).measure()
                              for j in range(2, 8))
 
 
@@ -532,7 +527,7 @@ def test_dprime_sum_walks_one_preimage_chain(zeta, q, monkeypatch):
     m = FullBranchMap.from_spec("widths:2/5,3/5")
     A = annulus_set(m, threshold_for(Observable(center=zeta), 64, 1)
                     .exceedance, q)
-    terms = [A.intersect(m.preimage_iter(A, j)).measure()
+    terms = [A.intersect(_preimage(m, A, j)).measure()
              for j in range(q + 1, 16)]
     assert (terms[0] > 0) == (q == 0)
     calls = []
@@ -557,8 +552,9 @@ BUDGET_ENTRY_POINTS = {
     "annulus_replacement": lambda: annulus_replacement(
         SMALL_TRIPLING, ball(F(1, 2), F(1, 100)), 1, 12),
     "exact_hts_prob": lambda: exact_hts_prob(SMALL_SPLIT, HOLE, 12),
-    "pair_correlation_measure": lambda: pair_correlation_measure(
-        SMALL_SPLIT, HOLE, 8),
+    # one term of the recurrence sum, m(A intersect f^(-8) A)
+    "pair_correlation_measure": lambda: events._pair_sum(
+        SMALL_SPLIT, HOLE, 8, 8),
     "dprime_sum": lambda: dprime_sum(SMALL_SPLIT, HOLE, 64, 1, 4),
 }
 
@@ -662,11 +658,11 @@ def _pair_by_preimages(map_, A, j):
 def test_markov_pair_correlations_equal_preimages_on_widths(zeta):
     q, _ = theta_limit_exact(WIDTHS, zeta)
     A = annulus_set(WIDTHS, ball(zeta, F(1, 10000)), q)
-    measures = [pair_correlation_measure(WIDTHS, A, j) for j in range(1, 17)]
+    measures = [events._pair_sum(WIDTHS, A, j, j) for j in range(1, 17)]
     assert any(measures)
     for j in range(1, 9):
         assert measures[j - 1] == \
-            A.intersect(WIDTHS.preimage_iter(A, j)).measure()
+            A.intersect(_preimage(WIDTHS, A, j)).measure()
     assert measures == [_pair_by_preimages(WIDTHS, A, j) for j in range(1, 17)]
     # the recurrence sums read the same pass, here up to j = 16
     assert dprime_sum(WIDTHS, A, 68, q, 4) == 68 * sum(measures[q:])
@@ -701,7 +697,7 @@ def test_markov_recurrence_sum_is_the_sum_of_its_terms(spec, zeta):
     assert dprime_sum(m, A, 1000, q, 4) == 1000 * sum(terms[q:249])
     assert dprime_sum(m, A, 1000, q, 4, "corollary") == 1000 * sum(terms)
     for j in (1, 7, 250):
-        assert pair_correlation_measure(m, A, j) == terms[j - 1]
+        assert events._pair_sum(m, A, j, j) == terms[j - 1]
 
 
 def test_a_long_orbit_at_a_short_horizon_takes_interval_algebra():
@@ -728,9 +724,9 @@ WIDE = ball(F(1, 3), F(1, 1000))
 PARTITION_ENTRY_POINTS = {  # (map, steps of the recursion, call)
     "exact_evl_prob": ("doubling", 12, lambda m: exact_evl_prob(m, WIDE, 12)),
     "exact_hts_prob": ("tripling", 12, lambda m: exact_hts_prob(m, WIDE, 12)),
-    "pair_correlation_measure": (
+    "pair_correlation_measure": (  # m(A intersect f^(-8) A)
         "widths:1/2,1/4,1/4", 8,
-        lambda m: pair_correlation_measure(m, WIDE, 8)),
+        lambda m: events._pair_sum(m, WIDE, 8, 8)),
     "dprime_sum": (DECREASING_SPEC, 249,
                    lambda m: dprime_sum(m, WIDE, 1000, 1, 4)),
 }

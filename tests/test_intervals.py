@@ -89,7 +89,7 @@ def test_equal_sets_from_different_routes_have_equal_storage():
     # over a denominator with a common factor
     full = IntervalUnion.full()
     assert widths.preimage(full) == full and hash(widths.preimage(full)) == hash(full)
-    quarters = doubling.preimage_iter(half, 2)
+    quarters = doubling.preimage(doubling.preimage(half))
     direct = IntervalUnion([(0, F(1, 8)), (F(1, 4), F(3, 8)),
                             (F(1, 2), F(5, 8)), (F(3, 4), F(7, 8))])
     assert quarters == direct and hash(quarters) == hash(direct)

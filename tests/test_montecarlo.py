@@ -1258,13 +1258,19 @@ def _unpicklable_result(i):
     return lambda: i
 
 
+def _unpicklable_exception(i):
+    raise ValueError(lambda: i)
+
+
 def test_a_result_that_cannot_be_pickled_is_raised_in_the_caller(
         two_cpu_pool):
-    # the worker reports the failed pickling and lives on
-    with pytest.raises((AttributeError, TypeError, pickle.PicklingError)):
-        mc._map_tasks(_unpicklable_result, [(i,) for i in range(3)], 2)
-    assert len(_pids()) == 2
-    assert _hts(2) == _hts(1)
+    # the worker reports the failed pickling, of a result or of the
+    # task's own exception, and lives on
+    for task in (_unpicklable_result, _unpicklable_exception):
+        with pytest.raises((AttributeError, TypeError, pickle.PicklingError)):
+            mc._map_tasks(task, [(i,) for i in range(3)], 2)
+        assert len(_pids()) == 2
+        assert _hts(2) == _hts(1)
 
 
 def _exit_in_worker(i):
