@@ -371,13 +371,28 @@ def test_first_return_examples():
     assert values == sorted(values) and values[0] < values[-1]
 
 
-def test_first_return_horizon_exhausted():
+def test_first_return_horizon_exhausted(monkeypatch):
+    # a set that never returns is pushed forward exactly RETURN_HORIZON
+    # times before the search gives up
+    skewed = FullBranchMap.from_spec("widths:49/50,1/50")
+    A = ball(F(1, 2), F(1, 10 ** 15))
+    steps = []
+    image = FullBranchMap.image
+    monkeypatch.setattr(FullBranchMap, "image",
+                        lambda self, S: steps.append(1) or image(self, S))
+    assert first_return_time(skewed, A) > RETURN_HORIZON
+    assert len(steps) == RETURN_HORIZON
+
+
+def test_recurrence_start_fallback_without_return():
     # on the slope-50/49 branch a tiny ball drifts away for hundreds of
     # steps; its images do not meet it within the 256-step horizon, so
     # the tail starts at the first step not searched, 257, not at ell
     skewed = FullBranchMap.from_spec("widths:49/50,1/50")
     A = ball(F(1, 2), F(1, 10 ** 15))
     assert first_return_time(skewed, A) == RETURN_HORIZON + 1 == 257
+    returning = annulus_set(DOUBLING, ball(F(1, 3), F(1, 100)), 2)
+    assert 2 < first_return_time(DOUBLING, returning) <= RETURN_HORIZON
 
 
 def _preimage(map_, S, j):
