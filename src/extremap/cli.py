@@ -12,6 +12,13 @@ exact value (``--config`` included), the map's name, the output
 directory in use, and what the command resolved (q, theta where it is
 read, the decay model).  Exit codes: 0 success, 1 checked-property
 violation, 2 usage or config error, 3 resource budget exceeded.
+
+Importing this module loads no computational module: each function
+imports the ones it calls, so ``pressure`` loads ``maps`` (and with it
+``intervals``), ``ei`` adds ``events``, ``bounds`` and ``check`` add
+``brackets``, and only ``evl``, ``hts`` and ``escape`` load
+``montecarlo``.  A name is read from its defining module at call time,
+so a wrapper or a test double goes on that module.
 """
 
 from __future__ import annotations
@@ -29,28 +36,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ExtremapError, InfeasibleError, ResourceBudgetError
-from .intervals import ball
-from .maps import COMPONENT_BUDGET, FullBranchMap, weighted_periodic_sum
-from .events import (
-    Observable,
-    annulus_set,
-    dprime_sum,
-    spectral_escape_rate,
-    theta_limit_exact,
-    theta_n,
-    threshold_for,
-)
-from .brackets import (
-    DecayModel,
-    annulus_replacement,
-    evl_bracket_inputs,
-    hts_bracket_inputs,
-    escape_window,
-    general_evl_bracket,
-    sharp_evl_bracket,
-    sharp_hts_bracket,
-)
-from . import montecarlo as mc
 
 SCHEMA_VERSION = 1
 
@@ -179,6 +164,7 @@ def write_outputs(out_dir, name: str, columns, rows, config) -> tuple:
 def _add_common(p, stochastic=False, budget=False, decay=False):
     """--map, --config and --out, plus the flag groups the command reads:
     ``stochastic`` adds --workers, --trials and --seed."""
+    from .maps import COMPONENT_BUDGET
     p.add_argument("--map", default="doubling",
                    help="doubling | tripling | uniform:<d> | widths:w1,w2,... | JSON branches")
     p.add_argument("--config", help="key=value config file; flags override it")
@@ -233,7 +219,8 @@ def _require(args, *names):
             raise InfeasibleError(f"missing --{name.replace('_', '-')}")
 
 
-def _decay_for(args, map_) -> DecayModel:
+def _decay_for(args, map_):
+    from .brackets import DecayModel
     base = DecayModel.for_map(map_)
     c0 = base.c0 if args.decay_c0 is None else args.decay_c0
     lam = base.lam if args.decay_lam is None else args.decay_lam
@@ -244,6 +231,7 @@ def _limit(args, map_, uses_theta=True) -> tuple:
     """(q, theta) at --zeta: a value given as --q or --theta is kept, and
     the period is detected only when a value the command uses is missing.
     theta is None when the command does not use it."""
+    from .events import theta_limit_exact
     q, theta = getattr(args, "q", None), getattr(args, "theta", None)
     if theta is not None and not 0 <= theta <= 1:  # NaN included
         raise InfeasibleError(f"--theta {theta} is outside [0, 1]")
@@ -273,6 +261,9 @@ class Table(NamedTuple):
 
 
 def cmd_evl(args, map_) -> Table:
+    from . import montecarlo as mc
+    from .brackets import evl_bracket_inputs, sharp_evl_bracket
+    from .events import Observable, threshold_for
     _require(args, "zeta", "n", "seed")
     tau = args.tau
     decay = _decay_for(args, map_)
@@ -301,6 +292,7 @@ def cmd_evl(args, map_) -> Table:
 
 
 def cmd_hts(args, map_) -> Table:
+    from . import montecarlo as mc
     _require(args, "zeta", "eps", "seed")
     q, theta = _limit(args, map_)
     rows = []
@@ -320,6 +312,10 @@ def cmd_hts(args, map_) -> Table:
 
 
 def cmd_escape(args, map_) -> Table:
+    from . import montecarlo as mc
+    from .brackets import escape_window, hts_bracket_inputs
+    from .events import spectral_escape_rate
+    from .intervals import ball
     _require(args, "zeta", "eps", "seed")
     q, theta = _limit(args, map_)
     decay = _decay_for(args, map_)
@@ -351,6 +347,8 @@ def cmd_escape(args, map_) -> Table:
 
 
 def cmd_ei(args, map_) -> Table:
+    from .events import theta_limit_exact, theta_n
+    from .intervals import ball
     _require(args, "zeta", "eps")
     q_limit, theta_lim = theta_limit_exact(map_, args.zeta)
     q = args.q if args.q is not None else q_limit
@@ -383,6 +381,11 @@ def _budget_rows(scale, k, t, R, budget):
 
 
 def cmd_bounds(args, map_) -> Table:
+    from .brackets import (evl_bracket_inputs, general_evl_bracket,
+                           hts_bracket_inputs, sharp_evl_bracket,
+                           sharp_hts_bracket)
+    from .events import Observable, dprime_sum, threshold_for
+    from .intervals import ball
     _require(args, "zeta")
     tau, kind = args.tau, args.bracket
     obs = Observable(center=args.zeta)
@@ -423,6 +426,9 @@ def cmd_bounds(args, map_) -> Table:
 
 
 def cmd_check(args, map_) -> Table:
+    from .brackets import annulus_replacement
+    from .events import Observable, annulus_set, dprime_sum, threshold_for
+    from .intervals import ball
     if args.prop_configs:  # only the proposition rows are drawn
         _require(args, "seed")
     obs = Observable(center=args.zeta)
@@ -460,6 +466,7 @@ def cmd_check(args, map_) -> Table:
 
 
 def cmd_pressure(args, map_) -> Table:
+    from .maps import weighted_periodic_sum
     s = {"zero": 0, "geometric": 1}[args.potential]
     rows = []
     for n in range(1, args.n_max + 1):
@@ -537,6 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from .maps import COMPONENT_BUDGET, FullBranchMap
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:

@@ -272,21 +272,21 @@ def _no_detection(*args):
      "--seed", "1"],
 ], ids=["evl", "check"])
 def test_given_values_skip_period_detection(tmp_path, monkeypatch, argv):
-    import extremap.cli as cli_mod
-    monkeypatch.setattr(cli_mod, "theta_limit_exact", _no_detection)
+    import extremap.events as events_mod
+    monkeypatch.setattr(events_mod, "theta_limit_exact", _no_detection)
     assert main(argv + ["--out", str(tmp_path)]) == 0
 
 
 def test_hts_detects_the_period_once(tmp_path, monkeypatch):
-    import extremap.cli as cli_mod
+    import extremap.events as events_mod
     calls = []
-    original = cli_mod.theta_limit_exact
+    original = events_mod.theta_limit_exact
 
     def counted(map_, zeta):
         calls.append(zeta)
         return original(map_, zeta)
 
-    monkeypatch.setattr(cli_mod, "theta_limit_exact", counted)
+    monkeypatch.setattr(events_mod, "theta_limit_exact", counted)
     assert main(["hts", "--zeta", "1/3", "--eps", "1/16,1/32", "--tau", "1",
                  "--trials", "1000", "--seed", "1",
                  "--out", str(tmp_path)]) == 0
@@ -540,7 +540,7 @@ def test_bounds_budget_reaches_every_annulus(tmp_path, bracket):
 
 @pytest.mark.parametrize("bracket", ["general", "limit"])
 def test_bounds_builds_one_annulus_per_n(tmp_path, monkeypatch, bracket):
-    from extremap import brackets, cli, events
+    from extremap import brackets, events
     calls = []
     annulus_set = events.annulus_set
 
@@ -548,7 +548,7 @@ def test_bounds_builds_one_annulus_per_n(tmp_path, monkeypatch, bracket):
         calls.append(args[1])
         return annulus_set(*args, **kwargs)
 
-    for module in (events, brackets, cli):
+    for module in (events, brackets):
         monkeypatch.setattr(module, "annulus_set", counted)
     assert main(["bounds", "--zeta", "1/3", "--bracket", bracket,
                  "--n", "64,512", "--out", str(tmp_path)]) == 0
@@ -782,12 +782,12 @@ def test_check_budget_bounds_the_proposition_rows(tmp_path):
 
 def test_check_violation_exits_one(tmp_path, monkeypatch):
     # fault injection: force the domination bound below the true gap
-    import extremap.cli as cli_mod
+    import extremap.brackets as brackets_mod
 
     def broken_bound(map_, B, q, n):
         return 0, -1
 
-    monkeypatch.setattr(cli_mod, "annulus_replacement", broken_bound)
+    monkeypatch.setattr(brackets_mod, "annulus_replacement", broken_bound)
     rc = main(["check", "--zeta", "1/3", "--q", "2", "--n", "256",
                "--seed", "5", "--prop-configs", "2", "--out", str(tmp_path)])
     assert rc == 1
@@ -801,9 +801,10 @@ def test_check_builds_each_set_of_a_proposition_row_once(tmp_path,
     # Seed 8 draws (2/5, 1/128, q = 1, n = 6), where A = B, then
     # (0, 1/40, q = 1, n = 6), where A is not B
     import extremap.brackets as brackets_mod
-    import extremap.cli as cli_mod
+    import extremap.events as events_mod
     built = []
-    for mod, name in ((cli_mod, "annulus_set"), (brackets_mod, "annulus_set"),
+    for mod, name in ((events_mod, "annulus_set"),
+                      (brackets_mod, "annulus_set"),
                       (brackets_mod, "survivor_set"),
                       (brackets_mod, "exact_hts_prob")):
         monkeypatch.setattr(

@@ -1,9 +1,12 @@
-"""numpy loads on first use: the exact commands never load it, and the
-worker pool loads it before it forks.  Importing the package loads no
-process-pool module either, and the pool's workers end with the process
-that forked them.  Each check runs in a new interpreter, because this
-one has numpy loaded already."""
+"""numpy and the package's modules load on first use: importing the
+package loads none of its computational modules, each command loads
+only the modules it calls, the exact commands never load numpy, and the
+worker pool loads numpy before it forks.  Importing the package loads
+no process-pool module either, and the pool's workers end with the
+process that forked them.  Each loading check runs in a new
+interpreter, because this one has them all loaded already."""
 
+import importlib
 import json
 import os
 import signal
@@ -19,6 +22,27 @@ import extremap
 SRC = str(Path(extremap.__file__).resolve().parents[1])
 # the package that numpy's own import runs, under numpy 2 and numpy 1
 CORE = ("numpy._core", "numpy.core")
+# the computational modules, each loaded by the first call that needs it
+COMPUTE = tuple(f"extremap.{m}" for m in
+                ("intervals", "maps", "events", "brackets", "montecarlo"))
+# the public names of the package, by defining module
+PUBLIC = {
+    "intervals": "IntervalUnion ball",
+    "maps": "AffineBranch FullBranchMap bv_norm_indicator "
+            "weighted_periodic_sum",
+    "events": "Observable ThresholdSchedule annulus_set dprime_sum "
+              "exact_evl_prob exact_hts_prob first_return_time "
+              "spectral_escape_rate survivor_set theta_limit_exact theta_n "
+              "threshold_for",
+    "brackets": "BracketInputs BlockingParams DecayModel ErrorBudget "
+                "EscapeWindow annulus_replacement escape_window "
+                "evl_bracket_inputs exp_approx_error hts_bracket_inputs "
+                "optimize_kt_evl optimize_kt_hts general_evl_bracket "
+                "sharp_evl_bracket sharp_hts_bracket upsilon xi",
+    "montecarlo": "ECDF EscapeFit EvlEstimate estimate_escape_rate "
+                  "estimate_evl estimate_evl_points estimate_hts "
+                  "wilson_halfwidth",
+}
 
 
 def _env():
@@ -47,10 +71,49 @@ def test_import_leaves_numpy_unloaded(code):
     assert _loaded_after(code) == []
 
 
+@pytest.mark.parametrize("code, loaded", [
+    ("import extremap", []),
+    ("import extremap.cli", []),
+    ("import extremap\nextremap.ball", ["extremap.intervals"]),
+    # a submodule is not a public name: the import system loads it
+    ("from extremap import maps\nassert maps.__name__ == 'extremap.maps'",
+     ["extremap.intervals", "extremap.maps"]),
+], ids=["package", "cli", "name", "submodule"])
+def test_import_loads_only_the_modules_it_names(code, loaded):
+    assert _loaded_after(code, CORE + COMPUTE) == loaded
+
+
+@pytest.mark.parametrize("module, name", [
+    (module, name) for module, names in PUBLIC.items()
+    for name in names.split()])
+def test_each_public_name_is_its_defining_modules_object(module, name):
+    namespace = {}
+    exec(f"from extremap import {name}", namespace)
+    defined = getattr(importlib.import_module(f"extremap.{module}"), name)
+    assert namespace[name] is defined
+    assert name in dir(extremap)
+
+
+def test_any_other_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        extremap.no_such_name
+    with pytest.raises(ImportError):
+        exec("from extremap import no_such_name", {})
+
+
 def test_import_leaves_the_pool_modules_unloaded():
     # only a Monte Carlo run with --workers above 1 imports them
     pool = ("multiprocessing", "concurrent.futures")
     assert _loaded_after("import extremap.cli", pool) == []
+
+
+# the computational modules each exact command loads: never montecarlo
+EXACT_LOADS = {
+    "pressure": COMPUTE[:2],
+    "ei": COMPUTE[:3],
+    "bounds": COMPUTE[:4],
+    "check": COMPUTE[:4],
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -62,7 +125,7 @@ def test_import_leaves_the_pool_modules_unloaded():
 def test_exact_commands_never_load_numpy(tmp_path, argv):
     run = ("from extremap.cli import main\n"
            f"assert main({argv + ['--out', str(tmp_path)]!r}) == 0")
-    assert _loaded_after(run) == []
+    assert _loaded_after(run, CORE + COMPUTE) == list(EXACT_LOADS[argv[0]])
     assert (tmp_path / f"{argv[0]}.json").exists()
 
 
