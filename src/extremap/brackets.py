@@ -96,7 +96,12 @@ class ErrorBudget:
 
     @property
     def total(self) -> float:
-        return sum(v for _, v in self.terms)
+        # left to right, as sum() adds floats up to Python 3.11; from 3.12
+        # it compensates, which moves the last digit between interpreters
+        total = 0
+        for _, v in self.terms:
+            total += v
+        return total
 
     def term(self, name: str) -> float:
         return dict(self.terms)[name]

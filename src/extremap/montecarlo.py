@@ -72,15 +72,13 @@ steps every lane: at tau*theta <= 1 most lanes stay undecided up to
 the last checkpoint, and it draws for all of them.
 
 With workers > 1 the chunks go to forked workers, one pipe each, with
-no thread in the caller; they are kept for the life of the process.
-A call uses at most one worker per chunk and per CPU; at one it runs
-in-process.  A dead worker is replaced by running the call once more.
-
-numpy is loaded on first use (``_lazy_numpy``): importing this module does
-not run it, and no name here reads it at import, so the exact commands
-never pay for it.  An estimate loads it at its first chunk.  The pool
-loads it before it forks, so that the workers inherit numpy instead of
-each importing it again.
+no helper thread in the caller; they are kept for the life of the
+process.  A call uses at most one worker per chunk and per CPU; at one
+it runs in-process.  A dead worker is replaced by running the call once
+more.  Calls from several threads take turns on the pool, one lock
+held over a call's whole dispatch, so that none reads another's
+replies.  The workers inherit numpy, imported with this module; the
+exact commands never import this module, so they never load numpy.
 
 An event enters the estimators as the center of its observable and the
 exact radius of its threshold ball.  The numerical settings are module
@@ -95,39 +93,20 @@ from __future__ import annotations
 
 import atexit
 import functools
-import importlib.util
 import itertools
 import math
 import os
-import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
+
+import numpy as np
 
 from .errors import InfeasibleError, ResourceBudgetError
 from .intervals import as_exact, ball
 from .maps import FullBranchMap
 from .events import Observable, threshold_for
-
-
-def _lazy_numpy():
-    """numpy as a module that runs on the first read of one of its
-    attributes (the ``LazyLoader`` recipe of the importlib docs), or the
-    module itself when numpy is already imported."""
-    if "numpy" in sys.modules:
-        return sys.modules["numpy"]
-    spec = importlib.util.find_spec("numpy")
-    if spec is None:
-        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
-    loader = importlib.util.LazyLoader(spec.loader)
-    spec.loader = loader
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
-    loader.exec_module(module)
-    return module
-
-
-np = _lazy_numpy()  # loads at the first chunk, or before the pool forks
 
 CHUNK = 32768
 FEW_LANES = 2048  # live lanes at which first entries are read a word at a time
@@ -166,6 +145,7 @@ def _pool_size(workers: int, tasks: int) -> int:
 
 
 _pool: list = []  # the process's workers: (process, connection) pairs
+_pool_lock = threading.Lock()  # one call at a time reads and writes _pool
 
 
 def _worker(conn, inherited):
@@ -193,10 +173,10 @@ def _worker(conn, inherited):
 
 def _shared_pool(workers: int) -> list:
     """The process's workers, forked on first use and grown to ``workers``.
-    Forking is safe here: this module starts no thread in the caller."""
+    Called under ``_pool_lock``, so a worker may fork while other threads
+    wait for it; the worker inherits the lock held and never takes it."""
     # imported here: only runs with workers > 1 need a pool
     import multiprocessing
-    np.ndarray  # loads numpy before the workers fork (module docstring)
     ctx = multiprocessing.get_context("fork")
     while len(_pool) < workers:
         end, child = ctx.Pipe()
@@ -243,12 +223,13 @@ def _map_tasks(fn, args_list, workers: int):
     workers = _pool_size(workers, len(args_list))
     if workers == 1:
         return [fn(*args) for args in args_list]
-    try:
-        replies = _dispatch(fn, args_list, workers)
-    except (EOFError, ConnectionError):
-        # a worker died; the chunks are pure functions of their
-        # arguments, so they run again on fresh workers
-        replies = _dispatch(fn, args_list, workers)
+    with _pool_lock:  # each call reads only the replies to its own tasks
+        try:
+            replies = _dispatch(fn, args_list, workers)
+        except (EOFError, ConnectionError):
+            # a worker died; the chunks are pure functions of their
+            # arguments, so they run again on fresh workers
+            replies = _dispatch(fn, args_list, workers)
     for ok, value in replies:
         if not ok:
             raise value  # the task's own exception: never retried

@@ -22,6 +22,7 @@ from extremap.events import (
 )
 from extremap.brackets import (
     DecayModel,
+    ErrorBudget,
     _hts_shift,
     annulus_replacement,
     escape_window,
@@ -283,6 +284,12 @@ def test_general_bracket_frozen_doubling_run():
     b = general_evl_bracket(1.0, 4096, 2, 12, 22, 1 / 4096, 0.75 / 4096,
                       4 * 4 * 0.5 ** 22, 0.0450897216796875)
     assert b.total == pytest.approx(0.16465379638727207, rel=1e-12)
+
+
+def test_error_budget_total_adds_left_to_right():
+    # 1e16 + 1 rounds back to 1e16; a compensated sum would give 1.0
+    terms = (("a", 1e16), ("b", 1.0), ("c", -1e16))
+    assert ErrorBudget(terms=terms).total == 0.0
 
 
 def test_limit_bracket_reductions():

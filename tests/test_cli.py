@@ -435,6 +435,16 @@ def test_bounds_command_theorems(tmp_path):
     assert by_term["recurrence"] == 0.0
 
 
+def test_bounds_total_is_the_same_on_every_interpreter(tmp_path):
+    # the terms' left-to-right sum; Python 3.12's compensated sum() wrote
+    # 0.09010994560731649 here
+    assert main(["bounds", "--zeta", "1/3", "--n", "1000", "--tau", "1",
+                 "--out", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "bounds.json").read_text())["rows"]
+    total = next(r for r in rows if r["term"] == "total")
+    assert total["value"] == 0.09010994560731647
+
+
 def test_bounds_zero_decay_records_the_lam_in_force(tmp_path):
     # at c0 = 0 every decay term is 0 whatever lam is, so the values agree
     payloads = []

@@ -1,10 +1,12 @@
-"""numpy and the package's modules load on first use: importing the
-package loads none of its computational modules, each command loads
-only the modules it calls, the exact commands never load numpy, and the
-worker pool loads numpy before it forks.  Importing the package loads
-no process-pool module either, and the pool's workers end with the
-process that forked them.  Each loading check runs in a new
-interpreter, because this one has them all loaded already."""
+"""The package's modules load on first use: importing the package loads
+none of its computational modules, and each command loads only the
+modules it calls, so the exact commands never load numpy, which only
+the Monte Carlo module imports.  Importing the package loads no
+process-pool module either, and the pool's workers end with the process
+that forked them.  Concurrent first calls from several threads, with
+and without the pool, return the serial values.  Each of these checks
+runs in a new interpreter, because this one has every module loaded
+already."""
 
 import importlib
 import json
@@ -57,6 +59,27 @@ def _python(*args):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def _isolated(tmp_path, code):
+    """stdout of ``code`` run in a new interpreter that imports extremap
+    from this tree.  The output goes to a file, not a pipe: a worker
+    that outlived the process would hold the pipe open, and the run would
+    wait for it.  A run past 60 s fails instead of hanging the suite, and
+    is killed with the workers it forked."""
+    out = tmp_path / "out.txt"
+    with open(out, "w") as stdout:
+        proc = subprocess.Popen([sys.executable, "-c", code], env=_env(),
+                                stdout=stdout, stderr=subprocess.STDOUT,
+                                start_new_session=True)
+        try:
+            proc.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            raise
+    assert proc.returncode == 0, out.read_text()
+    return out.read_text()
 
 
 def _loaded_after(code, modules=CORE):
@@ -129,13 +152,6 @@ def test_exact_commands_never_load_numpy(tmp_path, argv):
     assert (tmp_path / f"{argv[0]}.json").exists()
 
 
-def test_the_pool_loads_numpy_before_its_workers_fork():
-    run = ("import extremap.montecarlo as mc\n"
-           "mc._shared_pool(2)\n"
-           "mc._drop_pool()")
-    assert _loaded_after(run) != []
-
-
 @pytest.mark.parametrize("argv", [
     ["evl", "--zeta", "1/3", "--n", "100,1000", "--trials", "1e5",
      "--seed", "3"],
@@ -178,13 +194,8 @@ def test_pool_workers_end_with_their_process(tmp_path, exit_):
            f"assert main({argv!r}) == 0\n"
            "print(*[proc.pid for proc, _ in mc._pool], flush=True)\n"
            f"{exit_}")
-    # output to a file, not a pipe: a worker that outlived the process
-    # would hold the pipe open, and the run would wait for it
-    out = tmp_path / "out.txt"
-    with open(out, "w") as stdout:
-        subprocess.run([sys.executable, "-c", run], env=_env(), stdout=stdout,
-                       stderr=subprocess.STDOUT, timeout=300, check=True)
-    pids = [int(pid) for pid in out.read_text().splitlines()[-1].split()]
+    last = _isolated(tmp_path, run).splitlines()[-1]
+    pids = [int(pid) for pid in last.split()]
     assert len(pids) == 2
     deadline = time.monotonic() + 10
     try:
@@ -194,3 +205,63 @@ def test_pool_workers_end_with_their_process(tmp_path, exit_):
     finally:
         for pid in filter(_running, pids):
             os.kill(pid, signal.SIGKILL)
+
+
+def test_numpy_is_a_whole_module_once_montecarlo_is_imported(tmp_path):
+    run = ("import sys, types\n"
+           "import extremap.montecarlo\n"
+           "print(type(sys.modules['numpy']) is types.ModuleType)")
+    assert _isolated(tmp_path, run).splitlines()[-1] == "True"
+
+
+ZETAS = ("1/3", "1/5", "2/7", "1/9")
+
+
+def _threaded_calls(tmp_path, setup, call):
+    """``call``, an expression in ``zeta`` and ``workers``, from 4 threads
+    that start together after ``setup``, each on a zeta of ZETAS with
+    workers 2, then on each zeta in turn with workers 1: (the threads'
+    reprs, the serial reprs).  A short switch interval makes the threads
+    interleave often."""
+    run = (f"{setup}\n"
+           "import json, sys, threading\n"
+           "from fractions import Fraction\n"
+           "import extremap\n"
+           "sys.setswitchinterval(1e-5)\n"
+           f"zetas = [Fraction(z) for z in {ZETAS!r}]\n"
+           f"call = lambda zeta, workers: repr({call})\n"
+           "start = threading.Barrier(len(zetas))\n"
+           "threaded = [None] * len(zetas)\n"
+           "def run(i):\n"
+           "    start.wait()\n"
+           "    try:\n"
+           "        threaded[i] = call(zetas[i], 2)\n"
+           "    except Exception as exc:\n"
+           "        threaded[i] = repr(exc)\n"
+           "threads = [threading.Thread(target=run, args=(i,))\n"
+           "           for i in range(len(zetas))]\n"
+           "for thread in threads:\n"
+           "    thread.start()\n"
+           "for thread in threads:\n"
+           "    thread.join()\n"
+           "print(json.dumps([threaded, [call(z, 1) for z in zetas]]))")
+    return json.loads(_isolated(tmp_path, run).splitlines()[-1])
+
+
+def test_concurrent_first_calls_match_serial_calls(tmp_path):
+    # the first call in the process imports montecarlo and numpy
+    threaded, serial = _threaded_calls(
+        tmp_path, "",
+        "extremap.estimate_evl(extremap.FullBranchMap.from_spec('doubling'),"
+        " extremap.Observable(zeta), 100, 1, 4096, 1)")
+    assert threaded == serial
+
+
+def test_concurrent_pool_calls_read_their_own_replies(tmp_path):
+    # numpy first, so that the threads share only the pool; 131072 trials
+    # are four chunks, so each threaded call runs on the 2 workers
+    threaded, serial = _threaded_calls(
+        tmp_path, "import os\nos.cpu_count = lambda: 2\nimport numpy",
+        "extremap.estimate_hts(extremap.FullBranchMap.from_spec('doubling'),"
+        " zeta, Fraction(1, 16), [1, 2], 131072, 1, workers=workers)")
+    assert threaded == serial
