@@ -2,6 +2,9 @@
 
 Every command writes a CSV table and a JSON mirror, both embedding the
 fully resolved configuration, and is deterministic under a fixed seed.
+A file left by an earlier run is rewritten in place and cut at the end
+of the new text (``write_outputs``); a rewrite interrupted between the
+two can leave old bytes past the new text.
 Each flag's parser, default and choices are declared once, in its
 ``add_argument``; a ``--config`` file's lines are read as flags by the
 same parser.  A command ``cmd_<command>(args, map_)`` returns a
@@ -131,19 +134,33 @@ def _jsonable(v):
 
 def write_outputs(out_dir, name: str, columns, rows, config) -> tuple:
     """Write ``<name>.csv`` and its JSON mirror, each in one pass over
-    the rows made JSON-ready once."""
+    the rows made JSON-ready once.
+
+    Each file is rendered to one string and written over the old file in
+    place: opened without truncation, written, then truncated at the end
+    of the new text, so a longer earlier output leaves no tail.  On ext4
+    this is several times cheaper than reopening an existing file with
+    O_TRUNC.  Names, bytes, permission bits and symlinks are treated as
+    ``open(path, "w")`` treats them.  A rewrite interrupted between its
+    write and its truncate (a full disk, say) can leave old bytes past
+    the new text; writing one rendered string and truncating right after
+    keeps that window to two system calls, and rerunning the command
+    regenerates the file.
+    """
+    import io
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _jsonable(dict(config, schema_version=SCHEMA_VERSION, command=name))
     rows = [_jsonable(r) for r in rows]
     csv_path = out_dir / f"{name}.csv"
     json_path = out_dir / f"{name}.json"
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(f"# schema_version: {SCHEMA_VERSION}\n")
-        fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows([r.get(c, "") for c in columns] for r in rows)
+    buf = io.StringIO(newline="")
+    buf.write(f"# schema_version: {SCHEMA_VERSION}\n")
+    buf.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    writer.writerows([r.get(c, "") for c in columns] for r in rows)
+    _rewrite(csv_path, buf.getvalue(), newline="")
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": name,
@@ -151,9 +168,17 @@ def write_outputs(out_dir, name: str, columns, rows, config) -> tuple:
         "columns": list(columns),
         "rows": rows,
     }
-    with open(json_path, "w") as fh:
-        fh.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    _rewrite(json_path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return csv_path, json_path
+
+
+def _rewrite(path, text: str, newline=None) -> None:
+    """Write ``text`` over the file at ``path`` (created if absent) and
+    cut it at the end of ``text``."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline=newline) as fh:
+        fh.write(text)
+        fh.truncate()
 
 
 # ---------------------------------------------------------------------------

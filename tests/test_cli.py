@@ -14,7 +14,7 @@ import pytest
 import extremap
 from extremap.cli import (build_parser, exact_str, main, parse_count,
                           parse_counts, parse_grid, parse_point,
-                          parse_positive)
+                          parse_positive, write_outputs)
 from extremap.events import Observable, annulus_set, dprime_sum, threshold_for
 from extremap.maps import FullBranchMap
 from fractions import Fraction as F
@@ -779,6 +779,95 @@ def test_env_var_out_dir(tmp_path, monkeypatch):
     rc = main(["ei", "--zeta", "0", "--eps", "1/100"])
     assert rc == 0
     assert (tmp_path / "envout" / "ei.csv").exists()
+
+
+# each command run twice into one directory, the second output shorter
+REUSED = {
+    "evl": (("--zeta", "1/3", "--n", "100,200,400", "--trials", "4000",
+             "--seed", "1"),
+            ("--zeta", "1/3", "--n", "100", "--trials", "2000",
+             "--seed", "1")),
+    "hts": (("--zeta", "1/3", "--eps", "1/16,1/32", "--trials", "4000",
+             "--seed", "1"),
+            ("--zeta", "1/3", "--eps", "1/16", "--tau", "1", "--trials",
+             "2000", "--seed", "1")),
+    "escape": (("--zeta", "0", "--eps", "1/25,1/50", "--trials", "2e4",
+                "--seed", "7"),
+               ("--zeta", "0", "--eps", "1/25", "--trials", "1e4",
+                "--seed", "7")),
+    "ei": (("--zeta", "1/3", "--eps", "1/30,1/60,1/120"),
+           ("--zeta", "1/3", "--eps", "1/30")),
+    "bounds": (("--zeta", "1/3", "--n", "64,128,256"),
+               ("--zeta", "1/3", "--n", "64")),
+    "check": (("--seed", "1", "--n", "64,128", "--prop-configs", "2"),
+              ("--seed", "1", "--n", "64", "--prop-configs", "0")),
+    "pressure": (("--n-max", "6"), ("--n-max", "2")),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REUSED))
+def test_a_reused_output_directory_holds_only_the_last_run(tmp_path,
+                                                           monkeypatch,
+                                                           command):
+    # the files are rewritten in place and cut at their new end, so the
+    # longer output of the first run leaves no tail; --out is relative,
+    # so both directories record the same one
+    first, second = REUSED[command]
+    names = [f"{command}.csv", f"{command}.json"]
+    (tmp_path / "reused").mkdir()
+    monkeypatch.chdir(tmp_path / "reused")
+    assert main([command, *first, "--out", "out"]) == 0
+    sizes = [(Path("out") / n).stat().st_size for n in names]
+    assert main([command, *second, "--out", "out"]) == 0
+    reused = [(Path("out") / n).read_bytes() for n in names]
+    assert all(len(b) < size for b, size in zip(reused, sizes))
+    (tmp_path / "fresh").mkdir()
+    monkeypatch.chdir(tmp_path / "fresh")
+    assert main([command, *second, "--out", "out"]) == 0
+    assert reused == [(Path("out") / n).read_bytes() for n in names]
+
+
+ROWS = [{"k": 1, "x": F(1, 3)}, {"k": 2, "x": 0.5, "flags": "a;b"}]
+
+
+@pytest.mark.parametrize("before", ["longer", "shorter", "absent"])
+def test_write_outputs_over_an_earlier_file(tmp_path, before):
+    old = {"longer": "#" * 10_000 + "\n", "shorter": "x\n"}.get(before)
+    paths = []
+    for sub in ("fresh", "reused"):
+        if sub == "reused" and old is not None:
+            (tmp_path / sub).mkdir()
+            for ext in ("csv", "json"):
+                (tmp_path / sub / f"t.{ext}").write_text(old)
+        paths.append(write_outputs(tmp_path / sub, "t", ["k", "x", "flags"],
+                                   ROWS, {"out": "OUT"}))
+    fresh, reused = paths
+    assert [p.name for p in reused] == ["t.csv", "t.json"]
+    for f, r in zip(fresh, reused):
+        assert r.read_bytes() == f.read_bytes()
+    assert fresh[0].read_bytes().count(b"\r\n") == 3  # header and two rows
+
+
+def test_write_outputs_keeps_modes_and_follows_symlinks(tmp_path):
+    # an existing file keeps its permission bits; a new one gets those of
+    # open(path, "w"); a symlinked output is written through its link
+    out, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+    out.mkdir()
+    elsewhere.mkdir()
+    (out / "t.csv").write_text("old\n")
+    (out / "t.csv").chmod(0o600)
+    (elsewhere / "t.json").write_text("old\n")
+    (out / "t.json").symlink_to(elsewhere / "t.json")
+    with open(tmp_path / "made-by-open", "w"):
+        pass
+    write_outputs(out, "t", ["k", "x"], ROWS, {})
+    write_outputs(tmp_path / "new", "t", ["k", "x"], ROWS, {})
+    assert (out / "t.csv").stat().st_mode & 0o777 == 0o600
+    assert (out / "t.json").is_symlink()
+    assert json.loads((elsewhere / "t.json").read_text())["rows"][0]["k"] == 1
+    mode = (tmp_path / "made-by-open").stat().st_mode & 0o777
+    assert {(tmp_path / "new" / n).stat().st_mode & 0o777
+            for n in ("t.csv", "t.json")} == {mode}
 
 
 def test_check_budget_bounds_the_proposition_rows(tmp_path):

@@ -211,6 +211,22 @@ def test_theta_limit_equals_a_reference_walk():
                 assert type(got[0]) is int and type(got[1]) is F
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 10])
+def test_theta_limit_on_uniform_maps_is_the_order_of_d(d):
+    # x -> dx mod 1 permutes the fractions of a denominator prime to d,
+    # with period ord_den(d); a denominator sharing a factor with d
+    # shrinks at once, so its center is not periodic
+    m = FullBranchMap.uniform(d)
+    for den in range(2, 201):
+        if math.gcd(d, den) == 1:
+            order = next(k for k in range(1, den) if pow(d, k, den) == 1)
+            expected = (order, 1 - F(1, d ** order))
+        else:
+            expected = (0, 1)
+        for a in filter(lambda a: math.gcd(a, den) == 1, range(den)):
+            assert theta_limit_exact(m, F(a, den)) == expected, (d, a, den)
+
+
 @pytest.mark.parametrize("spec, budget, zeta, expected", [
     # 1/134 -> 1/67 halves the denominator for good: no repeat within
     # the cap of 64, yet not periodic
@@ -898,6 +914,7 @@ def test_spectral_escape_rate_edges():
 UNSETTLED = [
     ("alternating", ALTERNATING, ball(F(1, 2), F(1, 3)), 1.5 * math.log(2)),
     ("doubling-01", DOUBLING, ball(F(3, 8), F(1, 8)), math.log(2)),
+    ("widths-2/5", WIDTHS, ball(F(2, 5), F(1, 8)), math.log(2)),
 ]
 
 
