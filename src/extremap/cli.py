@@ -4,7 +4,8 @@ Every command writes a CSV table and a JSON mirror, both embedding the
 fully resolved configuration, and is deterministic under a fixed seed.
 A file left by an earlier run is rewritten in place and cut at the end
 of the new text (``write_outputs``); a rewrite interrupted between the
-two can leave old bytes past the new text.
+two can leave old bytes past the new text, in the CSV as whole rows of
+the earlier run, which the JSON mirror's config and row count expose.
 Each flag's parser, default and choices are declared once, in its
 ``add_argument``; a ``--config`` file's lines are read as flags by the
 same parser.  A command ``cmd_<command>(args, map_)`` returns a
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -144,10 +146,14 @@ def write_outputs(out_dir, name: str, columns, rows, config) -> tuple:
     ``open(path, "w")`` treats them.  A rewrite interrupted between its
     write and its truncate (a full disk, say) can leave old bytes past
     the new text; writing one rendered string and truncating right after
-    keeps that window to two system calls, and rerunning the command
-    regenerates the file.
+    keeps that window to two system calls.  In the CSV those bytes can
+    include whole, well-formed rows of an earlier run with another
+    config, so a reader that must rule this out checks the CSV's config
+    line and row count against the JSON mirror.  The mirror is written
+    second: if its own rewrite is cut short it fails to parse, and if
+    the CSV's is, the mirror still holds the earlier run.  Rerunning the
+    command regenerates both files.
     """
-    import io
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _jsonable(dict(config, schema_version=SCHEMA_VERSION, command=name))

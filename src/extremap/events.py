@@ -172,31 +172,14 @@ def _cycle(map_: FullBranchMap, zeta: Fraction):
     period.  Brent's cycle detection (BIT 1980) finds any other repeat,
     mu steps into a cycle of lam, in 3 * cap + 1 steps if mu + lam <=
     cap: not periodic either.  Past the cap the walk raises.
-
-    On ``uniform:d`` a step is one ``divmod(d * x, den)``, the branch
-    and the next numerator, and there is no Brent phase: a center whose
-    denominator is prime to d is purely periodic, so the walk ends at its
-    first return or at the cap.
     """
     den = zeta.denominator
-    cap = min(den, max(map_.budget, 64)) if map_.is_integer else 64
-    if map_.is_uniform:
-        d, start = map_.d, zeta.numerator
-        if math.gcd(d, den) > 1:  # the denominator shrinks at step 1
-            return None
-        visits, x = [0] * d, start
-        for _ in range(cap):
-            b, x = divmod(d * x, den)
-            visits[b] += 1
-            if x == start:
-                return visits
-        raise PeriodUndecidedError(f"period of {zeta} exceeds cap {cap}")
     D, los, affine = map_._numerators(den)
     if map_.is_integer:
-        start = zeta.numerator * D // den
+        cap, start = min(den, max(map_.budget, 64)), zeta.numerator * D // den
         shrinks = [math.gcd(A, den) > 1 for A, _ in affine]
     else:
-        start, shrinks = zeta, [False] * map_.d
+        cap, start, shrinks = 64, zeta, [False] * map_.d
 
     def step(x):
         b = bisect_right(los, x) - 1

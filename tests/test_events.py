@@ -185,8 +185,8 @@ def _reference_theta_limit(m, step, zeta, cap):
 
 
 INTEGER_SPECS = [
-    "doubling", "tripling", "uniform:5", "widths:1/2,1/4,1/4",
-    "widths:1/4,1/4,1/2",
+    "doubling", "tripling", "uniform:5", "uniform:10",
+    "widths:1/2,1/4,1/4", "widths:1/4,1/4,1/2",
     '[{"lo": 0, "hi": "1/2", "slope": -2, "intercept": 1},'
     ' {"lo": "1/2", "hi": "3/4", "slope": 4, "intercept": -2},'
     ' {"lo": "3/4", "hi": 1, "slope": 4, "intercept": -3}]',
@@ -209,22 +209,6 @@ def test_theta_limit_equals_a_reference_walk():
                 assert got == _reference_theta_limit(m, step, zeta, den), \
                     (spec, zeta)
                 assert type(got[0]) is int and type(got[1]) is F
-
-
-@pytest.mark.parametrize("d", [2, 3, 5, 10])
-def test_theta_limit_on_uniform_maps_is_the_order_of_d(d):
-    # x -> dx mod 1 permutes the fractions of a denominator prime to d,
-    # with period ord_den(d); a denominator sharing a factor with d
-    # shrinks at once, so its center is not periodic
-    m = FullBranchMap.uniform(d)
-    for den in range(2, 201):
-        if math.gcd(d, den) == 1:
-            order = next(k for k in range(1, den) if pow(d, k, den) == 1)
-            expected = (order, 1 - F(1, d ** order))
-        else:
-            expected = (0, 1)
-        for a in filter(lambda a: math.gcd(a, den) == 1, range(den)):
-            assert theta_limit_exact(m, F(a, den)) == expected, (d, a, den)
 
 
 @pytest.mark.parametrize("spec, budget, zeta, expected", [
