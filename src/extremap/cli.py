@@ -36,6 +36,7 @@ import math
 import os
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -97,29 +98,14 @@ def parse_counts(s) -> list:
 # ---------------------------------------------------------------------------
 
 
-_CHUNK = 10 ** 1000
-
-
-def _digits(n: int) -> str:
-    """str(n) at any size.  CPython's str() refuses an int past
-    sys.get_int_max_str_digits() digits (4300 by default), and an exact
-    recurrence sum at n = 1e6 has about 10^4, so long ints are written
-    1000 digits at a time."""
-    if n < 0:
-        return "-" + _digits(-n)
-    chunks = []
-    while n >= _CHUNK:
-        n, r = divmod(n, _CHUNK)
-        chunks.append(f"{r:01000d}")
-    return str(n) + "".join(reversed(chunks))
-
-
 def exact_str(x) -> str:
     """str(x) for an exact value (a Fraction or an int), at any size:
-    the format of every ``*_exact`` column."""
+    the format of every ``*_exact`` column.  str(Decimal(n)) prints the
+    digits of n past str(int)'s limit (4300 digits by default), which an
+    exact recurrence sum at n = 1e6 passes."""
     if x.denominator == 1:
-        return _digits(x.numerator)
-    return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
+        return str(Decimal(x.numerator))
+    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 def _jsonable(v):

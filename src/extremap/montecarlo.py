@@ -25,8 +25,9 @@ stepper the map takes: ``_evl_chunk`` checkpoints the running minimum
 distance (on power-of-two uniform maps through prefix masks, below),
 ``_entry_chunk`` records first entry times.  Every estimator reaches
 its chunks through one pipeline, ``_run_chunks``, which refuses fewer
-than one trial, a map no stepper samples, and a run past the lane-step
-budget, before any chunk runs.  ``estimate_hts`` reads the one survival curve
+than one trial and a run past the lane-step budget, before any chunk
+runs; every map the exact oracles build has a stepper, and ``ball`` is
+the one check on a radius.  ``estimate_hts`` reads the one survival curve
 ``_survivors`` at its cutoffs, and ``estimate_escape_rate`` fits it.
 The curve ends at the last first entry, however far the horizon, so
 its memory follows the entries, not the horizon.
@@ -110,10 +111,6 @@ from .events import Observable, threshold_for
 
 CHUNK = 32768
 FEW_LANES = 2048  # live lanes at which first entries are read a word at a time
-# the uniform stepper is exact for any d < 2^64; this is the range the
-# CLI documents and its exit-3 tests hold, and the exact oracles and
-# brackets are untested past it
-MAX_UNIFORM_D = 256
 Z95 = 1.959963984540054  # two-sided 95% standard normal quantile
 MIN_SURVIVORS = 100  # the escape fit ends at the last t with this many left
 ESCAPE_TRANSIENT = 1e-4  # the escape fit starts once 4*w_max^t is this small
@@ -239,15 +236,10 @@ def _map_tasks(fn, args_list, workers: int):
 def _run_chunks(kernel, map_: FullBranchMap, head: tuple, horizon: int,
                 trials: int, seed: int, workers: int) -> list:
     """``kernel(map_, *head, index, count, seed)`` on each chunk, in chunk
-    order.  Raises before any chunk runs unless trials >= 1, a stepper
-    samples the map and horizon steps of at least a chunk of lanes fit
-    MC_STEP_BUDGET."""
+    order.  Raises before any chunk runs unless trials >= 1 and horizon
+    steps of at least a chunk of lanes fit MC_STEP_BUDGET."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1 (got {trials})")
-    if map_.is_uniform and map_.d > MAX_UNIFORM_D:
-        raise InfeasibleError(
-            f"Monte Carlo on uniform:d supports d <= {MAX_UNIFORM_D} "
-            f"(got d = {map_.d})")
     if max(trials, CHUNK) * horizon > MC_STEP_BUDGET:
         raise ResourceBudgetError(
             f"Monte Carlo of {trials} trials to step {horizon} exceeds the "
@@ -743,12 +735,11 @@ def estimate_hts(map_: FullBranchMap, zeta, eps, tau_grid: Sequence,
                  trials: int, seed: int, workers: int = 1) -> ECDF:
     """Survival estimates P(r_B > tau / P(B)) over the tau grid.
 
-    B is the radius-eps ball at zeta; each trial runs to the horizon
-    max(tau_grid)/P(B) and records its first entry time.
+    B is the radius-eps ball at zeta (``ball`` refuses eps outside
+    (0, 1/2)); each trial runs to the horizon max(tau_grid)/P(B) and
+    records its first entry time.
     """
     eps = as_exact(eps)
-    if eps >= Fraction(1, 4):
-        raise InfeasibleError("eps must be < 1/4")
     B = ball(as_exact(zeta), eps)
     PB = B.measure()
     taus = [as_exact(t) for t in tau_grid]

@@ -445,6 +445,24 @@ def test_theorem_brackets_dominate_the_exact_error():
                     "limit": [54, 11], "sharp-hts": [54, 22]}
 
 
+@pytest.mark.parametrize("d", [257, 1024])
+def test_sharp_evl_bracket_dominates_the_exact_error_past_uniform_256(d):
+    # n = 1000, and q >= 2 on d >= 1000, exceed the component budget
+    m = FullBranchMap.uniform(d)
+    gamma = DecayModel.for_map(m)
+    for zeta in (F(1, 3), F(1, 6)):
+        q, theta = theta_limit_exact(m, zeta)
+        theta = float(theta)
+        for tau, n in itertools.product((F(1, 2), F(1), F(2)), (100, 300)):
+            U = threshold_for(Observable(zeta), n, tau).exceedance
+            error = abs(float(exact_evl_prob(m, U, n))
+                        - math.exp(-theta * float(tau)))
+            inputs = evl_bracket_inputs(m, U, q, n, gamma)
+            b = sharp_evl_bracket(float(tau), n, theta, float(inputs.PA),
+                                  inputs.k, inputs.t, inputs.R, gamma)
+            assert not b.flags and error <= b.total < 1, (zeta, tau, n, b)
+
+
 # -- escape window and exponential approximation -------------------------------
 
 

@@ -15,7 +15,9 @@ import extremap
 from extremap.cli import (build_parser, exact_str, main, parse_count,
                           parse_counts, parse_grid, parse_point,
                           parse_positive, write_outputs)
-from extremap.events import Observable, annulus_set, dprime_sum, threshold_for
+from extremap.events import (Observable, annulus_set, dprime_sum,
+                             exact_evl_prob, exact_hts_prob, threshold_for)
+from extremap.intervals import ball
 from extremap.maps import FullBranchMap
 from fractions import Fraction as F
 
@@ -167,10 +169,23 @@ def test_tau_zero_rejected(tmp_path):
     assert rc == 2
 
 
-def test_eps_quarter_rejected(tmp_path):
-    rc = main(["hts", "--zeta", "1/3", "--eps", "0.3", "--tau", "1",
-               "--trials", "100", "--seed", "1", "--out", str(tmp_path)])
-    assert rc == 2
+def _z(row, exact):
+    """The estimate's distance from the exact value in standard errors
+    (ci_half is the 95% Wilson half-width)."""
+    return abs(float(row["estimate"]) - exact) / (float(row["ci_half"]) / 1.96)
+
+
+def test_hts_past_a_quarter_matches_the_exact_oracle(tmp_path):
+    # ball takes any radius in (0, 1/2), and so does the estimator
+    rc = main(["hts", "--zeta", "1/3", "--eps", "0.3", "--tau", "1,2",
+               "--trials", "2e4", "--seed", "1", "--out", str(tmp_path)])
+    assert rc == 0
+    f, B = FullBranchMap.doubling(), ball(F(1, 3), F(3, 10))
+    _, rows = read_csv(tmp_path / "hts.csv")
+    assert [r["tau"] for r in rows] == ["1.0", "2.0"]
+    for r in rows:
+        t = int(F(r["tau"]) / B.measure())
+        assert _z(r, float(exact_hts_prob(f, B, t))) <= 4
 
 
 def test_infeasible_n_rejected(tmp_path):
@@ -1021,15 +1036,23 @@ def test_oversized_survivor_set_fails_fast(tmp_path, capsys):
         assert not (out / "check.json").exists()
 
 
-def test_monte_carlo_digit_limit_of_uniform_maps(tmp_path, capsys):
-    for cmd in (["evl", "--n", "100"], ["hts", "--eps", "1/40", "--tau", "1"]):
-        rc = main([cmd[0], "--map", "uniform:257", "--zeta", "1/3", *cmd[1:],
-                   "--trials", "100", "--seed", "1", "--out", str(tmp_path)])
-        assert rc == 2
-        assert "d <= 256" in capsys.readouterr().err
-        rc = main([cmd[0], "--map", "uniform:256", "--zeta", "1/3", *cmd[1:],
-                   "--trials", "100", "--seed", "1", "--out", str(tmp_path)])
-        assert rc == 0
+def test_monte_carlo_on_uniform_maps_either_side_of_256(tmp_path):
+    # the uniform stepper is exact for any d < 2^64: past 256 it runs the
+    # floor-division step of d = 3, and the estimates meet the oracles
+    U = threshold_for(Observable(center=F(1, 3)), 100, 1).exceedance
+    B = ball(F(1, 3), F(1, 40))
+    for d in (256, 257):
+        f = FullBranchMap.uniform(d)
+        for cmd, exact in (
+                (["evl", "--n", "100"], exact_evl_prob(f, U, 100)),
+                (["hts", "--eps", "1/40", "--tau", "1"],
+                 exact_hts_prob(f, B, int(1 / B.measure())))):
+            rc = main([cmd[0], "--map", f"uniform:{d}", "--zeta", "1/3",
+                       *cmd[1:], "--trials", "2e4", "--seed", "1",
+                       "--out", str(tmp_path)])
+            assert rc == 0
+            _, (row,) = read_csv(tmp_path / f"{cmd[0]}.csv")
+            assert _z(row, float(exact)) <= 4
 
 
 @pytest.mark.parametrize("argv", [

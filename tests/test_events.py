@@ -657,6 +657,20 @@ def test_markov_hts_oracle_equals_the_survivor_set(name, zeta, t, eps):
     assert exact_hts_prob(m, B, t) == survivor_set(m, B, t).measure()
 
 
+@pytest.mark.parametrize("d", [257, 1000])
+@pytest.mark.parametrize("zeta, eps", [(F(1, 3), F(1, 10)), (F(2, 7), F(1, 40)),
+                                       (F(1, 3), F(1, 1000))])
+def test_markov_hts_oracle_equals_the_survivor_set_past_uniform_256(d, zeta,
+                                                                    eps):
+    # the partition route against the interval route on the maps the
+    # Monte Carlo tests also cover; on uniform:1000 the survivor set of
+    # the 1/10 ball at t = 3 has 640,001 components
+    m = FullBranchMap.uniform(d)
+    B = ball(zeta, eps)
+    for t in range(4):
+        assert exact_hts_prob(m, B, t) == survivor_set(m, B, t).measure()
+
+
 def _pair_by_preimages(map_, A, j):
     """m(A intersect f^(-j) A) by exact preimages, each cut down to the
     forward image of A at its time, so that j = 16 stays small."""

@@ -143,7 +143,7 @@ def test_horner_orbits_step_by_the_map_on_the_skewed_map():
 
 
 # digits per word: the largest J with d^J <= 2^64
-WORD = {2: 64, 3: 40, 5: 27, 8: 21, 256: 8}
+WORD = {2: 64, 3: 40, 5: 27, 8: 21, 256: 8, 257: 7, 1000: 6, 1024: 6}
 
 
 def _exact_uniform_windows(d, zeta, count, seed, steps, keeps=()):
@@ -221,7 +221,7 @@ def test_uniform_orbits_match_modular_reference(d, steps):
         assert kept.dist().tolist() == kept_dists[k][cols].tolist(), k
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, 8, 256])
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 256, 257, 1000])
 def test_uniform_first_entries_match_the_step_loop(d):
     # a run of 1 step, one that ends mid-word, one asked past the word's
     # end (the block stops there), then a run of 3 steps and one to the
@@ -786,6 +786,41 @@ def test_evl_estimate_past_one_random_word(map_, zeta, n):
     assert abs(est.estimate - exact) <= 3 * est.half_width
 
 
+# The estimators take every map the component budget admits and every
+# radius ball takes: uniform:d past d = 256 runs the stepped kernels of
+# d = 3 (floor division) and d = 256 (shifts; the mask rule picks no
+# prefix mask from d = 64 on), and an hts ball may reach radius 1/2.
+
+
+@pytest.mark.parametrize("d", [257, 1000, 1024])
+@pytest.mark.parametrize("zeta", [F(1, 3), F(2, 7)])
+def test_estimates_meet_the_oracles_past_uniform_256(d, zeta):
+    f = FullBranchMap.uniform(d)
+    obs = Observable(center=zeta)
+    for n in (6, 12):
+        est = mc.estimate_evl(f, obs, n, 1, trials=100000, seed=1)
+        exact = float(exact_evl_prob(f, threshold_for(obs, n, 1).exceedance, n))
+        assert abs(est.estimate - exact) <= 4 * est.half_width / mc.Z95
+    B = ball(zeta, F(1, 40))
+    ecdf = mc.estimate_hts(f, zeta, F(1, 40), [F(1, 2), 1, 2], trials=100000,
+                           seed=1)
+    for tau, est, hw in zip(ecdf.grid, ecdf.estimates, ecdf.half_widths):
+        exact = float(exact_hts_prob(f, B, int(F(tau) / B.measure())))
+        assert abs(est - exact) <= 4 * hw / mc.Z95
+
+
+@pytest.mark.parametrize("map_", [DOUBLING, TRIPLING, WIDTHS],
+                         ids=["doubling", "tripling", "widths"])
+@pytest.mark.parametrize("eps", [F(1, 4), F(3, 10), F(2, 5)])
+def test_hts_meets_the_oracle_past_radius_a_quarter(map_, eps):
+    B = ball(F(1, 5), eps)
+    ecdf = mc.estimate_hts(map_, F(1, 5), eps, [1, 2, 3], trials=100000,
+                           seed=1)
+    for tau, est, hw in zip(ecdf.grid, ecdf.estimates, ecdf.half_widths):
+        exact = float(exact_hts_prob(map_, B, int(F(tau) / B.measure())))
+        assert abs(est - exact) <= 4 * hw / mc.Z95
+
+
 # The skewed map's orbits start from a uniform point.  Starting them
 # from y = 1/2 at 48 digits past the horizon, an error the wide branch
 # contracts by only (49/50)^48 ~ 0.38, read 0.8464 (EVL) and 0.9374 and
@@ -1083,17 +1118,24 @@ def test_estimators_reject_trials_below_one(trials):
                                 seed=1)
 
 
-def test_unsampled_maps_fail_before_any_chunk_is_scheduled(monkeypatch):
-    # uniform:257 is past MAX_UNIFORM_D: it raises in the calling process
-    monkeypatch.setattr(mc, "_map_tasks",
-                        lambda *args: pytest.fail("a chunk was scheduled"))
+def test_uniform_257_in_the_pool_matches_one_process_and_the_oracles():
+    # three chunks on two workers: the estimates are those of one
+    # process, and they meet the exact oracles
     f = FullBranchMap.uniform(257)
     obs = Observable(center=F(1, 3))
-    with pytest.raises(InfeasibleError):
-        mc.estimate_evl(f, obs, 100, 1, trials=100, seed=1, workers=2)
-    with pytest.raises(InfeasibleError):
-        mc.estimate_hts(f, F(1, 3), F(1, 40), [1], trials=100, seed=1,
-                        workers=2)
+    B = ball(F(1, 3), F(1, 40))
+    trials = 2 * mc.CHUNK + 1000
+    evl = [mc.estimate_evl(f, obs, 100, 1, trials=trials, seed=1, workers=w)
+           for w in (1, 2)]
+    hts = [mc.estimate_hts(f, F(1, 3), F(1, 40), [1], trials=trials, seed=1,
+                           workers=w) for w in (1, 2)]
+    assert evl[0] == evl[1] and hts[0] == hts[1]
+    U = threshold_for(obs, 100, 1).exceedance
+    for est, hw, exact in (
+            (evl[0].estimate, evl[0].half_width, exact_evl_prob(f, U, 100)),
+            (hts[0].estimates[0], hts[0].half_widths[0],
+             exact_hts_prob(f, B, int(1 / B.measure())))):
+        assert abs(est - float(exact)) <= 4 * hw / mc.Z95
 
 
 def test_lane_step_budget_is_checked_before_any_chunk_runs(monkeypatch):
@@ -1336,8 +1378,12 @@ def test_hts_estimates_and_edges():
         t_int = int(F(tau) / B.measure())
         exact = float(exact_hts_prob(DOUBLING, B, t_int))
         assert abs(est - exact) <= 3 * hw
-    with pytest.raises(InfeasibleError):
-        mc.estimate_hts(DOUBLING, F(1, 3), F(3, 10), [1], trials=100, seed=1)
+    # a ball past radius 1/4 is estimated as the oracle computes it
+    B = ball(F(1, 3), F(3, 10))
+    ecdf = mc.estimate_hts(DOUBLING, F(1, 3), F(3, 10), [1], trials=40000,
+                           seed=6)
+    exact = float(exact_hts_prob(DOUBLING, B, int(1 / B.measure())))
+    assert abs(ecdf.estimates[0] - exact) <= 3 * ecdf.half_widths[0]
 
 
 def test_hts_matches_the_open_system():
