@@ -145,26 +145,29 @@ def upsilon(PA: float, M: float, ell: int, t: int, R_A: int,
 # ---------------------------------------------------------------------------
 
 
-def _search_kt(k_max, root, value, lower) -> Tuple[float, int, int]:
-    """Smallest key (value(k, t), t, k) over t >= 1, 1 <= k <= k_max(t);
+def _search_kt(k_max, decay, root, value, lower) -> Tuple[float, int, int]:
+    """Smallest key (value(k, t, g), t, k) over t >= 1, 1 <= k <= k_max(t);
     the callers' input checks guarantee k_max(1) >= 1.
 
-    For a fixed gap t both objectives have the form a*k + b/k + c with
-    a, b > 0, convex in k with real minimizer root(t) = sqrt(b/a); the
-    integer argmin is a floor/ceil neighbour of it or an end of
-    [1, k_max(t)].  lower(t) bounds the objective from below for every
-    gap >= t, so the sweep over t stops once it passes the best value
-    (the relative margin keeps rounding from stopping it early).
+    g = decay(t) is the gap's correlation decay, evaluated once per gap
+    and passed to root and value.  For a fixed gap t both objectives
+    have the form a*k + b/k + c with a, b > 0, convex in k with real
+    minimizer root(t, g) = sqrt(b/a); the integer argmin is a
+    floor/ceil neighbour of it or an end of [1, k_max(t)].  lower(t)
+    bounds the objective from below for every gap >= t, so the sweep
+    over t stops once it passes the best value (the relative margin
+    keeps rounding from stopping it early).
     """
     best = None
     t = 1
     while (km := k_max(t)) >= 1:
         if best is not None and lower(t) > best[0] * (1.0 + 1e-9):
             break
-        s = int(min(root(t), km))
+        g = decay(t)
+        s = int(min(root(t, g), km))
         for k in {1, km, s - 1, s, s + 1, s + 2}:
             if 1 <= k <= km:
-                key = (value(k, t), t, k)
+                key = (value(k, t, g), t, k)
                 if best is None or key < best:
                     best = key
         t += 1
@@ -183,12 +186,12 @@ def optimize_kt_evl(n: int, PA: float, gamma: DecayModel) -> BlockingParams:
         raise InfeasibleError("n too small for blocking")
     if not (0 < PA < 1):
         raise InfeasibleError("PA must be in (0, 1)")
-    g = gamma.gamma
     value, t, k = _search_kt(
         lambda t: (n - 1) // t,
-        lambda t: math.sqrt((n * n * PA * g(t) + (n * PA) ** 2) / (t * PA)),
-        lambda k, t: (k * t * PA + n * (1.0 + n * PA / k) * g(t)
-                      + (n * PA) ** 2 / k),
+        gamma.gamma,
+        lambda t, g: math.sqrt((n * n * PA * g + (n * PA) ** 2) / (t * PA)),
+        lambda k, t, g: (k * t * PA + n * (1.0 + n * PA / k) * g
+                         + (n * PA) ** 2 / k),
         lambda t: 2.0 * n * PA * math.sqrt(t * PA))
     return BlockingParams(k=k, t=t, ell=n // k - t, objective=value)
 
@@ -213,8 +216,9 @@ def optimize_kt_hts(PB: float, gamma: DecayModel) -> BlockingParams:
 
     value, t, k = _search_kt(
         k_max,
-        lambda t: math.sqrt(1.0 / (t * PB)),
-        lambda k, t: k * t * PB + gamma.gamma(t) / PB + 1.0 / k,
+        gamma.gamma,
+        lambda t, g: math.sqrt(1.0 / (t * PB)),
+        lambda k, t, g: k * t * PB + g / PB + 1.0 / k,
         lambda t: 2.0 * math.sqrt(t * PB))
     return BlockingParams(k=k, t=t, ell=math.floor(inv) // k - t,
                           objective=value)

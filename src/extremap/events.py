@@ -41,6 +41,7 @@ of length ell is the set of points whose orbit avoids B at times
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, reduce
@@ -82,12 +83,27 @@ class ThresholdSchedule:
 
 
 def threshold_for(obs: Observable, n: int, tau) -> ThresholdSchedule:
+    """The exceedance ball of radius tau / (2n) around the centre.
+
+    ``n`` is an integer (``operator.index``: a float raises TypeError)
+    and ``tau`` any input ``as_exact`` takes.  With tau = p/q in lowest
+    terms the range checks are integer compares, p > 0 and p < n*q, and
+    the radius is the one fraction p / (2nq).  A horizon n <= 0 keeps the
+    rational division, so n = 0 raises ZeroDivisionError and n < 0 gives
+    a negative radius, which ``ball`` refuses.
+    """
+    n = operator.index(n)
     tau = as_exact(tau)
-    if tau <= 0:
+    p, q = tau.numerator, tau.denominator
+    if p <= 0:
         raise InfeasibleError("tau must be positive (tau = 0 is degenerate)")
-    if tau / n >= 1:
-        raise InfeasibleError(f"tau/n = {tau}/{n} >= 1: ball radius would reach 1/2")
-    radius = tau / (2 * n)
+    if n > 0:
+        if p >= n * q:
+            raise InfeasibleError(
+                f"tau/n = {tau}/{n} >= 1: ball radius would reach 1/2")
+        radius = Fraction(p, 2 * n * q)
+    else:
+        radius = tau / (2 * n)
     return ThresholdSchedule(radius=radius,
                              exceedance=ball(obs.center, radius))
 

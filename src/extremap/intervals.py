@@ -227,22 +227,27 @@ def _reduced(ends, den: int):
 def ball(center, radius) -> IntervalUnion:
     """Arc of the given radius around ``center`` on the circle [0, 1).
 
-    Both inputs are coerced with ``as_exact``.  An arc that crosses 0 is
-    stored as two components.
+    Both inputs are coerced with ``as_exact``, and their ranges are
+    checked on numerators and denominators, 0 < 2 r_num < r_den and
+    0 <= c_num < c_den.  An arc that crosses 0 is stored as two
+    components, its ends already in order.
     """
     c, r = as_exact(center), as_exact(radius)
-    if not 0 < r < Fraction(1, 2):
+    rn, rd = r.numerator, r.denominator
+    if not 0 < 2 * rn < rd:
         raise RadiusRangeError(f"radius {radius} outside (0, 1/2)")
-    if not 0 <= c < 1:
+    cn, cd = c.numerator, c.denominator
+    if not 0 <= cn < cd:
         raise ValueError(f"center {center} outside [0, 1)")
-    den = math.lcm(c.denominator, r.denominator)
-    mid = c.numerator * (den // c.denominator)
-    half = r.numerator * (den // r.denominator)
+    den = math.lcm(cd, rd)
+    mid = cn * (den // cd)
+    half = rn * (den // rd)
     lo, hi = mid - half, mid + half
+    # 2 * half < den, so the two pieces of a wrapped arc never touch
     if lo < 0:
-        pairs = ((lo + den, den), (0, hi))
+        ends = (0, hi, lo + den, den)
     elif hi > den:
-        pairs = ((lo, den), (0, hi - den))
+        ends = (0, hi - den, lo, den)
     else:
-        pairs = ((lo, hi),)
-    return IntervalUnion._from_pairs(pairs, den)
+        ends = (lo, hi)
+    return IntervalUnion._from_ends(ends, den)

@@ -18,7 +18,7 @@ from extremap.errors import (
     InfeasibleError,
     PeriodUndecidedError,
 )
-from extremap.intervals import IntervalUnion, ball
+from extremap.intervals import IntervalUnion, as_exact, ball
 from extremap.maps import FullBranchMap
 from extremap import events
 from extremap.events import (
@@ -35,6 +35,7 @@ from extremap.events import (
     theta_n,
     threshold_for,
 )
+from test_intervals import exact_inputs, outcome
 
 DOUBLING = FullBranchMap.doubling()
 # x -> 1 - 2x, 4x - 2, 4 - 4x: some holes' survivors alternate between
@@ -66,6 +67,45 @@ def test_threshold_preconditions():
         threshold_for(obs, 10, 12)
     sched = threshold_for(obs, 100, 2)
     assert sched.exceedance.measure() == F(1, 50)
+
+
+def test_threshold_takes_an_integer_horizon():
+    obs = Observable(center=F(1, 3))
+    sched = threshold_for(obs, np.int64(3), 1)
+    assert sched == threshold_for(obs, 3, 1)
+    assert type(sched.radius) is F and sched.radius == F(1, 6)
+    assert sched.exceedance.measure() * 3 == 1
+    # a float horizon would make the radius a binary float
+    with pytest.raises(TypeError):
+        threshold_for(obs, 3.0, 1)
+
+
+def reference_threshold(obs, n, tau):
+    """``threshold_for`` with its checks and radius as Fraction division:
+    the reference its integer checks must match."""
+    tau = as_exact(tau)
+    if tau <= 0:
+        raise InfeasibleError("tau must be positive (tau = 0 is degenerate)")
+    if tau / n >= 1:
+        raise InfeasibleError(f"tau/n = {tau}/{n} >= 1: ball radius would reach 1/2")
+    radius = tau / (2 * n)
+    return events.ThresholdSchedule(radius=radius,
+                                    exceedance=ball(obs.center, radius))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from([F(1, 3), F(0), F(1, 2), F(999_999, 10**6)]),
+       st.one_of(st.sampled_from([-3, -1, 0, 1, 2, 10**6]),
+                 st.integers(-3, 10**6)),
+       exact_inputs(-2, 3, [-2, 0, F(1, 2), 1, 2, 3]))
+def test_threshold_matches_the_fraction_reference(center, n, tau):
+    obs = Observable(center)
+    got = outcome(threshold_for, obs, n, tau)
+    ref = outcome(reference_threshold, obs, n, tau)
+    assert got == ref
+    if isinstance(ref, events.ThresholdSchedule):
+        assert type(got.radius) is F
+        assert got.exceedance.components == ref.exceedance.components
 
 
 # -- annuli and the extremal index ------------------------------------------

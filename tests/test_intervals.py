@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -109,6 +110,54 @@ def test_ball_examples():
     assert all(type(e) is F for e in dyadic.components[0])
     with pytest.raises(RadiusRangeError):
         ball(F(1, 2), F(6, 10))
+
+
+def reference_ball(center, radius):
+    """``ball`` with its range checks as Fraction compares: the reference
+    its integer checks must match, result and refusal alike."""
+    c, r = as_exact(center), as_exact(radius)
+    if not 0 < r < F(1, 2):
+        raise RadiusRangeError(f"radius {radius} outside (0, 1/2)")
+    if not 0 <= c < 1:
+        raise ValueError(f"center {center} outside [0, 1)")
+    den = math.lcm(c.denominator, r.denominator)
+    mid = c.numerator * (den // c.denominator)
+    half = r.numerator * (den // r.denominator)
+    lo, hi = mid - half, mid + half
+    if lo < 0:
+        pairs = ((lo + den, den), (0, hi))
+    elif hi > den:
+        pairs = ((lo, den), (0, hi - den))
+    else:
+        pairs = ((lo, hi),)
+    return IntervalUnion._from_pairs(pairs, den)
+
+
+def outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def exact_inputs(lo, hi, edges):
+    """Points of [lo, hi] and the given edges, each as an int (when
+    integral), a Fraction, a float or a string."""
+    points = st.one_of(st.sampled_from(edges),
+                       st.fractions(lo, hi, max_denominator=10**6))
+    return points.flatmap(lambda v: st.sampled_from(
+        [v, float(v), str(v)] + [int(v)] * (v.denominator == 1)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(exact_inputs(F(-1, 2), F(3, 2) - F(1, 10**6), [F(-1, 2), 0, F(1, 2), 1]),
+       exact_inputs(F(-1, 4), F(3, 4), [F(-1, 4), 0, F(1, 2), F(3, 4), 1]))
+def test_ball_matches_the_fraction_reference(center, radius):
+    got, ref = outcome(ball, center, radius), outcome(reference_ball, center, radius)
+    assert got == ref
+    if isinstance(ref, IntervalUnion):
+        assert got.components == ref.components
 
 
 @pytest.mark.parametrize("pairs, expected", [
